@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import documents
 from .connections import InnerProduct, is_closed
@@ -22,10 +21,10 @@ from .lattice import (
 from .lcp import (
     CLASS_CONFORMALLY_FLAT,
     CLASS_LCP,
+    LCPValidationError,
     build_from_triple,
     characteristic_constraint_space,
     check_candidate,
-    lcp_violations,
     maximal_flat_factor,
     validate_lcp,
 )
@@ -37,7 +36,6 @@ from .liealg import (
     derived_algebra,
     is_abelian,
     is_nilpotent,
-    is_semisimple,
     is_solvable,
     is_unimodular,
     killing_form,
@@ -134,10 +132,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     doc = documents.parse_algebra_document(_load(args.file))
     problems = 0
     if doc.has_algebra:
-        violations = check_jacobi(doc.dim, documents.document_bracket_map(doc))
-        if violations:
+        try:
+            algebra = documents.document_algebra(doc)
+        except ValueError:
+            # Only a Jacobi failure gets here from a parsed document; name its triples.
+            algebra = None
+            brackets = {(e.i, e.j): dict(e.coeffs) for e in doc.brackets}
             names = ", ".join(
-                "(" + ", ".join(doc.basis[t] for t in triple) + ")" for triple in violations
+                "(" + ", ".join(doc.basis[t] for t in triple) + ")"
+                for triple in check_jacobi(doc.dim, brackets)
             )
             print(f"jacobi: FAIL at basis triples {names}")
             problems += 1
@@ -154,10 +157,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 problems += 1
         if doc.theta is None:
             print("theta: absent")
-        elif not violations:
-            algebra = LieAlgebra.from_brackets(
-                doc.dim, documents.document_bracket_map(doc), doc.basis
-            )
+        elif algebra is not None:
             closed = is_closed(algebra, Covector(doc.theta))
             print(f"theta: ok ({'closed' if closed else 'not closed'})")
         else:
@@ -186,7 +186,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"unimodular: {_yesno(is_unimodular(algebra))}")
     print(f"solvable: {_yesno(is_solvable(algebra))}")
     print(f"nilpotent: {_yesno(is_nilpotent(algebra))}")
-    print(f"semisimple: {_yesno(is_semisimple(algebra))}")
+    print(f"semisimple: {_yesno(rad.is_zero())}")
     derived = derived_algebra(algebra)
     print(f"derived algebra: {_format_subspace(derived, labels)} (dim {derived.dim})")
     print(f"radical: {_format_subspace(rad, labels)} (dim {rad.dim})")
@@ -209,17 +209,16 @@ def _detect_payload(doc: AlgebraDocument):
 def cmd_lcp(args: argparse.Namespace) -> int:
     doc = documents.parse_algebra_document(_load(args.file))
     if args.action == "detect":
-        algebra, metric, theta, u = _detect_payload(doc)
-        violations = lcp_violations(algebra, metric, theta, u)
-        if violations:
+        try:
+            structure = validate_lcp(*_detect_payload(doc))
+        except LCPValidationError as exc:
             if args.json:
-                print(json.dumps({"valid": False, "violations": list(violations)}, indent=2))
+                print(json.dumps({"valid": False, "violations": list(exc.violations)}, indent=2))
             else:
                 print("valid: no")
-                for v in violations:
+                for v in exc.violations:
                     print(f"violation: {v}")
             return 2
-        structure = validate_lcp(algebra, metric, theta, u)
         if args.json:
             payload = {
                 "valid": True,
@@ -234,10 +233,8 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             print(f"adapted: {_yesno(structure.adapted)}")
             maximal = "unknown" if structure.maximal is None else _yesno(structure.maximal)
             print(f"maximal: {maximal}")
-            print(
-                f"flat factor: {_format_subspace(structure.flat_factor, algebra.labels)}"
-                f" (dim {structure.flat_factor.dim})"
-            )
+            u = structure.flat_factor
+            print(f"flat factor: {_format_subspace(u, structure.algebra.labels)} (dim {u.dim})")
         return 0
 
     if args.action == "max-flat":
@@ -282,13 +279,11 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "char-bound":
-        algebra, metric, theta, u = _detect_payload(doc)
-        violations = lcp_violations(algebra, metric, theta, u)
-        if violations:
-            raise CommandError(
-                "document is not a valid LCP structure: " + "; ".join(violations)
-            )
-        structure = validate_lcp(algebra, metric, theta, u)
+        try:
+            structure = validate_lcp(*_detect_payload(doc))
+        except LCPValidationError as exc:
+            raise CommandError(f"document is not a valid LCP structure: {exc}") from exc
+        algebra = structure.algebra
         bound = characteristic_constraint_space(structure)
         payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
         lines = [f"bound = {_format_subspace(bound, algebra.labels)} (dim {bound.dim})"]

@@ -15,12 +15,12 @@ from .liealg import Covector, LieAlgebra
 from .linalg import (
     Matrix,
     Vector,
-    as_fraction,
     dot,
     det,
     identity_matrix,
     inverse,
     is_zero_vector,
+    mat_combination,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -91,13 +91,7 @@ class Connection:
 
     def directional(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of the derivative along the vector x."""
-        out = tuple(zero_vector(self.dim) for _ in range(self.dim))
-        for i, c in enumerate(x):
-            if c != 0:
-                out = tuple(
-                    vec_add(r, vec_scale(c, m)) for r, m in zip(out, self.nabla[i])
-                )
-        return out
+        return mat_combination(x, self.nabla, self.dim)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         return mat_vec(self.directional(x), y)
@@ -119,18 +113,8 @@ class CurvatureTensor:
         return tuple(vec_scale(Fraction(-1), row) for row in neg)
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Matrix:
-        out = tuple(zero_vector(self.dim) for _ in range(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                op = self.operator(i, j)
-                out = tuple(
-                    vec_add(r, vec_scale(xi * yj, m)) for r, m in zip(out, op)
-                )
-        return out
+        coeffs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs(self.dim)]
+        return mat_combination(coeffs, self.operators, self.dim)
 
     def is_flat(self) -> bool:
         return all(

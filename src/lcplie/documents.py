@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
-from .liealg import Covector, LieAlgebra
+from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, identity_matrix
 from .lattice import IntMatrix, _check_int_matrix
 
@@ -311,16 +311,8 @@ def document_algebra(doc: AlgebraDocument) -> LieAlgebra:
     return LieAlgebra.from_brackets(doc.dim, brackets, doc.basis)
 
 
-def document_bracket_map(doc: AlgebraDocument) -> dict:
-    return {(e.i, e.j): dict(e.coeffs) for e in doc.brackets}
-
-
 def document_metric(doc: AlgebraDocument) -> InnerProduct | None:
     return None if doc.metric is None else InnerProduct(doc.metric)
-
-
-def document_theta(doc: AlgebraDocument) -> Covector | None:
-    return None if doc.theta is None else Covector(doc.theta)
 
 
 def document_triple(doc: AlgebraDocument) -> LCPTriple:

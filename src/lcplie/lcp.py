@@ -6,8 +6,9 @@ connection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .connections import (
@@ -22,6 +23,7 @@ from .liealg import (
     Covector,
     LieAlgebra,
     derived_algebra,
+    homomorphism_defect,
     is_abelian_subspace,
     is_ideal,
     is_unimodular,
@@ -32,7 +34,6 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Subspace,
-    Vector,
     identity_matrix,
     is_zero_vector,
     kernel,
@@ -41,7 +42,6 @@ from .linalg import (
     transpose,
     vec_add,
     vec_scale,
-    zero_vector,
 )
 
 CLASS_LCP = "lcp"
@@ -55,33 +55,6 @@ class LCPValidationError(ValueError):
     def __init__(self, violations: Sequence[str]):
         self.violations = tuple(violations)
         super().__init__("; ".join(violations))
-
-
-@dataclass(frozen=True)
-class LCPStructure:
-    algebra: LieAlgebra
-    metric: InnerProduct
-    lee_form: Covector
-    flat_factor: Subspace
-    adapted: bool
-    maximal: bool | None
-
-    def __post_init__(self) -> None:
-        problems = lcp_violations(self.algebra, self.metric, self.lee_form, self.flat_factor)
-        if problems:
-            raise LCPValidationError(problems)
-        really_adapted = all(
-            self.lee_form.value(row) == 0 for row in self.flat_factor.basis
-        )
-        if self.adapted != really_adapted:
-            raise ValueError("adapted flag does not match the structure")
-
-    def connection(self) -> Connection:
-        return weyl_connection(self.algebra, self.metric, self.lee_form)
-
-    def orthocomplement(self) -> Subspace:
-        """The metric complement of the flat factor."""
-        return self.flat_factor.orthogonal_complement(self.metric.gram)
 
 
 @dataclass(frozen=True)
@@ -102,12 +75,22 @@ class ConstraintReport:
     linear_bound: Subspace
 
 
+def _vanishes_on(theta: Covector, s: Subspace) -> bool:
+    return all(theta.value(row) == 0 for row in s.basis)
+
+
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
     """Whether the subspace is preserved by every covariant basis derivative."""
     return all(
         s.contains(mat_vec(connection.nabla[i], row))
         for i in range(algebra.dim)
         for row in s.basis
+    )
+
+
+def _annihilates(curv: CurvatureTensor, s: Subspace) -> bool:
+    return all(
+        is_zero_vector(mat_vec(op, row)) for op in curv.operators for row in s.basis
     )
 
 
@@ -118,11 +101,7 @@ def is_flat_subspace(
     s: Subspace,
 ) -> bool:
     """Parallel and annihilated by every curvature operator."""
-    if not is_parallel(algebra, connection, s):
-        return False
-    return all(
-        is_zero_vector(mat_vec(op, row)) for op in curv.operators for row in s.basis
-    )
+    return is_parallel(algebra, connection, s) and _annihilates(curv, s)
 
 
 def _largest_invariant_subspace(start: Subspace, operators: Sequence[Matrix]) -> Subspace:
@@ -148,39 +127,125 @@ def _largest_invariant_subspace(start: Subspace, operators: Sequence[Matrix]) ->
     return current
 
 
+@dataclass(frozen=True)
+class ConformalAnalysis:
+    """The conformal connection of one (algebra, metric, covector) and what
+    follows from it. Each derived object is computed at most once, on first
+    use, and every structure verdict comes from `violations`.
+    """
+
+    algebra: LieAlgebra
+    metric: InnerProduct
+    theta: Covector
+
+    @cached_property
+    def connection(self) -> Connection:
+        return weyl_connection(self.algebra, self.metric, self.theta)
+
+    @cached_property
+    def curvature(self) -> CurvatureTensor:
+        return curvature(self.algebra, self.connection)
+
+    @cached_property
+    def flat_factor(self) -> FlatFactorResult:
+        """The sum of all flat subspaces of the conformal connection.
+
+        Computed as the largest parallel subspace inside the joint kernel of
+        the curvature operators. Requires a unimodular algebra and a nonzero
+        closed covector; with those hypotheses a proper nonzero result is
+        provably an abelian ideal, and that is re-checked here.
+        """
+        algebra, theta = self.algebra, self.theta
+        if theta.is_zero():
+            raise ValueError("covector must be nonzero")
+        if not is_closed(algebra, theta):
+            raise ValueError("covector must be closed")
+        if not is_unimodular(algebra):
+            raise ValueError("the flat-factor construction requires a unimodular algebra")
+        stacked = tuple(row for op in self.curvature.operators for row in op)
+        joint_kernel = Subspace(algebra.dim, kernel(stacked, algebra.dim))
+        w = _largest_invariant_subspace(joint_kernel, self.connection.nabla)
+        if w.is_full():
+            classification = CLASS_CONFORMALLY_FLAT
+        elif w.is_zero():
+            classification = CLASS_NONE
+        else:
+            classification = CLASS_LCP
+            if not is_ideal(algebra, w) or not is_abelian_subspace(algebra, w):
+                raise RuntimeError(
+                    "flat factor self-check failed: proper nonzero result is not an abelian ideal"
+                )
+        return FlatFactorResult(w, classification, _vanishes_on(theta, w))
+
+    def violations(self, u: Subspace) -> tuple[str, ...]:
+        """Every violated requirement of u as a flat factor, by message."""
+        algebra, theta = self.algebra, self.theta
+        if {self.metric.dim, theta.dim, u.ambient_dim} != {algebra.dim}:
+            raise ValueError("algebra, metric, covector and subspace dimensions must agree")
+        problems = []
+        if theta.is_zero():
+            problems.append("lee covector is zero")
+        elif not is_closed(algebra, theta):
+            problems.append("lee covector is not closed")
+        if u.is_zero():
+            problems.append("flat factor is the zero subspace")
+        if u.is_full():
+            problems.append("flat factor is the whole algebra")
+        if not problems:
+            if not is_parallel(algebra, self.connection, u):
+                problems.append("flat factor is not parallel for the conformal connection")
+            elif not _annihilates(self.curvature, u):
+                problems.append("conformal curvature does not annihilate the flat factor")
+            if is_unimodular(algebra) and not _vanishes_on(theta, u):
+                problems.append(
+                    "algebra is unimodular but the lee covector does not vanish on the flat factor"
+                )
+        return tuple(problems)
+
+
+@dataclass(frozen=True)
+class LCPStructure:
+    """A validated structure: construction raises on any violation or wrong
+    flag, and fills in `maximal` when it is None (None on a non-unimodular
+    algebra, where maximality is not decided)."""
+
+    algebra: LieAlgebra
+    metric: InnerProduct
+    lee_form: Covector
+    flat_factor: Subspace
+    adapted: bool
+    maximal: bool | None
+    analysis: ConformalAnalysis = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        analysis = ConformalAnalysis(self.algebra, self.metric, self.lee_form)
+        problems = analysis.violations(self.flat_factor)
+        if problems:
+            raise LCPValidationError(problems)
+        if self.adapted != _vanishes_on(self.lee_form, self.flat_factor):
+            raise ValueError("adapted flag does not match the structure")
+        maximal = None
+        if is_unimodular(self.algebra):
+            maximal = analysis.flat_factor.subspace == self.flat_factor
+        if self.maximal is None:
+            object.__setattr__(self, "maximal", maximal)
+        elif self.maximal != maximal:
+            raise ValueError("maximal flag does not match the structure")
+        object.__setattr__(self, "analysis", analysis)
+
+    def connection(self) -> Connection:
+        return self.analysis.connection
+
+    def orthocomplement(self) -> Subspace:
+        """The metric complement of the flat factor."""
+        return self.flat_factor.orthogonal_complement(self.metric.gram)
+
+
 def maximal_flat_factor(
     algebra: LieAlgebra, metric: InnerProduct, theta: Covector
 ) -> FlatFactorResult:
-    """The sum of all flat subspaces of the conformal connection.
-
-    Computed as the largest parallel subspace inside the joint kernel of the
-    curvature operators. Requires a unimodular algebra and a nonzero closed
-    covector; with those hypotheses a proper nonzero result is provably an
-    abelian ideal, and that is re-checked here.
-    """
-    if theta.is_zero():
-        raise ValueError("covector must be nonzero")
-    if not is_closed(algebra, theta):
-        raise ValueError("covector must be closed")
-    if not is_unimodular(algebra):
-        raise ValueError("the flat-factor construction requires a unimodular algebra")
-    conn = weyl_connection(algebra, metric, theta)
-    curv = curvature(algebra, conn)
-    stacked = tuple(row for op in curv.operators for row in op)
-    joint_kernel = Subspace(algebra.dim, kernel(stacked, algebra.dim))
-    w = _largest_invariant_subspace(joint_kernel, conn.nabla)
-    if w.is_full():
-        classification = CLASS_CONFORMALLY_FLAT
-    elif w.is_zero():
-        classification = CLASS_NONE
-    else:
-        classification = CLASS_LCP
-        if not is_ideal(algebra, w) or not is_abelian_subspace(algebra, w):
-            raise RuntimeError(
-                "flat factor self-check failed: proper nonzero result is not an abelian ideal"
-            )
-    adapted = all(theta.value(row) == 0 for row in w.basis)
-    return FlatFactorResult(w, classification, adapted)
+    """The maximal flat factor; see `ConformalAnalysis.flat_factor`."""
+    return ConformalAnalysis(algebra, metric, theta).flat_factor
 
 
 def lcp_violations(
@@ -190,37 +255,7 @@ def lcp_violations(
     u: Subspace,
 ) -> tuple[str, ...]:
     """Every violated requirement of the candidate structure, by message."""
-    if metric.dim != algebra.dim or theta.dim != algebra.dim or u.ambient_dim != algebra.dim:
-        raise ValueError("algebra, metric, covector and subspace dimensions must agree")
-    problems = []
-    if theta.is_zero():
-        problems.append("lee covector is zero")
-    elif not is_closed(algebra, theta):
-        problems.append("lee covector is not closed")
-    if u.is_zero():
-        problems.append("flat factor is the zero subspace")
-    if u.is_full():
-        problems.append("flat factor is the whole algebra")
-    if not problems:
-        conn = weyl_connection(algebra, metric, theta)
-        if not is_parallel(algebra, conn, u):
-            problems.append("flat factor is not parallel for the conformal connection")
-        else:
-            curv = curvature(algebra, conn)
-            if not all(
-                is_zero_vector(mat_vec(op, row))
-                for op in curv.operators
-                for row in u.basis
-            ):
-                problems.append(
-                    "conformal curvature does not annihilate the flat factor"
-                )
-        adapted = all(theta.value(row) == 0 for row in u.basis)
-        if is_unimodular(algebra) and not adapted:
-            problems.append(
-                "algebra is unimodular but the lee covector does not vanish on the flat factor"
-            )
-    return tuple(problems)
+    return ConformalAnalysis(algebra, metric, theta).violations(u)
 
 
 def validate_lcp(
@@ -230,14 +265,9 @@ def validate_lcp(
     u: Subspace,
 ) -> LCPStructure:
     """Validated structure, or LCPValidationError carrying every violation."""
-    problems = lcp_violations(algebra, metric, theta, u)
-    if problems:
-        raise LCPValidationError(problems)
-    adapted = all(theta.value(row) == 0 for row in u.basis)
-    maximal: bool | None = None
-    if is_unimodular(algebra):
-        maximal = maximal_flat_factor(algebra, metric, theta).subspace == u
-    return LCPStructure(algebra, metric, theta, u, adapted, maximal)
+    # On mismatched dimensions the structure's own validation raises.
+    adapted = theta.dim == u.ambient_dim and _vanishes_on(theta, u)
+    return LCPStructure(algebra, metric, theta, u, adapted, None)
 
 
 @dataclass(frozen=True)
@@ -266,32 +296,11 @@ class LCPTriple:
                 raise ValueError(f"action matrix {idx} is not {q}x{q}")
             if any(b[r][c] != -b[c][r] for r in range(q) for c in range(q)):
                 raise ValueError(f"action matrix {idx} is not skew-symmetric")
-        for i in range(h.dim):
-            for j in range(i + 1, h.dim):
-                lhs = _combine(self.beta, h.basis_bracket(i, j), q)
-                rhs = _mat_commutator(self.beta[i], self.beta[j])
-                if lhs != rhs:
-                    raise ValueError(
-                        f"action is not a Lie algebra homomorphism on basis pair ({i}, {j})"
-                    )
+        defect = homomorphism_defect(h, self.beta, q)
+        if defect is not None:
+            raise ValueError(f"action is not a Lie algebra homomorphism on basis pair {defect}")
         if trace_form(h).is_zero():
             raise ValueError("acting algebra must be non-unimodular")
-
-
-def _combine(mats: Sequence[Matrix], coeffs: Sequence[Fraction], q: int) -> Matrix:
-    out = tuple(zero_vector(q) for _ in range(q))
-    for m, c in zip(mats, coeffs, strict=True):
-        if c != 0:
-            out = tuple(vec_add(r, vec_scale(c, s)) for r, s in zip(out, m))
-    return out
-
-
-def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return tuple(
-        tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba)
-    )
 
 
 def build_from_triple(triple: LCPTriple) -> LCPStructure:
@@ -391,6 +400,26 @@ def triple_from_lcp(structure: LCPStructure) -> LCPTriple:
     return LCPTriple(h_algebra, h_metric, q, tuple(beta))
 
 
+def _linear_bound(structure: LCPStructure, hperp: Subspace) -> tuple[Subspace, Subspace, Subspace]:
+    """The radical, the derived algebra, and the linear bound cut from the
+    metric complement hperp of the flat factor."""
+    algebra = structure.algebra
+    n = algebra.dim
+    theta_kernel = Subspace(
+        n, kernel((structure.lee_form.coefficients,), n)
+    )
+    constraints = []
+    for urow in structure.flat_factor.basis:
+        cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
+        constraints.extend(transpose(tuple(cols)))
+    action_kernel = Subspace(n, kernel(tuple(constraints), n))
+    rad = radical(algebra)
+    derived = derived_algebra(algebra)
+    bound = hperp.intersect(theta_kernel).intersect(action_kernel)
+    bound = bound.intersect(rad).intersect(derived)
+    return rad, derived, bound
+
+
 def characteristic_constraint_space(structure: LCPStructure) -> Subspace:
     """Linear upper bound for directions with trivial conformal character
     and trivial flat-factor action.
@@ -400,20 +429,8 @@ def characteristic_constraint_space(structure: LCPStructure) -> Subspace:
     bracket, the radical, and the derived algebra. These are necessary
     conditions only.
     """
-    algebra = structure.algebra
-    n = algebra.dim
-    hperp = structure.orthocomplement()
-    theta_kernel = Subspace(
-        n, kernel((structure.lee_form.coefficients,), n)
-    )
-    constraints = []
-    for urow in structure.flat_factor.basis:
-        cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
-        constraints.extend(transpose(tuple(cols)))
-    action_kernel = Subspace(n, kernel(tuple(constraints), n))
-    out = hperp.intersect(theta_kernel).intersect(action_kernel)
-    out = out.intersect(radical(algebra))
-    return out.intersect(derived_algebra(algebra))
+    _, _, bound = _linear_bound(structure, structure.orthocomplement())
+    return bound
 
 
 def check_candidate(structure: LCPStructure, candidate: Subspace) -> ConstraintReport:
@@ -426,22 +443,20 @@ def check_candidate(structure: LCPStructure, candidate: Subspace) -> ConstraintR
         raise ValueError(
             "candidate must lie in the metric complement of the flat factor"
         )
-    theta_vanishes = all(
-        structure.lee_form.value(row) == 0 for row in candidate.basis
-    )
     action_trivial = all(
         is_zero_vector(algebra.bracket(row, urow))
         for row in candidate.basis
         for urow in structure.flat_factor.basis
     )
+    rad, derived, bound = _linear_bound(structure, hperp)
     return ConstraintReport(
         candidate=candidate,
-        theta_vanishes=theta_vanishes,
+        theta_vanishes=_vanishes_on(structure.lee_form, candidate),
         action_trivial=action_trivial,
         is_abelian=is_abelian_subspace(algebra, candidate),
-        in_radical=radical(algebra).contains_subspace(candidate),
-        in_commutator=derived_algebra(algebra).contains_subspace(candidate),
-        linear_bound=characteristic_constraint_space(structure),
+        in_radical=rad.contains_subspace(candidate),
+        in_commutator=derived.contains_subspace(candidate),
+        linear_bound=bound,
     )
 
 

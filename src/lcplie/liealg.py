@@ -18,6 +18,7 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
+    mat_combination,
     mat_mul,
     mat_sub,
     pair_index,
@@ -293,10 +294,10 @@ def radical(algebra: LieAlgebra) -> Subspace:
     The result is re-checked to be a solvable ideal; failure of that check
     signals an internal inconsistency.
     """
-    killing = killing_form(algebra)
     commutator = derived_algebra(algebra)
     if commutator.is_zero():
         return algebra.full_space()
+    killing = killing_form(algebra)
     constraints = tuple(
         tuple(dot(row, col) for col in transpose(killing)) for row in commutator.basis
     )
@@ -308,6 +309,17 @@ def radical(algebra: LieAlgebra) -> Subspace:
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
     return radical(algebra).is_zero()
+
+
+def homomorphism_defect(h: LieAlgebra, mats: Sequence[Matrix], q: int) -> tuple[int, int] | None:
+    """First basis pair (i, j) on which e_i -> mats[i] fails to carry the bracket
+    of h to the commutator of q x q matrices, or None for a homomorphism."""
+    for i, j in pairs(h.dim):
+        lhs = mat_combination(h.basis_bracket(i, j), mats, q)
+        rhs = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+        if lhs != rhs:
+            return (i, j)
+    return None
 
 
 def semidirect_sum(
@@ -331,20 +343,11 @@ def semidirect_sum(
     if any(len(m) != q or any(len(r) != q for r in m) for m in mats):
         raise ValueError(f"action matrices must be {q}x{q}")
 
-    def alpha_of(x: Sequence[Fraction]) -> Matrix:
-        out = tuple(zero_vector(q) for _ in range(q))
-        for d, c in enumerate(x):
-            if c != 0:
-                out = tuple(vec_add(r, vec_scale(c, m)) for r, m in zip(out, mats[d]))
-        return out
-
-    for i, j in pairs(h.dim):
-        lhs = alpha_of(h.basis_bracket(i, j))
-        rhs = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
-        if lhs != rhs:
-            raise ValueError(
-                f"action is not a Lie algebra homomorphism: fails on basis pair ({i}, {j})"
-            )
+    defect = homomorphism_defect(h, mats, q)
+    if defect is not None:
+        raise ValueError(
+            f"action is not a Lie algebra homomorphism: fails on basis pair {defect}"
+        )
 
     if u_labels is None:
         u_labels = ("u",) if q == 1 else tuple(f"u{t + 1}" for t in range(q))

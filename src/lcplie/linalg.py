@@ -83,16 +83,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in a)
+def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix], size: int) -> Matrix:
+    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms are skipped."""
+    out = tuple(zero_vector(size) for _ in range(size))
+    for c, m in zip(coeffs, mats, strict=True):
+        if c != 0:
+            out = tuple(vec_add(r, vec_scale(c, s)) for r, s in zip(out, m))
+    return out
 
 
 def pairs(n: int) -> Iterator[tuple[int, int]]:

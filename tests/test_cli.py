@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lcplie import connections, lcp
 from lcplie.cli import main
 
 from conftest import CORPUS_DIR, corpus_text
@@ -349,3 +350,44 @@ class TestJsonOutput:
             "index": None,
             "witness": {"x": [0, 1], "hyperplane": []},
         }
+
+
+class TestOneAnalysisPerCommand:
+    """Each lcp subcommand builds the conformal connection exactly once."""
+
+    @pytest.fixture
+    def weyl_calls(self, monkeypatch):
+        calls = []
+        original = connections.weyl_connection
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(connections, "weyl_connection", counting)
+        monkeypatch.setattr(lcp, "weyl_connection", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "action, name, flags",
+        [
+            ("detect", "sol3.json", ()),
+            ("detect", "sol3.json", ("--json",)),
+            ("char-bound", "sol3.json", ()),
+            ("max-flat", "sol3.json", ()),
+            ("from-triple", "sol3_triple.json", ()),
+        ],
+    )
+    def test_corpus_commands(self, run, weyl_calls, action, name, flags):
+        code, _, _ = run("lcp", action, corpus(name), *flags)
+        assert code == 0
+        assert len(weyl_calls) == 1
+
+    def test_rejected_detect(self, run, weyl_calls, tmp_path):
+        data = json.loads(corpus_text("sol3.json"))
+        data["flat_factor"] = [["0", "0", "1"]]
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(data))
+        code, _, _ = run("lcp", "detect", str(doc))
+        assert code == 2
+        assert len(weyl_calls) == 1

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from lcplie import lcp
 from lcplie.connections import InnerProduct, curvature, weyl_connection
 from lcplie.lcp import (
     CLASS_CONFORMALLY_FLAT,
@@ -242,6 +243,23 @@ class TestValidation:
         assert s.adapted
         assert s.maximal is False
 
+    def test_constructor_checks_the_maximal_flag(self, aff):
+        triple = LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2, ZERO2))
+        built = build_from_triple(triple)
+        line = Subspace.from_vectors([vector([1, 0, 0, 0])], 4)
+        args = (built.algebra, built.metric, built.lee_form, line, True)
+        with pytest.raises(ValueError, match="maximal flag does not match the structure"):
+            LCPStructure(*args, maximal=True)
+        assert LCPStructure(*args, maximal=None).maximal is False
+        assert LCPStructure(*args, maximal=False).maximal is False
+        assert built.maximal is True
+
+    def test_structure_keeps_its_analysis(self, sol3_structure):
+        s = sol3_structure
+        assert s.connection() is s.analysis.connection
+        assert s.analysis.flat_factor == maximal_flat_factor(s.algebra, s.metric, s.lee_form)
+        assert s.analysis.curvature == curvature(s.algebra, s.analysis.connection)
+
     def test_non_unimodular_structures_have_unknown_maximality(self):
         algebra = make_aff_plus_line()
         theta = Covector((F(1), F(0), F(0)))
@@ -387,6 +405,17 @@ class TestConstraintSpace:
             check_candidate(
                 sol3_structure, Subspace.from_vectors([vector([1, 0, 0])], 3)
             )
+
+    def test_candidate_check_computes_the_radical_once(self, sol3_structure, monkeypatch):
+        calls = []
+
+        def counting(algebra):
+            calls.append(algebra)
+            return radical(algebra)
+
+        monkeypatch.setattr(lcp, "radical", counting)
+        check_candidate(sol3_structure, Subspace.from_vectors([vector([0, 1, 0])], 3))
+        assert len(calls) == 1
 
     def test_rot4_bound(self, rot4_structure):
         bound = characteristic_constraint_space(rot4_structure)

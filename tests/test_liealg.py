@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcplie import liealg
 from lcplie.liealg import (
     Covector,
     LieAlgebra,
@@ -180,6 +181,13 @@ class TestIdealsAndRadical:
     def test_radical_of_sl2_is_zero(self, sl2):
         assert radical(sl2).is_zero()
         assert is_semisimple(sl2)
+
+    def test_radical_of_abelian_algebra_skips_the_killing_form(self, monkeypatch):
+        def forbidden(algebra):
+            raise AssertionError("killing_form called")
+
+        monkeypatch.setattr(liealg, "killing_form", forbidden)
+        assert radical(LieAlgebra.abelian(6)).is_full()
 
     def test_radical_of_sl2_plus_line(self):
         algebra = LieAlgebra.from_brackets(
