@@ -8,11 +8,14 @@ covariant derivative of e_j along e_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .liealg import Covector, LieAlgebra
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Vector,
     dot,
@@ -24,9 +27,9 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    outer,
     pair_index,
     pairs,
-    transpose,
     vec_add,
     vec_scale,
     vector,
@@ -68,9 +71,14 @@ class InnerProduct:
     def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         return dot(x, mat_vec(self.gram, y))
 
+    @cached_property
+    def gram_inverse(self) -> Matrix:
+        """Inverse of the gram matrix, computed once per inner product."""
+        return inverse(self.gram)
+
     def sharp(self, theta: Covector) -> Vector:
         """The vector metrically dual to a covector."""
-        return mat_vec(inverse(self.gram), theta.coefficients)
+        return mat_vec(self.gram_inverse, theta.coefficients)
 
     def restrict(self, rows: Sequence[Vector]) -> Matrix:
         """Gram matrix of the form on the given spanning rows."""
@@ -131,31 +139,41 @@ def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
     )
 
 
-def _koszul_rhs(algebra: LieAlgebra, metric: InnerProduct, i: int, j: int) -> Vector:
-    """The covector z -> g(D_{e_i} e_j, z) of the metric connection."""
+def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
+    """Matrices K_i with K_i[k][j] = g(D_{e_i} e_j, e_k) for the metric connection D.
+
+    Koszul's formula on basis vectors, in Milnor's lowered structure constants
+    C_abm = g([e_a, e_b], e_m): g(D_i e_j, e_k) = (C_ijk - C_ikj - C_jki) / 2.
+    Each nonzero bracket is lowered once and each nonzero C_abm is scattered
+    into the entries it feeds, so the work follows the nonzero constants.
+    """
+    n = algebra.dim
     half = Fraction(1, 2)
-    values = []
-    for k in range(algebra.dim):
-        val = (
-            metric.value(algebra.basis_bracket(i, j), algebra.basis_vector(k))
-            - metric.value(algebra.basis_bracket(i, k), algebra.basis_vector(j))
-            - metric.value(algebra.basis_bracket(j, k), algebra.basis_vector(i))
-        )
-        values.append(half * val)
-    return tuple(values)
+    k_mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a, b in pairs(n):
+        row = algebra.basis_bracket(a, b)
+        if is_zero_vector(row):
+            continue
+        # the gram matrix is symmetric, so C_abm is entry m of gram.row
+        for m, c in enumerate(mat_vec(gram, row)):
+            if c:
+                h = half * c  # C_bam = -C_abm
+                k_mats[a][m][b] += h  # C_ijk with (i, j, k) = (a, b, m)
+                k_mats[b][m][a] -= h  # ... and (b, a, m)
+                k_mats[a][b][m] -= h  # -C_ikj with (i, k, j) = (a, b, m)
+                k_mats[b][a][m] += h  # ... and (b, a, m)
+                k_mats[m][b][a] -= h  # -C_jki with (j, k, i) = (a, b, m)
+                k_mats[m][a][b] += h  # ... and (b, a, m)
+    return [tuple(tuple(r) for r in mat) for mat in k_mats]
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
     """The torsion-free metric connection, from the Koszul formula."""
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
-    gram_inv = inverse(metric.gram)
-    n = algebra.dim
-    nabla = []
-    for i in range(n):
-        cols = [mat_vec(gram_inv, _koszul_rhs(algebra, metric, i, j)) for j in range(n)]
-        nabla.append(transpose(tuple(cols)))
-    return Connection(n, tuple(nabla))
+    gram_inv = metric.gram_inverse
+    nabla = tuple(mat_mul(gram_inv, k) for k in _koszul_matrices(algebra, metric.gram))
+    return Connection(algebra.dim, nabla)
 
 
 def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
@@ -163,7 +181,8 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
 
     Built from the closed-form correction of the Levi-Civita connection and
     cross-checked, entry by entry, against the independent inner-product
-    route (the Koszul right-hand side plus the covector terms); a mismatch
+    route (the Koszul right-hand side plus the covector terms, from lowered
+    structure constants built here, one product G.D_i per i); a mismatch
     raises, signaling an internal inconsistency.
     """
     if theta.dim != algebra.dim:
@@ -173,37 +192,37 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
     lc = levi_civita(algebra, metric)
     n = algebra.dim
     th = theta.coefficients
+    gram = metric.gram
     sharp = metric.sharp(theta)
-    nabla = []
-    for i in range(n):
-        m = [list(row) for row in lc.nabla[i]]
-        for r in range(n):
-            for j in range(n):
-                m[r][j] += (
-                    (th[i] if r == j else 0)
-                    + (th[j] if r == i else 0)
-                    - metric.gram[i][j] * sharp[r]
-                )
-        nabla.append(tuple(tuple(row) for row in m))
-    conn = Connection(n, tuple(nabla))
+    ident = identity_matrix(n)
+    # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G
+    nabla = tuple(
+        mat_combination(
+            (ONE, th[i], ONE, -ONE),
+            (lc.nabla[i], ident, outer(ident[i], th), outer(sharp, gram[i])),
+            n,
+        )
+        for i in range(n)
+    )
+    conn = Connection(n, nabla)
 
-    for i in range(n):
-        for j in range(n):
-            derivative = mat_vec(conn.nabla[i], algebra.basis_vector(j))
-            rhs = _koszul_rhs(algebra, metric, i, j)
-            for k in range(n):
-                expected = (
-                    rhs[k]
-                    + th[i] * metric.gram[j][k]
-                    + th[j] * metric.gram[i][k]
-                    - th[k] * metric.gram[i][j]
-                )
-                got = metric.value(derivative, algebra.basis_vector(k))
-                if got != expected:
-                    raise RuntimeError(
-                        "conformal connection cross-check failed at "
-                        f"({i}, {j}, {k}): the two routes disagree"
-                    )
+    for i, rhs in enumerate(_koszul_matrices(algebra, gram)):
+        # entry [k][j] of both is g(D_i e_j, e_k); the right one expands to
+        # rhs[k][j] + theta_i g_jk + theta_j g_ik - theta_k g_ij
+        got = mat_mul(gram, nabla[i])
+        expected = mat_combination(
+            (ONE, th[i], ONE, -ONE),
+            (rhs, gram, outer(gram[i], th), outer(th, gram[i])),
+            n,
+        )
+        if got != expected:
+            j, k = next(
+                (j, k) for j in range(n) for k in range(n) if got[k][j] != expected[k][j]
+            )
+            raise RuntimeError(
+                "conformal connection cross-check failed at "
+                f"({i}, {j}, {k}): the two routes disagree"
+            )
     return conn
 
 

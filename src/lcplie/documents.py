@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, identity_matrix
 from .lattice import IntMatrix, _check_int_matrix
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only, matched in full: "\d" admits other scripts and "$" a final newline.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class DocumentError(Exception):
@@ -31,13 +34,15 @@ def _fail(where: str, message: str) -> None:
 def _rational(value: object, where: str) -> Fraction:
     if not isinstance(value, str):
         _fail(where, f"rationals must be strings like '3' or '-2/5', got {value!r}")
-    if not _RATIONAL_RE.match(value):
+    if not _RATIONAL_RE.fullmatch(value):
         _fail(where, f"not a decimal-free rational string: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         _fail(where, f"zero denominator in {value!r}")
-        raise AssertionError  # unreachable
+    except ValueError:  # beyond Python's limit on digits in an int conversion
+        _fail(where, f"rational has more than {sys.get_int_max_str_digits()} digits in a part")
+    raise AssertionError  # unreachable
 
 
 def _strict_int(value: object, where: str, minimum: int | None = None) -> int:
@@ -111,6 +116,7 @@ def _parse_brackets(value: object, dim: int, where: str) -> tuple[BracketEntry, 
     if not isinstance(value, list):
         _fail(where, "expected a list of bracket entries")
     entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    seen: set[tuple[int, int]] = set()
     for pos, raw in enumerate(value):
         ctx = f"{where}[{pos}]"
         entry = _strict_keys(raw, {"i", "j", "c"}, ctx)
@@ -126,21 +132,24 @@ def _parse_brackets(value: object, dim: int, where: str) -> tuple[BracketEntry, 
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
-        if (i, j) in entries:
+        if (i, j) in seen:
             _fail(ctx, f"bracket pair ({i}, {j}) appears more than once")
+        seen.add((i, j))
         cmap = entry["c"]
         if not isinstance(cmap, dict) or not cmap:
             _fail(f"{ctx}.c", "expected a nonempty object of index -> rational string")
         coeffs = []
         for key, val in cmap.items():
-            if not isinstance(key, str) or not re.match(r"^(0|[1-9]\d*)$", key):
+            if not isinstance(key, str) or not _INDEX_RE.fullmatch(key):
                 _fail(f"{ctx}.c", f"coefficient keys must be index strings, got {key!r}")
-            k = int(key)
-            if k >= dim:
-                _fail(f"{ctx}.c", f"coefficient index {k} out of range for dim {dim}")
-            coeffs.append((k, sign * _rational(val, f"{ctx}.c[{key}]")))
-        coeffs.sort(key=lambda kv: kv[0])
-        entries[(i, j)] = tuple(coeffs)
+            # keys have no leading zeros, so a longer key than dim is larger
+            if len(key) > len(str(dim)) or int(key) >= dim:
+                _fail(f"{ctx}.c", f"coefficient index {key} out of range for dim {dim}")
+            c = _rational(val, f"{ctx}.c[{key}]")
+            if c != 0:  # zero coefficients are dropped: the canonical form is unique
+                coeffs.append((int(key), sign * c))
+        if coeffs:
+            entries[(i, j)] = tuple(sorted(coeffs))
     ordered = sorted(entries.items())
     return tuple(BracketEntry(i, j, coeffs) for (i, j), coeffs in ordered)
 
@@ -210,19 +219,24 @@ def _parse_triple(obj: object, where: str) -> TripleBlock:
 _TOP_LEVEL_KEYS = {"dim", "basis", "brackets", "metric", "theta", "flat_factor", "triple"}
 
 
-def parse_algebra_document(text: str) -> AlgebraDocument:
+def _load_json(text: str) -> object:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise DocumentError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
+def parse_algebra_document(text: str) -> AlgebraDocument:
+    raw = _load_json(text)
     return _parse_algebra_fields(raw, "document", _TOP_LEVEL_KEYS)
 
 
 def parse_lattice_document(text: str) -> LatticeDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    raw = _load_json(text)
     data = _strict_keys(raw, {"matrix", "split"}, "document")
     if "matrix" not in data:
         _fail("document", "missing field 'matrix'")
@@ -294,10 +308,7 @@ def emit_lattice_document(doc: LatticeDocument) -> str:
 
 def emit_any_document(text: str) -> str:
     """Parse either document kind and re-emit canonically (round-trip helper)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    raw = _load_json(text)
     if isinstance(raw, dict) and "matrix" in raw:
         return emit_lattice_document(parse_lattice_document(text))
     return emit_algebra_document(parse_algebra_document(text))

@@ -10,6 +10,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     Vector,
@@ -66,22 +68,35 @@ def _table_bracket(dim: int, table: Sequence[Vector], i: int, j: int) -> Vector:
 
 
 def _jacobi_defects(dim: int, table: Sequence[Vector]):
-    """Yield ((i, j, k), defect vector) for each violated basis triple."""
-    def braket(x: Vector, m: int) -> Vector:
-        out = zero_vector(dim)
-        for idx, c in enumerate(x):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, _table_bracket(dim, table, idx, m)))
-        return out
+    """Yield ((i, j, k), defect vector) for each violated basis triple i < j < k,
+    in ascending order.
 
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = braket(_table_bracket(dim, table, i, j), k)
-                acc = vec_add(acc, braket(_table_bracket(dim, table, j, k), i))
-                acc = vec_add(acc, braket(_table_bracket(dim, table, k, i), j))
-                if not is_zero_vector(acc):
-                    yield (i, j, k), acc
+    A triple can fail only if one of its three pairs has a nonzero bracket, so
+    only those triples are visited, and each nested bracket is expanded over
+    nonzero structure constants alone: an abelian table costs one scan.
+    """
+    sparse: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    for (i, j), row in zip(pairs(dim), table):
+        terms = tuple((m, c) for m, c in enumerate(row) if c)
+        if terms:
+            sparse[(i, j)] = terms
+            sparse[(j, i)] = tuple((m, -c) for m, c in terms)
+    triples = {
+        tuple(sorted((i, j, k)))
+        for i, j in sparse
+        if i < j
+        for k in range(dim)
+        if k != i and k != j
+    }
+    for i, j, k in sorted(triples):
+        acc = [ZERO] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            # [[e_a, e_b], e_c] = sum over m of C^m_ab [e_m, e_c]
+            for m, x in sparse.get((a, b), ()):
+                for t, y in sparse.get((m, c), ()):
+                    acc[t] += x * y
+        if any(acc):
+            yield (i, j, k), tuple(acc)
 
 
 def check_jacobi(dim: int, brackets: BracketMap) -> tuple[tuple[int, int, int], ...]:
@@ -164,7 +179,9 @@ class LieAlgebra:
         return transpose(tuple(cols))
 
     def basis_vector(self, i: int) -> Vector:
-        return identity_matrix(self.dim)[i]
+        out = [ZERO] * self.dim
+        out[i] = ONE
+        return tuple(out)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)

@@ -59,7 +59,8 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    """u - v; zero entries of v are skipped."""
+    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
@@ -67,7 +68,8 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    """Exact inner product of coordinate sequences; zero factors are skipped."""
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -79,8 +81,23 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """Exact product; each nonzero entry of a meets only the nonzero entries of b."""
+    ncols = len(b[0]) if b else 0
+    sparse_rows = [tuple((c, y) for c, y in enumerate(row) if y) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for x, terms in zip(row, sparse_rows, strict=True):
+            if x:
+                for c, y in terms:
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> Matrix:
+    """The matrix u v^T; zero factors are skipped."""
+    return tuple(tuple(a * b if a and b else ZERO for b in v) for a in u)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -88,11 +105,14 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix], size: int) -> Matrix:
-    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms are skipped."""
+    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms and zero
+    entries are skipped."""
     out = tuple(zero_vector(size) for _ in range(size))
     for c, m in zip(coeffs, mats, strict=True):
         if c != 0:
-            out = tuple(vec_add(r, vec_scale(c, s)) for r, s in zip(out, m))
+            out = tuple(
+                tuple(x + c * y if y else x for x, y in zip(r, s)) for r, s in zip(out, m)
+            )
     return out
 
 

@@ -391,3 +391,47 @@ class TestOneAnalysisPerCommand:
         code, _, _ = run("lcp", "detect", str(doc))
         assert code == 2
         assert len(weyl_calls) == 1
+
+
+class TestInputContract:
+    """Inputs outside the grammar exit 1 with an `error:` line, never a traceback."""
+
+    def _reject(self, run, tmp_path, text, *command):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text, encoding="utf-8")
+        code, out, err = run(*command, str(doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def _sol3_with_theta(self, value):
+        data = json.loads(corpus_text("sol3.json"))
+        data["theta"] = ["0", value, "0"]
+        return json.dumps(data)
+
+    def test_rational_with_trailing_newline(self, run, tmp_path):
+        err = self._reject(run, tmp_path, self._sol3_with_theta("1\n"), "validate")
+        assert "document.theta[1]" in err
+
+    def test_rational_with_non_ascii_digit(self, run, tmp_path):
+        err = self._reject(run, tmp_path, self._sol3_with_theta("١"), "validate")
+        assert "document.theta[1]" in err
+
+    def test_coefficient_key_with_non_ascii_digit(self, run, tmp_path):
+        data = json.loads(corpus_text("sol3.json"))
+        data["dim"] = 12
+        data["basis"] = [f"e{k}" for k in range(12)]
+        del data["metric"], data["theta"], data["flat_factor"]
+        data["brackets"] = [{"i": 0, "j": 1, "c": {"1١": "1"}}]
+        err = self._reject(run, tmp_path, json.dumps(data), "validate")
+        assert "coefficient keys must be index strings" in err
+
+    def test_over_long_numerator(self, run, tmp_path):
+        err = self._reject(run, tmp_path, self._sol3_with_theta("7" * 5000), "validate")
+        assert "digits" in err
+
+    def test_over_long_matrix_integer(self, run, tmp_path):
+        text = '{"matrix": [[' + "7" * 5000 + "]]}"
+        err = self._reject(run, tmp_path, text, "lattice", "snf")
+        assert "invalid JSON" in err

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcplie import connections
 from lcplie.connections import (
     Connection,
     InnerProduct,
@@ -16,10 +17,12 @@ from lcplie.connections import (
     torsion,
     weyl_connection,
 )
-from lcplie.liealg import Covector, LieAlgebra, derived_algebra
+from lcplie.lcp import LCPTriple, build_from_triple
+from lcplie.liealg import Covector, LieAlgebra, derived_algebra, semidirect_sum
 from lcplie.linalg import (
     dot,
     identity_matrix,
+    inverse,
     kernel,
     mat_mul,
     mat_vec,
@@ -84,6 +87,107 @@ def random_spd_metric(rng, n):
             for i in range(n)
         )
     )
+
+
+def small_rational(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def random_llt_metric(rng, n):
+    """L L^T with L lower triangular and a positive diagonal: rational, positive definite."""
+    lower = [
+        [small_rational(rng) if c < r else F(rng.randint(1, 3), rng.randint(1, 2)) if c == r else F(0)
+         for c in range(n)]
+        for r in range(n)
+    ]
+    return InnerProduct(mat_mul(lower, transpose(lower)))
+
+
+def random_triple_structure(rng):
+    """build_from_triple on h = aff(R) + R^(m-2) acting by one rotation block on R^q."""
+    m, q = rng.randint(2, 3), rng.randint(2, 3)
+    h = LieAlgebra.from_brackets(m, {(0, 1): {1: F(1)}})
+
+    def rotation(scale):
+        block = [[F(0)] * q for _ in range(q)]
+        block[0][1], block[1][0] = -scale, scale
+        return tuple(tuple(row) for row in block)
+
+    beta = (rotation(small_rational(rng)), rotation(F(0))) + tuple(
+        rotation(small_rational(rng)) for _ in range(m - 2)
+    )
+    return build_from_triple(LCPTriple(h, random_llt_metric(rng, m), q, beta))
+
+
+def random_semidirect_sum(rng):
+    """R^q extended by aff(R) (b acting by zero) or by an abelian algebra acting
+    through commuting polynomials in one random matrix; Jacobi holds by construction."""
+    q = rng.randint(1, 3)
+    a = [[small_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(q)] for _ in range(q)]
+    zero = tuple(tuple(F(0) for _ in range(q)) for _ in range(q))
+    if rng.random() < 0.5:
+        return semidirect_sum(q, make_aff(), (tuple(map(tuple, a)), zero))
+    d = rng.randint(1, 3)
+    a2 = mat_mul(a, a)
+    alpha = []
+    for _ in range(d):
+        s, t = small_rational(rng), small_rational(rng)
+        alpha.append(
+            tuple(tuple(s * a[r][c] + t * a2[r][c] for c in range(q)) for r in range(q))
+        )
+    return semidirect_sum(q, make_abelian(d), alpha)
+
+
+def random_metric_algebras(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            algebra = random_triple_structure(rng).algebra
+        else:
+            algebra = random_semidirect_sum(rng)
+        out.append((algebra, random_llt_metric(rng, algebra.dim)))
+    return out
+
+
+def reference_levi_civita(algebra, metric):
+    """The Koszul formula evaluated through InnerProduct.value, one entry at a time."""
+    n = algebra.dim
+    e = [tuple(F(int(r == c)) for c in range(n)) for r in range(n)]
+    gram_inv = inverse(metric.gram)
+    nabla = []
+    for i in range(n):
+        cols = []
+        for j in range(n):
+            rhs = tuple(
+                F(1, 2)
+                * (
+                    metric.value(algebra.basis_bracket(i, j), e[k])
+                    - metric.value(algebra.basis_bracket(i, k), e[j])
+                    - metric.value(algebra.basis_bracket(j, k), e[i])
+                )
+                for k in range(n)
+            )
+            cols.append(mat_vec(gram_inv, rhs))
+        nabla.append(transpose(tuple(cols)))
+    return tuple(nabla)
+
+
+def raw_form(gram, x, y):
+    n = len(gram)
+    return sum((x[a] * gram[a][b] * y[b] for a in range(n) for b in range(n)), F(0))
+
+
+def column(m, j):
+    return tuple(row[j] for row in m)
+
+
+def gram_entry_sum(gram, m, j, k):
+    """g(m e_j, e_k) + g(e_j, m e_k) in raw arithmetic."""
+    n = len(gram)
+    e_j = tuple(F(int(t == j)) for t in range(n))
+    e_k = tuple(F(int(t == k)) for t in range(n))
+    return raw_form(gram, column(m, j), e_k) + raw_form(gram, e_j, column(m, k))
 
 
 class TestInnerProduct:
@@ -186,6 +290,19 @@ class TestLeviCivita:
                             assert s == 0
 
 
+    def test_seeded_random_structures_match_the_reference_formula(self):
+        for algebra, metric in random_metric_algebras(seed=314, count=12):
+            conn = levi_civita(algebra, metric)
+            assert conn.nabla == reference_levi_civita(algebra, metric)
+            assert is_torsion_free(algebra, conn)
+            gram, n = metric.gram, algebra.dim
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        # metric compatibility: g(D_i e_j, e_k) + g(e_j, D_i e_k) = 0
+                        assert gram_entry_sum(gram, conn.nabla[i], j, k) == 0
+
+
 class TestWeyl:
     def test_zero_covector_reproduces_levi_civita(self):
         for make in CORPUS:
@@ -246,6 +363,48 @@ class TestWeyl:
                             assert lhs == scale * gram.value(
                                 algebra.basis_vector(j), algebra.basis_vector(k)
                             )
+
+    def test_seeded_random_structures_satisfy_the_defining_identities(self):
+        rng = random.Random(2025)
+        for _ in range(6):
+            structure = random_triple_structure(rng)
+            algebra, theta = structure.algebra, structure.lee_form
+            metric = random_llt_metric(rng, algebra.dim)
+            conn = weyl_connection(algebra, metric, theta)
+            assert is_torsion_free(algebra, conn)
+            gram, n = metric.gram, algebra.dim
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        # conformal compatibility: (D_i g)(e_j, e_k) = -2 theta_i g_jk
+                        expected = 2 * theta.coefficients[i] * gram[j][k]
+                        assert gram_entry_sum(gram, conn.nabla[i], j, k) == expected
+
+    def test_cross_check_names_the_first_disagreeing_entry(self, monkeypatch, sol3):
+        original = connections.levi_civita
+
+        def perturbed(algebra, metric):
+            nabla = [[list(row) for row in m] for m in original(algebra, metric).nabla]
+            nabla[1][2][0] += 1  # the e_3-component of D_{e_2} e_1
+            return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
+
+        monkeypatch.setattr(connections, "levi_civita", perturbed)
+        with pytest.raises(RuntimeError, match=r"cross-check failed at \(1, 0, 2\)"):
+            weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+
+    def test_makes_no_inner_product_value_calls(self, monkeypatch, sol3):
+        calls = []
+        original = InnerProduct.value
+
+        def counting(self, x, y):
+            calls.append(None)
+            return original(self, x, y)
+
+        monkeypatch.setattr(connections.InnerProduct, "value", counting)
+        weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+        structure = random_triple_structure(random.Random(8))
+        weyl_connection(structure.algebra, structure.metric, structure.lee_form)
+        assert calls == []
 
     def test_rejects_non_closed_covector(self, sol3):
         with pytest.raises(ValueError, match="closed"):

@@ -221,6 +221,30 @@ class TestEmission:
         assert data["brackets"][0] == {"i": 0, "j": 1, "c": {"0": "1"}}
         assert emitted.endswith("\n")
 
+    def test_zero_coefficients_are_dropped(self):
+        def doc(*brackets):
+            data = json.loads(SOL3_DOC)
+            data["brackets"] = list(brackets)
+            return json.dumps(data)
+
+        plain = {"i": 1, "j": 2, "c": {"2": "1"}}
+        padded = {"i": 1, "j": 2, "c": {"0": "0", "2": "1", "1": "-0/3"}}
+        all_zero = {"i": 0, "j": 1, "c": {"0": "0"}}
+        expected = emit_algebra_document(parse_algebra_document(doc(plain)))
+        emitted = emit_algebra_document(parse_algebra_document(doc(padded, all_zero)))
+        assert emitted == expected
+        assert json.loads(emitted)["brackets"] == [plain]
+        assert emit_any_document(emitted) == emitted
+
+    def test_zero_entry_still_counts_as_a_duplicate(self):
+        with pytest.raises(DocumentError, match="more than once"):
+            parse_sol3(
+                brackets=[
+                    {"i": 0, "j": 1, "c": {"0": "0"}},
+                    {"i": 1, "j": 0, "c": {"0": "1"}},
+                ]
+            )
+
     def test_lattice_emission_round_trip(self):
         text = corpus_text("lat_fib_split.json")
         assert emit_lattice_document(parse_lattice_document(text)) == text

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,79 @@ class TestJacobi:
 
     def test_sl2_passes(self):
         assert check_jacobi(3, {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)}}) == ()
+
+
+def dense_jacobi_defects(dim, table):
+    """Every triple i < j < k swept over full structure constants c[a][b][m]."""
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    pos = 0
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for m in range(dim):
+                c[a][b][m] = table[pos][m]
+                c[b][a][m] = -table[pos][m]
+            pos += 1
+    out = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                defect = tuple(
+                    sum(
+                        (
+                            c[i][j][m] * c[m][k][t]
+                            + c[j][k][m] * c[m][i][t]
+                            + c[k][i][m] * c[m][j][t]
+                            for m in range(dim)
+                        ),
+                        F(0),
+                    )
+                    for t in range(dim)
+                )
+                if any(defect):
+                    out.append(((i, j, k), defect))
+    return out
+
+
+def random_table(rng, dim):
+    """Bracket table with a random share of nonzero pairs; mostly not a Lie algebra."""
+    density = rng.choice((0.2, 0.4, 0.7))
+    table = []
+    for _ in range(dim * (dim - 1) // 2):
+        if rng.random() < density:
+            table.append(
+                tuple(
+                    F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.4 else F(0)
+                    for _ in range(dim)
+                )
+            )
+        else:
+            table.append((F(0),) * dim)
+    return table
+
+
+class TestSparseJacobi:
+    def test_matches_dense_sweep_on_seeded_random_tables(self):
+        rng = random.Random(1976)
+        violated = 0
+        for _ in range(60):
+            dim = rng.randint(3, 7)
+            table = random_table(rng, dim)
+            expected = dense_jacobi_defects(dim, table)
+            assert list(liealg._jacobi_defects(dim, table)) == expected
+            violated += bool(expected)
+        assert violated > 30
+
+    def test_valid_tables_have_no_defects(self):
+        for make in (make_sol3, make_heis3, make_aff, make_sl2, make_abelian):
+            algebra = make()
+            assert dense_jacobi_defects(algebra.dim, algebra.table) == []
+            assert list(liealg._jacobi_defects(algebra.dim, algebra.table)) == []
+
+    def test_wide_abelian_algebra_builds_fast(self):
+        start = time.perf_counter()
+        algebra = LieAlgebra.abelian(60)
+        assert time.perf_counter() - start < 1.0
+        assert is_abelian(algebra)
 
 
 class TestBrackets:

@@ -11,6 +11,7 @@ from lcplie.linalg import (
     Subspace,
     as_fraction,
     det,
+    dot,
     identity_matrix,
     inverse,
     kernel,
@@ -112,6 +113,30 @@ def test_solve_and_inverse():
     inv = inverse(a)
     assert mat_mul(a, inv) == identity_matrix(2)
     assert solve(matrix([[1, 1], [1, 1]]), vector([0, 1])) is None
+
+
+def test_products_match_the_schoolbook_formula_on_sparse_matrices():
+    rng = random.Random(1976)
+    for _ in range(40):
+        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = random_matrix(rng, m, k, span=1)
+        b = random_matrix(rng, k, n, span=1)
+        expected = tuple(
+            tuple(sum((a[r][t] * b[t][c] for t in range(k)), F(0)) for c in range(n))
+            for r in range(m)
+        )
+        assert mat_mul(a, b) == expected
+        assert mat_vec(a, tuple(row[0] for row in b)) == tuple(row[0] for row in expected)
+        assert dot(a[0], tuple(row[0] for row in b)) == expected[0][0]
+
+
+def test_products_reject_length_mismatch_even_across_zeros():
+    with pytest.raises(ValueError):
+        dot(vector([0, 0]), vector([1]))
+    with pytest.raises(ValueError):
+        mat_vec(matrix([[0, 1]]), vector([0]))
+    with pytest.raises(ValueError):
+        mat_mul(matrix([[0, 1]]), matrix([[1, 0]]))
 
 
 def test_det_matches_permutation_expansion():
