@@ -134,9 +134,8 @@ def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
     """A left-invariant covector is closed iff it kills all basis brackets."""
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
-    return all(
-        theta.value(algebra.basis_bracket(i, j)) == 0 for i, j in pairs(algebra.dim)
-    )
+    th = theta.coefficients
+    return all(sum((th[k] * c for k, c in terms), ZERO) == 0 for _, _, terms in algebra.table)
 
 
 def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
@@ -150,12 +149,10 @@ def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
     n = algebra.dim
     half = Fraction(1, 2)
     k_mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a, b in pairs(n):
-        row = algebra.basis_bracket(a, b)
-        if is_zero_vector(row):
-            continue
-        # the gram matrix is symmetric, so C_abm is entry m of gram.row
-        for m, c in enumerate(mat_vec(gram, row)):
+    for a, b, terms in algebra.table:
+        # the gram matrix is symmetric, so C_abm = sum over k of C^k_ab g_mk
+        for m, g_m in enumerate(gram):
+            c = sum((g_m[k] * x for k, x in terms if g_m[k]), ZERO)
             if c:
                 h = half * c  # C_bam = -C_abm
                 k_mats[a][m][b] += h  # C_ijk with (i, j, k) = (a, b, m)

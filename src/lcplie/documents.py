@@ -340,18 +340,10 @@ def document_triple(doc: AlgebraDocument) -> LCPTriple:
 def structure_document(structure: LCPStructure) -> AlgebraDocument:
     """Canonical document of a validated structure (used by construction)."""
     algebra = structure.algebra
-    entries = []
-    from .linalg import pairs  # local to avoid a wide import list
-
-    for i, j in pairs(algebra.dim):
-        row = algebra.basis_bracket(i, j)
-        coeffs = tuple((k, c) for k, c in enumerate(row) if c != 0)
-        if coeffs:
-            entries.append(BracketEntry(i, j, coeffs))
     return AlgebraDocument(
         dim=algebra.dim,
         basis=algebra.labels,
-        brackets=tuple(entries),
+        brackets=tuple(BracketEntry(i, j, terms) for i, j, terms in algebra.table),
         metric=structure.metric.gram,
         theta=structure.lee_form.coefficients,
         flat_factor=structure.flat_factor.basis,

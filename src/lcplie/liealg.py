@@ -1,6 +1,6 @@
 """Finite-dimensional Lie algebras over Q with exact structure constants.
 
-A LieAlgebra stores the bracket table [e_i, e_j] for i < j only; the rest
+A LieAlgebra stores its nonzero brackets [e_i, e_j] for i < j only; the rest
 follows by antisymmetry. Construction validates the Jacobi identity.
 """
 from __future__ import annotations
@@ -23,23 +23,20 @@ from .linalg import (
     mat_combination,
     mat_mul,
     mat_sub,
-    pair_index,
     pairs,
     transpose,
-    vec_add,
-    vec_scale,
     vector,
-    zero_vector,
 )
 
 BracketMap = Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
+# Nonzero C^k_ij of [e_i, e_j] as (i, j, ((k, C^k_ij), ...)), i < j, k ascending, by (i, j).
+BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
 
 
-def _normalize_brackets(dim: int, brackets: BracketMap) -> tuple[Vector, ...]:
+def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
     if dim < 1:
         raise ValueError("dimension must be positive")
-    table = [list(zero_vector(dim)) for _ in range(dim * (dim - 1) // 2)]
-    seen: set[tuple[int, int]] = set()
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
@@ -48,43 +45,54 @@ def _normalize_brackets(dim: int, brackets: BracketMap) -> tuple[Vector, ...]:
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
-        if (i, j) in seen:
+        if (i, j) in rows:
             raise ValueError(f"bracket pair ({i}, {j}) given more than once")
-        seen.add((i, j))
-        row = table[pair_index(i, j, dim)]
+        row = rows[(i, j)] = {}
         for k, value in coeffs.items():
             if not 0 <= int(k) < dim:
                 raise ValueError(f"bracket coefficient index {k} out of range")
             row[int(k)] = sign * as_fraction(value)
-    return tuple(tuple(row) for row in table)
+    return tuple(
+        (i, j, tuple(sorted((k, c) for k, c in row.items() if c)))
+        for (i, j), row in sorted(rows.items()) if any(row.values())
+    )
 
 
-def _table_bracket(dim: int, table: Sequence[Vector], i: int, j: int) -> Vector:
-    if i == j:
-        return zero_vector(dim)
-    if i < j:
-        return table[pair_index(i, j, dim)]
-    return vec_scale(Fraction(-1), table[pair_index(j, i, dim)])
+def _is_canonical(dim: int, table: object) -> bool:
+    """Whether table is a BracketTable for dimension dim."""
+    if not isinstance(table, tuple):
+        return False
+    last = (0, 0)  # every key must exceed the last, so i >= 0
+    for entry in table:
+        match entry:
+            case tuple((int(i), int(j), tuple(terms))) if last < (i, j) and i < j < dim and terms:
+                last, prev = (i, j), -1
+            case _:
+                return False
+        for term in terms:
+            match term:
+                case tuple((int(k), Fraction() as c)) if prev < k < dim and c:
+                    prev = k
+                case _:
+                    return False
+    return True
 
 
-def _jacobi_defects(dim: int, table: Sequence[Vector]):
+def _jacobi_defects(dim: int, table: BracketTable):
     """Yield ((i, j, k), defect vector) for each violated basis triple i < j < k,
     in ascending order.
 
     A triple can fail only if one of its three pairs has a nonzero bracket, so
     only those triples are visited, and each nested bracket is expanded over
-    nonzero structure constants alone: an abelian table costs one scan.
+    nonzero structure constants alone.
     """
     sparse: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for (i, j), row in zip(pairs(dim), table):
-        terms = tuple((m, c) for m, c in enumerate(row) if c)
-        if terms:
-            sparse[(i, j)] = terms
-            sparse[(j, i)] = tuple((m, -c) for m, c in terms)
+    for i, j, terms in table:
+        sparse[(i, j)] = terms
+        sparse[(j, i)] = tuple((m, -c) for m, c in terms)
     triples = {
         tuple(sorted((i, j, k)))
-        for i, j in sparse
-        if i < j
+        for i, j, _ in table
         for k in range(dim)
         if k != i and k != j
     }
@@ -130,7 +138,7 @@ class Covector:
 class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
-    table: tuple[Vector, ...]
+    table: BracketTable
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -138,8 +146,8 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
-        if len(self.table) != n * (n - 1) // 2 or any(len(row) != n for row in self.table):
-            raise ValueError("bracket table has the wrong shape")
+        if not _is_canonical(n, self.table):
+            raise ValueError("bracket table is not in the canonical sparse form")
         violations = tuple(t for t, _ in _jacobi_defects(n, self.table))
         if violations:
             raise ValueError(f"Jacobi identity fails at basis triples {violations}")
@@ -160,18 +168,23 @@ class LieAlgebra:
         return cls.from_brackets(dim, {}, labels)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        return _table_bracket(self.dim, self.table, i, j)
+        """Dense coordinates of [e_i, e_j]."""
+        out = [ZERO] * self.dim
+        key, sign = ((i, j), ONE) if i < j else ((j, i), -ONE)
+        for k, c in next((terms for a, b, terms in self.table if (a, b) == key), ()):
+            out[k] = sign * c
+        return tuple(out)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
+        out = [ZERO] * self.dim
+        for i, j, terms in self.table:
+            if not ((x[i] or x[j]) and (y[i] or y[j])):
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.basis_bracket(i, j)))
-        return out
+            f = x[i] * y[j] - x[j] * y[i]
+            if f:
+                for k, c in terms:
+                    out[k] += f * c
+        return tuple(out)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad_x = [x, .]; column j is the bracket with e_j."""
@@ -189,10 +202,9 @@ class LieAlgebra:
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
     """Span of all brackets of the two subspaces."""
-    vectors = [
-        algebra.bracket(x, y) for x in left.basis for y in right.basis
-    ]
-    return Subspace.from_vectors(vectors, algebra.dim)
+    zero = (ZERO,) * algebra.dim  # unset bracket entries are ZERO itself: compared by identity
+    brackets = (algebra.bracket(x, y) for x in left.basis for y in right.basis)
+    return Subspace.from_vectors([v for v in brackets if v != zero], algebra.dim)
 
 
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
@@ -235,30 +247,33 @@ def is_nilpotent(algebra: LieAlgebra) -> bool:
 
 
 def is_abelian(algebra: LieAlgebra) -> bool:
-    return all(is_zero_vector(row) for row in algebra.table)
+    return not algebra.table
 
 
 def killing_form(algebra: LieAlgebra) -> Matrix:
-    """Matrix K[i][j] = trace(ad_i ad_j) on the basis."""
-    ads = [algebra.ad(row) for row in identity_matrix(algebra.dim)]
+    """Matrix K[i][j] = trace(ad_i ad_j) on the basis, as the sum over k, l of
+    ad_i[k][l] ad_j[l][k]; the nonzero entries ad_i[k][l] = C^k_il come from the table."""
     n = algebra.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
+    ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
+    for i, j, terms in algebra.table:
+        for k, c in terms:
+            ads[i][(k, j)] = c
+            ads[j][(k, i)] = -c
+    out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = mat_mul(ads[i], ads[j])
-            tr = sum((prod[k][k] for k in range(n)), Fraction(0))
-            out[i][j] = tr
-            out[j][i] = tr
+            tr = sum((c * ads[j].get((l, k), ZERO) for (k, l), c in ads[i].items()), ZERO)
+            out[i][j] = out[j][i] = tr
     return tuple(tuple(row) for row in out)
 
 
 def trace_form(algebra: LieAlgebra) -> Covector:
     """Covector x -> trace(ad_x); zero exactly for unimodular algebras."""
-    n = algebra.dim
-    values = []
-    for i in range(n):
-        tr = sum((algebra.basis_bracket(i, j)[j] for j in range(n) if j != i), Fraction(0))
-        values.append(tr)
+    values = [ZERO] * algebra.dim
+    for i, j, terms in algebra.table:
+        coeffs = dict(terms)
+        values[i] += coeffs.get(j, ZERO)  # C^j_ij
+        values[j] -= coeffs.get(i, ZERO)  # C^i_ji = -C^i_ij
     return Covector(tuple(values))
 
 
@@ -268,12 +283,13 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
 
 def center(algebra: LieAlgebra) -> Subspace:
     n = algebra.dim
-    constraints = []
-    for j in range(n):
-        # rows of the map x -> [x, e_j] in basis coordinates
-        cols = [algebra.basis_bracket(i, j) for i in range(n)]
-        constraints.extend(transpose(tuple(cols)))
-    return Subspace(n, kernel(tuple(constraints), n))
+    # row (j, k) holds the e_k-coordinate of x -> [x, e_j]: entry i is C^k_ij
+    rows: dict[tuple[int, int], list[Fraction]] = {}
+    for i, j, terms in algebra.table:
+        for k, c in terms:
+            rows.setdefault((j, k), [ZERO] * n)[i] = c
+            rows.setdefault((i, k), [ZERO] * n)[j] = -c
+    return Subspace(n, kernel(tuple(tuple(r) for r in rows.values()), n))
 
 
 def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
@@ -315,9 +331,7 @@ def radical(algebra: LieAlgebra) -> Subspace:
     if commutator.is_zero():
         return algebra.full_space()
     killing = killing_form(algebra)
-    constraints = tuple(
-        tuple(dot(row, col) for col in transpose(killing)) for row in commutator.basis
-    )
+    constraints = mat_mul(commutator.basis, killing)
     rad = Subspace(algebra.dim, kernel(constraints, algebra.dim))
     if not is_ideal(algebra, rad) or not _is_solvable_subalgebra(algebra, rad):
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
@@ -377,9 +391,6 @@ def semidirect_sum(
             col = {r: -mats[j][r][i] for r in range(q) if mats[j][r][i] != 0}
             if col:
                 brackets[(i, q + j)] = col
-    for i, j in pairs(h.dim):
-        row = h.basis_bracket(i, j)
-        coeffs = {q + k: c for k, c in enumerate(row) if c != 0}
-        if coeffs:
-            brackets[(q + i, q + j)] = coeffs
+    for i, j, terms in h.table:
+        brackets[(q + i, q + j)] = {q + k: c for k, c in terms}
     return LieAlgebra.from_brackets(n, brackets, labels)

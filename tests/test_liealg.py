@@ -29,9 +29,20 @@ from lcplie.liealg import (
     semidirect_sum,
     trace_form,
 )
-from lcplie.linalg import Subspace, matrix, symmetric_signature, vector
+from lcplie.connections import is_closed
+from lcplie.linalg import (
+    Subspace,
+    kernel,
+    mat_mul,
+    matrix,
+    pairs,
+    symmetric_signature,
+    transpose,
+    vector,
+)
 
 from conftest import make_abelian, make_aff, make_heis3, make_sl2, make_sol3
+from test_connections import closed_covectors, random_metric_algebras
 
 F = Fraction
 
@@ -124,6 +135,19 @@ def random_table(rng, dim):
     return table
 
 
+def sparse_table(dim, dense):
+    """The canonical nonzero-bracket form of a dense pair-indexed table."""
+    return tuple(
+        (i, j, tuple((k, c) for k, c in enumerate(row) if c))
+        for (i, j), row in zip(pairs(dim), dense)
+        if any(row)
+    )
+
+
+def dense_table(algebra):
+    return [algebra.basis_bracket(i, j) for i, j in pairs(algebra.dim)]
+
+
 class TestSparseJacobi:
     def test_matches_dense_sweep_on_seeded_random_tables(self):
         rng = random.Random(1976)
@@ -132,21 +156,141 @@ class TestSparseJacobi:
             dim = rng.randint(3, 7)
             table = random_table(rng, dim)
             expected = dense_jacobi_defects(dim, table)
-            assert list(liealg._jacobi_defects(dim, table)) == expected
+            assert list(liealg._jacobi_defects(dim, sparse_table(dim, table))) == expected
             violated += bool(expected)
         assert violated > 30
 
     def test_valid_tables_have_no_defects(self):
         for make in (make_sol3, make_heis3, make_aff, make_sl2, make_abelian):
             algebra = make()
-            assert dense_jacobi_defects(algebra.dim, algebra.table) == []
+            assert dense_jacobi_defects(algebra.dim, dense_table(algebra)) == []
             assert list(liealg._jacobi_defects(algebra.dim, algebra.table)) == []
 
     def test_wide_abelian_algebra_builds_fast(self):
-        start = time.perf_counter()
-        algebra = LieAlgebra.abelian(60)
-        assert time.perf_counter() - start < 1.0
-        assert is_abelian(algebra)
+        for n in (60, 400):
+            start = time.perf_counter()
+            algebra = LieAlgebra.abelian(n)
+            assert time.perf_counter() - start < 1.0
+            assert is_abelian(algebra)
+
+
+def seeded_algebras():
+    """Seeded build_from_triple structures and semidirect sums, then sl2 and heis3."""
+    algebras = [algebra for algebra, _ in random_metric_algebras(seed=1729, count=16)]
+    return algebras + [make_sl2(), make_heis3()]
+
+
+def dense_ad(algebra, i):
+    """Matrix of ad_{e_i}: column j is basis_bracket(i, j)."""
+    n = algebra.dim
+    return transpose(tuple(algebra.basis_bracket(i, j) for j in range(n)))
+
+
+class TestSparseTable:
+    """Every reader of the nonzero-bracket table against a dense formula."""
+
+    def test_basis_bracket_matches_the_table(self):
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            rows = {(i, j): terms for i, j, terms in algebra.table}
+            for i in range(n):
+                for j in range(n):
+                    expected = [F(0)] * n
+                    for k, c in rows.get((i, j), ()):
+                        expected[k] = c
+                    for k, c in rows.get((j, i), ()):
+                        expected[k] = -c
+                    assert algebra.basis_bracket(i, j) == tuple(expected)
+
+    def test_bracket_is_the_dense_sum(self):
+        rng = random.Random(61)
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            for _ in range(4):
+                x = [F(rng.randint(-2, 2)) if rng.random() < 0.6 else F(0) for _ in range(n)]
+                y = [F(rng.randint(-2, 2), 2) if rng.random() < 0.6 else F(0) for _ in range(n)]
+                expected = [F(0)] * n
+                for i in range(n):
+                    for j in range(n):
+                        for k, c in enumerate(algebra.basis_bracket(i, j)):
+                            expected[k] += x[i] * y[j] * c
+                assert algebra.bracket(x, y) == tuple(expected)
+
+    def test_trace_form_is_the_trace_of_ad(self):
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            expected = tuple(
+                sum((algebra.basis_bracket(i, j)[j] for j in range(n)), F(0)) for i in range(n)
+            )
+            assert trace_form(algebra).coefficients == expected
+
+    def test_killing_form_is_the_trace_of_the_product(self):
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            ads = [dense_ad(algebra, i) for i in range(n)]
+            expected = tuple(
+                tuple(
+                    sum((p[k][k] for k in range(n)), F(0))
+                    for p in (mat_mul(ads[i], ads[j]) for j in range(n))
+                )
+                for i in range(n)
+            )
+            assert killing_form(algebra) == expected
+
+    def test_center_is_the_common_kernel_of_ad(self):
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            # x is central iff [x, e_j] = -ad_{e_j} x vanishes for every j
+            rows = tuple(row for j in range(n) for row in dense_ad(algebra, j))
+            assert center(algebra) == Subspace(n, kernel(rows, n))
+
+    def test_is_closed_means_theta_kills_every_bracket(self):
+        rng = random.Random(62)
+        verdicts = set()
+        for algebra in seeded_algebras():
+            n = algebra.dim
+            for theta in closed_covectors(algebra, count=2, seed=n) + [
+                Covector(tuple(F(rng.randint(-1, 1)) for _ in range(n))) for _ in range(3)
+            ]:
+                expected = all(
+                    theta.value(algebra.basis_bracket(i, j)) == 0 for i, j in pairs(n)
+                )
+                assert is_closed(algebra, theta) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def canonical_violations():
+    """Tables for dim 3 that break the canonical form, one rule each."""
+    return {
+        "unsorted entries": ((1, 2, ((1, F(1)),)), (0, 2, ((0, F(-1)),))),
+        "repeated pair": ((0, 2, ((0, F(-1)),)), (0, 2, ((0, F(-1)),))),
+        "zero coefficient": ((0, 2, ((0, F(0)),)),),
+        "i > j": ((2, 0, ((0, F(1)),)),),
+        "i == j": ((1, 1, ((0, F(1)),)),),
+        "no coefficients": ((0, 2, ()),),
+        "k descending": ((0, 2, ((1, F(1)), (0, F(1)))),),
+        "k out of range": ((0, 2, ((3, F(1)),)),),
+        "j out of range": ((0, 3, ((0, F(1)),)),),
+        "negative index": ((-1, 2, ((0, F(1)),)),),
+        "int coefficient": ((0, 2, ((0, 1),)),),
+        "list of entries": [(0, 2, ((0, F(-1)),))],
+        "dense sol3 layout": tuple(dense_table(make_sol3())),
+        "dense zero layout": ((F(0),) * 3,) * 3,
+    }
+
+
+class TestCanonicalTable:
+    def test_from_brackets_is_accepted_by_the_constructor(self):
+        sol3 = make_sol3()
+        assert sol3.table == ((0, 1, ((0, F(1)),)), (1, 2, ((2, F(1)),)))
+        assert LieAlgebra(3, sol3.labels, sol3.table) == sol3
+        assert LieAlgebra(3, ("x", "y", "z"), ()).table == ()
+
+    @pytest.mark.parametrize("name", sorted(canonical_violations()))
+    def test_non_canonical_table_is_rejected(self, name):
+        with pytest.raises(ValueError, match="canonical"):
+            LieAlgebra(3, ("x", "y", "z"), canonical_violations()[name])
 
 
 class TestBrackets:
@@ -199,6 +343,19 @@ class TestSeries:
         assert is_abelian(r3)
         assert is_nilpotent(r3) and is_solvable(r3)
         assert derived_algebra(r3).is_zero()
+
+    def test_bracket_span_drops_zero_brackets(self, monkeypatch, heis3):
+        seen = []
+        from_vectors = Subspace.from_vectors.__func__
+
+        def spy(cls, vectors, ambient_dim):
+            seen.extend(vectors)
+            return from_vectors(cls, vectors, ambient_dim)
+
+        monkeypatch.setattr(Subspace, "from_vectors", classmethod(spy))
+        full = heis3.full_space()
+        assert bracket_span(heis3, full, full) == Subspace(3, ((F(0), F(0), F(1)),))
+        assert seen and all(any(v) for v in seen)
 
     def test_bracket_span_of_subspaces(self, sol3):
         span_a = Subspace.from_vectors(matrix([[0, 1, 0]]), 3)
