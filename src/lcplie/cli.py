@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -412,6 +413,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled action {args.action}")
 
 
+# Built on the first call, not at import. Sharing one parser between calls is
+# safe: every action is `store` or `store_true` and every default is an
+# immutable value or a `set_defaults(func=...)` command, so parse_args
+# mutates nothing in the parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcplie",

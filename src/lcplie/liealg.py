@@ -207,9 +207,21 @@ def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspa
     return Subspace.from_vectors([v for v in brackets if v != zero], algebra.dim)
 
 
+def derived_algebra(algebra: LieAlgebra) -> Subspace:
+    """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the table."""
+    n = algebra.dim
+    rows = []
+    for _, _, terms in algebra.table:
+        row = [ZERO] * n
+        for k, c in terms:
+            row[k] = c
+        rows.append(row)
+    return Subspace.from_vectors(rows, n)
+
+
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """Chain starting at the derived algebra, repeated self-bracket, until stable."""
-    current = bracket_span(algebra, algebra.full_space(), algebra.full_space())
+    current = derived_algebra(algebra)
     chain = [current]
     while True:
         nxt = bracket_span(algebra, current, current)
@@ -223,7 +235,7 @@ def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """Chain starting at the derived algebra, repeated bracket with the whole algebra."""
     full = algebra.full_space()
-    current = bracket_span(algebra, full, full)
+    current = derived_algebra(algebra)
     chain = [current]
     while True:
         nxt = bracket_span(algebra, full, current)
@@ -232,10 +244,6 @@ def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
         chain.append(nxt)
         current = nxt
     return tuple(chain)
-
-
-def derived_algebra(algebra: LieAlgebra) -> Subspace:
-    return derived_series(algebra)[0]
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:

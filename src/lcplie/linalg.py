@@ -5,8 +5,9 @@ routine here is pure and exact. Floating point never enters this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -130,35 +131,60 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational row."""
+    scale = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
+def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
+    """row with column c cleared by an integer multiple of pivot_row, made primitive."""
+    p, f = pivot_row[c], row[c]
+    return _primitive([p * x - f * y if y else p * x for x, y in zip(row, pivot_row)])
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows, pivot columns). The output is the canonical
     representative of the row space: two inputs span the same subspace
     iff their rref outputs are identical tuples.
+
+    Gauss-Jordan elimination runs on Python ints: each row is scaled by the
+    lcm of its denominators and kept primitive (its content divided out) after
+    every update. Fractions are built only for the final pivot rows, divided
+    by their pivots.
     """
-    work = [list(row) for row in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
+    pending = [row for row in map(_integer_row, rows) if any(row)]
+    ncols = len(pending[0]) if pending else 0
+    reduced: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
+        k = next((k for k, row in enumerate(pending) if row[c]), None)
+        if k is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivot_row = pending.pop(k)
+        reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
+        pending = [
+            row
+            for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
+            if any(row)
+        ]
+        reduced.append(pivot_row)
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        if not pending:
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    out = []
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        out.append(tuple(ZERO if not x else ONE if x == p else Fraction(x, p) for x in row))
+    return tuple(out), tuple(pivots)
 
 
 def rank(m: Iterable[Sequence[Fraction]]) -> int:
@@ -278,27 +304,51 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
+def _reduced_echelon_pivots(rows: Matrix) -> tuple[int, ...] | None:
+    """Pivot columns of rows if they are the canonical reduced echelon form
+    that rref returns, else None: a tuple of tuples without zero rows, each
+    leading with 1, leading columns strictly increasing, and every pivot column
+    zero outside its own row. Rows must have equal lengths."""
+    if not isinstance(rows, tuple):
+        return None
+    pivots: list[int] = []
+    for row in rows:
+        if not isinstance(row, tuple):
+            return None
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    # below a pivot the column is zero already: later rows lead further right
+    if any(row[p] for r, row in enumerate(rows) for p in pivots[r + 1:]):
+        return None
+    return tuple(pivots)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A rational subspace held by its canonical reduced-row-echelon basis.
 
     Equality of Subspace values is equality of subspaces: the rref basis is
-    a unique representative of the span.
+    a unique representative of the span. `pivots` holds the pivot column of
+    each basis row.
     """
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        canonical, _ = rref(self.basis)
-        if canonical != self.basis:
-            raise ValueError("basis rows are not in canonical reduced echelon form")
         if any(len(row) != self.ambient_dim for row in self.basis):
             raise ValueError("basis row length does not match ambient dimension")
+        pivots = _reduced_echelon_pivots(self.basis)
+        if pivots is None:
+            raise ValueError("basis rows are not in canonical reduced echelon form")
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
-        rows = [vector(v) for v in vectors]
+        rows = [v if all(type(x) is Fraction for x in v) else vector(v) for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length does not match ambient dimension")
         return cls(ambient_dim, rref(rows)[0])
@@ -328,15 +378,12 @@ class Subspace:
         """Coefficients of v in the canonical basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
+        coords = tuple(v[p] for p in self.pivots)
         residue = list(v)
-        coords = []
-        for row in self.basis:
-            p = next(c for c in range(self.ambient_dim) if row[c] != 0)
-            coeff = residue[p]
-            coords.append(coeff)
-            if coeff != 0:
-                residue = [x - coeff * y for x, y in zip(residue, row)]
-        return tuple(coords) if is_zero_vector(residue) else None
+        for coeff, row in zip(coords, self.basis):
+            if coeff:
+                residue = [x - coeff * y if y else x for x, y in zip(residue, row)]
+        return coords if is_zero_vector(residue) else None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)

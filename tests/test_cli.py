@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lcplie import connections, lcp
+from lcplie import cli, connections, lcp
 from lcplie.cli import main
 
 from conftest import CORPUS_DIR, corpus_text
@@ -45,6 +45,25 @@ def run(capsys):
 
 def corpus(name: str) -> str:
     return str(CORPUS_DIR / name)
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, run):
+        cli.build_parser.cache_clear()
+        assert run("analyze", corpus("sol3.json")) == (0, SOL3_ANALYSIS, "")
+        assert run("analyze", corpus("heis3.json"))[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_exits_2_with_the_same_stderr_every_time(self, capsys):
+        expected = (
+            "usage: lcplie analyze [-h] file\n"
+            "lcplie analyze: error: the following arguments are required: file\n"
+        )
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze"])
+            assert exc.value.code == 2
+            assert capsys.readouterr() == ("", expected)
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 """Structure constants, Jacobi checking, series, forms, semidirect sums."""
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ from lcplie.liealg import (
     semidirect_sum,
     trace_form,
 )
+from lcplie.cli import main
 from lcplie.connections import is_closed
 from lcplie.linalg import (
     Subspace,
@@ -363,6 +365,104 @@ class TestSeries:
         assert bracket_span(sol3, span_a, full) == Subspace.from_vectors(
             matrix([[1, 0, 0], [0, 0, 1]]), 3
         )
+
+
+def heis_plus_diag():
+    """heis3 (x, y, z) plus the plane acted on by t with weights 1 and -2."""
+    return LieAlgebra.from_brackets(
+        6, {(0, 1): {2: F(1)}, (3, 5): {3: F(-1)}, (4, 5): {4: F(2)}}
+    )
+
+
+def sl2_on_plane():
+    """sl2 acting on R^2 by its standard representation; the radical is R^2."""
+    h, e, f = matrix([[1, 0], [0, -1]]), matrix([[0, 1], [0, 0]]), matrix([[0, 0], [1, 0]])
+    return semidirect_sum(2, make_sl2(), (h, e, f))
+
+
+class DenseBrackets:
+    """Series and radical oracles from the dense brackets basis_bracket(i, j)."""
+
+    def __init__(self, algebra):
+        n = self.n = algebra.dim
+        self.c = [[algebra.basis_bracket(i, j) for j in range(n)] for i in range(n)]
+        self.ads = [dense_ad(algebra, i) for i in range(n)]
+        self.full = Subspace.full(n)
+        self.derived = self.span(self.full, self.full)
+
+    def bracket(self, x, y):
+        out = [F(0)] * self.n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a and b:
+                    for k, c in enumerate(self.c[i][j]):
+                        out[k] += a * b * c
+        return tuple(out)
+
+    def span(self, left, right):
+        return Subspace.from_vectors(
+            [self.bracket(x, y) for x in left.basis for y in right.basis], self.n
+        )
+
+    def series(self, step):
+        chain = [self.derived]
+        while (nxt := step(chain[-1])) != chain[-1]:
+            chain.append(nxt)
+        return tuple(chain)
+
+    def radical(self):
+        """The Killing-orthogonal of the derived algebra."""
+        if self.derived.is_zero():
+            return self.full
+        n = self.n
+        killing = tuple(
+            tuple(sum((mat_mul(self.ads[i], self.ads[j])[k][k] for k in range(n)), F(0))
+                  for j in range(n))
+            for i in range(n)
+        )
+        return Subspace(n, kernel(mat_mul(self.derived.basis, killing), n))
+
+
+class TestDerivedAlgebraFromTheTable:
+    def test_series_and_radical_match_the_dense_oracle(self):
+        radicals = set()
+        for algebra in seeded_algebras() + [heis_plus_diag(), sl2_on_plane()]:
+            dense = DenseBrackets(algebra)
+            assert derived_algebra(algebra) == dense.derived
+            assert derived_series(algebra) == dense.series(lambda s: dense.span(s, s))
+            assert lower_central_series(algebra) == dense.series(
+                lambda s: dense.span(dense.full, s)
+            )
+            assert radical(algebra) == dense.radical()
+            radicals.add((radical(algebra).dim, algebra.dim))
+        assert (0, 3) in radicals and (2, 5) in radicals
+
+    def test_heis_plus_diag(self):
+        algebra = heis_plus_diag()
+        assert derived_algebra(algebra) == Subspace.from_vectors(
+            matrix([[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]), 6
+        )
+        assert is_solvable(algebra) and not is_nilpotent(algebra)
+
+    def test_wide_abelian_analyze_makes_no_bracket_calls(self, monkeypatch, tmp_path, capsys):
+        n = 300
+        doc = tmp_path / "abelian300.json"
+        doc.write_text(json.dumps(
+            {"dim": n, "basis": [f"e{i + 1}" for i in range(n)], "brackets": []}
+        ))
+        calls = []
+        bracket = LieAlgebra.bracket
+
+        def counted(self, x, y):
+            calls.append(1)
+            return bracket(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "bracket", counted)
+        assert main(["analyze", str(doc)]) == 0
+        out = capsys.readouterr().out
+        assert f"derived algebra: 0 (dim 0)\nradical: span{{e1, " in out
+        assert f"killing signature: (0, 0, {n})" in out
+        assert len(calls) == 0
 
 
 class TestForms:

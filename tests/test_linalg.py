@@ -259,3 +259,187 @@ class TestSubspace:
     def test_rejects_wrong_length_vectors(self):
         with pytest.raises(ValueError):
             Subspace.from_vectors(matrix([[1, 0]]), 3)
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination on Fractions, pivot row scaled by 1/pivot: the
+    oracle for the integer elimination in rref."""
+    work = [[F(x) for x in row] for row in rows]
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def random_rational_rows(rng):
+    """A seeded matrix mixing small and huge (above 2**64) rationals, plain ints,
+    zeros, zero rows, repeated and dependent rows."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 7)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return F(0)
+        if kind < 0.5:
+            return rng.randint(-5, 5)  # a plain int
+        if kind < 0.85:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return F(rng.randint(-(2**80), 2**80), rng.randint(1, 2**70))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 3)):
+        if not rows:
+            break
+        kind = rng.choice(("zero", "repeat", "combination"))
+        if kind == "zero":
+            rows.insert(rng.randrange(len(rows) + 1), [F(0)] * ncols)
+        elif kind == "repeat":
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-(2**66), 2**66))
+            rows.insert(rng.randrange(len(rows) + 1), [s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+class TestIntegerElimination:
+    def test_rref_matches_fraction_gauss_jordan(self):
+        rng = random.Random(2718)
+        cases = [[], [[]], [[], []], [[0, 0], [0, 0]], [[F(-3), F(6)], [F(1), F(-2)]]]
+        cases += [random_rational_rows(rng) for _ in range(150)]
+        deficient = 0
+        for rows in cases:
+            expected = reference_rref(rows)
+            echelon, pivots = rref(rows)
+            assert (echelon, pivots) == expected
+            assert all(type(x) is Fraction for row in echelon for x in row)
+            deficient += len(pivots) < len(rows)
+        assert deficient > 40
+
+    def test_rref_keeps_huge_entries_exact(self):
+        big = F(2**100 + 1, 3**50)
+        rows = [[big, F(1, 2**70)], [F(-(2**65)), F(7)]]
+        assert rref(rows) == reference_rref(rows)
+        assert rref([[big, -big]]) == (((F(1), F(-1)),), (0,))
+
+    def test_kernel_annihilates_and_has_complementary_dimension(self):
+        rng = random.Random(2719)
+        for _ in range(100):
+            rows = random_rational_rows(rng)
+            if not rows or not rows[0]:
+                continue
+            m = tuple(tuple(F(x) for x in row) for row in rows)
+            ncols = len(m[0])
+            null = kernel(m)
+            for v in null:
+                assert mat_vec(m, v) == (F(0),) * len(m)
+            assert rank(m) + len(null) == ncols
+            assert len(reference_rref(null)[0]) == len(null)
+
+    def test_solve_solves_or_reports_inconsistency(self):
+        rng = random.Random(2720)
+        outcomes = set()
+        for _ in range(100):
+            rows = random_rational_rows(rng)
+            if not rows or not rows[0]:
+                continue
+            a = tuple(tuple(F(x) for x in row) for row in rows)
+            if rng.random() < 0.5:
+                x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in a[0]]
+                b = mat_vec(a, x0)
+            else:
+                b = tuple(F(rng.randint(-4, 4)) for _ in a)
+            augmented = [row + (bi,) for row, bi in zip(a, b)]
+            consistent = len(reference_rref(a)[0]) == len(reference_rref(augmented)[0])
+            x = solve(a, b)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert mat_vec(a, x) == b
+            outcomes.add(consistent)
+        assert outcomes == {True, False}
+
+    def test_inverse_is_a_two_sided_inverse_and_singular_raises(self):
+        rng = random.Random(2721)
+        singular = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a = tuple(tuple(F(x) for x in row) for row in random_rational_rows(rng)[:n])
+            a = tuple(row[:n] + (F(0),) * (n - len(row)) for row in a)
+            a += tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+                       for _ in range(n - len(a)))
+            if det(a) == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a)
+                continue
+            inv = inverse(a)
+            assert mat_mul(a, inv) == identity_matrix(n)
+            assert mat_mul(inv, a) == identity_matrix(n)
+        assert singular > 5
+        with pytest.raises(ValueError, match="singular"):
+            inverse(matrix([[1, 2], [2, 4]]))
+
+
+def non_canonical_bases():
+    """Bases of R^3 that rref would change (or a row of the wrong length), with
+    the message Subspace raises for each."""
+    o, i, two = F(0), F(1), F(2)
+    canonical = "not in canonical reduced echelon form"
+    return {
+        "pivot not 1": (((two, o, o),), canonical),
+        "negative pivot": (((o, -i, o),), canonical),
+        "entry above a pivot": (((i, i, o), (o, i, o)), canonical),
+        "entry below a pivot": (((i, o, o), (i, i, o)), canonical),
+        "zero row": (((i, o, o), (o, o, o)), canonical),
+        "descending pivots": (((o, i, o), (i, o, o)), canonical),
+        "repeated row": (((i, o, o), (i, o, o)), canonical),
+        "list of rows": ([(i, o, o)], canonical),
+        "row as a list": (([i, o, o],), canonical),
+        "wrong row length": (((i, o),), "row length does not match ambient dimension"),
+    }
+
+
+class TestSubspaceCanonicalForm:
+    @pytest.mark.parametrize("name", sorted(non_canonical_bases()))
+    def test_non_canonical_basis_is_rejected(self, name):
+        basis, message = non_canonical_bases()[name]
+        with pytest.raises(ValueError, match=message):
+            Subspace(3, basis)
+
+    def test_rref_output_is_accepted_with_its_pivots(self):
+        rng = random.Random(2722)
+        for n in range(5):
+            assert Subspace.full(n).pivots == tuple(range(n))
+            assert Subspace.zero(n).pivots == ()
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(0, 5))]
+            s = Subspace.from_vectors(rows, n)
+            echelon, pivots = rref(rows)
+            assert s.basis == echelon and s.pivots == pivots
+            assert Subspace(n, s.basis) == s
+
+    def test_from_vectors_still_coerces_and_rejects_floats(self):
+        assert Subspace.from_vectors([(2, "1/2", F(3))], 3).basis == ((F(1), F(1, 4), F(3, 2)),)
+        with pytest.raises(TypeError):
+            Subspace.from_vectors([(F(1), 0.5)], 2)
+        with pytest.raises(TypeError):
+            Subspace.from_vectors([(True, F(0))], 2)
