@@ -10,24 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .liealg import Covector, LieAlgebra
 from .linalg import (
-    ONE,
     ZERO,
     Matrix,
+    Subspace,
     Vector,
     dot,
-    det,
     identity_matrix,
     inverse,
     is_zero_vector,
+    kernel,
     mat_combination,
     mat_mul,
-    mat_sub,
     mat_vec,
-    outer,
     pair_index,
     pairs,
     vec_add,
@@ -49,12 +48,25 @@ class InnerProduct:
             raise ValueError("gram matrix must be square")
         if any(self.gram[i][j] != self.gram[j][i] for i, j in pairs(n)):
             raise ValueError("gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = tuple(row[:k] for row in self.gram[:k])
-            if det(minor) <= 0:
+        # Sylvester's criterion in one elimination pass without row swaps:
+        # fraction-free (Bareiss) steps on the gram matrix scaled to integers
+        # leave the k-th leading minor, times a positive power of the scale,
+        # as the k-th pivot. The trailing block stays symmetric, so only its
+        # upper triangle is updated.
+        scale = lcm(*(x.denominator for row in self.gram for x in row))
+        work = [[x.numerator * (scale // x.denominator) for x in row] for row in self.gram]
+        previous = 1
+        for k, pivot_row in enumerate(work):
+            pivot = pivot_row[k]
+            if pivot <= 0:
                 raise ValueError(
-                    f"gram matrix is not positive definite (leading {k}x{k} minor fails)"
+                    f"gram matrix is not positive definite (leading {k + 1}x{k + 1} minor fails)"
                 )
+            for r in range(k + 1, n):
+                row, f = work[r], pivot_row[r]
+                for c in range(r, n):
+                    row[c] = (row[c] * pivot - f * pivot_row[c]) // previous
+            previous = pivot
 
     @classmethod
     def identity(cls, n: int) -> "InnerProduct":
@@ -113,14 +125,19 @@ class CurvatureTensor:
     operators: tuple[Matrix, ...]
 
     def operator(self, i: int, j: int) -> Matrix:
+        n = self.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"need 0 <= i, j < n, got ({i}, {j}) with n={n}")
         if i == j:
-            return tuple(zero_vector(self.dim) for _ in range(self.dim))
+            return tuple(zero_vector(n) for _ in range(n))
         if i < j:
-            return self.operators[pair_index(i, j, self.dim)]
-        neg = self.operators[pair_index(j, i, self.dim)]
+            return self.operators[pair_index(i, j, n)]
+        neg = self.operators[pair_index(j, i, n)]
         return tuple(vec_scale(Fraction(-1), row) for row in neg)
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Matrix:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length does not match the curvature dimension")
         coeffs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs(self.dim)]
         return mat_combination(coeffs, self.operators, self.dim)
 
@@ -128,6 +145,15 @@ class CurvatureTensor:
         return all(
             is_zero_vector(row) for op in self.operators for row in op
         )
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        """Joint kernel of all operators: the kernel of their distinct nonzero rows."""
+        # tuple comparison tries identity first, so the ZERO entries that
+        # curvature leaves untouched cost no Fraction comparison
+        zero = zero_vector(self.dim)
+        rows = dict.fromkeys(row for op in self.operators for row in op if row != zero)
+        return Subspace(self.dim, kernel(tuple(rows), self.dim))
 
 
 def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
@@ -190,32 +216,48 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
     n = algebra.dim
     th = theta.coefficients
     gram = metric.gram
-    sharp = metric.sharp(theta)
-    ident = identity_matrix(n)
-    # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G
-    nabla = tuple(
-        mat_combination(
-            (ONE, th[i], ONE, -ONE),
-            (lc.nabla[i], ident, outer(ident[i], th), outer(sharp, gram[i])),
-            n,
-        )
-        for i in range(n)
-    )
-    conn = Connection(n, nabla)
+    theta_terms = [(c, t) for c, t in enumerate(th) if t]
+    sharp_terms = [(r, s) for r, s in enumerate(metric.sharp(theta)) if s]
+    gram_terms = [[(c, g) for c, g in enumerate(row) if g] for row in gram]
+    nabla = []
+    for i, lc_i in enumerate(lc.nabla):
+        # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G
+        d = [list(row) for row in lc_i]
+        if th[i]:
+            for r in range(n):
+                d[r][r] += th[i]
+        for c, t in theta_terms:
+            d[i][c] += t
+        for r, s in sharp_terms:
+            row = d[r]
+            for c, g in gram_terms[i]:
+                row[c] -= s * g
+        nabla.append(tuple(tuple(row) for row in d))
+    conn = Connection(n, tuple(nabla))
 
     for i, rhs in enumerate(_koszul_matrices(algebra, gram)):
         # entry [k][j] of both is g(D_i e_j, e_k); the right one expands to
-        # rhs[k][j] + theta_i g_jk + theta_j g_ik - theta_k g_ij
+        # rhs[k][j] + theta_i g_kj + g_ik theta_j - theta_k g_ij
+        expected = [list(row) for row in rhs]
+        if th[i]:
+            for row, terms in zip(expected, gram_terms):
+                for j, g in terms:
+                    row[j] += th[i] * g
+        for k, g in gram_terms[i]:
+            row = expected[k]
+            for j, t in theta_terms:
+                row[j] += g * t
+        for k, t in theta_terms:
+            row = expected[k]
+            for j, g in gram_terms[i]:
+                row[j] -= t * g
         got = mat_mul(gram, nabla[i])
-        expected = mat_combination(
-            (ONE, th[i], ONE, -ONE),
-            (rhs, gram, outer(gram[i], th), outer(th, gram[i])),
-            n,
+        mismatch = next(
+            ((j, k) for j in range(n) for k in range(n) if got[k][j] != expected[k][j]),
+            None,
         )
-        if got != expected:
-            j, k = next(
-                (j, k) for j in range(n) for k in range(n) if got[k][j] != expected[k][j]
-            )
+        if mismatch is not None:
+            j, k = mismatch
             raise RuntimeError(
                 "conformal connection cross-check failed at "
                 f"({i}, {j}, {k}): the two routes disagree"
@@ -241,13 +283,31 @@ def is_torsion_free(algebra: LieAlgebra, connection: Connection) -> bool:
 
 
 def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
-    """R(e_i, e_j) = [nabla_i, nabla_j] - nabla_{[e_i, e_j]} for i < j."""
+    """R(e_i, e_j) = [nabla_i, nabla_j] - sum_k C^k_ij nabla_k for i < j.
+
+    Each nabla_i is read once into rows of nonzero (column, value) pairs, the
+    structure constants C^k_ij are read off the table, and only products of
+    nonzero entries are accumulated.
+    """
     n = algebra.dim
+    sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m] for m in connection.nabla]
+    brackets = {(i, j): terms for i, j, terms in algebra.table}
     ops = []
     for i, j in pairs(n):
-        commutator = mat_sub(
-            mat_mul(connection.nabla[i], connection.nabla[j]),
-            mat_mul(connection.nabla[j], connection.nabla[i]),
-        )
-        ops.append(mat_sub(commutator, connection.directional(algebra.basis_bracket(i, j))))
+        a, b = sparse[i], sparse[j]
+        terms = brackets.get((i, j), ())
+        op = []
+        for r in range(n):
+            acc = [ZERO] * n
+            for m, x in a[r]:
+                for c, y in b[m]:
+                    acc[c] += x * y
+            for m, x in b[r]:
+                for c, y in a[m]:
+                    acc[c] -= x * y
+            for k, coeff in terms:
+                for c, y in sparse[k][r]:
+                    acc[c] -= coeff * y
+            op.append(tuple(acc))
+        ops.append(tuple(op))
     return CurvatureTensor(n, tuple(ops))

@@ -88,12 +88,6 @@ def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> boo
     )
 
 
-def _annihilates(curv: CurvatureTensor, s: Subspace) -> bool:
-    return all(
-        is_zero_vector(mat_vec(op, row)) for op in curv.operators for row in s.basis
-    )
-
-
 def is_flat_subspace(
     algebra: LieAlgebra,
     connection: Connection,
@@ -101,7 +95,7 @@ def is_flat_subspace(
     s: Subspace,
 ) -> bool:
     """Parallel and annihilated by every curvature operator."""
-    return is_parallel(algebra, connection, s) and _annihilates(curv, s)
+    return is_parallel(algebra, connection, s) and curv.kernel.contains_subspace(s)
 
 
 def _largest_invariant_subspace(start: Subspace, operators: Sequence[Matrix]) -> Subspace:
@@ -162,9 +156,7 @@ class ConformalAnalysis:
             raise ValueError("covector must be closed")
         if not is_unimodular(algebra):
             raise ValueError("the flat-factor construction requires a unimodular algebra")
-        stacked = tuple(row for op in self.curvature.operators for row in op)
-        joint_kernel = Subspace(algebra.dim, kernel(stacked, algebra.dim))
-        w = _largest_invariant_subspace(joint_kernel, self.connection.nabla)
+        w = _largest_invariant_subspace(self.curvature.kernel, self.connection.nabla)
         if w.is_full():
             classification = CLASS_CONFORMALLY_FLAT
         elif w.is_zero():
@@ -194,7 +186,7 @@ class ConformalAnalysis:
         if not problems:
             if not is_parallel(algebra, self.connection, u):
                 problems.append("flat factor is not parallel for the conformal connection")
-            elif not _annihilates(self.curvature, u):
+            elif not self.curvature.kernel.contains_subspace(u):
                 problems.append("conformal curvature does not annihilate the flat factor")
             if is_unimodular(algebra) and not _vanishes_on(theta, u):
                 problems.append(

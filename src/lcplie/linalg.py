@@ -96,11 +96,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> Matrix:
-    """The matrix u v^T; zero factors are skipped."""
-    return tuple(tuple(a * b if a and b else ZERO for b in v) for a in u)
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -17,23 +19,41 @@ from lcplie.connections import (
     torsion,
     weyl_connection,
 )
-from lcplie.lcp import LCPTriple, build_from_triple
+from lcplie.documents import (
+    document_algebra,
+    document_metric,
+    document_triple,
+    parse_algebra_document,
+)
+from lcplie.lcp import LCPTriple, build_from_triple, is_flat_subspace, is_parallel
 from lcplie.liealg import Covector, LieAlgebra, derived_algebra, semidirect_sum
 from lcplie.linalg import (
+    Subspace,
+    det,
     dot,
     identity_matrix,
     inverse,
+    is_zero_vector,
     kernel,
     mat_mul,
     mat_vec,
     matrix,
     pair_index,
+    pairs,
     transpose,
     vector,
     zero_vector,
 )
 
-from conftest import make_abelian, make_aff, make_heis3, make_sl2, make_sol3, sol3_theta
+from conftest import (
+    CORPUS_DIR,
+    make_abelian,
+    make_aff,
+    make_heis3,
+    make_sl2,
+    make_sol3,
+    sol3_theta,
+)
 
 F = Fraction
 
@@ -190,6 +210,147 @@ def gram_entry_sum(gram, m, j, k):
     return raw_form(gram, column(m, j), e_k) + raw_form(gram, e_j, column(m, k))
 
 
+def leading_minor_failure(gram):
+    """Sylvester's criterion one minor at a time: the first k whose leading
+    k x k minor is not positive, or None for a positive definite matrix."""
+    for k in range(1, len(gram) + 1):
+        if det(tuple(row[:k] for row in gram[:k])) <= 0:
+            return k
+    return None
+
+
+def definiteness_verdict(gram):
+    """The k that InnerProduct names as failing, or None when it accepts."""
+    try:
+        InnerProduct(gram)
+    except ValueError as exc:
+        found = re.fullmatch(
+            r"gram matrix is not positive definite \(leading (\d+)x\1 minor fails\)", str(exc)
+        )
+        assert found, str(exc)
+        return int(found.group(1))
+    return None
+
+
+def symmetric_samples(seed):
+    """Seeded symmetric rational matrices, by kind."""
+    rng = random.Random(seed)
+    samples = [("1x1", ((c,),)) for c in (F(3, 2), F(0), F(-1, 3))]
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        samples.append(("positive definite", random_llt_metric(rng, n).gram))
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        a = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
+        samples.append(
+            ("indefinite or random", tuple(tuple(a[r][c] + a[c][r] for c in range(n)) for r in range(n)))
+        )
+    for _ in range(20):
+        # A A^T with A of rank below n: positive semidefinite and singular
+        n = rng.randint(2, 6)
+        width = rng.randint(1, n - 1)
+        a = [[small_rational(rng) for _ in range(width)] for _ in range(n)]
+        samples.append(("singular", mat_mul(a, transpose(a))))
+    for _ in range(20):
+        # a positive definite matrix with one diagonal entry set to zero
+        n = rng.randint(2, 6)
+        gram = [list(row) for row in random_llt_metric(rng, n).gram]
+        k = 0 if rng.random() < 0.5 else rng.randrange(n)
+        gram[k][k] = F(0)
+        samples.append(("zero diagonal entry", tuple(map(tuple, gram))))
+    return samples
+
+
+def dense_weyl(algebra, metric, theta):
+    """D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, entry by entry."""
+    n, th, gram = algebra.dim, theta.coefficients, metric.gram
+    lc = levi_civita(algebra, metric).nabla
+    sharp = mat_vec(inverse(gram), th)
+    return tuple(
+        tuple(
+            tuple(
+                lc[i][r][c]
+                + (th[i] if r == c else 0)
+                + (th[c] if r == i else 0)
+                - sharp[r] * gram[i][c]
+                for c in range(n)
+            )
+            for r in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def dense_curvature(algebra, conn):
+    """[D_i, D_j] - D_[e_i, e_j] for i < j, from full matrix products."""
+    n = algebra.dim
+    ops = []
+    for i, j in pairs(n):
+        ab = mat_mul(conn.nabla[i], conn.nabla[j])
+        ba = mat_mul(conn.nabla[j], conn.nabla[i])
+        d = conn.directional(algebra.basis_bracket(i, j))
+        ops.append(
+            tuple(tuple(ab[r][c] - ba[r][c] - d[r][c] for c in range(n)) for r in range(n))
+        )
+    return tuple(ops)
+
+
+def corpus_cases():
+    """(algebra, metric, covector) from every algebra and triple file of the corpus."""
+    rng = random.Random(41)
+    cases = []
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        if path.name.startswith("lat_"):
+            continue
+        doc = parse_algebra_document(path.read_text(encoding="utf-8"))
+        if doc.triple is not None:
+            s = build_from_triple(document_triple(doc))
+            cases.append((s.algebra, s.metric, s.lee_form))
+            continue
+        algebra = document_algebra(doc)
+        metric = document_metric(doc) or InnerProduct.identity(algebra.dim)
+        if doc.theta is not None:
+            cases.append((algebra, metric, Covector(doc.theta)))
+        else:
+            cases.extend((algebra, metric, closed_covector(algebra, rng)) for _ in range(2))
+    return cases
+
+
+def closed_covector(algebra, rng):
+    """A seeded combination of a basis of the covectors that vanish on [g, g]."""
+    free = kernel(derived_algebra(algebra).basis, ncols=algebra.dim)
+    coeffs = [F(rng.randint(-3, 3)) for _ in free]
+    return Covector(
+        tuple(sum((c * row[k] for c, row in zip(coeffs, free)), F(0)) for k in range(algebra.dim))
+    )
+
+
+def pipeline_cases():
+    """sol3, the corpus and the seeded generators, each with a closed covector."""
+    cases = [(make_sol3(), InnerProduct.identity(3), sol3_theta())] + corpus_cases()
+    rng = random.Random(606)
+    for _ in range(4):
+        s = random_triple_structure(rng)
+        cases.append((s.algebra, s.metric, s.lee_form))
+        cases.append((s.algebra, random_llt_metric(rng, s.algebra.dim), s.lee_form))
+    for _ in range(4):
+        algebra = random_semidirect_sum(rng)
+        metric = random_llt_metric(rng, algebra.dim)
+        cases.extend((algebra, metric, closed_covector(algebra, rng)) for _ in range(2))
+    for algebra, metric in random_metric_algebras(seed=808, count=6):
+        cases.append((algebra, metric, closed_covector(algebra, rng)))
+    return cases
+
+
+def brute_force_subspaces(n):
+    """Every span of at most two vectors with entries in {-1, 0, 1}, plus 0 and the whole space."""
+    vectors = [vector(v) for v in product((-1, 0, 1), repeat=n) if any(v)]
+    spans = {Subspace.zero(n), Subspace.full(n)}
+    spans.update(Subspace.from_vectors([v], n) for v in vectors)
+    spans.update(Subspace.from_vectors(pair, n) for pair in combinations(vectors, 2))
+    return sorted(spans, key=lambda s: (s.dim, s.basis))
+
+
 class TestInnerProduct:
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -212,6 +373,26 @@ class TestInnerProduct:
         gram = InnerProduct.identity(3)
         rows = (vector([1, 1, 0]), vector([0, 0, 2]))
         assert gram.restrict(rows) == matrix([[2, 0], [0, 4]])
+
+    def test_definiteness_check_matches_the_per_minor_oracle(self):
+        samples = symmetric_samples(seed=1968)
+        assert len(samples) >= 100
+        kinds = {}
+        for kind, gram in samples:
+            expected = leading_minor_failure(gram)
+            assert definiteness_verdict(gram) == expected, (kind, gram)
+            kinds.setdefault(kind, set()).add(expected)
+        assert kinds["positive definite"] == {None}
+        assert kinds["1x1"] == {None, 1}
+        assert None not in kinds["singular"] | kinds["zero diagonal entry"]
+        # failures are named at the first leading minor and at later ones
+        assert {1, 2, 3} <= kinds["indefinite or random"] & kinds["zero diagonal entry"]
+
+    def test_definiteness_check_names_a_late_failing_minor(self):
+        gram = matrix([[2, 1, 0], [1, 2, 1], [0, 1, F(1, 2)]])  # minors 2, 3, -1/2
+        assert leading_minor_failure(gram) == 3
+        with pytest.raises(ValueError, match=r"leading 3x3 minor fails"):
+            InnerProduct(gram)
 
 
 class TestClosedness:
@@ -392,6 +573,24 @@ class TestWeyl:
         with pytest.raises(RuntimeError, match=r"cross-check failed at \(1, 0, 2\)"):
             weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
 
+    def test_cross_check_catches_a_wrong_metric_dual(self, monkeypatch):
+        structure = random_triple_structure(random.Random(8))
+        original = InnerProduct.sharp
+
+        def wrong(self, theta):
+            raised = list(original(self, theta))
+            raised[-1] += 1
+            return tuple(raised)
+
+        monkeypatch.setattr(connections.InnerProduct, "sharp", wrong)
+        with pytest.raises(RuntimeError, match=r"cross-check failed at \(0, 0, 3\)"):
+            weyl_connection(structure.algebra, structure.metric, structure.lee_form)
+
+    def test_matches_the_dense_closed_form(self):
+        for algebra, metric, theta in pipeline_cases():
+            conn = weyl_connection(algebra, metric, theta)
+            assert conn.nabla == dense_weyl(algebra, metric, theta)
+
     def test_makes_no_inner_product_value_calls(self, monkeypatch, sol3):
         calls = []
         original = InnerProduct.value
@@ -473,3 +672,48 @@ class TestCurvature:
                                 )
                             )
                             assert all(c == 0 for c in cyc)
+
+    def test_operator_rejects_an_index_out_of_range(self, sol3):
+        r = curvature(sol3, levi_civita(sol3, InnerProduct.identity(3)))
+        with pytest.raises(ValueError):
+            r.operator(0, 7)
+        with pytest.raises(ValueError):
+            r.operator(7, 7)
+
+    def test_evaluate_rejects_a_short_vector(self, sol3):
+        r = curvature(sol3, levi_civita(sol3, InnerProduct.identity(3)))
+        with pytest.raises(ValueError, match="vector length"):
+            r.evaluate(vector([1, 0]), vector([0, 1, 0]))
+
+    def test_evaluate_rejects_a_long_vector(self, sol3):
+        r = curvature(sol3, levi_civita(sol3, InnerProduct.identity(3)))
+        with pytest.raises(ValueError, match="vector length"):
+            r.evaluate(vector([1, 0, 0]), vector([0, 1, 0, 5]))
+
+    def test_matches_the_dense_formula(self):
+        for algebra, metric, theta in pipeline_cases():
+            for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
+                assert curvature(algebra, conn).operators == dense_curvature(algebra, conn)
+
+    def test_joint_kernel_is_the_kernel_of_every_operator_row(self):
+        for algebra, metric, theta in pipeline_cases():
+            r = curvature(algebra, weyl_connection(algebra, metric, theta))
+            stacked = tuple(row for op in r.operators for row in op)
+            assert r.kernel == Subspace(algebra.dim, kernel(stacked, algebra.dim))
+
+    def test_flat_subspace_verdict_matches_annihilation_on_sol3(self, sol3):
+        def annihilates(curv, s):
+            return all(
+                is_zero_vector(mat_vec(op, row)) for op in curv.operators for row in s.basis
+            )
+
+        metric = InnerProduct.identity(3)
+        verdicts = set()
+        for conn in (levi_civita(sol3, metric), weyl_connection(sol3, metric, sol3_theta())):
+            r = curvature(sol3, conn)
+            for s in brute_force_subspaces(3):
+                expected = is_parallel(sol3, conn, s) and annihilates(r, s)
+                assert is_flat_subspace(sol3, conn, r, s) == expected
+                assert r.kernel.contains_subspace(s) == annihilates(r, s)
+                verdicts.add(expected)
+        assert verdicts == {True, False}

@@ -7,12 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from lcplie import lcp
+from lcplie import connections, lcp, linalg
 from lcplie.connections import InnerProduct, curvature, weyl_connection
 from lcplie.lcp import (
     CLASS_CONFORMALLY_FLAT,
     CLASS_LCP,
     CLASS_NONE,
+    ConformalAnalysis,
     LCPStructure,
     LCPTriple,
     LCPValidationError,
@@ -168,6 +169,31 @@ class TestMaximalFlatFactor:
                     continue
                 if is_flat_subspace(algebra, conn, r, cand):
                     assert best.contains_subspace(cand)
+
+
+class TestJointKernel:
+    def test_one_analysis_runs_the_joint_kernel_elimination_once(
+        self, monkeypatch, rot4_structure
+    ):
+        s = rot4_structure
+        analysis = ConformalAnalysis(s.algebra, s.metric, s.lee_form)
+        curvature_rows = {row for op in analysis.curvature.operators for row in op if any(row)}
+        assert curvature_rows
+        original = linalg.kernel
+        eliminations = []
+
+        def spy(m, ncols=None):
+            if m and {tuple(row) for row in m if any(row)} == curvature_rows:
+                eliminations.append(None)
+            return original(m, ncols)
+
+        for module in (linalg, connections, lcp):
+            if getattr(module, "kernel", None) is original:
+                monkeypatch.setattr(module, "kernel", spy)
+        assert analysis.violations(s.flat_factor) == ()
+        assert len(eliminations) == 1
+        assert analysis.flat_factor.subspace == s.flat_factor
+        assert len(eliminations) == 1
 
 
 class TestValidation:
