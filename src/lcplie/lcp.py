@@ -22,6 +22,7 @@ from .connections import (
 from .liealg import (
     Covector,
     LieAlgebra,
+    _centralizer,
     derived_algebra,
     homomorphism_defect,
     is_abelian_subspace,
@@ -32,6 +33,7 @@ from .liealg import (
     trace_form,
 )
 from .linalg import (
+    ZERO,
     Matrix,
     Subspace,
     identity_matrix,
@@ -80,12 +82,25 @@ def _vanishes_on(theta: Covector, s: Subspace) -> bool:
 
 
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
-    """Whether the subspace is preserved by every covariant basis derivative."""
-    return all(
-        s.contains(mat_vec(connection.nabla[i], row))
-        for i in range(algebra.dim)
-        for row in s.basis
-    )
+    """Whether the subspace is preserved by every covariant basis derivative.
+
+    Each basis row is read once into its nonzero (column, value) pairs, and
+    of each nabla_i only the nonzero entries of those columns are multiplied.
+    """
+    n = algebra.dim
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in s.basis]
+    support = {c for terms in rows for c, _ in terms}
+    for m in connection.nabla:
+        columns = transpose(m)
+        sparse = {c: [(r, y) for r, y in enumerate(columns[c]) if y] for c in support}
+        for terms in rows:
+            image = [ZERO] * n
+            for c, x in terms:
+                for r, y in sparse[c]:
+                    image[r] += x * y
+            if not s.contains(image):
+                return False
+    return True
 
 
 def is_flat_subspace(
@@ -400,11 +415,7 @@ def _linear_bound(structure: LCPStructure, hperp: Subspace) -> tuple[Subspace, S
     theta_kernel = Subspace(
         n, kernel((structure.lee_form.coefficients,), n)
     )
-    constraints = []
-    for urow in structure.flat_factor.basis:
-        cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
-        constraints.extend(transpose(tuple(cols)))
-    action_kernel = Subspace(n, kernel(tuple(constraints), n))
+    action_kernel = _centralizer(algebra, structure.flat_factor.basis)
     rad = radical(algebra)
     derived = derived_algebra(algebra)
     bound = hperp.intersect(theta_kernel).intersect(action_kernel)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -82,19 +83,24 @@ def _jacobi_defects(dim: int, table: BracketTable):
     """Yield ((i, j, k), defect vector) for each violated basis triple i < j < k,
     in ascending order.
 
-    A triple can fail only if one of its three pairs has a nonzero bracket, so
-    only those triples are visited, and each nested bracket is expanded over
-    nonzero structure constants alone.
+    A triple can fail only if one of its nested brackets [[e_a, e_b], e_c] is
+    nonzero: (a, b) has a nonzero bracket, m is in its support and m has a
+    nonzero bracket with c. Only those triples are visited, and each nested
+    bracket is expanded over nonzero structure constants alone.
     """
     sparse: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    partners: dict[int, list[int]] = {}
     for i, j, terms in table:
         sparse[(i, j)] = terms
         sparse[(j, i)] = tuple((m, -c) for m, c in terms)
+        partners.setdefault(i, []).append(j)
+        partners.setdefault(j, []).append(i)
     triples = {
-        tuple(sorted((i, j, k)))
-        for i, j, _ in table
-        for k in range(dim)
-        if k != i and k != j
+        tuple(sorted((a, b, c)))
+        for a, b, terms in table
+        for m, _ in terms
+        for c in partners.get(m, ())
+        if c != a and c != b
     }
     for i, j, k in sorted(triples):
         acc = [ZERO] * dim
@@ -199,24 +205,82 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
+    # The invariants below are computed at most once per algebra, on first
+    # use; `derived_algebra` and `killing_form` return them.
+
+    @cached_property
+    def _derived_algebra(self) -> Subspace:
+        n = self.dim
+        rows = []
+        for _, _, terms in self.table:
+            row = [ZERO] * n
+            for k, c in terms:
+                row[k] = c
+            rows.append(row)
+        return Subspace.from_vectors(rows, n)
+
+    @cached_property
+    def _killing_form(self) -> Matrix:
+        n = self.dim
+        ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
+        for i, j, terms in self.table:
+            for k, c in terms:
+                ads[i][(k, j)] = c
+                ads[j][(k, i)] = -c
+        out = [[ZERO] * n for _ in range(n)]
+        active = [i for i in range(n) if ads[i]]  # ad_i = 0 leaves row and column i zero
+        for a, i in enumerate(active):
+            for j in active[a:]:
+                tr = sum((c * ads[j].get((l, k), ZERO) for (k, l), c in ads[i].items()), ZERO)
+                out[i][j] = out[j][i] = tr
+        return tuple(tuple(row) for row in out)
+
+
+def _basis_images(algebra: LieAlgebra, v: Sequence[Fraction]) -> dict[int, Vector]:
+    """{i: [e_i, v]} for every i with [e_i, v] != 0, from one sweep of the table.
+
+    The entry (i, j, C_ij) adds v_j C_ij to [e_i, v] and -v_i C_ij to [e_j, v].
+    """
+    n = algebra.dim
+    images: dict[int, list[Fraction]] = {}
+    for i, j, terms in algebra.table:
+        for a, f in ((i, v[j]), (j, -v[i])):
+            if f:
+                row = images.get(a) or images.setdefault(a, [ZERO] * n)
+                for k, c in terms:
+                    row[k] += f * c
+    return {i: tuple(row) for i, row in images.items() if any(row)}
+
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    """Span of all brackets of the two subspaces."""
-    zero = (ZERO,) * algebra.dim  # unset bracket entries are ZERO itself: compared by identity
-    brackets = (algebra.bracket(x, y) for x in left.basis for y in right.basis)
-    return Subspace.from_vectors([v for v in brackets if v != zero], algebra.dim)
+    """Span of all brackets of the two subspaces.
+
+    [x, y] is the sum of x_i [e_i, y] over the nonzero images of y, so each
+    right-hand row costs one sweep of the table; zero brackets are dropped.
+    """
+    n = algebra.dim
+    brackets = []
+    for y in right.basis:
+        images = _basis_images(algebra, y)
+        if not images:
+            continue
+        for x in left.basis:
+            acc = [ZERO] * n
+            for i, image in images.items():
+                f = x[i]
+                if f:
+                    for k, c in enumerate(image):
+                        if c:
+                            acc[k] += f * c
+            if any(acc):
+                brackets.append(tuple(acc))
+    return Subspace.from_vectors(brackets, n)
 
 
 def derived_algebra(algebra: LieAlgebra) -> Subspace:
-    """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the table."""
-    n = algebra.dim
-    rows = []
-    for _, _, terms in algebra.table:
-        row = [ZERO] * n
-        for k, c in terms:
-            row[k] = c
-        rows.append(row)
-    return Subspace.from_vectors(rows, n)
+    """[g, g]: the span of the nonzero brackets [e_i, e_j], read off the table
+    once per algebra."""
+    return algebra._derived_algebra
 
 
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
@@ -260,19 +324,9 @@ def is_abelian(algebra: LieAlgebra) -> bool:
 
 def killing_form(algebra: LieAlgebra) -> Matrix:
     """Matrix K[i][j] = trace(ad_i ad_j) on the basis, as the sum over k, l of
-    ad_i[k][l] ad_j[l][k]; the nonzero entries ad_i[k][l] = C^k_il come from the table."""
-    n = algebra.dim
-    ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
-    for i, j, terms in algebra.table:
-        for k, c in terms:
-            ads[i][(k, j)] = c
-            ads[j][(k, i)] = -c
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tr = sum((c * ads[j].get((l, k), ZERO) for (k, l), c in ads[i].items()), ZERO)
-            out[i][j] = out[j][i] = tr
-    return tuple(tuple(row) for row in out)
+    ad_i[k][l] ad_j[l][k]; the nonzero entries ad_i[k][l] = C^k_il come from the
+    table. Computed once per algebra."""
+    return algebra._killing_form
 
 
 def trace_form(algebra: LieAlgebra) -> Covector:
@@ -289,22 +343,33 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
     return trace_form(algebra).is_zero()
 
 
-def center(algebra: LieAlgebra) -> Subspace:
+def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
+    """{x : [x, v] = 0 for every given v}.
+
+    [x, v] is the sum of x_i [e_i, v] over the nonzero images of v, so each v
+    gives one constraint row per coordinate k, with entry i = [e_i, v]_k.
+    """
     n = algebra.dim
-    # row (j, k) holds the e_k-coordinate of x -> [x, e_j]: entry i is C^k_ij
-    rows: dict[tuple[int, int], list[Fraction]] = {}
-    for i, j, terms in algebra.table:
-        for k, c in terms:
-            rows.setdefault((j, k), [ZERO] * n)[i] = c
-            rows.setdefault((i, k), [ZERO] * n)[j] = -c
-    return Subspace(n, kernel(tuple(tuple(r) for r in rows.values()), n))
+    rows = []
+    for v in vectors:
+        by_coordinate: dict[int, list[Fraction]] = {}
+        for i, image in _basis_images(algebra, v).items():
+            for k, c in enumerate(image):
+                if c:
+                    by_coordinate.setdefault(k, [ZERO] * n)[i] = c
+        rows.extend(tuple(row) for row in by_coordinate.values())
+    return Subspace(n, kernel(tuple(rows), n))
+
+
+def center(algebra: LieAlgebra) -> Subspace:
+    return _centralizer(algebra, map(algebra.basis_vector, range(algebra.dim)))
 
 
 def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
     return all(
-        s.contains(algebra.bracket(e, row))
-        for e in identity_matrix(algebra.dim)
+        s.contains(image)
         for row in s.basis
+        for image in _basis_images(algebra, row).values()
     )
 
 

@@ -257,46 +257,57 @@ def det(a: Matrix) -> Fraction:
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric rational matrix.
 
-    Exact congruence diagonalization; no eigenvalues are computed.
+    Exact congruence diagonalization on the nonzero entries alone; no
+    eigenvalues are computed. Each step splits off a pivot block B, a nonzero
+    diagonal entry or, when every diagonal entry is zero, the hyperbolic plane
+    of a nonzero a[s][t], counts its signs, and replaces the rest of the form
+    by its Schur complement a[u][w] - sum over p, q of a[u][p] B^-1[p][q] a[q][w].
+    Indices whose row becomes zero count as zero.
     """
     n = len(a)
-    work = [list(row) for row in a]
     if any(len(row) != n for row in a):
         raise ValueError("signature of a non-square matrix")
-    if any(work[i][j] != work[j][i] for i, j in pairs(n)):
+    # row i of the remaining form as {column: nonzero entry}; zero rows are dropped
+    work = {i: r for i, row in enumerate(a) if (r := {j: x for j, x in enumerate(row) if x})}
+    if any(work.get(j, {}).get(i) != x for i, row in work.items() for j, x in row.items()):
         raise ValueError("signature of a non-symmetric matrix")
-    pos = neg = zero = 0
-    for s in range(n):
-        if work[s][s] == 0:
-            t = next((t for t in range(s + 1, n) if work[t][t] != 0), None)
-            if t is not None:
-                work[s], work[t] = work[t], work[s]
-                for row in work:
-                    row[s], row[t] = row[t], row[s]
+    pos = neg = 0
+    while work:
+        s = next((s for s, row in work.items() if s in row), None)
+        if s is not None:
+            d = work[s][s]
+            block = ((s, s, ONE / d),)
+            if d > 0:
+                pos += 1
             else:
-                t = next((t for t in range(s + 1, n) if work[s][t] != 0), None)
-                if t is None:
-                    zero += 1
-                    continue
-                # both diagonal entries vanish: row/col addition makes
-                # work[s][s] = 2 * work[s][t] != 0
-                for c in range(n):
-                    work[s][c] += work[t][c]
-                for r in range(n):
-                    work[r][s] += work[r][t]
-        d = work[s][s]
-        for t in range(s + 1, n):
-            if work[t][s] != 0:
-                f = work[t][s] / d
-                for c in range(n):
-                    work[t][c] -= f * work[s][c]
-                for r in range(n):
-                    work[r][t] -= f * work[r][s]
-        if d > 0:
-            pos += 1
+                neg += 1
         else:
+            # [[0, b], [b, 0]] has one positive and one negative direction and
+            # inverse [[0, 1/b], [1/b, 0]]
+            s = next(iter(work))
+            t = next(iter(work[s]))
+            f = ONE / work[s][t]
+            block = ((s, t, f), (t, s, f))
+            pos += 1
             neg += 1
-    return pos, neg, zero
+        rows = {p: work.pop(p) for p, _, _ in block}
+        for row in rows.values():
+            for p in rows:
+                row.pop(p, None)
+        for p, row in rows.items():
+            for u in row:
+                del work[u][p]
+        for p, q, f in block:
+            for u, x in rows[p].items():
+                target = work[u]
+                for w, y in rows[q].items():
+                    value = target.get(w, ZERO) - x * f * y
+                    if value:
+                        target[w] = value
+                    else:
+                        target.pop(w, None)
+        work = {u: row for u, row in work.items() if row}
+    return pos, neg, n - pos - neg
 
 
 def _reduced_echelon_pivots(rows: Matrix) -> tuple[int, ...] | None:

@@ -15,6 +15,7 @@ from lcplie.cli import main
 from lcplie.connections import (
     InnerProduct,
     curvature,
+    is_closed,
     levi_civita,
     weyl_connection,
 )
@@ -86,17 +87,17 @@ def algebra_corpus():
 
 
 def closed_covectors(algebra, count=3, seed=0):
+    """One seeded coefficient per basis row of the covectors vanishing on [g, g]."""
     rng = random.Random(seed)
     free = kernel(derived_algebra(algebra).basis, ncols=algebra.dim)
-    return [
-        Covector(
-            tuple(
-                sum(F(rng.randint(-3, 3)) * row[k] for row in free)
-                for k in range(algebra.dim)
-            )
-        )
-        for _ in range(count)
-    ]
+    out = []
+    for _ in range(count):
+        coeffs = [F(rng.randint(-3, 3)) for _ in free]
+        out.append(Covector(tuple(
+            sum((c * row[k] for c, row in zip(coeffs, free)), F(0)) for k in range(algebra.dim)
+        )))
+    assert all(is_closed(algebra, theta) for theta in out)
+    return out
 
 
 def load_structure(name: str):

@@ -86,15 +86,8 @@ def weyl_oracle(algebra, gram, theta, x, y, z):
 def closed_covectors(algebra, count=3, seed=0):
     """Deterministic sample of covectors vanishing on the derived algebra."""
     rng = random.Random(seed)
-    constraints = derived_algebra(algebra).basis
-    free = kernel(constraints, ncols=algebra.dim)
-    out = []
-    for _ in range(count):
-        coeffs = tuple(
-            sum(F(rng.randint(-3, 3)) * row[k] for row in free)
-            for k in range(algebra.dim)
-        )
-        out.append(Covector(coeffs))
+    out = [closed_covector(algebra, rng) for _ in range(count)]
+    assert all(is_closed(algebra, theta) for theta in out)
     return out
 
 

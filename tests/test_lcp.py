@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from lcplie import connections, lcp, linalg
-from lcplie.connections import InnerProduct, curvature, weyl_connection
+from lcplie.connections import Connection, InnerProduct, curvature, weyl_connection
 from lcplie.lcp import (
     CLASS_CONFORMALLY_FLAT,
     CLASS_LCP,
@@ -30,10 +30,20 @@ from lcplie.lcp import (
     validate_lcp,
     verify_conformal_exponential,
 )
+from lcplie.cli import main
 from lcplie.liealg import Covector, LieAlgebra, derived_algebra, radical
-from lcplie.linalg import Subspace, matrix, vector
+from lcplie.linalg import (
+    Subspace,
+    identity_matrix,
+    kernel,
+    mat_vec,
+    matrix,
+    transpose,
+    vector,
+)
 
 from conftest import (
+    CORPUS_DIR,
     ROTATION,
     ZERO2,
     make_abelian,
@@ -42,6 +52,7 @@ from conftest import (
     make_sol3_structure,
     sol3_theta,
 )
+from test_connections import pipeline_cases, random_triple_structure
 
 F = Fraction
 
@@ -68,6 +79,19 @@ def coordinate_subspaces(n):
             ]
             out.append(Subspace.from_vectors(rows, n))
     return out
+
+
+def invariant_closure(conn, v):
+    """The smallest subspace containing v that every nabla_i maps into itself."""
+    n = len(v)
+    span = Subspace.from_vectors([v], n)
+    while True:
+        grown = Subspace.from_vectors(
+            span.basis + tuple(mat_vec(m, row) for m in conn.nabla for row in span.basis), n
+        )
+        if grown == span:
+            return span
+        span = grown
 
 
 class TestParallelAndFlat:
@@ -100,6 +124,31 @@ class TestParallelAndFlat:
         r = curvature(sol3, conn)
         plane = Subspace.from_vectors(matrix([[1, 0, 0], [0, 0, 1]]), 3)
         assert not is_flat_subspace(sol3, conn, r, plane)
+
+    def test_is_parallel_matches_the_dense_verdict(self):
+        rng = random.Random(515)
+        verdicts = set()
+        for algebra, metric, theta in pipeline_cases():
+            n = algebra.dim
+            # upper triangular matrices keep every leading coordinate block, their
+            # transposes do not
+            triangular = Connection(n, tuple(
+                tuple(tuple(F(rng.randint(-2, 2)) if c >= r else F(0) for c in range(n)) for r in range(n))
+                for _ in range(n)
+            ))
+            for conn in (weyl_connection(algebra, metric, theta), triangular):
+                # leading coordinate blocks hold the flat factor of every triple structure
+                spans = [Subspace.from_vectors(identity_matrix(n)[:d], n) for d in range(n + 1)]
+                for _ in range(3):
+                    start = [F(rng.choice((-1, 0, 0, 1))) for _ in range(n)]
+                    spans.append(Subspace.from_vectors([start], n))
+                    spans.append(invariant_closure(conn, start))
+                for s in spans:
+                    dense = all(s.contains(mat_vec(m, row)) for m in conn.nabla for row in s.basis)
+                    assert is_parallel(algebra, conn, s) == dense
+                    if 0 < s.dim < n:
+                        verdicts.add(dense)
+        assert verdicts == {True, False}
 
 
 class TestMaximalFlatFactor:
@@ -446,6 +495,50 @@ class TestConstraintSpace:
     def test_rot4_bound(self, rot4_structure):
         bound = characteristic_constraint_space(rot4_structure)
         assert bound == Subspace.from_vectors([vector([0, 0, 0, 1])], 4)
+
+    def test_bound_matches_the_dense_action_kernel(self, sol3_structure, rot4_structure):
+        rng = random.Random(2024)
+        structures = [sol3_structure, rot4_structure]
+        structures += [random_triple_structure(rng) for _ in range(6)]
+        nonzero = 0
+        for s in structures:
+            algebra = s.algebra
+            n = algebra.dim
+            rows = []
+            for urow in s.flat_factor.basis:
+                cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
+                rows.extend(transpose(tuple(cols)))
+            action = Subspace(n, kernel(tuple(rows), n))
+            theta_kernel = Subspace(n, kernel((s.lee_form.coefficients,), n))
+            for hperp in (s.orthocomplement(), Subspace.full(n)):
+                expected = hperp.intersect(theta_kernel).intersect(action)
+                expected = expected.intersect(radical(algebra)).intersect(derived_algebra(algebra))
+                assert lcp._linear_bound(s, hperp)[2] == expected
+                nonzero += not expected.is_zero()
+        assert nonzero >= 4
+
+    def test_char_bound_makes_no_bracket_calls_in_the_linear_bound(self, monkeypatch, capsys):
+        inside, calls = [], []
+        linear_bound = lcp._linear_bound
+        bracket = LieAlgebra.bracket
+
+        def traced(structure, hperp):
+            inside.append(True)
+            try:
+                return linear_bound(structure, hperp)
+            finally:
+                inside.pop()
+
+        def counted(self, x, y):
+            if inside:
+                calls.append(1)
+            return bracket(self, x, y)
+
+        monkeypatch.setattr(lcp, "_linear_bound", traced)
+        monkeypatch.setattr(LieAlgebra, "bracket", counted)
+        assert main(["lcp", "char-bound", str(CORPUS_DIR / "sol3.json")]) == 0
+        assert capsys.readouterr().out == "bound = span{b} (dim 1)\n"
+        assert calls == []
 
 
 class TestConformalExponential:

@@ -43,7 +43,7 @@ from lcplie.linalg import (
     vector,
 )
 
-from conftest import make_abelian, make_aff, make_heis3, make_sl2, make_sol3
+from conftest import CORPUS_DIR, make_abelian, make_aff, make_heis3, make_sl2, make_sol3
 from test_connections import closed_covectors, random_metric_algebras
 
 F = Fraction
@@ -463,6 +463,124 @@ class TestDerivedAlgebraFromTheTable:
         assert f"derived algebra: 0 (dim 0)\nradical: span{{e1, " in out
         assert f"killing signature: (0, 0, {n})" in out
         assert len(calls) == 0
+
+
+def wide_family(rng, k, m):
+    """heis_{2k+1} plus R^m acted on by t with random weights in +-{1, 2, 3},
+    under a random basis order; k = 0 or m = 0 leaves that summand out."""
+    brackets = {(i, k + i): {2 * k: F(1)} for i in range(k)}  # [x_i, y_i] = z
+    q = 2 * k + 1 if k else 0
+    for i in range(m):  # [v_i, t] = -w_i v_i
+        brackets[(q + i, q + m)] = {q + i: F(-rng.choice((1, 2, 3)) * rng.choice((1, -1)))}
+    n = q + (m + 1 if m else 0)
+    order = list(range(n))
+    rng.shuffle(order)
+    shuffled = {}
+    for (i, j), coeffs in brackets.items():
+        shuffled[(order[i], order[j])] = {order[t]: c for t, c in coeffs.items()}
+    return LieAlgebra.from_brackets(n, shuffled)
+
+
+def wide_families():
+    rng = random.Random(2718)
+    return [wide_family(rng, k, m) for k, m in ((3, 0), (0, 6), (1, 3), (2, 2))]
+
+
+def random_subspaces(rng, n, count):
+    """Spans of sparse random vectors and of random basis subsets."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, n)
+        if rng.random() < 0.5:
+            rows = [[F(rng.choice((-1, 0, 0, 1, 2))) for _ in range(n)] for _ in range(d)]
+        else:
+            picked = rng.sample(range(n), d)
+            rows = [[F(int(c == p)) for c in range(n)] for p in picked]
+        out.append(Subspace.from_vectors(rows, n))
+    return out
+
+
+class TestTableDrivenStructure:
+    """bracket_span, is_ideal, centralizers, both series and the radical from
+    the table, against the dense basis_bracket oracle."""
+
+    def test_matches_the_dense_oracle_on_random_subspaces(self):
+        rng = random.Random(314)
+        ideal_verdicts = set()
+        closed_verdicts = set()
+        wide = wide_families()
+        for algebra in seeded_algebras() + [heis_plus_diag(), sl2_on_plane()] + wide:
+            n = algebra.dim
+            dense = DenseBrackets(algebra)
+            if algebra in wide:  # the other algebras are checked in TestDerivedAlgebraFromTheTable
+                assert derived_series(algebra) == dense.series(lambda s: dense.span(s, s))
+                assert lower_central_series(algebra) == dense.series(
+                    lambda s: dense.span(dense.full, s)
+                )
+                assert radical(algebra) == dense.radical()
+            spaces = random_subspaces(rng, n, 4) + [Subspace.zero(n), dense.full, dense.derived]
+            for left in spaces:
+                for right in spaces[:3]:
+                    assert bracket_span(algebra, left, right) == dense.span(left, right)
+                ideal = all(
+                    left.contains(dense.bracket(e, row)) for e in dense.full.basis for row in left.basis
+                )
+                assert is_ideal(algebra, left) == ideal
+                ideal_verdicts.add(ideal)
+                # x centralizes left iff sum over i of x_i [e_i, v] = 0 for each basis row v
+                rows = tuple(
+                    row
+                    for v in left.basis
+                    for row in transpose(tuple(dense.bracket(e, v) for e in dense.full.basis))
+                )
+                assert liealg._centralizer(algebra, left.basis) == Subspace(n, kernel(rows, n))
+                closed_verdicts.add(left.contains_subspace(dense.span(left, left)))
+        assert ideal_verdicts == {True, False}
+        assert closed_verdicts == {True, False}
+
+    def test_analyze_heis_plus_diag_makes_no_bracket_calls(self, monkeypatch, tmp_path, capsys):
+        algebra = heis_plus_diag()
+        doc = tmp_path / "heis_diag.json"
+        doc.write_text(json.dumps({
+            "dim": algebra.dim,
+            "basis": list(algebra.labels),
+            "brackets": [
+                {"i": i, "j": j, "c": {str(k): str(c) for k, c in terms}}
+                for i, j, terms in algebra.table
+            ],
+        }))
+        calls = []
+        bracket = LieAlgebra.bracket
+
+        def counted(self, x, y):
+            calls.append(1)
+            return bracket(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "bracket", counted)
+        assert main(["analyze", str(doc)]) == 0
+        out = capsys.readouterr().out
+        assert "solvable: yes\nnilpotent: no\n" in out
+        assert len(calls) == 0
+
+    def test_analyze_builds_each_invariant_once(self, monkeypatch, capsys):
+        builds = {"_killing_form": 0, "_derived_algebra": 0}
+        for name in builds:
+            prop = LieAlgebra.__dict__[name]
+
+            def counted(algebra, name=name, build=prop.func):
+                builds[name] += 1
+                return build(algebra)
+
+            monkeypatch.setattr(prop, "func", counted)
+        assert main(["analyze", str(CORPUS_DIR / "sl2.json")]) == 0
+        assert "killing signature: (2, 1, 0)" in capsys.readouterr().out
+        assert builds == {"_killing_form": 1, "_derived_algebra": 1}
+
+    def test_radical_self_check_rejects_a_non_ideal(self, monkeypatch, sol3):
+        # span{a} is a subalgebra of sol3 but [u, a] = u leaves it
+        monkeypatch.setattr(liealg, "kernel", lambda m, ncols=None: ((F(0), F(1), F(0)),))
+        with pytest.raises(RuntimeError, match="radical self-check failed"):
+            radical(sol3)
 
 
 class TestForms:

@@ -178,6 +178,85 @@ def test_signature_off_diagonal_hyperbolic_plane():
     assert symmetric_signature(matrix([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
+def dense_congruence_signature(a):
+    """Fraction congruence over every entry: diagonal pivots first, else
+    row/column addition of an off-diagonal partner."""
+    n = len(a)
+    work = [list(row) for row in a]
+    pos = neg = zero = 0
+    for s in range(n):
+        if work[s][s] == 0:
+            t = next((t for t in range(s + 1, n) if work[t][t] != 0), None)
+            if t is not None:
+                work[s], work[t] = work[t], work[s]
+                for row in work:
+                    row[s], row[t] = row[t], row[s]
+            else:
+                t = next((t for t in range(s + 1, n) if work[s][t] != 0), None)
+                if t is None:
+                    zero += 1
+                    continue
+                for c in range(n):
+                    work[s][c] += work[t][c]
+                for r in range(n):
+                    work[r][s] += work[r][t]
+        d = work[s][s]
+        for t in range(s + 1, n):
+            if work[t][s] != 0:
+                f = work[t][s] / d
+                for c in range(n):
+                    work[t][c] -= f * work[s][c]
+                for r in range(n):
+                    work[r][t] -= f * work[r][s]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos, neg, zero
+
+
+def random_symmetric(rng, n):
+    """P^T D P with random signs and zeros in D, then with zeroed indices and
+    a zeroed diagonal mixed in; indefinite and singular forms included."""
+    p = random_matrix(rng, n, n, span=2)
+    d = [F(rng.choice((-2, -1, 0, 1, 3))) for _ in range(n)]
+    a = [[sum((p[k][i] * d[k] * p[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    kind = rng.choice(("congruent", "zero rows", "zero diagonal", "sparse"))
+    if kind == "zero rows":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            for j in range(n):
+                a[i][j] = a[j][i] = F(0)
+    elif kind == "zero diagonal":
+        for i in range(n):
+            a[i][i] = F(0)
+    elif kind == "sparse":
+        for i, j in pairs(n):
+            if rng.random() < 0.6:
+                a[i][j] = a[j][i] = F(0)
+    return tuple(tuple(row) for row in a)
+
+
+def test_signature_matches_the_dense_congruence():
+    rng = random.Random(6006)
+    cases = [(), ((F(0),),), ((F(-5, 3),),), matrix([[0, 1, 0], [1, 0, 2], [0, 2, 0]])]
+    cases += [random_symmetric(rng, rng.randint(1, 7)) for _ in range(160)]
+    seen = set()
+    for a in cases:
+        expected = dense_congruence_signature(a)
+        assert symmetric_signature(a) == expected
+        pos, neg, zero = expected
+        seen.add((pos > 0 and neg > 0, zero > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_signature_rejects_non_square_and_non_symmetric_input():
+    with pytest.raises(ValueError, match="non-square"):
+        symmetric_signature(matrix([[1, 0, 0], [0, 1, 0]]))
+    for a in ([[1, 2], [3, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="non-symmetric"):
+            symmetric_signature(matrix(a))
+
+
 class TestSubspace:
     def test_basis_is_canonical_across_generating_sets(self):
         rng = random.Random(31337)
