@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .liealg import Covector, LieAlgebra
@@ -19,6 +18,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _bareiss,
+    _integer_row,
     dot,
     identity_matrix,
     inverse,
@@ -27,11 +28,11 @@ from .linalg import (
     mat_combination,
     mat_mul,
     mat_vec,
+    matrix,
     pair_index,
     pairs,
     vec_add,
     vec_scale,
-    vector,
     zero_vector,
 )
 
@@ -46,27 +47,18 @@ class InnerProduct:
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix must be square")
+        # Fraction entries; floats and bools raise TypeError, as in as_fraction
+        object.__setattr__(self, "gram", matrix(self.gram))
         if any(self.gram[i][j] != self.gram[j][i] for i, j in pairs(n)):
             raise ValueError("gram matrix must be symmetric")
-        # Sylvester's criterion in one elimination pass without row swaps:
-        # fraction-free (Bareiss) steps on the gram matrix scaled to integers
-        # leave the k-th leading minor, times a positive power of the scale,
-        # as the k-th pivot. The trailing block stays symmetric, so only its
-        # upper triangle is updated.
-        scale = lcm(*(x.denominator for row in self.gram for x in row))
-        work = [[x.numerator * (scale // x.denominator) for x in row] for row in self.gram]
-        previous = 1
-        for k, pivot_row in enumerate(work):
-            pivot = pivot_row[k]
-            if pivot <= 0:
+        # Sylvester's criterion in one elimination pass: scaling a row by a
+        # positive integer scales each leading minor by a positive factor, so
+        # the pivots _bareiss yields have the signs of the leading minors.
+        for k, minor in enumerate(_bareiss([_integer_row(row) for row in self.gram])):
+            if minor <= 0:
                 raise ValueError(
                     f"gram matrix is not positive definite (leading {k + 1}x{k + 1} minor fails)"
                 )
-            for r in range(k + 1, n):
-                row, f = work[r], pivot_row[r]
-                for c in range(r, n):
-                    row[c] = (row[c] * pivot - f * pivot_row[c]) // previous
-            previous = pivot
 
     @classmethod
     def identity(cls, n: int) -> "InnerProduct":
@@ -74,7 +66,7 @@ class InnerProduct:
 
     @classmethod
     def from_rows(cls, rows) -> "InnerProduct":
-        return cls(tuple(vector(row) for row in rows))
+        return cls(tuple(rows))
 
     @property
     def dim(self) -> int:

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import (
     Subspace,
+    _bareiss,
+    _integer_row,
     det,
     kernel,
     matrix,
@@ -55,26 +56,17 @@ class IntegerEndomorphism:
 
 
 def det_integer(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact integer determinant (fraction-free Bareiss elimination); 1 for
+    the 0x0 matrix."""
+    work = [list(row) for row in rows]
+    if any(len(row) != len(work) for row in work):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    if work:
+        _check_int_matrix(work)  # rejects entries that are not ints
+    determinant = 1
+    for determinant in _bareiss(work):
+        pass
+    return determinant
 
 
 def _identity_int(n: int) -> list[list[int]]:
@@ -266,15 +258,7 @@ def _integer_fixed_covector(a: IntegerEndomorphism) -> tuple[int, ...]:
     basis = kernel(rows, k)
     if not basis:
         raise RuntimeError("no fixed covector although the determinant vanishes")
-    first = basis[0]
-    scale = lcm(*(f.denominator for f in first)) if len(first) > 1 else first[0].denominator
-    ints = [int(f * scale) for f in first]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return tuple(_integer_row(basis[0]))
 
 
 def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> SplittingVerdict:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -232,26 +232,49 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def _bareiss(work: list[list[int]]) -> Iterator[int]:
+    """Fraction-free (Bareiss) elimination of a square integer matrix, in place.
+
+    Yields each step's diagonal entry before it is used as the pivot, so up to
+    the first zero the values are the leading principal minors. A zero pivot
+    is replaced by the first lower row that is nonzero in its column, negated
+    so that the determinant is kept; when there is none the elimination stops.
+    The last value yielded is the determinant. Every division is exact.
+    """
+    n = len(work)
+    previous = 1
+    for k in range(n):
+        pivot = work[k][k]
+        yield pivot
+        if not pivot:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                return
+            work[k], work[swap] = [-x for x in work[swap]], work[k]
+            pivot = work[k][k]
+        pivot_row = work[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // previous
+        previous = pivot
+
+
 def det(a: Matrix) -> Fraction:
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, and one Bareiss pass runs on the scaled rows. Float and
+    bool entries raise TypeError, as in as_fraction."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    work = [list(row) for row in a]
-    result = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+    rows = matrix(a)
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    work = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    determinant = 1  # of the 0x0 matrix
+    for determinant in _bareiss(work):
+        pass
+    return Fraction(determinant, prod(scales))
 
 
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:

@@ -112,6 +112,28 @@ def corpus_dir() -> Path:
     return CORPUS_DIR
 
 
+def fraction_det(a) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions with row swaps: the
+    reference that the integer elimination core is compared against."""
+    n = len(a)
+    work = [[F(x) for x in row] for row in a]
+    result = F(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            result = -result
+        result *= work[c][c]
+        inv = 1 / work[c][c]
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return result
+
+
 def corpus_text(name: str) -> str:
     return (CORPUS_DIR / name).read_text(encoding="utf-8")
 

@@ -29,7 +29,6 @@ from lcplie.lcp import LCPTriple, build_from_triple, is_flat_subspace, is_parall
 from lcplie.liealg import Covector, LieAlgebra, derived_algebra, semidirect_sum
 from lcplie.linalg import (
     Subspace,
-    det,
     dot,
     identity_matrix,
     inverse,
@@ -47,6 +46,7 @@ from lcplie.linalg import (
 
 from conftest import (
     CORPUS_DIR,
+    fraction_det,
     make_abelian,
     make_aff,
     make_heis3,
@@ -207,7 +207,7 @@ def leading_minor_failure(gram):
     """Sylvester's criterion one minor at a time: the first k whose leading
     k x k minor is not positive, or None for a positive definite matrix."""
     for k in range(1, len(gram) + 1):
-        if det(tuple(row[:k] for row in gram[:k])) <= 0:
+        if fraction_det(tuple(row[:k] for row in gram[:k])) <= 0:
             return k
     return None
 
@@ -361,6 +361,12 @@ class TestInnerProduct:
         for j in range(2):
             e = tuple(F(1) if k == j else F(0) for k in range(2))
             assert gram.value(raised, e) == theta.value(e)
+
+    def test_rejects_float_and_bool_entries(self):
+        for gram in (((1.0,),), ((True,),), ((F(2), 0.5), (0.5, F(2)))):
+            with pytest.raises(TypeError):
+                InnerProduct(gram)
+        assert InnerProduct(((2, 1), (1, F(3, 2)))).dim == 2
 
     def test_restrict(self):
         gram = InnerProduct.identity(3)

@@ -16,7 +16,9 @@ from lcplie.lattice import (
     lattice_index,
     smith_normal_form,
 )
-from lcplie.linalg import Subspace, det, inverse, mat_vec, matrix, vector
+from lcplie.linalg import Subspace, inverse, mat_vec, vector
+
+from conftest import fraction_det
 
 F = Fraction
 
@@ -74,7 +76,20 @@ class TestDeterminant:
         for _ in range(40):
             k = rng.randint(1, 5)
             a = random_int_matrix(rng, k, span=6)
-            assert det_integer(a) == det(matrix(a))
+            assert det_integer(a) == fraction_det(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[F(1, 2), 1], [1, 1]], [[0.5, 1], [1, 1]], [[True, 0], [0, 1]], [[F(3)]]],
+        ids=["fraction", "float", "bool", "integral fraction"],
+    )
+    def test_rejects_non_integer_entries(self, a):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            det_integer(a)
+
+    def test_empty_matrix_has_determinant_one(self):
+        assert det_integer([]) == 1
+        assert det_integer(()) == 1
 
     def test_integrality_enforced(self):
         with pytest.raises(ValueError):

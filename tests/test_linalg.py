@@ -7,8 +7,12 @@ from itertools import permutations
 
 import pytest
 
+from lcplie import connections, lattice, linalg
+from lcplie.connections import InnerProduct
+from lcplie.lattice import det_integer
 from lcplie.linalg import (
     Subspace,
+    _bareiss as bareiss,
     as_fraction,
     det,
     dot,
@@ -26,6 +30,8 @@ from lcplie.linalg import (
     symmetric_signature,
     vector,
 )
+
+from conftest import fraction_det
 
 F = Fraction
 
@@ -154,6 +160,84 @@ def test_det_is_multiplicative():
         a = random_matrix(rng, n, n, span=4)
         b = random_matrix(rng, n, n, span=4)
         assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+def test_det_rejects_float_and_bool_entries():
+    for a in (((0.5, 1), (1, 1)), ((True,),), ((F(1), 2), (3, 4.0))):
+        with pytest.raises(TypeError):
+            det(a)
+    assert det(((F(1, 2), 1), (1, 1))) == F(-1, 2)
+
+
+def bareiss_samples(seed):
+    """Seeded square integer matrices, by kind, for the elimination core."""
+    rng = random.Random(seed)
+
+    def entries(n, span=6, zeros=0.3):
+        return [[0 if rng.random() < zeros else rng.randint(-span, span) for _ in range(n)]
+                for _ in range(n)]
+
+    samples = [("0x0", []), ("1x1", [[0]]), ("1x1", [[-7]]), ("1x1", [[2**70 + 1]])]
+    # a zero pivot with a nonzero entry below it: the negated-row swap
+    samples += [("swap", [[0, 1], [1, 0]]), ("swap", [[0, 2, 1], [3, 0, 0], [0, 0, 5]]),
+                ("swap", [[1, 2, 3], [2, 4, 1], [0, 1, 1]])]
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        samples.append(("random", entries(n)))
+        a = entries(n)
+        a[0][0] = 0
+        samples.append(("zero leading entry", a))
+        a = entries(n)
+        for row in a:
+            row[0] = 0
+        samples.append(("zero first column", a))
+        if n > 1:
+            a = entries(n)
+            i, j = rng.sample(range(n), 2)
+            a[i] = list(a[j])
+            samples.append(("duplicated row", a))
+            a = entries(n)
+            j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+            a[i] = [x - 2 * y for x, y in zip(a[j], a[k])]
+            samples.append(("singular", a))
+        a = entries(n, zeros=0.2)
+        samples.append(("above 2**64", [[x * 2**66 + rng.randint(-3, 3) for x in row] for row in a]))
+    return samples
+
+
+class TestBareissCore:
+    def test_det_and_det_integer_match_the_fraction_reference(self):
+        rng = random.Random(77)
+        samples = bareiss_samples(seed=2718)
+        kinds = {}
+        for kind, a in samples:
+            expected = fraction_det(a)
+            assert det_integer(a) == expected, (kind, a)
+            assert det(tuple(map(tuple, a))) == expected, (kind, a)
+            rational = tuple(tuple(F(x, rng.randint(1, 12)) for x in row) for row in a)
+            assert det(rational) == fraction_det(rational), (kind, rational)
+            kinds.setdefault(kind, set()).add(expected != 0)
+        assert kinds["swap"] == {True}
+        assert kinds["zero leading entry"] == {True, False}
+        assert kinds["zero first column"] == kinds["duplicated row"] == kinds["singular"] == {False}
+        assert kinds["above 2**64"] == {True}
+        assert det(()) == 1 and det_integer([]) == 1
+
+    def test_each_caller_runs_one_elimination_pass(self, monkeypatch):
+        passes = []
+
+        def counted(work):
+            passes.append(len(work))
+            return bareiss(work)
+
+        for module in (linalg, lattice, connections):
+            monkeypatch.setattr(module, "_bareiss", counted)
+        a = ((0, 2, 1), (3, 0, 0), (0, 0, 5))
+        for run in (lambda: det(matrix(a)), lambda: det_integer(a),
+                    lambda: InnerProduct(matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))):
+            passes.clear()
+            run()
+            assert passes == [3]
 
 
 def test_signature_on_diagonal_forms():

@@ -1,8 +1,10 @@
-"""Every function and method the benchmark tracer patches must exist in lcplie.
+"""Every function and method the benchmark tracer patches must exist in lcplie,
+defined in the module the tracer names.
 
 `bench/tracing.py` wraps the names in its SPANS and COUNTERS tables from
 outside; a name that no longer resolves would make the tracer fail or lose a
-span. The file is loaded by path and only read.
+span, and a function moved to another module would charge its time to the
+wrong layer's self time. The file is loaded by path and only read.
 """
 from __future__ import annotations
 
@@ -40,3 +42,22 @@ def test_every_traced_name_resolves(monkeypatch):
     assert len(names) == len(tracing.SPANS) + len(tracing.COUNTERS)
     missing = [name for name, (module, attr) in names.items() if not resolves(module, attr)]
     assert missing == []
+
+
+def defining_module(module: str, attr: str) -> str:
+    """The module that defines lcplie.<module>.<attr> (or the "Class.method")."""
+    owner = importlib.import_module(f"lcplie.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner.__module__
+
+
+def test_every_traced_name_is_defined_in_its_layer(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    names = {**tracing.SPANS, **tracing.COUNTERS}
+    moved = [
+        name
+        for name, (module, attr) in names.items()
+        if defining_module(module, attr) != f"lcplie.{module}"
+    ]
+    assert moved == []
