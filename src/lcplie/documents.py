@@ -270,7 +270,7 @@ def _emit_matrix(m: Matrix) -> list[list[str]]:
     return [[_emit_rational(x) for x in row] for row in m]
 
 
-def emit_algebra_document(doc: AlgebraDocument) -> str:
+def _algebra_fields(doc: AlgebraDocument) -> dict:
     out: dict = {}
     if doc.has_algebra:
         out["dim"] = doc.dim
@@ -290,13 +290,16 @@ def emit_algebra_document(doc: AlgebraDocument) -> str:
         out["flat_factor"] = _emit_matrix(doc.flat_factor)
     if doc.triple is not None:
         t = doc.triple
-        h_doc = json.loads(emit_algebra_document(t.h))
         out["triple"] = {
-            "h": h_doc,
+            "h": _algebra_fields(t.h),
             "q": t.q,
             "beta": [_emit_matrix(b) for b in t.beta],
         }
-    return json.dumps(out, indent=2) + "\n"
+    return out
+
+
+def emit_algebra_document(doc: AlgebraDocument) -> str:
+    return json.dumps(_algebra_fields(doc), indent=2) + "\n"
 
 
 def emit_lattice_document(doc: LatticeDocument) -> str:

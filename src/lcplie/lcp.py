@@ -37,12 +37,12 @@ from .linalg import (
     Matrix,
     Subspace,
     identity_matrix,
-    is_zero_vector,
     kernel,
     mat_mul,
+    mat_sub,
     mat_vec,
+    pairs,
     transpose,
-    vec_add,
     vec_scale,
 )
 
@@ -214,7 +214,8 @@ class ConformalAnalysis:
 class LCPStructure:
     """A validated structure: construction raises on any violation or wrong
     flag, and fills in `maximal` when it is None (None on a non-unimodular
-    algebra, where maximality is not decided)."""
+    algebra, where maximality is not decided). The metric complement and the
+    characteristic bound with its conditions are computed once, on first use."""
 
     algebra: LieAlgebra
     metric: InnerProduct
@@ -245,7 +246,29 @@ class LCPStructure:
 
     def orthocomplement(self) -> Subspace:
         """The metric complement of the flat factor."""
+        return self._orthocomplement
+
+    @cached_property
+    def _orthocomplement(self) -> Subspace:
         return self.flat_factor.orthogonal_complement(self.metric.gram)
+
+    @cached_property
+    def _linear_conditions(self) -> tuple[Subspace, Subspace, Subspace, Subspace]:
+        """ker theta, the centralizer of the flat factor, the radical and [g, g]."""
+        algebra, n = self.algebra, self.algebra.dim
+        return (
+            Subspace(n, kernel((self.lee_form.coefficients,), n)),
+            _centralizer(algebra, self.flat_factor.basis),
+            radical(algebra),
+            derived_algebra(algebra),
+        )
+
+    @cached_property
+    def _characteristic_bound(self) -> Subspace:
+        """One kernel of the stacked constraint rows of the complement and the conditions."""
+        subspaces = (self._orthocomplement, *self._linear_conditions)
+        rows = tuple(row for s in subspaces for row in s.constraint_matrix())
+        return Subspace(self.algebra.dim, kernel(rows, self.algebra.dim))
 
 
 def maximal_flat_factor(
@@ -371,56 +394,30 @@ def triple_from_lcp(structure: LCPStructure) -> LCPTriple:
     hperp = structure.orthocomplement()
     m = hperp.dim
     h_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = algebra.bracket(hperp.basis[i], hperp.basis[j])
-            coords = hperp.coordinates_of(w)
-            if coords is None:
-                raise ValueError(
-                    "metric complement of the flat factor is not a subalgebra; "
-                    "the structure does not split"
-                )
-            coeffs = {k: c for k, c in enumerate(coords) if c != 0}
-            if coeffs:
-                h_brackets[(i, j)] = coeffs
-    labels = []
-    for row in hperp.basis:
-        pivot = next(c for c in range(len(row)) if row[c] != 0)
-        labels.append(algebra.labels[pivot])
+    for i, j in pairs(m):
+        w = algebra.bracket(hperp.basis[i], hperp.basis[j])
+        coords = hperp.coordinates_of(w)
+        if coords is None:
+            raise ValueError(
+                "metric complement of the flat factor is not a subalgebra; "
+                "the structure does not split"
+            )
+        h_brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops zero terms
+    labels = [algebra.labels[p] for p in hperp.pivots]
     h_algebra = LieAlgebra.from_brackets(m, h_brackets, labels)
     h_metric = InnerProduct(structure.metric.restrict(hperp.basis))
     beta = []
-    for i in range(m):
-        weight = structure.lee_form.value(hperp.basis[i])
-        cols = []
-        for urow in u.basis:
-            w = algebra.bracket(hperp.basis[i], urow)
-            w = vec_add(w, vec_scale(-weight, urow))
-            coords = u.coordinates_of(w)
-            if coords is None:
-                raise ValueError(
-                    "flat factor is not invariant under the complement; "
-                    "the structure does not split"
-                )
-            cols.append(coords)
-        beta.append(transpose(tuple(cols)))
+    for x in hperp.basis:
+        try:
+            action = flat_factor_action(structure, x)
+        except ValueError as exc:
+            raise ValueError(
+                "flat factor is not invariant under the complement; "
+                "the structure does not split"
+            ) from exc
+        weight = structure.lee_form.value(x)
+        beta.append(mat_sub(action, tuple(vec_scale(weight, row) for row in identity_matrix(q))))
     return LCPTriple(h_algebra, h_metric, q, tuple(beta))
-
-
-def _linear_bound(structure: LCPStructure, hperp: Subspace) -> tuple[Subspace, Subspace, Subspace]:
-    """The radical, the derived algebra, and the linear bound cut from the
-    metric complement hperp of the flat factor."""
-    algebra = structure.algebra
-    n = algebra.dim
-    theta_kernel = Subspace(
-        n, kernel((structure.lee_form.coefficients,), n)
-    )
-    action_kernel = _centralizer(algebra, structure.flat_factor.basis)
-    rad = radical(algebra)
-    derived = derived_algebra(algebra)
-    bound = hperp.intersect(theta_kernel).intersect(action_kernel)
-    bound = bound.intersect(rad).intersect(derived)
-    return rad, derived, bound
 
 
 def characteristic_constraint_space(structure: LCPStructure) -> Subspace:
@@ -430,36 +427,30 @@ def characteristic_constraint_space(structure: LCPStructure) -> Subspace:
     Intersection, inside the metric complement of the flat factor, of: the
     kernel of the lee covector, the annihilator of the flat factor under the
     bracket, the radical, and the derived algebra. These are necessary
-    conditions only.
+    conditions only. Computed once per structure.
     """
-    _, _, bound = _linear_bound(structure, structure.orthocomplement())
-    return bound
+    return structure._characteristic_bound
 
 
 def check_candidate(structure: LCPStructure, candidate: Subspace) -> ConstraintReport:
-    """Per-condition breakdown for a candidate subspace of the complement."""
+    """Per-condition breakdown for a candidate subspace of the complement,
+    read from the subspaces that make up the characteristic bound."""
     algebra = structure.algebra
-    hperp = structure.orthocomplement()
     if candidate.ambient_dim != algebra.dim:
         raise ValueError("candidate lives in the wrong ambient dimension")
-    if not hperp.contains_subspace(candidate):
+    if not structure.orthocomplement().contains_subspace(candidate):
         raise ValueError(
             "candidate must lie in the metric complement of the flat factor"
         )
-    action_trivial = all(
-        is_zero_vector(algebra.bracket(row, urow))
-        for row in candidate.basis
-        for urow in structure.flat_factor.basis
-    )
-    rad, derived, bound = _linear_bound(structure, hperp)
+    theta_kernel, action_kernel, rad, derived = structure._linear_conditions
     return ConstraintReport(
         candidate=candidate,
-        theta_vanishes=_vanishes_on(structure.lee_form, candidate),
-        action_trivial=action_trivial,
+        theta_vanishes=theta_kernel.contains_subspace(candidate),
+        action_trivial=action_kernel.contains_subspace(candidate),
         is_abelian=is_abelian_subspace(algebra, candidate),
         in_radical=rad.contains_subspace(candidate),
         in_commutator=derived.contains_subspace(candidate),
-        linear_bound=bound,
+        linear_bound=structure._characteristic_bound,
     )
 
 

@@ -175,6 +175,8 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """Dense coordinates of [e_i, e_j]."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError(f"need 0 <= i, j < n, got ({i}, {j}) with n={self.dim}")
         out = [ZERO] * self.dim
         key, sign = ((i, j), ONE) if i < j else ((j, i), -ONE)
         for k, c in next((terms for a, b, terms in self.table if (a, b) == key), ()):
@@ -182,6 +184,8 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length does not match the algebra dimension")
         out = [ZERO] * self.dim
         for i, j, terms in self.table:
             if not ((x[i] or x[j]) and (y[i] or y[j])):

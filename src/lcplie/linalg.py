@@ -154,9 +154,11 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     Gauss-Jordan elimination runs on Python ints: each row is scaled by the
     lcm of its denominators and kept primitive (its content divided out) after
     every update. Fractions are built only for the final pivot rows, divided
-    by their pivots.
+    by their pivots. Rows that are not all Fractions go through `vector`, so
+    ints are accepted and floats and bools raise TypeError.
     """
-    pending = [row for row in map(_integer_row, rows) if any(row)]
+    exact = (row if all(type(x) is Fraction for x in row) else vector(row) for row in rows)
+    pending = [row for row in map(_integer_row, exact) if any(row)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[list[int]] = []
     pivots: list[int] = []
@@ -377,7 +379,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
-        rows = [v if all(type(x) is Fraction for x in v) else vector(v) for v in vectors]
+        rows = list(vectors)
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length does not match ambient dimension")
         return cls(ambient_dim, rref(rows)[0])
@@ -432,8 +434,6 @@ class Subspace:
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
         """Complement with respect to the inner product given by gram."""
-        if self.is_zero():
-            return Subspace.full(self.ambient_dim)
         constraints = tuple(mat_vec(gram, row) for row in self.basis)
         return Subspace(self.ambient_dim, kernel(constraints, self.ambient_dim))
 

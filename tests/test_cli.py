@@ -1,7 +1,10 @@
 """End-to-end command behavior, exit codes and frozen report text."""
 from __future__ import annotations
 
+import importlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -454,3 +457,39 @@ class TestInputContract:
         text = '{"matrix": [[' + "7" * 5000 + "]]}"
         err = self._reject(run, tmp_path, text, "lattice", "snf")
         assert "invalid JSON" in err
+
+
+class TestStdlibOnly:
+    """Every subcommand runs with numpy and scipy unimportable: the one float
+    computation, `conformal_exponential_residual`, is the only code that needs them."""
+
+    COMMANDS = (
+        (("validate", "sol3.json"), 0),
+        (("validate", "lat_upper23.json"), 1),
+        (("analyze", "sl2.json"), 0),
+        (("lcp", "detect", "sol3.json"), 0),
+        (("lcp", "detect", "--json", "rot5.json"), 0),
+        (("lcp", "max-flat", "rot4.json"), 0),
+        (("lcp", "from-triple", "sol3_triple.json"), 0),
+        (("lcp", "char-bound", "--candidate", '[["0", "0", "1", "0"]]', "rot4.json"), 0),
+        (("lattice", "snf", "lat_upper23.json"), 0),
+        (("lattice", "index", "lat_upper23.json"), 0),
+        (("lattice", "lemma51", "lat_diag21_split.json"), 0),
+        (("lattice", "lemma51", "lat_upper23.json"), 2),
+    )
+
+    def test_every_subcommand_runs_without_numpy_and_scipy(self, monkeypatch, capsys):
+        for name in ("numpy", "scipy", "scipy.linalg"):
+            monkeypatch.setitem(sys.modules, name, None)
+        # a fresh import, so that a module-level import of either fails here too
+        for name in [m for m in sys.modules if m.split(".")[0] == "lcplie"]:
+            monkeypatch.delitem(sys.modules, name)
+        fresh = importlib.import_module("lcplie.cli")
+        one = ((Fraction(1),),)
+        with pytest.raises(ImportError):
+            sys.modules["lcplie.lcp"].conformal_exponential_residual(one, one, Fraction(0), 1.0)
+        for (*command, name), expected in self.COMMANDS:
+            code = fresh.main([*command, corpus(name)])
+            out, err = capsys.readouterr()
+            assert code == expected, command
+            assert bool(out) == (code == 0) and bool(err) == (code != 0), command

@@ -53,6 +53,7 @@ from conftest import (
     sol3_theta,
 )
 from test_connections import pipeline_cases, random_triple_structure
+from test_liealg import DenseBrackets
 
 F = Fraction
 
@@ -510,22 +511,28 @@ class TestConstraintSpace:
                 rows.extend(transpose(tuple(cols)))
             action = Subspace(n, kernel(tuple(rows), n))
             theta_kernel = Subspace(n, kernel((s.lee_form.coefficients,), n))
-            for hperp in (s.orthocomplement(), Subspace.full(n)):
-                expected = hperp.intersect(theta_kernel).intersect(action)
-                expected = expected.intersect(radical(algebra)).intersect(derived_algebra(algebra))
-                assert lcp._linear_bound(s, hperp)[2] == expected
-                nonzero += not expected.is_zero()
+            gram_rows = tuple(mat_vec(s.metric.gram, row) for row in s.flat_factor.basis)
+            complement = Subspace(n, kernel(gram_rows, n))
+            dense = DenseBrackets(algebra)
+            rad, derived = dense.radical(), dense.derived
+            assert s.orthocomplement() == complement
+            assert s._linear_conditions == (theta_kernel, action, rad, derived)
+            expected = complement.intersect(theta_kernel).intersect(action)
+            expected = expected.intersect(rad).intersect(derived)
+            assert characteristic_constraint_space(s) == expected
+            nonzero += not expected.is_zero()
         assert nonzero >= 4
 
     def test_char_bound_makes_no_bracket_calls_in_the_linear_bound(self, monkeypatch, capsys):
-        inside, calls = [], []
-        linear_bound = lcp._linear_bound
+        inside, entered, calls = [], [], []
+        linear_bound = LCPStructure.__dict__["_characteristic_bound"].func
         bracket = LieAlgebra.bracket
 
-        def traced(structure, hperp):
+        def traced(structure):
             inside.append(True)
+            entered.append(True)
             try:
-                return linear_bound(structure, hperp)
+                return linear_bound(structure)
             finally:
                 inside.pop()
 
@@ -534,11 +541,71 @@ class TestConstraintSpace:
                 calls.append(1)
             return bracket(self, x, y)
 
-        monkeypatch.setattr(lcp, "_linear_bound", traced)
+        monkeypatch.setattr(LCPStructure, "_characteristic_bound", property(traced))
         monkeypatch.setattr(LieAlgebra, "bracket", counted)
         assert main(["lcp", "char-bound", str(CORPUS_DIR / "sol3.json")]) == 0
         assert capsys.readouterr().out == "bound = span{b} (dim 1)\n"
+        assert entered
         assert calls == []
+
+    def test_candidate_verdicts_match_the_direct_checks(self, sol3_structure, rot4_structure):
+        rng = random.Random(77)
+        structures = [sol3_structure, rot4_structure]
+        structures += [random_triple_structure(rng) for _ in range(6)]
+        seen = set()
+        for s in structures:
+            n = s.algebra.dim
+            complement = s.orthocomplement()
+            theta_kernel = Subspace(n, kernel((s.lee_form.coefficients,), n))
+            pools = (
+                complement.basis,
+                complement.intersect(theta_kernel).basis,
+                characteristic_constraint_space(s).basis,
+            )
+            for _ in range(12):
+                columns = transpose(rng.choice(pools))
+                vectors = [
+                    mat_vec(columns, [F(rng.randint(-2, 2)) for _ in range(len(columns[0]))])
+                    for _ in range(rng.randint(0, 2))
+                ]
+                candidate = Subspace.from_vectors(vectors, n)
+                report = check_candidate(s, candidate)
+                theta_vanishes = all(s.lee_form.value(row) == 0 for row in candidate.basis)
+                action_trivial = all(
+                    not any(s.algebra.bracket(row, urow))
+                    for row in candidate.basis
+                    for urow in s.flat_factor.basis
+                )
+                assert report.theta_vanishes == theta_vanishes
+                assert report.action_trivial == action_trivial
+                assert report.in_radical == radical(s.algebra).contains_subspace(candidate)
+                assert report.in_commutator == derived_algebra(s.algebra).contains_subspace(candidate)
+                assert report.linear_bound == characteristic_constraint_space(s)
+                seen.add(("theta", theta_vanishes))
+                seen.add(("action", action_trivial))
+        assert seen == {("theta", True), ("theta", False), ("action", True), ("action", False)}
+
+    def test_candidate_run_builds_each_derived_subspace_once(self, monkeypatch, capsys):
+        counts = {"radical": 0, "centralizer": 0, "complement": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(lcp, "radical", counting("radical", radical))
+        monkeypatch.setattr(lcp, "_centralizer", counting("centralizer", lcp._centralizer))
+        monkeypatch.setattr(
+            Subspace,
+            "orthogonal_complement",
+            counting("complement", Subspace.orthogonal_complement),
+        )
+        argv = ["lcp", "char-bound", str(CORPUS_DIR / "sol3.json"), "--candidate", '[["0", "1", "0"]]']
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("bound = span{b} (dim 1)\ncandidate: span{a}")
+        assert counts == {"radical": 1, "centralizer": 1, "complement": 1}
 
 
 class TestConformalExponential:
@@ -573,6 +640,10 @@ class TestConformalExponential:
             gram_u, broken, s.lee_form.value(vector([0, 0, 1, 0])), 1.0
         )
         assert residual > 1e-3
+
+    def test_flat_factor_action_rejects_wrong_length_elements(self, sol3_structure):
+        with pytest.raises(ValueError, match="vector length"):
+            flat_factor_action(sol3_structure, vector([0, 1, 0, 5]))
 
     def test_rejects_non_positive_tolerance(self, sol3_structure):
         with pytest.raises(ValueError):

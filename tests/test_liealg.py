@@ -311,6 +311,20 @@ class TestBrackets:
         # [a, u + b] = -u + b
         assert a_plus == (F(-1), F(0), F(1))
 
+    def test_bracket_rejects_wrong_length_vectors(self, sol3):
+        e1 = vector([1, 0, 0])
+        for x in (vector([0, 1]), vector([0, 1, 0, 5])):
+            with pytest.raises(ValueError, match="vector length"):
+                sol3.bracket(x, e1)
+            with pytest.raises(ValueError, match="vector length"):
+                sol3.bracket(e1, x)
+
+    def test_basis_bracket_rejects_out_of_range_indices(self, sol3):
+        for i, j in ((7, 8), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError, match="need 0 <= i, j < n"):
+                sol3.basis_bracket(i, j)
+        assert sol3.basis_bracket(2, 1) == (F(0), F(0), F(-1))
+
     def test_ad_matrix_columns(self, sol3):
         assert sol3.ad(vector([0, 1, 0])) == matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
 

@@ -169,6 +169,22 @@ def test_det_rejects_float_and_bool_entries():
     assert det(((F(1, 2), 1), (1, 1))) == F(-1, 2)
 
 
+def test_rank_rejects_float_entries():
+    with pytest.raises(TypeError):
+        rank([[0.5, 1]])
+
+
+def test_kernel_rejects_float_entries():
+    with pytest.raises(TypeError):
+        kernel(((1.5, 2),))
+
+
+def test_rank_rejects_bool_entries():
+    with pytest.raises(TypeError):
+        rank([[True, False]])
+    assert rank([[1, 0], [2, 0]]) == 1
+
+
 def bareiss_samples(seed):
     """Seeded square integer matrices, by kind, for the elimination core."""
     rng = random.Random(seed)
