@@ -43,7 +43,7 @@ from .liealg import (
     radical,
     trace_form,
 )
-from .linalg import Subspace, symmetric_signature, vector
+from .linalg import Subspace, symmetric_signature
 
 
 class CommandError(Exception):
@@ -291,9 +291,12 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         if args.candidate is not None:
             try:
                 raw = json.loads(args.candidate)
-                rows = [vector(row) for row in raw]
+                rows = [
+                    [documents._rational(x, f"candidate[{r}][{c}]") for c, x in enumerate(row)]
+                    for r, row in enumerate(raw)
+                ]
                 candidate = Subspace.from_vectors(rows, algebra.dim)
-            except (ValueError, TypeError, json.JSONDecodeError) as exc:
+            except (ValueError, TypeError, DocumentError) as exc:
                 raise CommandError(f"invalid candidate basis: {exc}") from exc
             try:
                 report = check_candidate(structure, candidate)

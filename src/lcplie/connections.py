@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     Vector,
     _bareiss,
+    _exact,
     _integer_row,
     dot,
     identity_matrix,
@@ -100,6 +101,7 @@ class Connection:
             len(m) != n or any(len(row) != n for row in m) for m in self.nabla
         ):
             raise ValueError("connection needs one n x n matrix per basis direction")
+        object.__setattr__(self, "nabla", tuple(tuple(map(_exact, m)) for m in self.nabla))
 
     def directional(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of the derivative along the vector x."""

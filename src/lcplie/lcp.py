@@ -38,9 +38,7 @@ from .linalg import (
     Subspace,
     identity_matrix,
     kernel,
-    mat_mul,
     mat_sub,
-    mat_vec,
     pairs,
     transpose,
     vec_scale,
@@ -81,26 +79,29 @@ def _vanishes_on(theta: Covector, s: Subspace) -> bool:
     return all(theta.value(row) == 0 for row in s.basis)
 
 
-def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
-    """Whether the subspace is preserved by every covariant basis derivative.
-
-    Each basis row is read once into its nonzero (column, value) pairs, and
-    of each nabla_i only the nonzero entries of those columns are multiplied.
-    """
-    n = algebra.dim
+def _invariant_part(s: Subspace, operators: Sequence[Matrix]) -> Subspace:
+    """{w in s : op w in s for every op}: s restricted by the residues in s of
+    the images op b_r of its canonical rows, each read once into its nonzero
+    (column, value) pairs and met by the nonzero entries of those columns."""
+    n = s.ambient_dim
     rows = [[(c, x) for c, x in enumerate(row) if x] for row in s.basis]
     support = {c for terms in rows for c, _ in terms}
-    for m in connection.nabla:
+    values: list[list[Fraction]] = [[] for _ in rows]
+    for m in operators:
         columns = transpose(m)
         sparse = {c: [(r, y) for r, y in enumerate(columns[c]) if y] for c in support}
-        for terms in rows:
+        for terms, value in zip(rows, values):
             image = [ZERO] * n
             for c, x in terms:
                 for r, y in sparse[c]:
                     image[r] += x * y
-            if not s.contains(image):
-                return False
-    return True
+            value.extend(s.residue(image))
+    return s.restrict(values)
+
+
+def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
+    """Whether every covariant basis derivative maps s into itself."""
+    return _invariant_part(s, connection.nabla).dim == s.dim
 
 
 def is_flat_subspace(
@@ -111,29 +112,6 @@ def is_flat_subspace(
 ) -> bool:
     """Parallel and annihilated by every curvature operator."""
     return is_parallel(algebra, connection, s) and curv.kernel.contains_subspace(s)
-
-
-def _largest_invariant_subspace(start: Subspace, operators: Sequence[Matrix]) -> Subspace:
-    """Largest subspace of `start` mapped into itself by all operators.
-
-    Fixed point of W -> {w in W : op w in W for all op}; the dimension drops
-    strictly until stable, so this terminates.
-    """
-    current = start
-    while not current.is_zero():
-        constraints = current.constraint_matrix()
-        basis_cols = transpose(current.basis)
-        stacked = [
-            row
-            for op in operators
-            for row in mat_mul(constraints, mat_mul(op, basis_cols))
-        ]
-        coeff_kernel = kernel(tuple(stacked), current.dim)
-        if len(coeff_kernel) == current.dim:
-            break
-        vectors = [mat_vec(basis_cols, c) for c in coeff_kernel]
-        current = Subspace.from_vectors(vectors, current.ambient_dim)
-    return current
 
 
 @dataclass(frozen=True)
@@ -171,7 +149,9 @@ class ConformalAnalysis:
             raise ValueError("covector must be closed")
         if not is_unimodular(algebra):
             raise ValueError("the flat-factor construction requires a unimodular algebra")
-        w = _largest_invariant_subspace(self.curvature.kernel, self.connection.nabla)
+        w = self.curvature.kernel
+        while (smaller := _invariant_part(w, self.connection.nabla)).dim < w.dim:
+            w = smaller
         if w.is_full():
             classification = CLASS_CONFORMALLY_FLAT
         elif w.is_zero():
@@ -265,10 +245,11 @@ class LCPStructure:
 
     @cached_property
     def _characteristic_bound(self) -> Subspace:
-        """One kernel of the stacked constraint rows of the complement and the conditions."""
-        subspaces = (self._orthocomplement, *self._linear_conditions)
-        rows = tuple(row for s in subspaces for row in s.constraint_matrix())
-        return Subspace(self.algebra.dim, kernel(rows, self.algebra.dim))
+        """The complement restricted by the residues of its rows in the conditions."""
+        complement, conditions = self._orthocomplement, self._linear_conditions
+        return complement.restrict(
+            [[x for c in conditions for x in c.residue(row)] for row in complement.basis]
+        )
 
 
 def maximal_flat_factor(

@@ -16,6 +16,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _exact,
     as_fraction,
     dot,
     identity_matrix,
@@ -125,6 +126,9 @@ class Covector:
 
     coefficients: Vector
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", _exact(self.coefficients))
+
     @classmethod
     def from_values(cls, values: Iterable[int | str | Fraction]) -> "Covector":
         return cls(vector(values))
@@ -202,6 +206,8 @@ class LieAlgebra:
         return transpose(tuple(cols))
 
     def basis_vector(self, i: int) -> Vector:
+        if not 0 <= i < self.dim:
+            raise ValueError(f"need 0 <= i < n, got {i} with n={self.dim}")
         out = [ZERO] * self.dim
         out[i] = ONE
         return tuple(out)

@@ -36,6 +36,13 @@ def vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
+def _exact(row: Iterable[int | str | Fraction]) -> Vector:
+    """row as a tuple: rows of Fractions pass through, other rows go through
+    `vector`, so ints are accepted and floats and bools raise TypeError."""
+    row = tuple(row)
+    return row if all(type(x) is Fraction for x in row) else vector(row)
+
+
 def matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
     out = tuple(vector(row) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
@@ -154,11 +161,9 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     Gauss-Jordan elimination runs on Python ints: each row is scaled by the
     lcm of its denominators and kept primitive (its content divided out) after
     every update. Fractions are built only for the final pivot rows, divided
-    by their pivots. Rows that are not all Fractions go through `vector`, so
-    ints are accepted and floats and bools raise TypeError.
+    by their pivots. Rows are read through `_exact`.
     """
-    exact = (row if all(type(x) is Fraction for x in row) else vector(row) for row in rows)
-    pending = [row for row in map(_integer_row, exact) if any(row)]
+    pending = [row for row in map(_integer_row, map(_exact, rows)) if any(row)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[list[int]] = []
     pivots: list[int] = []
@@ -407,14 +412,18 @@ class Subspace:
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v in the canonical basis, or None if v is outside."""
+        return tuple(v[p] for p in self.pivots) if is_zero_vector(self.residue(v)) else None
+
+    def residue(self, v: Sequence[Fraction]) -> Vector:
+        """v - sum over r of v[p_r] * b_r for the canonical rows b_r with pivots p_r:
+        linear in v, and zero exactly when v lies in the span."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        coords = tuple(v[p] for p in self.pivots)
-        residue = list(v)
-        for coeff, row in zip(coords, self.basis):
-            if coeff:
-                residue = [x - coeff * y if y else x for x, y in zip(residue, row)]
-        return coords if is_zero_vector(residue) else None
+        residue = tuple(v)
+        for p, row in zip(self.pivots, self.basis):
+            if coeff := v[p]:
+                residue = tuple(x - coeff * y if y else x for x, y in zip(residue, row))
+        return residue
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -425,8 +434,20 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        constraints = self.constraint_matrix() + other.constraint_matrix()
-        return Subspace(self.ambient_dim, kernel(constraints, self.ambient_dim))
+        return self.restrict([other.residue(row) for row in self.basis])
+
+    def restrict(self, values: Sequence[Sequence[Fraction]]) -> "Subspace":
+        """{sum of c_r * b_r : sum of c_r * values[r] = 0} over the canonical rows
+        b_r, from one kernel, or self when every value is zero. Combined by the
+        rref kernel rows c, the b_r give a canonical basis: each reads c_r at p_r.
+        """
+        if len(values) != self.dim:
+            raise ValueError("need one value per basis row")
+        if all(is_zero_vector(v) for v in values):
+            return self
+        columns = transpose(self.basis)
+        coeffs = kernel(transpose(tuple(values)), self.dim)
+        return Subspace(self.ambient_dim, tuple(mat_vec(columns, c) for c in coeffs))
 
     def constraint_matrix(self) -> Matrix:
         """Rows y with y . v = 0 exactly characterizing membership in the span."""

@@ -286,6 +286,14 @@ class TestLcpCharBound:
         assert code == 2
         assert "candidate" in err
 
+    @pytest.mark.parametrize("entry", ["0.5", "1e3", " 1 ", "1_0", "1e2000000", "1/0"])
+    def test_candidate_entries_follow_the_document_grammar(self, run, entry):
+        candidate = json.dumps([["0", entry, "0"]])
+        code, out, err = run("lcp", "char-bound", corpus("sol3.json"), "--candidate", candidate)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid candidate basis: candidate[0][1]: ")
+        assert repr(entry) in err
+
 
 class TestLattice:
     def test_snf(self, run):

@@ -483,6 +483,16 @@ class TestLeviCivita:
                         assert gram_entry_sum(gram, conn.nabla[i], j, k) == 0
 
 
+class TestConnection:
+    def test_entries_are_exact(self):
+        conn = Connection(2, (((1, 0), (0, F(1, 2))), ((F(0), F(0)), (F(0), F(0)))))
+        assert conn.nabla == (((F(1), F(0)), (F(0), F(1, 2))), ((F(0), F(0)), (F(0), F(0))))
+        assert all(type(x) is F for m in conn.nabla for row in m for x in row)
+        for bad in (0.5, 0.0, True):
+            with pytest.raises(TypeError):
+                Connection(2, (((F(1), F(0)), (F(0), bad)),) * 2)
+
+
 class TestWeyl:
     def test_zero_covector_reproduces_levi_civita(self):
         for make in CORPUS:

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -36,8 +37,10 @@ from lcplie.linalg import (
     Subspace,
     identity_matrix,
     kernel,
+    mat_mul,
     mat_vec,
     matrix,
+    rank,
     transpose,
     vector,
 )
@@ -52,7 +55,7 @@ from conftest import (
     make_sol3_structure,
     sol3_theta,
 )
-from test_connections import pipeline_cases, random_triple_structure
+from test_connections import pipeline_cases, random_llt_metric, random_triple_structure
 from test_liealg import DenseBrackets
 
 F = Fraction
@@ -652,3 +655,119 @@ class TestConformalExponential:
     def test_rejects_vectors_outside_the_complement(self, sol3_structure):
         with pytest.raises(ValueError):
             verify_conformal_exponential(sol3_structure, vector([1, 0, 0]), 1.0, 1e-9)
+
+
+def constraint_matrix_invariant_subspace(start, operators):
+    """The flat-factor fixed point that `_invariant_part` replaced: W -> {w in W :
+    op w in W for all op}, with membership in W read from its constraint rows."""
+    current = start
+    while not current.is_zero():
+        constraints = current.constraint_matrix()
+        basis_cols = transpose(current.basis)
+        stacked = [
+            row
+            for op in operators
+            for row in mat_mul(constraints, mat_mul(op, basis_cols))
+        ]
+        coeff_kernel = kernel(tuple(stacked), current.dim)
+        if len(coeff_kernel) == current.dim:
+            break
+        vectors = [mat_vec(basis_cols, c) for c in coeff_kernel]
+        current = Subspace.from_vectors(vectors, current.ambient_dim)
+    return current
+
+
+def small_triple_structures(seed, count, max_dim):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        s = random_triple_structure(rng)
+        if s.algebra.dim <= max_dim:
+            out.append(s)
+    return out
+
+
+class TestRestrictionOracles:
+    def test_flat_factor_matches_the_constraint_matrix_fixed_point(self):
+        cases = pipeline_cases()
+        rng = random.Random(1357)
+        for _ in range(6):
+            s = random_triple_structure(rng)
+            cases.append((s.algebra, s.metric, s.lee_form))
+            cases.append((s.algebra, random_llt_metric(rng, s.algebra.dim), s.lee_form))
+        for _ in range(3):
+            theta = Covector((F(rng.randint(1, 3)), F(rng.randint(-3, 3))))
+            cases.append((make_abelian(2), random_llt_metric(rng, 2), theta))
+        classes = []
+        for algebra, metric, theta in cases:
+            analysis = ConformalAnalysis(algebra, metric, theta)
+            try:
+                result = analysis.flat_factor
+            except ValueError:  # zero or non-closed covector, or non-unimodular algebra
+                continue
+            expected = constraint_matrix_invariant_subspace(
+                analysis.curvature.kernel, analysis.connection.nabla
+            )
+            assert result.subspace == expected
+            assert result == maximal_flat_factor(algebra, metric, theta)
+            classes.append(result.classification)
+        assert len(classes) >= 20
+        assert set(classes) == {CLASS_LCP, CLASS_CONFORMALLY_FLAT, CLASS_NONE}
+
+    def test_every_small_flat_span_lies_in_the_flat_factor(
+        self, sol3_structure, rot4_structure, rot5_structure
+    ):
+        structures = [sol3_structure, rot4_structure, rot5_structure]
+        structures += small_triple_structures(4646, 2, max_dim=5)
+        flat_dims = set()
+        for s in structures:
+            n = s.algebra.dim
+            conn = weyl_connection(s.algebra, s.metric, s.lee_form)
+            operators = curvature(s.algebra, conn).operators
+            best = maximal_flat_factor(s.algebra, s.metric, s.lee_form).subspace
+            vectors = [vector(v) for v in product((-1, 0, 1), repeat=n) if any(v)]
+            # a span is annihilated by the curvature iff each spanning vector is,
+            # so the other vectors span no flat subspace
+            annihilated = [v for v in vectors if not any(any(mat_vec(op, v)) for op in operators)]
+            spans = {Subspace.from_vectors([v], n) for v in annihilated}
+            spans.update(Subspace.from_vectors(pair, n) for pair in combinations(annihilated, 2))
+            for span in spans:
+                rows = span.basis
+                parallel = all(
+                    rank(rows + (mat_vec(m, row),)) == span.dim for m in conn.nabla for row in rows
+                )
+                if parallel:
+                    assert rank(best.basis + rows) == best.dim
+                    flat_dims.add(span.dim)
+        assert flat_dims == {1, 2}
+
+
+class TestRestrictionCounts:
+    def test_candidate_run_makes_no_constraint_matrix_call(self, monkeypatch, capsys):
+        calls = []
+        original = Subspace.constraint_matrix
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Subspace, "constraint_matrix", counted)
+        argv = ["lcp", "char-bound", str(CORPUS_DIR / "sol3.json"), "--candidate", '[["0", "1", "0"]]']
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("bound = span{b} (dim 1)\ncandidate: span{a}")
+        assert calls == []
+
+    def test_max_flat_on_rot5_makes_one_kernel_call(self, monkeypatch, capsys):
+        original = linalg.kernel
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lcplie") and getattr(module, "kernel", None) is original:
+                monkeypatch.setattr(module, "kernel", counted)
+        assert main(["lcp", "max-flat", str(CORPUS_DIR / "rot5.json")]) == 0
+        assert "classification: lcp" in capsys.readouterr().out
+        assert len(calls) == 1

@@ -325,6 +325,12 @@ class TestBrackets:
                 sol3.basis_bracket(i, j)
         assert sol3.basis_bracket(2, 1) == (F(0), F(0), F(-1))
 
+    def test_basis_vector_rejects_out_of_range_indices(self, sol3):
+        for i in (-1, 3, 7):
+            with pytest.raises(ValueError, match=f"need 0 <= i < n, got {i} with n=3"):
+                sol3.basis_vector(i)
+        assert sol3.basis_vector(2) == (F(0), F(0), F(1))
+
     def test_ad_matrix_columns(self, sol3):
         assert sol3.ad(vector([0, 1, 0])) == matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
 
@@ -705,3 +711,15 @@ class TestSemidirect:
                 (matrix(alpha_a), matrix([[0] * q] * q)),
             )
             assert is_unimodular(algebra)
+
+
+class TestCovector:
+    def test_entries_are_exact(self):
+        theta = Covector((1, F(1, 2)))
+        assert theta.coefficients == (F(1), F(1, 2))
+        assert all(type(x) is F for x in theta.coefficients)
+        exact = (F(1), F(0))
+        assert Covector(exact).coefficients is exact
+        for entries in ((0.5, 0), (F(0), 0.0), (True, F(0))):
+            with pytest.raises(TypeError):
+                Covector(entries)

@@ -622,3 +622,85 @@ class TestSubspaceCanonicalForm:
             Subspace.from_vectors([(F(1), 0.5)], 2)
         with pytest.raises(TypeError):
             Subspace.from_vectors([(True, F(0))], 2)
+
+
+def constraint_matrix_intersect(a, b):
+    """The intersection `Subspace.intersect` replaced: one kernel of the stacked
+    constraint rows of both subspaces, each row set itself a kernel."""
+    n = a.ambient_dim
+    return Subspace(n, kernel(kernel(a.basis, n) + kernel(b.basis, n), n))
+
+
+def seeded_subspaces(rng, n):
+    """A random subspace of R^n with small rational entries, of any dimension."""
+    rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(0, n + 1))]
+    return Subspace.from_vectors(rows, n)
+
+
+def seeded_subspace_pairs(seed):
+    """Pairs in R^n for n from 0 to 6: random, equal, zero, full and disjoint ones."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(7):
+        zero, full = Subspace.zero(n), Subspace.full(n)
+        for _ in range(6):
+            a, b = seeded_subspaces(rng, n), seeded_subspaces(rng, n)
+            # a complement for a positive definite form meets a only in 0
+            disjoint = a.orthogonal_complement(identity_matrix(n))
+            out += [(a, b), (a, a), (a, zero), (zero, a), (a, full), (full, a), (a, disjoint)]
+    return out
+
+
+class TestResidueRestriction:
+    def test_intersect_matches_the_constraint_matrix_intersection(self):
+        dims = set()
+        for a, b in seeded_subspace_pairs(9090):
+            meet = a.intersect(b)
+            assert meet == constraint_matrix_intersect(a, b)
+            dims.add((meet.dim, a.dim, b.dim))
+        assert len(dims) > 40
+
+    def test_residue_is_linear_and_vanishes_exactly_on_the_span(self):
+        rng = random.Random(3131)
+        inside = set()
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            s = seeded_subspaces(rng, n)
+            u, v = ([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(2))
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            combined = [x + c * y for x, y in zip(u, v)]
+            assert s.residue(combined) == tuple(x + c * y for x, y in zip(s.residue(u), s.residue(v)))
+            member = rank(s.basis + (tuple(u),)) == s.dim
+            assert (not any(s.residue(u))) == member
+            assert rank(s.basis + (tuple(x - y for x, y in zip(u, s.residue(u))),)) == s.dim
+            assert all(not any(s.residue(row)) for row in s.basis)
+            inside.add(member)
+        assert inside == {True, False}
+
+    def test_restrict_keeps_the_combinations_whose_values_cancel(self):
+        rng = random.Random(4242)
+        drops = set()
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            s = seeded_subspaces(rng, n)
+            m = rng.randint(0, 4)
+            values = [[F(rng.choice((-1, 0, 0, 1, 2))) for _ in range(m)] for _ in s.basis]
+            r = s.restrict(values)
+            assert s.contains_subspace(r)
+            assert r.dim == s.dim - rank(values)
+            for row in r.basis:
+                coords = s.coordinates_of(row)
+                assert all(sum(c * value[k] for c, value in zip(coords, values)) == 0 for k in range(m))
+            drops.add(s.dim - r.dim)
+        assert {0, 1, 2} <= drops
+
+    def test_restrict_by_zero_values_returns_the_same_subspace(self):
+        s = Subspace.from_vectors(matrix([[1, 2, 0], [0, 0, 1]]), 3)
+        assert s.restrict([(F(0), F(0)), (F(0), F(0))]) is s
+        assert s.restrict([(), ()]) is s
+
+    def test_restrict_needs_one_value_per_basis_row(self):
+        s = Subspace.from_vectors(matrix([[1, 2, 0], [0, 0, 1]]), 3)
+        with pytest.raises(ValueError, match="one value per basis row"):
+            s.restrict([(F(1),)])
