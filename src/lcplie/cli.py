@@ -32,8 +32,8 @@ from .lcp import (
 from .liealg import (
     Covector,
     LieAlgebra,
+    _jacobi_defects,
     center,
-    check_jacobi,
     derived_algebra,
     is_abelian,
     is_nilpotent,
@@ -138,10 +138,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         except ValueError:
             # Only a Jacobi failure gets here from a parsed document; name its triples.
             algebra = None
-            brackets = {(e.i, e.j): dict(e.coeffs) for e in doc.brackets}
             names = ", ".join(
                 "(" + ", ".join(doc.basis[t] for t in triple) + ")"
-                for triple in check_jacobi(doc.dim, brackets)
+                for triple, _ in _jacobi_defects(doc.dim, doc.brackets)
             )
             print(f"jacobi: FAIL at basis triples {names}")
             problems += 1
@@ -296,7 +295,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
                     for r, row in enumerate(raw)
                 ]
                 candidate = Subspace.from_vectors(rows, algebra.dim)
-            except (ValueError, TypeError, DocumentError) as exc:
+            except (ValueError, TypeError, DocumentError, RecursionError) as exc:
                 raise CommandError(f"invalid candidate basis: {exc}") from exc
             try:
                 report = check_candidate(structure, candidate)

@@ -36,6 +36,7 @@ from .linalg import (
     ZERO,
     Matrix,
     Subspace,
+    _descending_chain,
     identity_matrix,
     kernel,
     mat_sub,
@@ -149,9 +150,8 @@ class ConformalAnalysis:
             raise ValueError("covector must be closed")
         if not is_unimodular(algebra):
             raise ValueError("the flat-factor construction requires a unimodular algebra")
-        w = self.curvature.kernel
-        while (smaller := _invariant_part(w, self.connection.nabla)).dim < w.dim:
-            w = smaller
+        nabla = self.connection.nabla
+        w = _descending_chain(self.curvature.kernel, lambda s: _invariant_part(s, nabla))[-1]
         if w.is_full():
             classification = CLASS_CONFORMALLY_FLAT
         elif w.is_zero():

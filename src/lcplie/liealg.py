@@ -16,6 +16,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _descending_chain,
     _exact,
     as_fraction,
     dot,
@@ -293,31 +294,21 @@ def derived_algebra(algebra: LieAlgebra) -> Subspace:
     return algebra._derived_algebra
 
 
+def _derived_chain(algebra: LieAlgebra, s: Subspace) -> tuple[Subspace, ...]:
+    """s, [s, s], ... until stable; each term contains the next when s is a
+    subalgebra."""
+    return _descending_chain(s, lambda t: bracket_span(algebra, t, t))
+
+
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """Chain starting at the derived algebra, repeated self-bracket, until stable."""
-    current = derived_algebra(algebra)
-    chain = [current]
-    while True:
-        nxt = bracket_span(algebra, current, current)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-    return tuple(chain)
+    return _derived_chain(algebra, derived_algebra(algebra))
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
     """Chain starting at the derived algebra, repeated bracket with the whole algebra."""
     full = algebra.full_space()
-    current = derived_algebra(algebra)
-    chain = [current]
-    while True:
-        nxt = bracket_span(algebra, full, current)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-    return tuple(chain)
+    return _descending_chain(derived_algebra(algebra), lambda s: bracket_span(algebra, full, s))
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -391,24 +382,12 @@ def is_abelian_subspace(algebra: LieAlgebra, s: Subspace) -> bool:
     )
 
 
-def _is_solvable_subalgebra(algebra: LieAlgebra, s: Subspace) -> bool:
-    current = s
-    while True:
-        nxt = bracket_span(algebra, current, current)
-        if not current.contains_subspace(nxt):
-            return False  # not closed under the bracket
-        if nxt == current:
-            return current.is_zero()
-        if nxt.is_zero():
-            return True
-        current = nxt
-
-
 def radical(algebra: LieAlgebra) -> Subspace:
     """Maximal solvable ideal, via the Killing-orthogonal of the derived algebra.
 
-    The result is re-checked to be a solvable ideal; failure of that check
-    signals an internal inconsistency.
+    The result is re-checked to be a solvable ideal: an ideal whose derived
+    chain ends at zero. An ideal is a subalgebra, so that chain descends.
+    Failure of the check signals an internal inconsistency.
     """
     commutator = derived_algebra(algebra)
     if commutator.is_zero():
@@ -416,7 +395,7 @@ def radical(algebra: LieAlgebra) -> Subspace:
     killing = killing_form(algebra)
     constraints = mat_mul(commutator.basis, killing)
     rad = Subspace(algebra.dim, kernel(constraints, algebra.dim))
-    if not is_ideal(algebra, rad) or not _is_solvable_subalgebra(algebra, rad):
+    if not is_ideal(algebra, rad) or not _derived_chain(algebra, rad)[-1].is_zero():
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
     return rad
 

@@ -5,10 +5,12 @@ routine here is pure and exact. Floating point never enters this module.
 """
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -17,18 +19,33 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# ASCII digits only, matched in full: "\d" admits other scripts and "$" a final newline.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+    """Coerce an int, Fraction or decimal-free 'p/q' or 'p' string to an exact
+    Fraction.
 
-    Floats are rejected: exactness is a module invariant.
+    Floats are rejected: exactness is a module invariant. Strings outside the
+    grammar, a zero denominator and a part past Python's int-string digit
+    limit raise ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not _RATIONAL_RE.fullmatch(value):
+            raise ValueError(f"not a decimal-free rational string: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:  # beyond Python's limit on digits in an int conversion
+            raise ValueError(
+                f"rational has more than {sys.get_int_max_str_digits()} digits in a part"
+            ) from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -461,3 +478,15 @@ class Subspace:
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient dimensions")
+
+
+def _descending_chain(start: Subspace, step: Callable[[Subspace], Subspace]) -> tuple[Subspace, ...]:
+    """(start, step(start), ...) up to the first term that step leaves unchanged.
+
+    step must map each term into a subspace of it, so the dimensions fall
+    until the chain stops.
+    """
+    chain = [start]
+    while (nxt := step(chain[-1])) != chain[-1]:
+        chain.append(nxt)
+    return tuple(chain)

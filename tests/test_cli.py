@@ -294,6 +294,11 @@ class TestLcpCharBound:
         assert err.startswith("error: invalid candidate basis: candidate[0][1]: ")
         assert repr(entry) in err
 
+    def test_deeply_nested_candidate(self, run):
+        code, out, err = run("lcp", "char-bound", corpus("sol3.json"), "--candidate", "[" * 1000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid candidate basis: ") and err.count("\n") == 1
+
 
 class TestLattice:
     def test_snf(self, run):
@@ -465,6 +470,10 @@ class TestInputContract:
         text = '{"matrix": [[' + "7" * 5000 + "]]}"
         err = self._reject(run, tmp_path, text, "lattice", "snf")
         assert "invalid JSON" in err
+
+    def test_deeply_nested_document(self, run, tmp_path):
+        err = self._reject(run, tmp_path, "[" * 1000 + "\n", "validate")
+        assert err == "error: invalid JSON: nested too deeply\n"
 
 
 class TestStdlibOnly:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcplie import liealg
 from lcplie.documents import (
     AlgebraDocument,
     DocumentError,
@@ -131,6 +132,16 @@ class TestParsing:
     def test_empty_document_rejected(self):
         with pytest.raises(DocumentError):
             parse_algebra_document("{}")
+
+    def test_brackets_are_the_algebra_table(self, monkeypatch):
+        doc = parse_sol3(brackets=[{"i": 2, "j": 1, "c": {"2": "-1"}}, {"i": 0, "j": 1, "c": {"0": "2/2"}}])
+        assert doc.brackets == make_sol3().table
+
+        def forbidden(*args):
+            raise AssertionError("parsed brackets normalized again")
+
+        monkeypatch.setattr(liealg, "_normalize_brackets", forbidden)
+        assert document_algebra(doc).table is doc.brackets
 
     def test_jacobi_is_not_checked_at_parse_time(self):
         # schema layer stays syntactic; the algebra constructor owns the check

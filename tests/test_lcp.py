@@ -51,6 +51,7 @@ from conftest import (
     ZERO2,
     make_abelian,
     make_aff,
+    make_rot5_structure,
     make_sol3,
     make_sol3_structure,
     sol3_theta,
@@ -771,3 +772,18 @@ class TestRestrictionCounts:
         assert main(["lcp", "max-flat", str(CORPUS_DIR / "rot5.json")]) == 0
         assert "classification: lcp" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_flat_factor_runs_one_descending_chain(self, monkeypatch):
+        calls = []
+        chain = lcp._descending_chain
+
+        def counted(start, step):
+            calls.append(start)
+            return chain(start, step)
+
+        monkeypatch.setattr(lcp, "_descending_chain", counted)
+        for structure in (make_sol3_structure(), make_rot5_structure()):
+            calls.clear()
+            analysis = ConformalAnalysis(structure.algebra, structure.metric, structure.lee_form)
+            assert analysis.flat_factor.subspace == structure.flat_factor
+            assert calls == [analysis.curvature.kernel]

@@ -602,6 +602,27 @@ class TestTableDrivenStructure:
         with pytest.raises(RuntimeError, match="radical self-check failed"):
             radical(sol3)
 
+    def test_radical_self_check_rejects_a_non_solvable_ideal(self, monkeypatch, sl2):
+        # all of sl2 is an ideal, but [sl2, sl2] = sl2, so its derived chain never reaches 0
+        monkeypatch.setattr(liealg, "kernel", lambda m, ncols=None: Subspace.full(3).basis)
+        with pytest.raises(RuntimeError, match="radical self-check failed"):
+            radical(sl2)
+
+    @pytest.mark.parametrize("compute", [derived_series, lower_central_series, radical])
+    def test_each_fixed_point_runs_one_descending_chain(self, monkeypatch, compute):
+        calls = []
+        chain = liealg._descending_chain
+
+        def counted(start, step):
+            calls.append(start)
+            return chain(start, step)
+
+        monkeypatch.setattr(liealg, "_descending_chain", counted)
+        for algebra in (make_sol3(), make_heis3(), make_sl2(), heis_plus_diag()):
+            calls.clear()
+            compute(algebra)
+            assert len(calls) == 1, algebra.labels
+
 
 class TestForms:
     def test_killing_form_sl2(self, sl2):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,7 @@ from lcplie.lattice import det_integer
 from lcplie.linalg import (
     Subspace,
     _bareiss as bareiss,
+    _descending_chain,
     as_fraction,
     det,
     dot,
@@ -67,6 +69,37 @@ def test_as_fraction_accepts_ints_strings_fractions():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+# Python's Fraction reads each of these; the decimal-free grammar does not.
+OUTSIDE_THE_GRAMMAR = ["0.5", "1e3", " 1 ", "1_0", "+1", "1e1000000"]
+# Each reads a string entry through as_fraction.
+STRING_READERS = pytest.mark.parametrize("read", [
+    as_fraction,
+    lambda text: vector(["1", text]),
+    lambda text: Subspace.from_vectors([("1", text)], 2),
+], ids=["as_fraction", "vector", "from_vectors"])
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR)
+@STRING_READERS
+def test_strings_outside_the_grammar_are_rejected(read, text):
+    with pytest.raises(ValueError, match=f"not a decimal-free rational string: {re.escape(repr(text))}"):
+        read(text)
+
+
+@STRING_READERS
+def test_zero_denominator_is_a_value_error(read):
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        read("1/0")
+
+
+def test_as_fraction_reads_the_grammar_and_names_the_digit_limit():
+    assert as_fraction("-2/4") == F(-1, 2)
+    assert as_fraction("-0") == F(0)
+    assert as_fraction("007/10") == F(7, 10)
+    with pytest.raises(ValueError, match="digits in a part"):
+        as_fraction("7" * 5000)
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -704,3 +737,28 @@ class TestResidueRestriction:
         s = Subspace.from_vectors(matrix([[1, 2, 0], [0, 0, 1]]), 3)
         with pytest.raises(ValueError, match="one value per basis row"):
             s.restrict([(F(1),)])
+
+
+class TestDescendingChain:
+    def test_a_fixed_start_is_the_whole_chain(self):
+        start = Subspace.from_vectors(matrix([[1, 2, 0]]), 3)
+        calls = []
+
+        def step(s):
+            calls.append(s)
+            return Subspace.from_vectors(s.basis, 3)
+
+        assert _descending_chain(start, step) == (start,)
+        assert calls == [start]
+
+    def test_stops_at_the_first_fixed_term(self):
+        calls = []
+
+        def drop_last_row(s):
+            calls.append(s.dim)
+            return Subspace(3, s.basis[:-1]) if s.dim > 1 else s
+
+        chain = _descending_chain(Subspace.full(3), drop_last_row)
+        assert [s.dim for s in chain] == [3, 2, 1]
+        assert chain[-1] == Subspace.from_vectors(matrix([[1, 0, 0]]), 3)
+        assert calls == [3, 2, 1]
