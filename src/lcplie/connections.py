@@ -32,7 +32,7 @@ from .linalg import (
     matrix,
     pair_index,
     pairs,
-    vec_add,
+    transpose,
     vec_scale,
     zero_vector,
 )
@@ -196,11 +196,9 @@ def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
 def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
     """Conformal modification of the metric connection by a closed covector.
 
-    Built from the closed-form correction of the Levi-Civita connection and
-    cross-checked, entry by entry, against the independent inner-product
-    route (the Koszul right-hand side plus the covector terms, from lowered
-    structure constants built here, one product G.D_i per i); a mismatch
-    raises, signaling an internal inconsistency.
+    Built from the closed-form correction of the Levi-Civita connection, then
+    checked at every (i, j, k) against the two identities that determine it;
+    a failure raises, signaling an internal inconsistency.
     """
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
@@ -229,46 +227,46 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
         nabla.append(tuple(tuple(row) for row in d))
     conn = Connection(n, tuple(nabla))
 
-    for i, rhs in enumerate(_koszul_matrices(algebra, gram)):
-        # entry [k][j] of both is g(D_i e_j, e_k); the right one expands to
-        # rhs[k][j] + theta_i g_kj + g_ik theta_j - theta_k g_ij
-        expected = [list(row) for row in rhs]
+    # By Koszul, D is the only torsion-free connection with g(D_i e_j, e_k) +
+    # g(e_j, D_i e_k) = 2 theta_i g_jk. Torsion fails at (i, j, k), j < i, if T(e_i, e_j)_k != 0.
+    torsions = zip(pairs(n), torsion(algebra, conn))
+    failures = [((j, i, k), "torsion") for (i, j), t in torsions for k, x in enumerate(t) if x]
+    for i, d in enumerate(nabla):
+        # entry [k][j] of G.D_i is g(D_i e_j, e_k); sum it with its transpose
+        sym: dict[tuple[int, int], Fraction] = {}
+        for k, row in enumerate(mat_mul(gram, d)):
+            for j, x in enumerate(row):
+                if x:
+                    sym[j, k] = sym.get((j, k), ZERO) + x
+                    sym[k, j] = sym.get((k, j), ZERO) + x
         if th[i]:
-            for row, terms in zip(expected, gram_terms):
-                for j, g in terms:
-                    row[j] += th[i] * g
-        for k, g in gram_terms[i]:
-            row = expected[k]
-            for j, t in theta_terms:
-                row[j] += g * t
-        for k, t in theta_terms:
-            row = expected[k]
-            for j, g in gram_terms[i]:
-                row[j] -= t * g
-        got = mat_mul(gram, nabla[i])
-        mismatch = next(
-            ((j, k) for j in range(n) for k in range(n) if got[k][j] != expected[k][j]),
-            None,
+            two_theta = 2 * th[i]
+            for j, terms in enumerate(gram_terms):
+                for k, g in terms:
+                    sym[j, k] = sym.get((j, k), ZERO) - two_theta * g
+        failures += [((i, j, k), "conformal") for (j, k), x in sym.items() if x]
+    if failures:
+        (i, j, k), name = min(failures)
+        raise RuntimeError(
+            f"conformal connection cross-check failed at ({i}, {j}, {k}): the {name} identity fails"
         )
-        if mismatch is not None:
-            j, k = mismatch
-            raise RuntimeError(
-                "conformal connection cross-check failed at "
-                f"({i}, {j}, {k}): the two routes disagree"
-            )
     return conn
 
 
 def torsion(algebra: LieAlgebra, connection: Connection) -> tuple[Vector, ...]:
-    """Torsion vectors T(e_i, e_j) for i < j, pair-indexed."""
+    """Torsion vectors T(e_i, e_j) = D_i e_j - D_j e_i - [e_i, e_j] for i < j,
+    pair-indexed; D_i e_j is column j of nabla_i, and pairs of zeros are not subtracted."""
     n = algebra.dim
+    if connection.dim != n:
+        raise ValueError("connection dimension does not match the algebra")
+    columns = [transpose(m) for m in connection.nabla]
+    brackets = {(i, j): terms for i, j, terms in algebra.table}
     out = []
     for i, j in pairs(n):
-        t = vec_add(
-            mat_vec(connection.nabla[i], algebra.basis_vector(j)),
-            vec_scale(Fraction(-1), mat_vec(connection.nabla[j], algebra.basis_vector(i))),
-        )
-        out.append(vec_add(t, vec_scale(Fraction(-1), algebra.basis_bracket(i, j))))
+        t = [x - y if x or y else x for x, y in zip(columns[i][j], columns[j][i])]
+        for k, c in brackets.get((i, j), ()):
+            t[k] -= c
+        out.append(tuple(t))
     return tuple(out)
 
 
@@ -284,6 +282,8 @@ def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
     nonzero entries are accumulated.
     """
     n = algebra.dim
+    if connection.dim != n:
+        raise ValueError("connection dimension does not match the algebra")
     sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m] for m in connection.nabla]
     brackets = {(i, j): terms for i, j, terms in algebra.table}
     ops = []

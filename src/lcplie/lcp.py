@@ -37,6 +37,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _descending_chain,
+    _exact,
     identity_matrix,
     kernel,
     mat_sub,
@@ -102,6 +103,8 @@ def _invariant_part(s: Subspace, operators: Sequence[Matrix]) -> Subspace:
 
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
     """Whether every covariant basis derivative maps s into itself."""
+    if {connection.dim, s.ambient_dim} != {algebra.dim}:
+        raise ValueError("algebra, connection and subspace dimensions must agree")
     return _invariant_part(s, connection.nabla).dim == s.dim
 
 
@@ -112,6 +115,8 @@ def is_flat_subspace(
     s: Subspace,
 ) -> bool:
     """Parallel and annihilated by every curvature operator."""
+    if curv.dim != algebra.dim:
+        raise ValueError("algebra and curvature dimensions must agree")
     return is_parallel(algebra, connection, s) and curv.kernel.contains_subspace(s)
 
 
@@ -302,6 +307,8 @@ class LCPTriple:
             raise ValueError("the abelian factor must have positive dimension")
         if len(self.beta) != h.dim:
             raise ValueError("need one action matrix per basis vector")
+        # Fraction entries; floats and bools raise TypeError, as in Connection
+        object.__setattr__(self, "beta", tuple(tuple(map(_exact, b)) for b in self.beta))
         for idx, b in enumerate(self.beta):
             if len(b) != q or any(len(row) != q for row in b):
                 raise ValueError(f"action matrix {idx} is not {q}x{q}")

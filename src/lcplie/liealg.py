@@ -36,11 +36,18 @@ BracketMap = Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
 
 
+def _is_index(x: object) -> bool:
+    """Whether x is a basis index type: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
     if dim < 1:
         raise ValueError("dimension must be positive")
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in brackets.items():
+        if not (_is_index(i) and _is_index(j)):
+            raise TypeError(f"bracket indices must be ints, got ({i!r}, {j!r})")
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
         if i == j:
@@ -52,9 +59,11 @@ def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
             raise ValueError(f"bracket pair ({i}, {j}) given more than once")
         row = rows[(i, j)] = {}
         for k, value in coeffs.items():
-            if not 0 <= int(k) < dim:
+            if not _is_index(k):
+                raise TypeError(f"bracket coefficient index must be an int, got {k!r}")
+            if not 0 <= k < dim:
                 raise ValueError(f"bracket coefficient index {k} out of range")
-            row[int(k)] = sign * as_fraction(value)
+            row[k] = sign * as_fraction(value)
     return tuple(
         (i, j, tuple(sorted((k, c) for k, c in row.items() if c)))
         for (i, j), row in sorted(rows.items()) if any(row.values())
@@ -68,13 +77,15 @@ def _is_canonical(dim: int, table: object) -> bool:
     last = (0, 0)  # every key must exceed the last, so i >= 0
     for entry in table:
         match entry:
-            case tuple((int(i), int(j), tuple(terms))) if last < (i, j) and i < j < dim and terms:
+            case tuple((i, j, tuple(terms))) if (
+                _is_index(i) and _is_index(j) and last < (i, j) and i < j < dim and terms
+            ):
                 last, prev = (i, j), -1
             case _:
                 return False
         for term in terms:
             match term:
-                case tuple((int(k), Fraction() as c)) if prev < k < dim and c:
+                case tuple((k, Fraction() as c)) if _is_index(k) and prev < k < dim and c:
                     prev = k
                 case _:
                     return False

@@ -288,6 +288,30 @@ def dense_curvature(algebra, conn):
     return tuple(ops)
 
 
+def dense_torsion(algebra, conn):
+    """D_i e_j - D_j e_i - [e_i, e_j] for i < j, from full matrix-vector products."""
+    out = []
+    for i, j in pairs(algebra.dim):
+        a = mat_vec(conn.nabla[i], algebra.basis_vector(j))
+        b = mat_vec(conn.nabla[j], algebra.basis_vector(i))
+        out.append(tuple(x - y - z for x, y, z in zip(a, b, algebra.basis_bracket(i, j))))
+    return tuple(out)
+
+
+def random_connection(rng, n):
+    """A seeded connection with about half of its entries small nonzero rationals."""
+    return Connection(
+        n,
+        tuple(
+            tuple(
+                tuple(small_rational(rng) if rng.random() < 0.5 else F(0) for _ in range(n))
+                for _ in range(n)
+            )
+            for _ in range(n)
+        ),
+    )
+
+
 def corpus_cases():
     """(algebra, metric, covector) from every algebra and triple file of the corpus."""
     rng = random.Random(41)
@@ -614,6 +638,56 @@ class TestWeyl:
         weyl_connection(structure.algebra, structure.metric, structure.lee_form)
         assert calls == []
 
+    def test_a_wrong_koszul_step_raises(self, monkeypatch, sol3):
+        original = connections._koszul_matrices
+
+        def perturbed(algebra, gram):
+            k_mats = [[list(row) for row in m] for m in original(algebra, gram)]
+            k_mats[2][0][1] += 1  # g(D_{e_3} e_2, e_1)
+            return [matrix(m) for m in k_mats]
+
+        monkeypatch.setattr(connections, "_koszul_matrices", perturbed)
+        with pytest.raises(RuntimeError, match=r"cross-check failed at \(2, 0, 1\)"):
+            weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+
+    def test_builds_the_koszul_matrices_once(self, monkeypatch, sol3):
+        calls = []
+        original = connections._koszul_matrices
+
+        def counting(algebra, gram):
+            calls.append(None)
+            return original(algebra, gram)
+
+        structure = random_triple_structure(random.Random(8))
+        monkeypatch.setattr(connections, "_koszul_matrices", counting)
+        weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+        assert len(calls) == 1
+        weyl_connection(structure.algebra, structure.metric, structure.lee_form)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "entries, witness",
+        [
+            # D_{e_2} e_1 += e_3 and D_{e_2} e_3 -= e_1: skew, so still conformal
+            (((1, 2, 0, 1), (1, 0, 2, -1)), r"\(1, 0, 2\): the torsion identity fails"),
+            # D_{e_1} e_1 += e_2: T(e_1, e_1) = 0 whatever D_{e_1} e_1 is
+            (((0, 1, 0, 1),), r"\(0, 0, 1\): the conformal identity fails"),
+        ],
+        ids=["torsion", "conformal"],
+    )
+    def test_each_identity_is_needed(self, monkeypatch, sol3, entries, witness):
+        original = connections.levi_civita
+
+        def perturbed(algebra, metric):
+            nabla = [[list(row) for row in m] for m in original(algebra, metric).nabla]
+            for i, r, c, delta in entries:
+                nabla[i][r][c] += delta
+            return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
+
+        monkeypatch.setattr(connections, "levi_civita", perturbed)
+        with pytest.raises(RuntimeError, match="cross-check failed at " + witness):
+            weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+
     def test_rejects_non_closed_covector(self, sol3):
         with pytest.raises(ValueError, match="closed"):
             weyl_connection(sol3, InnerProduct.identity(3), Covector((F(1), F(0), F(0))))
@@ -627,6 +701,22 @@ class TestTorsion:
         t = torsion(plane, conn)
         assert t[pair_index(0, 1, 2)] == (F(1), F(0))
         assert not is_torsion_free(plane, conn)
+
+    def test_matches_the_dense_formula(self):
+        rng = random.Random(77)
+        cases = [(make(), None) for make in CORPUS] + random_metric_algebras(78, 6)
+        for algebra, _ in cases:
+            for _ in range(3):
+                conn = random_connection(rng, algebra.dim)
+                assert torsion(algebra, conn) == dense_torsion(algebra, conn)
+        for algebra, metric, theta in pipeline_cases():
+            conn = weyl_connection(algebra, metric, theta)
+            assert torsion(algebra, conn) == dense_torsion(algebra, conn)
+
+    def test_rejects_a_connection_of_another_dimension(self, sol3):
+        conn = levi_civita(make_abelian(2), InnerProduct.identity(2))
+        with pytest.raises(ValueError, match="connection dimension does not match the algebra"):
+            torsion(sol3, conn)
 
 
 class TestCurvature:
@@ -688,6 +778,16 @@ class TestCurvature:
             r.operator(0, 7)
         with pytest.raises(ValueError):
             r.operator(7, 7)
+
+    def test_rejects_a_connection_of_another_dimension(self, sol3):
+        plane = make_abelian(2)
+        mismatched = (
+            (plane, levi_civita(sol3, InnerProduct.identity(3))),
+            (sol3, levi_civita(plane, InnerProduct.identity(2))),
+        )
+        for algebra, conn in mismatched:
+            with pytest.raises(ValueError, match="connection dimension does not match the algebra"):
+                curvature(algebra, conn)
 
     def test_evaluate_rejects_a_short_vector(self, sol3):
         r = curvature(sol3, levi_civita(sol3, InnerProduct.identity(3)))

@@ -130,6 +130,33 @@ class TestParallelAndFlat:
         plane = Subspace.from_vectors(matrix([[1, 0, 0], [0, 0, 1]]), 3)
         assert not is_flat_subspace(sol3, conn, r, plane)
 
+    def test_is_parallel_rejects_mismatched_dimensions(self, sol3):
+        conn = sol3_weyl(sol3)
+        mismatched = (
+            (sol3, conn, Subspace.from_vectors([vector([1, 0])], 2)),
+            (sol3, conn, Subspace.from_vectors([vector([0, 1])], 2)),
+            (make_abelian(2), conn, Subspace.zero(3)),
+        )
+        for algebra, connection, s in mismatched:
+            with pytest.raises(ValueError, match="dimensions must agree"):
+                is_parallel(algebra, connection, s)
+
+    def test_is_flat_subspace_rejects_mismatched_dimensions(self, sol3):
+        conn = sol3_weyl(sol3)
+        r = curvature(sol3, conn)
+        plane = make_abelian(2)
+        plane_conn = connections.levi_civita(plane, InnerProduct.identity(2))
+        u = Subspace.from_vectors([vector([1, 0, 0])], 3)
+        mismatched = (
+            (sol3, conn, curvature(plane, plane_conn), u),
+            (sol3, conn, r, Subspace.full(2)),
+            (sol3, plane_conn, r, u),
+            (plane, conn, r, u),
+        )
+        for args in mismatched:
+            with pytest.raises(ValueError, match="dimensions must agree"):
+                is_flat_subspace(*args)
+
     def test_is_parallel_matches_the_dense_verdict(self):
         rng = random.Random(515)
         verdicts = set()
@@ -370,6 +397,22 @@ class TestTriples:
             LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2,))
         with pytest.raises(ValueError):
             LCPTriple(aff, InnerProduct.identity(2), 1, (ZERO2, ZERO2))
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            (((0.0, -1.0), (1.0, 0.0)), ZERO2),
+            (ROTATION, ((False, False), (False, False))),
+        ],
+    )
+    def test_rejects_float_and_bool_action_entries(self, aff, beta):
+        with pytest.raises(TypeError):
+            LCPTriple(aff, InnerProduct.identity(2), 2, beta)
+
+    def test_action_entries_become_fractions(self, aff):
+        triple = LCPTriple(aff, InnerProduct.identity(2), 2, (((0, -1), (1, 0)), ((0, 0), (0, 0))))
+        assert triple.beta == (ROTATION, ZERO2)
+        assert all(type(x) is F for b in triple.beta for row in b for x in row)
 
     def test_rejects_non_homomorphism(self):
         # beta must respect the bracket; two independent rotations on R^4 do not

@@ -294,6 +294,15 @@ class TestCanonicalTable:
         with pytest.raises(ValueError, match="canonical"):
             LieAlgebra(3, ("x", "y", "z"), canonical_violations()[name])
 
+    @pytest.mark.parametrize(
+        "table",
+        [((False, True, ((1, F(1)),)),), ((0, 1, ((True, F(1)),)),)],
+        ids=["bool pair", "bool coefficient index"],
+    )
+    def test_bool_indices_are_rejected(self, table):
+        with pytest.raises(ValueError, match="canonical"):
+            LieAlgebra(2, ("x", "y"), table)
+
 
 class TestBrackets:
     def test_bracket_normalization_is_antisymmetric(self):
@@ -305,6 +314,26 @@ class TestBrackets:
             LieAlgebra.from_brackets(2, {(1, 1): {0: F(1)}})
         with pytest.raises(ValueError):
             LieAlgebra.from_brackets(2, {(0, 1): {1: F(1)}, (1, 0): {1: F(1)}})
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [
+            {(0, 1): {1.7: 1}},
+            {(0, 1): {" 1": 1}},
+            {(0, 1): {"1_0": 1}},
+            {(0, 1): {True: 1}},
+            {(False, True): {1: 1}},
+            {(0, 1.0): {1: 1}},
+            {("0", 1): {1: 1}},
+        ],
+        ids=["float k", "padded string k", "underscore string k", "bool k", "bool pair",
+             "float j", "string i"],
+    )
+    def test_indices_must_be_ints(self, brackets):
+        with pytest.raises(TypeError, match="must be"):
+            LieAlgebra.from_brackets(2, brackets)
+        with pytest.raises(TypeError, match="must be"):
+            check_jacobi(2, brackets)
 
     def test_bracket_is_bilinear(self, sol3):
         a_plus = sol3.bracket(vector([0, 1, 0]), vector([1, 0, 1]))
