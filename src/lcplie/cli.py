@@ -290,12 +290,9 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         if args.candidate is not None:
             try:
                 raw = json.loads(args.candidate)
-                rows = [
-                    [documents._rational(x, f"candidate[{r}][{c}]") for c, x in enumerate(row)]
-                    for r, row in enumerate(raw)
-                ]
+                rows = documents._rational_matrix(raw, None, algebra.dim, "candidate")
                 candidate = Subspace.from_vectors(rows, algebra.dim)
-            except (ValueError, TypeError, DocumentError, RecursionError) as exc:
+            except (ValueError, DocumentError, RecursionError) as exc:
                 raise CommandError(f"invalid candidate basis: {exc}") from exc
             try:
                 report = check_candidate(structure, candidate)

@@ -12,7 +12,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .liealg import Covector, LieAlgebra
+from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
     ZERO,
     Matrix,
@@ -275,33 +275,10 @@ def is_torsion_free(algebra: LieAlgebra, connection: Connection) -> bool:
 
 
 def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
-    """R(e_i, e_j) = [nabla_i, nabla_j] - sum_k C^k_ij nabla_k for i < j.
-
-    Each nabla_i is read once into rows of nonzero (column, value) pairs, the
-    structure constants C^k_ij are read off the table, and only products of
-    nonzero entries are accumulated.
-    """
+    """R(e_i, e_j) = [nabla_i, nabla_j] - sum_k C^k_ij nabla_k for i < j: the
+    defect of e_i -> nabla_i as a homomorphism, from the sparse routine that
+    checks homomorphisms."""
     n = algebra.dim
     if connection.dim != n:
         raise ValueError("connection dimension does not match the algebra")
-    sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m] for m in connection.nabla]
-    brackets = {(i, j): terms for i, j, terms in algebra.table}
-    ops = []
-    for i, j in pairs(n):
-        a, b = sparse[i], sparse[j]
-        terms = brackets.get((i, j), ())
-        op = []
-        for r in range(n):
-            acc = [ZERO] * n
-            for m, x in a[r]:
-                for c, y in b[m]:
-                    acc[c] += x * y
-            for m, x in b[r]:
-                for c, y in a[m]:
-                    acc[c] -= x * y
-            for k, coeff in terms:
-                for c, y in sparse[k][r]:
-                    acc[c] -= coeff * y
-            op.append(tuple(acc))
-        ops.append(tuple(op))
-    return CurvatureTensor(n, tuple(ops))
+    return CurvatureTensor(n, tuple(_bracket_defects(algebra, connection.nabla)))

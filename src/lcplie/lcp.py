@@ -40,10 +40,8 @@ from .linalg import (
     _exact,
     identity_matrix,
     kernel,
-    mat_sub,
     pairs,
     transpose,
-    vec_scale,
 )
 
 CLASS_LCP = "lcp"
@@ -404,7 +402,10 @@ def triple_from_lcp(structure: LCPStructure) -> LCPTriple:
                 "the structure does not split"
             ) from exc
         weight = structure.lee_form.value(x)
-        beta.append(mat_sub(action, tuple(vec_scale(weight, row) for row in identity_matrix(q))))
+        beta.append(tuple(
+            tuple(a - weight if r == c else a for c, a in enumerate(row))
+            for r, row in enumerate(action)
+        ))
     return LCPTriple(h_algebra, h_metric, q, tuple(beta))
 
 

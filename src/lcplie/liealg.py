@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     ONE,
@@ -23,9 +23,7 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
-    mat_combination,
     mat_mul,
-    mat_sub,
     pairs,
     transpose,
     vector,
@@ -415,15 +413,44 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     return radical(algebra).is_zero()
 
 
+def _bracket_defects(algebra: LieAlgebra, mats: Sequence[Matrix]) -> Iterator[Matrix]:
+    """Yield [M_i, M_j] - sum_k C^k_ij M_k for i < j, in `pairs` order.
+
+    All vanish exactly when e_i -> M_i is a Lie algebra homomorphism; for the
+    matrices of a connection they are the curvature operators R(e_i, e_j).
+    Each M_i is read once into rows of nonzero (column, value) pairs, the
+    structure constants C^k_ij are read off the table, and only products of
+    nonzero entries are accumulated.
+    """
+    size = len(mats[0])
+    sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m] for m in mats]
+    brackets = {(i, j): terms for i, j, terms in algebra.table}
+    for i, j in pairs(algebra.dim):
+        a, b = sparse[i], sparse[j]
+        terms = brackets.get((i, j), ())
+        op = []
+        for r in range(size):
+            acc = [ZERO] * size
+            for m, x in a[r]:
+                for c, y in b[m]:
+                    acc[c] += x * y
+            for m, x in b[r]:
+                for c, y in a[m]:
+                    acc[c] -= x * y
+            for k, coeff in terms:
+                for c, y in sparse[k][r]:
+                    acc[c] -= coeff * y
+            op.append(tuple(acc))
+        yield tuple(op)
+
+
 def homomorphism_defect(h: LieAlgebra, mats: Sequence[Matrix], q: int) -> tuple[int, int] | None:
     """First basis pair (i, j) on which e_i -> mats[i] fails to carry the bracket
     of h to the commutator of q x q matrices, or None for a homomorphism."""
-    for i, j in pairs(h.dim):
-        lhs = mat_combination(h.basis_bracket(i, j), mats, q)
-        rhs = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
-        if lhs != rhs:
-            return (i, j)
-    return None
+    return next(
+        (pair for pair, d in zip(pairs(h.dim), _bracket_defects(h, mats)) if any(map(any, d))),
+        None,
+    )
 
 
 def semidirect_sum(
@@ -434,7 +461,9 @@ def semidirect_sum(
 ) -> LieAlgebra:
     """Abelian R^q extended by h acting through alpha.
 
-    The new basis is u_1.. u_q followed by the basis of h; brackets are
+    The new basis is u_1.. u_q followed by the basis of h. Unless u_labels
+    names them, u_1.. u_q are labelled u1.. uq (u when q = 1), each followed
+    by as many primes as it takes to differ from h's labels. Brackets are
     [x, u] = alpha(x) u for x in h, with matrices acting on coordinate
     columns (entry [r][c] is the e_r-coefficient of the image of e_c).
     alpha must be a Lie algebra homomorphism into gl(q).
@@ -454,7 +483,11 @@ def semidirect_sum(
         )
 
     if u_labels is None:
-        u_labels = ("u",) if q == 1 else tuple(f"u{t + 1}" for t in range(q))
+        u_labels = []
+        for label in ("u",) if q == 1 else [f"u{t + 1}" for t in range(q)]:
+            while label in h.labels:
+                label += "'"
+            u_labels.append(label)
     labels = tuple(u_labels) + h.labels
     n = q + h.dim
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}

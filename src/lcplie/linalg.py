@@ -79,15 +79,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    """u - v; zero entries of v are skipped."""
-    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * x for x in v)
 
@@ -118,10 +109,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[c] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 
 
 def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix], size: int) -> Matrix:

@@ -253,6 +253,16 @@ class TestLcpFromTriple:
         assert code == 2
         assert "skew" in err
 
+    def test_acting_algebra_may_use_the_default_flat_label(self, run, tmp_path):
+        # h's "u" keeps its name; the flat generator becomes u'
+        data = json.loads(corpus_text("sol3_triple.json"))
+        data["triple"]["h"]["basis"] = ["u", "b"]
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(data))
+        code, out, err = run("lcp", "from-triple", str(doc))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["basis"] == ["u'", "u", "b"]
+
 
 class TestLcpCharBound:
     def test_sol3_bound(self, run):
@@ -293,6 +303,18 @@ class TestLcpCharBound:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid candidate basis: candidate[0][1]: ")
         assert repr(entry) in err
+
+    @pytest.mark.parametrize(
+        "candidate, message",
+        [
+            ('["010"]', "candidate[0]: expected a list of 3 rational strings"),
+            ('"1"', "candidate: expected a list of rows"),
+        ],
+    )
+    def test_candidate_rows_must_be_lists(self, run, candidate, message):
+        code, out, err = run("lcp", "char-bound", corpus("sol3.json"), "--candidate", candidate)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid candidate basis: {message}\n"
 
     def test_deeply_nested_candidate(self, run):
         code, out, err = run("lcp", "char-bound", corpus("sol3.json"), "--candidate", "[" * 1000)

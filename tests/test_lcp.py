@@ -383,6 +383,30 @@ class TestValidation:
         assert not s.adapted
 
 
+def random_rotation_triple(rng):
+    """h = aff(R) + R^k with [a, b] = c b, a random rational L L^T metric, and
+    q from 1 to 4 turned by commuting 2x2 rotation blocks: a and each central
+    generator scale every block by its own random rational, b acts by zero."""
+    k, q = rng.randint(0, 2), rng.randint(1, 4)
+    m = 2 + k
+    c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    h = LieAlgebra.from_brackets(m, {(0, 1): {1: c}})
+
+    def rotations(scales):
+        out = [[F(0)] * q for _ in range(q)]
+        for block, scale in enumerate(scales):
+            r = 2 * block
+            out[r][r + 1], out[r + 1][r] = -scale, scale
+        return tuple(map(tuple, out))
+
+    def random_scales():
+        return [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q // 2)]
+
+    beta = [rotations(random_scales()), rotations([F(0)] * (q // 2))]
+    beta += [rotations(random_scales()) for _ in range(k)]
+    return LCPTriple(h, random_llt_metric(rng, m), q, tuple(beta))
+
+
 class TestTriples:
     def test_rejects_non_skew_action(self, aff):
         with pytest.raises(ValueError, match="skew"):
@@ -471,6 +495,22 @@ class TestTriples:
             assert rebuilt.lee_form == s.lee_form
             assert rebuilt.flat_factor == s.flat_factor
             assert triple_from_lcp(rebuilt) == triple
+
+    def test_round_trip_when_h_uses_the_default_flat_label(self):
+        h = LieAlgebra.from_brackets(2, {(0, 1): {1: F(1)}}, labels=("u", "b"))
+        triple = LCPTriple(h, InnerProduct.identity(2), 1, (matrix([[0]]), matrix([[0]])))
+        s = build_from_triple(triple)
+        assert s.algebra.labels == ("u'", "u", "b")
+        assert triple_from_lcp(s) == triple
+
+    def test_round_trip_on_seeded_random_triples(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            triple = random_rotation_triple(rng)
+            s = build_from_triple(triple)
+            extracted = triple_from_lcp(s)
+            assert extracted == triple
+            assert build_from_triple(extracted) == s
 
     def test_extraction_requires_unimodular_ambient(self):
         algebra = make_aff_plus_line()

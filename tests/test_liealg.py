@@ -17,6 +17,7 @@ from lcplie.liealg import (
     check_jacobi,
     derived_algebra,
     derived_series,
+    homomorphism_defect,
     is_abelian,
     is_abelian_subspace,
     is_ideal,
@@ -31,10 +32,12 @@ from lcplie.liealg import (
     trace_form,
 )
 from lcplie.cli import main
-from lcplie.connections import is_closed
+from lcplie.connections import InnerProduct, is_closed
+from lcplie.lcp import LCPTriple
 from lcplie.linalg import (
     Subspace,
     kernel,
+    mat_combination,
     mat_mul,
     matrix,
     pairs,
@@ -43,7 +46,16 @@ from lcplie.linalg import (
     vector,
 )
 
-from conftest import CORPUS_DIR, make_abelian, make_aff, make_heis3, make_sl2, make_sol3
+from conftest import (
+    CORPUS_DIR,
+    ROTATION,
+    ZERO2,
+    make_abelian,
+    make_aff,
+    make_heis3,
+    make_sl2,
+    make_sol3,
+)
 from test_connections import closed_covectors, random_metric_algebras
 
 F = Fraction
@@ -742,6 +754,16 @@ class TestSemidirect:
             F(0),
         )
 
+    def test_default_flat_labels_are_primed_past_the_acting_labels(self):
+        line = LieAlgebra.from_brackets(1, {}, labels=("u",))
+        assert semidirect_sum(1, line, (matrix([[0]]),)).labels == ("u'", "u")
+        plane = LieAlgebra.from_brackets(2, {}, labels=("u2", "u2'"))
+        zero = matrix([[0, 0], [0, 0]])
+        algebra = semidirect_sum(2, plane, (zero, zero))
+        assert algebra.labels == ("u1", "u2''", "u2", "u2'")
+        named = semidirect_sum(1, make_aff(), (matrix([[-1]]), matrix([[0]])), u_labels=("w",))
+        assert named.labels == ("w", "a", "b")
+
     def test_rejects_non_homomorphism(self):
         plane = make_abelian(2)
         alpha = (matrix([[0, 1], [0, 0]]), matrix([[0, 0], [1, 0]]))
@@ -761,6 +783,62 @@ class TestSemidirect:
                 (matrix(alpha_a), matrix([[0] * q] * q)),
             )
             assert is_unimodular(algebra)
+
+
+def dense_homomorphism_defect(h, mats, q):
+    """First pair (i, j) with [M_i, M_j] != M_[e_i, e_j], from full matrix
+    products and the dense bracket coordinates."""
+    for i, j in pairs(h.dim):
+        lhs = mat_combination(h.basis_bracket(i, j), mats, q)
+        ab, ba = mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])
+        if lhs != tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba)):
+            return (i, j)
+    return None
+
+
+def seeded_representations(seed, count):
+    """(h, mats, q) for homomorphisms h -> gl(q): the adjoint representation of
+    seeded random algebras and of the small corpus, and sl2 on the plane."""
+    algebras = [a for a, _ in random_metric_algebras(seed, count)]
+    algebras += [make_sol3(), make_heis3(), make_sl2(), make_aff()]
+    reps = [(a, tuple(a.ad(a.basis_vector(i)) for i in range(a.dim)), a.dim) for a in algebras]
+    standard = (matrix([[1, 0], [0, -1]]), matrix([[0, 1], [0, 0]]), matrix([[0, 0], [1, 0]]))
+    return reps + [(make_sl2(), standard, 2)]
+
+
+class TestHomomorphismDefect:
+    def test_matches_the_dense_oracle_on_homomorphisms_and_perturbations(self):
+        rng = random.Random(13)
+        perturbed_failures = 0
+        for h, mats, q in seeded_representations(seed=13, count=16):
+            assert homomorphism_defect(h, mats, q) is None
+            assert dense_homomorphism_defect(h, mats, q) is None
+            for _ in range(3):
+                i, r, c = rng.randrange(h.dim), rng.randrange(q), rng.randrange(q)
+                bumped = [list(map(list, m)) for m in mats]
+                bumped[i][r][c] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+                copy = tuple(tuple(map(tuple, m)) for m in bumped)
+                expected = dense_homomorphism_defect(h, copy, q)
+                assert homomorphism_defect(h, copy, q) == expected
+                perturbed_failures += expected is not None
+        assert perturbed_failures > 0
+
+    def test_triple_and_semidirect_sum_multiply_no_dense_matrices(
+        self, monkeypatch, rot4_structure
+    ):
+        def forbidden(a, b):
+            raise AssertionError("mat_mul called")
+
+        monkeypatch.setattr(liealg, "mat_mul", forbidden)
+        aff = make_aff()
+        triple = LCPTriple(aff, InnerProduct.identity(2), 2, (ROTATION, ZERO2))
+        # the lee form is -1/2 on a: alpha(a) = ROTATION - I/2, alpha(b) = 0
+        half = F(1, 2)
+        alpha_a = tuple(
+            tuple(x - half * (r == c) for c, x in enumerate(row)) for r, row in enumerate(ROTATION)
+        )
+        assert semidirect_sum(2, aff, (alpha_a, ZERO2)) == rot4_structure.algebra
+        assert triple.beta == (ROTATION, ZERO2)
 
 
 class TestCovector:
