@@ -10,30 +10,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
     ZERO,
     Matrix,
+    SparseRows,
     Subspace,
     Vector,
     _bareiss,
     _exact,
     _integer_row,
+    _lift,
+    _lowest_terms,
+    _products,
+    _sparse,
+    _unlift,
+    _unlift_row,
     dot,
     identity_matrix,
     inverse,
-    is_zero_vector,
     kernel,
     mat_combination,
-    mat_mul,
     mat_vec,
     matrix,
     pair_index,
     pairs,
-    transpose,
-    vec_scale,
     zero_vector,
 )
 
@@ -103,6 +107,20 @@ class Connection:
             raise ValueError("connection needs one n x n matrix per basis direction")
         object.__setattr__(self, "nabla", tuple(tuple(map(_exact, m)) for m in self.nabla))
 
+    @classmethod
+    def _from_lifted(cls, dim: int, d: int, rows: Sequence[SparseRows]) -> "Connection":
+        """The connection with d nabla[i] = rows[i], its lift already known."""
+        d, rows = _lowest_terms(d, rows)
+        conn = cls(dim, tuple(_unlift(d, m, dim) for m in rows))
+        conn.__dict__["lifted"] = (d, rows)  # what the cached property would compute
+        return conn
+
+    @cached_property
+    def lifted(self) -> tuple[int, tuple[SparseRows, ...]]:
+        """(d, rows): the least common denominator d of the nabla[i], and each
+        d nabla[i] as its nonzero integer rows; built at most once."""
+        return _lift(self.nabla)
+
     def directional(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of the derivative along the vector x."""
         return mat_combination(x, self.nabla, self.dim)
@@ -113,10 +131,20 @@ class Connection:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Curvature operators R[i][j] for i < j, pair-indexed; antisymmetric in (i, j)."""
+    """Curvature operators R[i][j] for i < j, pair-indexed; antisymmetric in (i, j).
+
+    Stored sparse over one denominator: rows[p] holds the nonzero rows of
+    `denominator` times the p-th operator as ints, in lowest terms. The dense
+    `operators` are a view, built on first read.
+    """
 
     dim: int
-    operators: tuple[Matrix, ...]
+    denominator: int
+    rows: tuple[SparseRows, ...]
+
+    @cached_property
+    def operators(self) -> tuple[Matrix, ...]:
+        return tuple(_unlift(self.denominator, m, self.dim) for m in self.rows)
 
     def operator(self, i: int, j: int) -> Matrix:
         n = self.dim
@@ -125,29 +153,40 @@ class CurvatureTensor:
         if i == j:
             return tuple(zero_vector(n) for _ in range(n))
         if i < j:
-            return self.operators[pair_index(i, j, n)]
-        neg = self.operators[pair_index(j, i, n)]
-        return tuple(vec_scale(Fraction(-1), row) for row in neg)
+            return _unlift(self.denominator, self.rows[pair_index(i, j, n)], n)
+        # R(e_i, e_j) = -R(e_j, e_i): the stored rows over -denominator
+        return _unlift(-self.denominator, self.rows[pair_index(j, i, n)], n)
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Matrix:
-        if len(x) != self.dim or len(y) != self.dim:
+        n = self.dim
+        if len(x) != n or len(y) != n:
             raise ValueError("vector length does not match the curvature dimension")
-        coeffs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs(self.dim)]
-        return mat_combination(coeffs, self.operators, self.dim)
+        out = [[ZERO] * n for _ in range(n)]
+        for (i, j), rows in zip(pairs(n), self.rows):
+            if rows and (coeff := x[i] * y[j] - x[j] * y[i]):
+                f = coeff / self.denominator
+                for r, terms in rows:
+                    row = out[r]
+                    for c, v in terms:
+                        row[c] += f * v
+        return tuple(tuple(row) for row in out)
 
     def is_flat(self) -> bool:
-        return all(
-            is_zero_vector(row) for op in self.operators for row in op
-        )
+        return not any(self.rows)
 
     @cached_property
     def kernel(self) -> Subspace:
-        """Joint kernel of all operators: the kernel of their distinct nonzero rows."""
-        # tuple comparison tries identity first, so the ZERO entries that
-        # curvature leaves untouched cost no Fraction comparison
-        zero = zero_vector(self.dim)
-        rows = dict.fromkeys(row for op in self.operators for row in op if row != zero)
-        return Subspace(self.dim, kernel(tuple(rows), self.dim))
+        """Joint kernel of all operators: the kernel of their nonzero rows, one
+        row for each primitive integer row, so rows that are positive multiples
+        of each other enter the elimination once."""
+        distinct: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+        for op in self.rows:
+            for _, terms in op:
+                g = gcd(*(v for _, v in terms))
+                distinct.setdefault(tuple((c, v // g) for c, v in terms), terms)
+        d, n = self.denominator, self.dim
+        rows = tuple(_unlift_row(d, terms, n) for terms in distinct.values())
+        return Subspace(n, kernel(rows, n))
 
 
 def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
@@ -164,33 +203,41 @@ def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
     Koszul's formula on basis vectors, in Milnor's lowered structure constants
     C_abm = g([e_a, e_b], e_m): g(D_i e_j, e_k) = (C_ijk - C_ikj - C_jki) / 2.
     Each nonzero bracket is lowered once and each nonzero C_abm is scattered
-    into the entries it feeds, so the work follows the nonzero constants.
+    into the entries it feeds, so the work follows the nonzero constants; it
+    runs on integer numerators over 2 c g, for the common denominators c of
+    the structure constants and g of the Gram matrix.
     """
     n = algebra.dim
-    half = Fraction(1, 2)
-    k_mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a, b, terms in algebra.table:
+    c, brackets = algebra._lifted_table
+    g, (gram_rows,) = _lift((gram,))
+    k_mats: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+
+    def add(i: int, k: int, j: int, x: int) -> None:
+        row = k_mats[i].setdefault(k, {})
+        row[j] = row.get(j, 0) + x
+
+    for (a, b), terms in brackets.items():
+        bracket = dict(terms)
         # the gram matrix is symmetric, so C_abm = sum over k of C^k_ab g_mk
-        for m, g_m in enumerate(gram):
-            c = sum((g_m[k] * x for k, x in terms if g_m[k]), ZERO)
-            if c:
-                h = half * c  # C_bam = -C_abm
-                k_mats[a][m][b] += h  # C_ijk with (i, j, k) = (a, b, m)
-                k_mats[b][m][a] -= h  # ... and (b, a, m)
-                k_mats[a][b][m] -= h  # -C_ikj with (i, k, j) = (a, b, m)
-                k_mats[b][a][m] += h  # ... and (b, a, m)
-                k_mats[m][b][a] -= h  # -C_jki with (j, k, i) = (a, b, m)
-                k_mats[m][a][b] += h  # ... and (b, a, m)
-    return [tuple(tuple(r) for r in mat) for mat in k_mats]
+        for m, g_m in gram_rows:
+            if h := sum(bracket[k] * y for k, y in g_m if k in bracket):  # C_bam = -C_abm
+                add(a, m, b, h)  # C_ijk with (i, j, k) = (a, b, m)
+                add(b, m, a, -h)  # ... and (b, a, m)
+                add(a, b, m, -h)  # -C_ikj with (i, k, j) = (a, b, m)
+                add(b, a, m, h)  # ... and (b, a, m)
+                add(m, b, a, -h)  # -C_jki with (j, k, i) = (a, b, m)
+                add(m, a, b, h)  # ... and (b, a, m)
+    return [_unlift(2 * c * g, _sparse(k), n) for k in k_mats]
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
-    """The torsion-free metric connection, from the Koszul formula."""
+    """The torsion-free metric connection, from the Koszul formula: nabla_i =
+    G^-1 K_i, multiplied on integer numerators."""
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
-    gram_inv = metric.gram_inverse
-    nabla = tuple(mat_mul(gram_inv, k) for k in _koszul_matrices(algebra, metric.gram))
-    return Connection(algebra.dim, nabla)
+    d_inv, (gram_inv,) = _lift((metric.gram_inverse,))
+    d_k, k_mats = _lift(_koszul_matrices(algebra, metric.gram))
+    return Connection._from_lifted(algebra.dim, d_inv * d_k, _products(gram_inv, k_mats))
 
 
 def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
@@ -198,52 +245,63 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
 
     Built from the closed-form correction of the Levi-Civita connection, then
     checked at every (i, j, k) against the two identities that determine it;
-    a failure raises, signaling an internal inconsistency.
+    a failure raises, signaling an internal inconsistency. Both steps work on
+    integer numerators over common denominators and visit nonzero entries
+    only; every entry they skip is zero on both sides of its identity.
     """
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
     if not is_closed(algebra, theta):
         raise ValueError("covector is not closed; no conformal connection is defined")
-    lc = levi_civita(algebra, metric)
+    d_lc, lc = levi_civita(algebra, metric).lifted
     n = algebra.dim
-    th = theta.coefficients
-    gram = metric.gram
-    theta_terms = [(c, t) for c, t in enumerate(th) if t]
-    sharp_terms = [(r, s) for r, s in enumerate(metric.sharp(theta)) if s]
-    gram_terms = [[(c, g) for c, g in enumerate(row) if g] for row in gram]
+    # G, and theta and its metric dual as the two rows of one matrix, over one denominator
+    d_g, (gram, vectors) = _lift((metric.gram, (theta.coefficients, metric.sharp(theta))))
+    th, sharp = (dict(vectors).get(r, ()) for r in (0, 1))
+    theta_at, gram_rows = dict(th), dict(gram)
+    # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G, has
+    # numerators over d = lcm(d_lc, d_g^2): LC_i carries the factor d / d_lc, the
+    # theta terms d / d_g and the products sharp g_i^T d / d_g^2
+    d = lcm(d_lc, d_g * d_g)
+    f_lc, f_theta, f_sharp = d // d_lc, d // d_g, d // (d_g * d_g)
     nabla = []
-    for i, lc_i in enumerate(lc.nabla):
-        # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G
-        d = [list(row) for row in lc_i]
-        if th[i]:
+    for i in range(n):
+        acc: dict[int, dict[int, int]] = {}
+        for r, terms in lc[i]:
+            acc[r] = {c: f_lc * x for c, x in terms}
+        if t := theta_at.get(i):
             for r in range(n):
-                d[r][r] += th[i]
-        for c, t in theta_terms:
-            d[i][c] += t
-        for r, s in sharp_terms:
-            row = d[r]
-            for c, g in gram_terms[i]:
-                row[c] -= s * g
-        nabla.append(tuple(tuple(row) for row in d))
-    conn = Connection(n, tuple(nabla))
+                row = acc.setdefault(r, {})
+                row[r] = row.get(r, 0) + f_theta * t
+        row = acc.setdefault(i, {})
+        for c, t in th:
+            row[c] = row.get(c, 0) + f_theta * t
+        for r, s in sharp:
+            row = acc.setdefault(r, {})
+            for c, g in gram_rows.get(i, ()):
+                row[c] = row.get(c, 0) - f_sharp * s * g
+        nabla.append(_sparse(acc))
+    conn = Connection._from_lifted(n, d, nabla)
 
     # By Koszul, D is the only torsion-free connection with g(D_i e_j, e_k) +
     # g(e_j, D_i e_k) = 2 theta_i g_jk. Torsion fails at (i, j, k), j < i, if T(e_i, e_j)_k != 0.
-    torsions = zip(pairs(n), torsion(algebra, conn))
-    failures = [((j, i, k), "torsion") for (i, j), t in torsions for k, x in enumerate(t) if x]
-    for i, d in enumerate(nabla):
-        # entry [k][j] of G.D_i is g(D_i e_j, e_k); sum it with its transpose
-        sym: dict[tuple[int, int], Fraction] = {}
-        for k, row in enumerate(mat_mul(gram, d)):
-            for j, x in enumerate(row):
-                if x:
-                    sym[j, k] = sym.get((j, k), ZERO) + x
-                    sym[k, j] = sym.get((k, j), ZERO) + x
-        if th[i]:
-            two_theta = 2 * th[i]
-            for j, terms in enumerate(gram_terms):
+    _, torsions = _torsion_numerators(algebra, conn)
+    failures = [((j, i, k), "torsion") for (i, j), t in torsions.items() for k in t]
+    d, nabla = conn.lifted
+    # G D_i has numerators over d_g d and 2 theta_i G over d_g^2: both go over d_g lcm(d, d_g)
+    f_d, f_g = lcm(d, d_g) // d, lcm(d, d_g) // d_g
+    for i, g_d in enumerate(_products(gram, nabla)):
+        # entry [k][j] of G D_i is g(D_i e_j, e_k); sum it with its transpose
+        sym: dict[tuple[int, int], int] = {}
+        for k, terms in g_d:
+            for j, x in terms:
+                sym[j, k] = sym.get((j, k), 0) + f_d * x
+                sym[k, j] = sym.get((k, j), 0) + f_d * x
+        if t := theta_at.get(i):
+            two_theta = 2 * f_g * t
+            for j, terms in gram:
                 for k, g in terms:
-                    sym[j, k] = sym.get((j, k), ZERO) - two_theta * g
+                    sym[j, k] = sym.get((j, k), 0) - two_theta * g
         failures += [((i, j, k), "conformal") for (j, k), x in sym.items() if x]
     if failures:
         (i, j, k), name = min(failures)
@@ -253,32 +311,51 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
     return conn
 
 
-def torsion(algebra: LieAlgebra, connection: Connection) -> tuple[Vector, ...]:
-    """Torsion vectors T(e_i, e_j) = D_i e_j - D_j e_i - [e_i, e_j] for i < j,
-    pair-indexed; D_i e_j is column j of nabla_i, and pairs of zeros are not subtracted."""
+def _torsion_numerators(
+    algebra: LieAlgebra, connection: Connection
+) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+    """(d, {(i, j): {k: x}}): the nonzero components T(e_i, e_j)_k = x / d for
+    i < j, from the connection's integer rows and the integer table."""
     n = algebra.dim
     if connection.dim != n:
         raise ValueError("connection dimension does not match the algebra")
-    columns = [transpose(m) for m in connection.nabla]
-    brackets = {(i, j): terms for i, j, terms in algebra.table}
-    out = []
-    for i, j in pairs(n):
-        t = [x - y if x or y else x for x, y in zip(columns[i][j], columns[j][i])]
-        for k, c in brackets.get((i, j), ()):
-            t[k] -= c
-        out.append(tuple(t))
-    return tuple(out)
+    d, nabla = connection.lifted
+    c, brackets = algebra._lifted_table
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for i, rows in enumerate(nabla):
+        for r, terms in rows:
+            for j, x in terms:
+                # x / d, the e_r-component of D_i e_j, enters T(e_i, e_j); for
+                # j < i that is stored as T(e_j, e_i) = -T(e_i, e_j)
+                if i != j:
+                    t = out.setdefault((i, j) if i < j else (j, i), {})
+                    t[r] = t.get(r, 0) + (c * x if i < j else -c * x)
+    for pair, terms in brackets.items():
+        t = out.setdefault(pair, {})
+        for k, x in terms:
+            t[k] = t.get(k, 0) - d * x
+    return d * c, {pair: nz for pair, t in out.items() if (nz := {k: x for k, x in t.items() if x})}
+
+
+def torsion(algebra: LieAlgebra, connection: Connection) -> tuple[Vector, ...]:
+    """Torsion vectors T(e_i, e_j) = D_i e_j - D_j e_i - [e_i, e_j] for i < j,
+    pair-indexed; D_i e_j is column j of nabla_i."""
+    d, torsions = _torsion_numerators(algebra, connection)
+    n = algebra.dim
+    return tuple(_unlift_row(d, torsions.get(pair, {}).items(), n) for pair in pairs(n))
 
 
 def is_torsion_free(algebra: LieAlgebra, connection: Connection) -> bool:
-    return all(is_zero_vector(t) for t in torsion(algebra, connection))
+    return not _torsion_numerators(algebra, connection)[1]
 
 
 def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
     """R(e_i, e_j) = [nabla_i, nabla_j] - sum_k C^k_ij nabla_k for i < j: the
-    defect of e_i -> nabla_i as a homomorphism, from the sparse routine that
-    checks homomorphisms."""
+    defect of e_i -> nabla_i as a homomorphism, from the sparse integer routine
+    that checks homomorphisms, stored over its common denominator."""
     n = algebra.dim
     if connection.dim != n:
         raise ValueError("connection dimension does not match the algebra")
-    return CurvatureTensor(n, tuple(_bracket_defects(algebra, connection.nabla)))
+    d, nabla = connection.lifted
+    c = algebra._lifted_table[0]
+    return CurvatureTensor(n, *_lowest_terms(d * d * c, tuple(_bracket_defects(algebra, d, nabla))))

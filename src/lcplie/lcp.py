@@ -33,11 +33,13 @@ from .liealg import (
     trace_form,
 )
 from .linalg import (
-    ZERO,
     Matrix,
+    SparseRows,
     Subspace,
+    _columns,
     _descending_chain,
     _exact,
+    _lift,
     identity_matrix,
     kernel,
     pairs,
@@ -79,31 +81,42 @@ def _vanishes_on(theta: Covector, s: Subspace) -> bool:
     return all(theta.value(row) == 0 for row in s.basis)
 
 
-def _invariant_part(s: Subspace, operators: Sequence[Matrix]) -> Subspace:
-    """{w in s : op w in s for every op}: s restricted by the residues in s of
-    the images op b_r of its canonical rows, each read once into its nonzero
-    (column, value) pairs and met by the nonzero entries of those columns."""
-    n = s.ambient_dim
-    rows = [[(c, x) for c, x in enumerate(row) if x] for row in s.basis]
-    support = {c for terms in rows for c, _ in terms}
-    values: list[list[Fraction]] = [[] for _ in rows]
-    for m in operators:
-        columns = transpose(m)
-        sparse = {c: [(r, y) for r, y in enumerate(columns[c]) if y] for c in support}
-        for terms, value in zip(rows, values):
-            image = [ZERO] * n
-            for c, x in terms:
-                for r, y in sparse[c]:
-                    image[r] += x * y
-            value.extend(s.residue(image))
-    return s.restrict(values)
+def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
+    """{w in s : op w in s for every op}, for integer operators given by their
+    nonzero rows (a common positive scale of the operators changes nothing).
+
+    s is restricted by the residues in s of the images op b_r of its canonical
+    rows b_r. With B b_r integer rows for one common B, the integer residue
+    B v - sum over r of v[p_r] (B b_r) is B times the residue of v, so every
+    value carries the same positive scale and the restriction is exact.
+    """
+    scale, (basis,) = _lift((s.basis,))
+    columns = _columns(basis)
+    values: dict[tuple[int, int], dict[int, int]] = {}
+    for idx, op in enumerate(operators):
+        images: list[dict[int, int]] = [{} for _ in basis]
+        for row, terms in op:
+            for c, y in terms:
+                for r, x in columns.get(c, ()):
+                    image = images[r]
+                    image[row] = image.get(row, 0) + y * x
+        for r, image in enumerate(images):
+            residue = {k: scale * v for k, v in image.items()}
+            for p, (_, terms) in zip(s.pivots, basis):
+                if coeff := image.get(p):
+                    for c, x in terms:
+                        residue[c] = residue.get(c, 0) - coeff * x
+            for k, v in residue.items():
+                if v:
+                    values.setdefault((idx, k), {})[r] = v
+    return s.restrict([[values[key].get(r, 0) for key in sorted(values)] for r in range(s.dim)])
 
 
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
     """Whether every covariant basis derivative maps s into itself."""
     if {connection.dim, s.ambient_dim} != {algebra.dim}:
         raise ValueError("algebra, connection and subspace dimensions must agree")
-    return _invariant_part(s, connection.nabla).dim == s.dim
+    return _invariant_part(s, connection.lifted[1]).dim == s.dim
 
 
 def is_flat_subspace(
@@ -153,7 +166,7 @@ class ConformalAnalysis:
             raise ValueError("covector must be closed")
         if not is_unimodular(algebra):
             raise ValueError("the flat-factor construction requires a unimodular algebra")
-        nabla = self.connection.nabla
+        _, nabla = self.connection.lifted
         w = _descending_chain(self.curvature.kernel, lambda s: _invariant_part(s, nabla))[-1]
         if w.is_full():
             classification = CLASS_CONFORMALLY_FLAT

@@ -8,16 +8,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     ONE,
     ZERO,
     Matrix,
+    SparseRows,
     Subspace,
     Vector,
+    _add_product,
+    _columns,
     _descending_chain,
     _exact,
+    _lift,
+    _sparse,
     as_fraction,
     dot,
     identity_matrix,
@@ -240,6 +246,16 @@ class LieAlgebra:
         return Subspace.from_vectors(rows, n)
 
     @cached_property
+    def _lifted_table(self) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """(c, {(i, j): ((k, c C^k_ij), ...)}): the least common denominator c of
+        the structure constants and the table's nonzero brackets times c."""
+        c = lcm(*{x.denominator for _, _, terms in self.table for _, x in terms})
+        return c, {
+            (i, j): tuple((k, x.numerator * (c // x.denominator)) for k, x in terms)
+            for i, j, terms in self.table
+        }
+
+    @cached_property
     def _killing_form(self) -> Matrix:
         n = self.dim
         ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
@@ -413,44 +429,38 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     return radical(algebra).is_zero()
 
 
-def _bracket_defects(algebra: LieAlgebra, mats: Sequence[Matrix]) -> Iterator[Matrix]:
-    """Yield [M_i, M_j] - sum_k C^k_ij M_k for i < j, in `pairs` order.
+def _bracket_defects(
+    algebra: LieAlgebra, d: int, mats: Sequence[SparseRows]
+) -> Iterator[SparseRows]:
+    """Yield the nonzero rows of d^2 c ([M_i, M_j] - sum_k C^k_ij M_k) for
+    i < j, in `pairs` order, where d M_i = mats[i] and c is the common
+    denominator of the structure constants (`LieAlgebra._lifted_table`).
 
     All vanish exactly when e_i -> M_i is a Lie algebra homomorphism; for the
     matrices of a connection they are the curvature operators R(e_i, e_j).
-    Each M_i is read once into rows of nonzero (column, value) pairs, the
-    structure constants C^k_ij are read off the table, and only products of
-    nonzero entries are accumulated.
+    The work is on Python ints and follows the nonzero entries.
     """
-    size = len(mats[0])
-    sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in m] for m in mats]
-    brackets = {(i, j): terms for i, j, terms in algebra.table}
+    c, brackets = algebra._lifted_table
+    # the columns of c M_i and -c M_i, the left factors of M_i M_j and -M_j M_i
+    plus = [_columns(m, c) for m in mats]
+    minus = [_columns(m, -c) for m in mats]
     for i, j in pairs(algebra.dim):
-        a, b = sparse[i], sparse[j]
-        terms = brackets.get((i, j), ())
-        op = []
-        for r in range(size):
-            acc = [ZERO] * size
-            for m, x in a[r]:
-                for c, y in b[m]:
-                    acc[c] += x * y
-            for m, x in b[r]:
-                for c, y in a[m]:
-                    acc[c] -= x * y
-            for k, coeff in terms:
-                for c, y in sparse[k][r]:
-                    acc[c] -= coeff * y
-            op.append(tuple(acc))
-        yield tuple(op)
+        acc: dict[int, dict[int, int]] = {}
+        if mats[i] and mats[j]:  # else [M_i, M_j] = 0
+            _add_product(acc, plus[i], mats[j])
+            _add_product(acc, minus[j], mats[i])
+        for k, f in brackets.get((i, j), ()):
+            # -d c C^k_ij M_k: the product of the scalar matrix -d f with M_k
+            _add_product(acc, {r: ((r, -d * f),) for r, _ in mats[k]}, mats[k])
+        yield _sparse(acc)
 
 
 def homomorphism_defect(h: LieAlgebra, mats: Sequence[Matrix], q: int) -> tuple[int, int] | None:
     """First basis pair (i, j) on which e_i -> mats[i] fails to carry the bracket
     of h to the commutator of q x q matrices, or None for a homomorphism."""
-    return next(
-        (pair for pair, d in zip(pairs(h.dim), _bracket_defects(h, mats)) if any(map(any, d))),
-        None,
-    )
+    d, lifted = _lift(mats)
+    defects = zip(pairs(h.dim), _bracket_defects(h, d, lifted))
+    return next((pair for pair, rows in defects if rows), None)
 
 
 def semidirect_sum(

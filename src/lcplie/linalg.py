@@ -15,9 +15,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# An integer matrix by its nonzero rows: (row, ((column, entry), ...)) pairs,
+# rows and columns ascending, every entry a nonzero int.
+SparseRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION = {Fraction}
 
 # ASCII digits only, matched in full: "\d" admits other scripts and "$" a final newline.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -57,7 +61,7 @@ def _exact(row: Iterable[int | str | Fraction]) -> Vector:
     """row as a tuple: rows of Fractions pass through, other rows go through
     `vector`, so ints are accepted and floats and bools raise TypeError."""
     row = tuple(row)
-    return row if all(type(x) is Fraction for x in row) else vector(row)
+    return row if set(map(type, row)) <= _FRACTION else vector(row)
 
 
 def matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
@@ -149,6 +153,100 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return _primitive([x.numerator * (scale // x.denominator) for x in row])
 
 
+def _lift(mats: Iterable[Sequence[Sequence[Fraction]]]) -> tuple[int, tuple[SparseRows, ...]]:
+    """(d, rows): the least common denominator d of the entries of a family of
+    rational matrices, and d times each matrix as its nonzero integer rows.
+
+    The family is read once; the sparse kernels of `connections`, `liealg`
+    and `lcp` then multiply Python ints and build Fractions only for what they
+    return. Entries that are the shared ZERO are skipped by identity.
+    """
+    sparse = [
+        [
+            (r, terms)
+            for r, row in enumerate(m)
+            if (terms := [(c, x) for c, x in enumerate(row) if x is not ZERO and x])
+        ]
+        for m in mats
+    ]
+    d = lcm(*{x.denominator for m in sparse for _, terms in m for _, x in terms})
+    return d, tuple(
+        tuple(
+            (r, tuple((c, x.numerator * (d // x.denominator)) for c, x in terms))
+            for r, terms in m
+        )
+        for m in sparse
+    )
+
+
+def _lowest_terms(d: int, mats: Sequence[SparseRows]) -> tuple[int, tuple[SparseRows, ...]]:
+    """The same matrices over the least common denominator: d and every entry
+    divided by their gcd, as `_lift` would give from the Fraction matrices."""
+    g = gcd(d, *(x for m in mats for _, terms in m for _, x in terms))
+    if g == 1:
+        return d, tuple(mats)
+    return d // g, tuple(
+        tuple((r, tuple((c, x // g) for c, x in terms)) for r, terms in m) for m in mats
+    )
+
+
+def _unlift_row(d: int, terms: Iterable[tuple[int, int]], size: int) -> Vector:
+    """The Fraction row of length size whose nonzero entries, times d, are terms."""
+    row = [ZERO] * size
+    for c, x in terms:
+        row[c] = Fraction(x, d)
+    return tuple(row)
+
+
+def _unlift(d: int, rows: SparseRows, size: int) -> Matrix:
+    """The size x size Fraction matrix whose nonzero rows, times d, are rows;
+    its zero rows are one shared tuple."""
+    out = [(ZERO,) * size] * size
+    for r, terms in rows:
+        out[r] = _unlift_row(d, terms, size)
+    return tuple(out)
+
+
+def _columns(a: SparseRows, scale: int = 1) -> dict[int, list[tuple[int, int]]]:
+    """{m: [(r, scale a[r][m]), ...]}: the nonzero entries of each column of a."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for r, terms in a:
+        for m, x in terms:
+            columns.setdefault(m, []).append((r, scale * x))
+    return columns
+
+
+def _add_product(acc: dict[int, dict[int, int]], a_columns: dict, b: SparseRows) -> None:
+    """acc += a b, with a given by `_columns` and acc as {row: {column: int}}:
+    each nonzero row m of b meets the nonzero entries of column m of a."""
+    for m, terms in b:
+        for r, x in a_columns.get(m, ()):
+            row = acc.setdefault(r, {})
+            get = row.get
+            for c, y in terms:
+                row[c] = get(c, 0) + x * y
+
+
+def _sparse(acc: dict[int, dict[int, int]]) -> SparseRows:
+    """{row: {column: int}} as nonzero rows, zero entries dropped."""
+    out = []
+    for r in sorted(acc):
+        if terms := tuple((c, x) for c, x in sorted(acc[r].items()) if x):
+            out.append((r, terms))
+    return tuple(out)
+
+
+def _products(a: SparseRows, mats: Iterable[SparseRows]) -> list[SparseRows]:
+    """a b for each b of mats, integer matrices given by their nonzero rows."""
+    columns = _columns(a)
+    out = []
+    for b in mats:
+        acc: dict[int, dict[int, int]] = {}
+        _add_product(acc, columns, b)
+        out.append(_sparse(acc))
+    return out
+
+
 def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     """row with column c cleared by an integer multiple of pivot_row, made primitive."""
     p, f = pivot_row[c], row[c]
@@ -164,7 +262,8 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
 
     Gauss-Jordan elimination runs on Python ints: each row is scaled by the
     lcm of its denominators and kept primitive (its content divided out) after
-    every update. Fractions are built only for the final pivot rows, divided
+    every update. Elimination stops once no rows are pending or every column
+    has a pivot. Fractions are built only for the final pivot rows, divided
     by their pivots. Rows are read through `_exact`.
     """
     pending = [row for row in map(_integer_row, map(_exact, rows)) if any(row)]
@@ -177,13 +276,15 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
             continue
         pivot_row = pending.pop(k)
         reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
+        reduced.append(pivot_row)
+        pivots.append(c)
+        if len(pivots) == ncols:
+            break  # every column has a pivot: the pending rows lie in the span
         pending = [
             row
             for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
             if any(row)
         ]
-        reduced.append(pivot_row)
-        pivots.append(c)
         if not pending:
             break
     out = []

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,22 @@ def run(capsys):
 
 def corpus(name: str) -> str:
     return str(CORPUS_DIR / name)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_lcplie_prints_what_main_prints(self, run):
+        path = corpus("sol3.json")
+        expected = run("validate", path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-m", "lcplie", "validate", path],
+            capture_output=True, env=env, timeout=60, check=False,
+        )
+        assert expected[0] == done.returncode == 0
+        assert done.stdout == expected[1].encode("utf-8")
+        assert done.stderr == b""
 
 
 class TestParser:

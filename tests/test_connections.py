@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,8 @@ from lcplie.lcp import LCPTriple, build_from_triple, is_flat_subspace, is_parall
 from lcplie.liealg import Covector, LieAlgebra, derived_algebra, semidirect_sum
 from lcplie.linalg import (
     Subspace,
+    _lift,
+    _unlift,
     dot,
     identity_matrix,
     inverse,
@@ -826,3 +829,198 @@ class TestCurvature:
                 assert r.kernel.contains_subspace(s) == annihilates(r, s)
                 verdicts.add(expected)
         assert verdicts == {True, False}
+
+
+def scaling_structure(n):
+    """build_from_triple on aff(R) + R^(m-2), m = n - n // 2, with a tridiagonal
+    metric, acting by one rotation block scaled per generator on R^(n // 2)."""
+    q = n // 2
+    m = n - q
+    h = LieAlgebra.from_brackets(m, {(0, 1): {1: F(1)}})
+    gram = [[F(2 if r == c else -1 if abs(r - c) == 1 else 0, 2) for c in range(m)] for r in range(m)]
+    gram[0][0] = F(1, 2)
+
+    def rotation(scale):
+        block = [[F(0)] * q for _ in range(q)]
+        block[0][1], block[1][0] = F(-scale), F(scale)
+        return tuple(map(tuple, block))
+
+    beta = (rotation(1), rotation(0)) + tuple(rotation(i + 2) for i in range(m - 2))
+    return build_from_triple(LCPTriple(h, InnerProduct(tuple(map(tuple, gram))), q, beta))
+
+
+def lifted_invariants(d, rows, mats):
+    """The lift is exact, in lowest terms, and holds nonzero ascending entries only."""
+    n = len(mats[0]) if mats else 0
+    assert tuple(_unlift(d, m, n) for m in rows) == tuple(mats)
+    assert gcd(d, *(x for m in rows for _, terms in m for _, x in terms)) == 1
+    for m in rows:
+        assert [r for r, _ in m] == sorted({r for r, _ in m})
+        for _, terms in m:
+            assert terms and all(x for _, x in terms)
+            assert [c for c, _ in terms] == sorted({c for c, _ in terms})
+
+
+def parent_cross_check_witness(algebra, metric, theta, nabla):
+    """The Weyl self-check evaluated densely: the least (i, j, k) with its
+    identity name at which D violates torsion-freeness (reported as (j, i, k)
+    for the pair i < j) or conformal compatibility, or None."""
+    n, gram, th = algebra.dim, metric.gram, theta.coefficients
+    torsions = zip(pairs(n), dense_torsion(algebra, Connection(n, nabla)))
+    failures = [((j, i, k), "torsion") for (i, j), t in torsions for k, x in enumerate(t) if x]
+    for i, j, k in product(range(n), repeat=3):
+        if gram_entry_sum(gram, nabla[i], j, k) != 2 * th[i] * gram[j][k]:
+            failures.append(((i, j, k), "conformal"))
+    return min(failures) if failures else None
+
+
+class TestIntegerLift:
+    def test_connections_round_trip_through_their_lift(self):
+        rng = random.Random(4242)
+        for algebra, metric, theta in pipeline_cases():
+            for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
+                d, rows = conn.lifted
+                lifted_invariants(d, rows, conn.nabla)
+                # the lift weyl_connection and levi_civita record is the one read off nabla
+                assert _lift(conn.nabla) == (d, rows)
+            conn = random_connection(rng, algebra.dim)
+            lifted_invariants(*conn.lifted, conn.nabla)
+
+    def test_curvature_rows_are_the_lift_of_its_operators(self):
+        for algebra, metric, theta in pipeline_cases():
+            for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
+                r = curvature(algebra, conn)
+                lifted_invariants(r.denominator, r.rows, r.operators)
+                assert _lift(r.operators) == (r.denominator, r.rows)
+
+    def test_empty_and_zero_families(self):
+        assert _lift(()) == (1, ())
+        zero = ((F(0), F(0)), (F(0), F(0)))
+        assert _lift((zero, zero)) == (1, ((), ()))
+        assert _unlift(1, (), 2) == zero
+        mixed = ((F(1, 2), F(0)), (F(-3), F(1, 3)))
+        assert _lift((mixed,)) == (6, (((0, ((0, 3),)), (1, ((0, -18), (1, 2)))),))
+
+
+class TestDenseOracles:
+    def test_levi_civita_matches_the_reference_formula_on_every_case(self):
+        for algebra, metric, _ in pipeline_cases():
+            assert levi_civita(algebra, metric).nabla == reference_levi_civita(algebra, metric)
+
+    def test_operator_evaluate_and_flatness_match_the_dense_tensor(self):
+        rng = random.Random(5151)
+        flat = set()
+        for algebra, metric, theta in pipeline_cases():
+            n = algebra.dim
+            for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
+                r = curvature(algebra, conn)
+                dense = dense_curvature(algebra, conn)
+                for i, j in product(range(n), repeat=2):
+                    if i < j:
+                        expected = dense[pair_index(i, j, n)]
+                    elif i > j:
+                        expected = tuple(tuple(-x for x in row) for row in dense[pair_index(j, i, n)])
+                    else:
+                        expected = tuple(zero_vector(n) for _ in range(n))
+                    assert r.operator(i, j) == expected
+                x = vector([rng.randint(-3, 3) for _ in range(n)])
+                y = tuple(small_rational(rng) for _ in range(n))
+                combined = [[F(0)] * n for _ in range(n)]
+                for (i, j), op in zip(pairs(n), dense):
+                    coeff = x[i] * y[j] - x[j] * y[i]
+                    for row, op_row in zip(combined, op):
+                        for c, v in enumerate(op_row):
+                            row[c] += coeff * v
+                assert r.evaluate(x, y) == tuple(map(tuple, combined))
+                assert r.is_flat() == all(not any(row) for op in dense for row in op)
+                flat.add(r.is_flat())
+        assert flat == {True, False}
+
+    def test_kernel_matches_the_kernel_of_the_distinct_fraction_rows(self):
+        for algebra, metric, theta in pipeline_cases():
+            conn = weyl_connection(algebra, metric, theta)
+            rows = dict.fromkeys(
+                row for op in dense_curvature(algebra, conn) for row in op if any(row)
+            )
+            expected = Subspace(algebra.dim, kernel(tuple(rows), algebra.dim))
+            assert curvature(algebra, conn).kernel == expected
+
+
+def mutations(rng, metric, n):
+    """Seeded changes (i, delta) of one D_i: a single entry, or delta G^-1 (E_rc - E_cr),
+    which leaves g(D_i e_j, e_k) + g(e_j, D_i e_k) unchanged."""
+    gram_inv = inverse(metric.gram)
+    for kind in ("entry", "entry", "skew"):
+        i, r, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        delta = F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        change = [[F(0)] * n for _ in range(n)]
+        if kind == "entry":
+            change[r][c] = delta
+        elif r != c:
+            for a in range(n):
+                change[a][c] += delta * gram_inv[a][r]
+                change[a][r] -= delta * gram_inv[a][c]
+        yield i, change
+
+
+class TestSelfCheckMutations:
+    def test_a_mutated_connection_fails_where_the_dense_check_names(self, monkeypatch):
+        rng = random.Random(7373)
+        original = connections.levi_civita
+        seen = set()
+        for algebra, metric, theta in [c for c in pipeline_cases() if c[0].dim <= 6]:
+            n = algebra.dim
+            good = weyl_connection(algebra, metric, theta).nabla
+            for i, change in mutations(rng, metric, n):
+
+                def bump(nabla, i=i, change=change):
+                    out = list(nabla)
+                    out[i] = tuple(
+                        tuple(x + y for x, y in zip(row, delta)) for row, delta in zip(nabla[i], change)
+                    )
+                    return tuple(out)
+
+                def perturbed(algebra, metric, bump=bump):
+                    return Connection(algebra.dim, bump(original(algebra, metric).nabla))
+
+                witness = parent_cross_check_witness(algebra, metric, theta, bump(good))
+                monkeypatch.setattr(connections, "levi_civita", perturbed)
+                if witness is None:  # the skew change of a diagonal entry is no change
+                    assert weyl_connection(algebra, metric, theta).nabla == good
+                    continue
+                (wi, wj, wk), name = witness
+                seen.add(name)
+                with pytest.raises(RuntimeError) as failure:
+                    weyl_connection(algebra, metric, theta)
+                assert str(failure.value) == (
+                    f"conformal connection cross-check failed at ({wi}, {wj}, {wk}): "
+                    f"the {name} identity fails"
+                )
+            monkeypatch.setattr(connections, "levi_civita", original)
+        assert seen == {"torsion", "conformal"}
+
+
+class TestSparseStorage:
+    def test_curvature_stores_the_nonzero_rows_and_builds_no_dense_operator(self, monkeypatch):
+        s = scaling_structure(30)
+        algebra = s.algebra
+        assert algebra.dim == 30
+        conn = weyl_connection(algebra, s.metric, s.lee_form)
+        built = []
+        original = connections._unlift
+
+        def counting(d, rows, size):
+            built.append(None)
+            return original(d, rows, size)
+
+        monkeypatch.setattr(connections, "_unlift", counting)
+        r = curvature(algebra, conn)
+        assert not r.is_flat()
+        assert r.kernel.dim == 15
+        assert built == [] and "operators" not in r.__dict__
+        stored = sum(len(op) for op in r.rows)
+        nonzero = sum(1 for op in r.operators for row in op if any(row))
+        assert len(built) == len(r.operators) == 30 * 29 // 2
+        assert stored == nonzero
+        # the dense view holds 30 rows per operator; fewer than one in ten is stored
+        assert stored < len(r.operators) * 30 // 10

@@ -56,7 +56,13 @@ from conftest import (
     make_sol3_structure,
     sol3_theta,
 )
-from test_connections import pipeline_cases, random_llt_metric, random_triple_structure
+from test_connections import (
+    pipeline_cases,
+    random_connection,
+    random_llt_metric,
+    random_triple_structure,
+    small_rational,
+)
 from test_liealg import DenseBrackets
 
 F = Fraction
@@ -97,6 +103,38 @@ def invariant_closure(conn, v):
         if grown == span:
             return span
         span = grown
+
+
+def fraction_invariant_part(s, operators):
+    """The invariant part on dense Fraction operators: s restricted by the
+    residues in s of the images op b_r of its canonical rows."""
+    return s.restrict([[x for m in operators for x in s.residue(mat_vec(m, row))] for row in s.basis])
+
+
+class TestIntegerInvariantPart:
+    def test_matches_the_fraction_restriction_on_rational_bases(self):
+        rng = random.Random(8080)
+        fractional = proper = 0
+        for algebra, metric, theta in pipeline_cases():
+            n = algebra.dim
+            weyl = weyl_connection(algebra, metric, theta)
+            for conn in (weyl, random_connection(rng, n)):
+                starts = []
+                for _ in range(3):
+                    rows = rng.randint(1, n)
+                    vectors = [[small_rational(rng) for _ in range(n)] for _ in range(rows)]
+                    starts.append(Subspace.from_vectors(vectors, n))
+                # rational multiples mixed into the kernel rows keep invariant directions
+                kernel_rows = curvature(algebra, weyl).kernel.basis
+                starts.append(Subspace.from_vectors(
+                    [[x * F(rng.randint(1, 3), rng.randint(2, 5)) for x in row] for row in kernel_rows], n
+                ))
+                for s in starts:
+                    fractional += any(x.denominator > 1 for row in s.basis for x in row)
+                    got = lcp._invariant_part(s, conn.lifted[1])
+                    assert got == fraction_invariant_part(s, conn.nabla)
+                    proper += 0 < got.dim < s.dim
+        assert fractional > 50 and proper > 0
 
 
 class TestParallelAndFlat:

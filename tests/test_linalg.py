@@ -15,6 +15,9 @@ from lcplie.linalg import (
     Subspace,
     _bareiss as bareiss,
     _descending_chain,
+    _eliminate,
+    _exact,
+    _integer_row,
     as_fraction,
     det,
     dot,
@@ -529,6 +532,77 @@ def random_rational_rows(rng):
             s, t = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-(2**66), 2**66))
             rows.insert(rng.randrange(len(rows) + 1), [s * x + t * y for x, y in zip(a, b)])
     return rows
+
+
+def rref_eliminating_every_pending_row(rows):
+    """rref as it was before it stopped at full column rank: every pending row
+    is eliminated at every pivot, and only an empty pending list stops early."""
+    pending = [row for row in map(_integer_row, map(_exact, rows)) if any(row)]
+    ncols = len(pending[0]) if pending else 0
+    reduced, pivots = [], []
+    for c in range(ncols):
+        k = next((k for k, row in enumerate(pending) if row[c]), None)
+        if k is None:
+            continue
+        pivot_row = pending.pop(k)
+        reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
+        pending = [
+            row
+            for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
+            if any(row)
+        ]
+        reduced.append(pivot_row)
+        pivots.append(c)
+        if not pending:
+            break
+    out = []
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        out.append(tuple(F(0) if not x else F(1) if x == p else F(x, p) for x in row))
+    return tuple(out), tuple(pivots)
+
+
+def tall_rows(rng, rank_deficient):
+    """A seeded matrix with more rows than columns: of full column rank, or a
+    product of thin factors whose rank is below the width."""
+    ncols = rng.randint(1, 6)
+    nrows = ncols + rng.randint(1, 6)
+    if not rank_deficient:
+        rows = [[F(int(r == c)) for c in range(ncols)] for r in range(ncols)]
+        for _ in range(nrows - ncols):
+            rows.append([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)])
+        rng.shuffle(rows)
+        return rows
+    inner = rng.randint(0, ncols - 1)
+    left = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(inner)] for _ in range(nrows)]
+    columns = [[F(rng.randint(-3, 3)) for _ in range(inner)] for _ in range(ncols)]
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in columns] for row in left]
+
+
+class TestEarlyStop:
+    def test_rref_matches_the_copy_that_eliminates_every_pending_row(self):
+        rng = random.Random(9091)
+        ranks = {True: set(), False: set()}
+        for deficient in (False, True) * 60:
+            rows = tall_rows(rng, deficient)
+            echelon, pivots = rref(rows)
+            assert (echelon, pivots) == rref_eliminating_every_pending_row(rows)
+            ranks[deficient].add(len(pivots) == len(rows[0]))
+        assert ranks == {False: {True}, True: {False}}
+        for rows in (random_rational_rows(rng) for _ in range(100)):
+            assert rref(rows) == rref_eliminating_every_pending_row(rows)
+
+    def test_rows_pending_at_full_column_rank_are_not_eliminated(self, monkeypatch):
+        calls = []
+
+        def counting(row, pivot_row, c):
+            calls.append(c)
+            return _eliminate(row, pivot_row, c)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        # column 0 clears rows 2 and 3; at column 1 both still pend, and stay
+        assert rref([[1, 0], [0, 1], [1, 1], [2, 3]]) == (((F(1), F(0)), (F(0), F(1))), (0, 1))
+        assert calls == [0, 0]
 
 
 class TestIntegerElimination:
