@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
@@ -20,6 +20,7 @@ from .linalg import (
     SparseRows,
     Subspace,
     Vector,
+    _add_product,
     _bareiss,
     _exact,
     _integer_row,
@@ -29,11 +30,11 @@ from .linalg import (
     _sparse,
     _unlift,
     _unlift_row,
+    as_fraction,
     dot,
     identity_matrix,
     inverse,
     kernel,
-    mat_combination,
     mat_vec,
     matrix,
     pair_index,
@@ -94,6 +95,19 @@ class InnerProduct:
         return tuple(tuple(self.value(r, s) for s in rows) for r in rows)
 
 
+def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -> Matrix:
+    """The n x n Fraction matrix sum of f M / d over the (f, M) of terms, for
+    integer matrices M given by their nonzero rows: on ints over d times the
+    common denominator of the f, which go through `as_fraction`."""
+    terms = [(as_fraction(f), rows) for f, rows in terms if f and rows]
+    scale = lcm(*(f.denominator for f, _ in terms))
+    acc: dict[int, dict[int, int]] = {}
+    for f, rows in terms:
+        f = f.numerator * (scale // f.denominator)
+        _add_product(acc, {r: ((r, f),) for r, _ in rows}, rows)  # the scalar matrix f times M
+    return _unlift(d * scale, _sparse(acc), n)
+
+
 @dataclass(frozen=True)
 class Connection:
     dim: int
@@ -109,10 +123,12 @@ class Connection:
 
     @classmethod
     def _from_lifted(cls, dim: int, d: int, rows: Sequence[SparseRows]) -> "Connection":
-        """The connection with d nabla[i] = rows[i], its lift already known."""
+        """The connection with d nabla[i] = rows[i], and that lift as `lifted`.
+        Its nabla is built of Fractions here, so the constructor's checks are skipped."""
         d, rows = _lowest_terms(d, rows)
-        conn = cls(dim, tuple(_unlift(d, m, dim) for m in rows))
-        conn.__dict__["lifted"] = (d, rows)  # what the cached property would compute
+        conn = object.__new__(cls)
+        nabla = tuple(_unlift(d, m, dim) for m in rows)
+        conn.__dict__.update(dim=dim, nabla=nabla, lifted=(d, rows))
         return conn
 
     @cached_property
@@ -123,7 +139,10 @@ class Connection:
 
     def directional(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of the derivative along the vector x."""
-        return mat_combination(x, self.nabla, self.dim)
+        if len(x) != self.dim:
+            raise ValueError("vector length does not match the connection dimension")
+        d, nabla = self.lifted
+        return _combination(d, zip(x, nabla), self.dim)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         return mat_vec(self.directional(x), y)
@@ -161,15 +180,8 @@ class CurvatureTensor:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length does not match the curvature dimension")
-        out = [[ZERO] * n for _ in range(n)]
-        for (i, j), rows in zip(pairs(n), self.rows):
-            if rows and (coeff := x[i] * y[j] - x[j] * y[i]):
-                f = coeff / self.denominator
-                for r, terms in rows:
-                    row = out[r]
-                    for c, v in terms:
-                        row[c] += f * v
-        return tuple(tuple(row) for row in out)
+        terms = ((x[i] * y[j] - x[j] * y[i], m) for (i, j), m in zip(pairs(n), self.rows) if m)
+        return _combination(self.denominator, terms, n)
 
     def is_flat(self) -> bool:
         return not any(self.rows)
@@ -197,15 +209,15 @@ def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
     return all(sum((th[k] * c for k, c in terms), ZERO) == 0 for _, _, terms in algebra.table)
 
 
-def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
-    """Matrices K_i with K_i[k][j] = g(D_{e_i} e_j, e_k) for the metric connection D.
+def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> tuple[int, list[SparseRows]]:
+    """(2 c g, rows): the matrices K_i with K_i[k][j] = g(D_{e_i} e_j, e_k) for
+    the metric connection D, times 2 c g, as integer rows; c and g are the common
+    denominators of the structure constants and of the Gram matrix.
 
     Koszul's formula on basis vectors, in Milnor's lowered structure constants
     C_abm = g([e_a, e_b], e_m): g(D_i e_j, e_k) = (C_ijk - C_ikj - C_jki) / 2.
     Each nonzero bracket is lowered once and each nonzero C_abm is scattered
-    into the entries it feeds, so the work follows the nonzero constants; it
-    runs on integer numerators over 2 c g, for the common denominators c of
-    the structure constants and g of the Gram matrix.
+    into the entries it feeds, so the work follows the nonzero constants.
     """
     n = algebra.dim
     c, brackets = algebra._lifted_table
@@ -227,7 +239,7 @@ def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> list[Matrix]:
                 add(b, a, m, h)  # ... and (b, a, m)
                 add(m, b, a, -h)  # -C_jki with (j, k, i) = (a, b, m)
                 add(m, a, b, h)  # ... and (b, a, m)
-    return [_unlift(2 * c * g, _sparse(k), n) for k in k_mats]
+    return 2 * c * g, [_sparse(k) for k in k_mats]
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
@@ -236,7 +248,7 @@ def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
     d_inv, (gram_inv,) = _lift((metric.gram_inverse,))
-    d_k, k_mats = _lift(_koszul_matrices(algebra, metric.gram))
+    d_k, k_mats = _koszul_matrices(algebra, metric.gram)
     return Connection._from_lifted(algebra.dim, d_inv * d_k, _products(gram_inv, k_mats))
 
 

@@ -33,13 +33,14 @@ from .liealg import (
     trace_form,
 )
 from .linalg import (
+    ZERO,
     Matrix,
     SparseRows,
     Subspace,
+    _add_product,
     _columns,
     _descending_chain,
     _exact,
-    _lift,
     identity_matrix,
     kernel,
     pairs,
@@ -86,27 +87,17 @@ def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
     nonzero rows (a common positive scale of the operators changes nothing).
 
     s is restricted by the residues in s of the images op b_r of its canonical
-    rows b_r. With B b_r integer rows for one common B, the integer residue
-    B v - sum over r of v[p_r] (B b_r) is B times the residue of v, so every
-    value carries the same positive scale and the restriction is exact.
+    rows b_r, taken on the integer rows B b_r (`Subspace._integer_residue`):
+    every value carries the same positive scale, so the restriction is exact.
     """
-    scale, (basis,) = _lift((s.basis,))
-    columns = _columns(basis)
+    columns = _columns(s._lifted[1])
     values: dict[tuple[int, int], dict[int, int]] = {}
     for idx, op in enumerate(operators):
-        images: list[dict[int, int]] = [{} for _ in basis]
-        for row, terms in op:
-            for c, y in terms:
-                for r, x in columns.get(c, ()):
-                    image = images[r]
-                    image[row] = image.get(row, 0) + y * x
-        for r, image in enumerate(images):
-            residue = {k: scale * v for k, v in image.items()}
-            for p, (_, terms) in zip(s.pivots, basis):
-                if coeff := image.get(p):
-                    for c, x in terms:
-                        residue[c] = residue.get(c, 0) - coeff * x
-            for k, v in residue.items():
+        images: dict[int, dict[int, int]] = {}
+        # images[r] = op (B b_r): the basis rows times op^T, whose rows are op's columns
+        _add_product(images, columns, _columns(op).items())
+        for r, image in images.items():
+            for k, v in s._integer_residue(image).items():
                 if v:
                     values.setdefault((idx, k), {})[r] = v
     return s.restrict([[values[key].get(r, 0) for key in sorted(values)] for r in range(s.dim)])
@@ -343,25 +334,16 @@ def build_from_triple(triple: LCPTriple) -> LCPStructure:
     h, q = triple.h_algebra, triple.q
     character = trace_form(h)
     weight = [Fraction(-1, q) * c for c in character.coefficients]
-    alpha = []
-    for i in range(h.dim):
-        ident = identity_matrix(q)
-        alpha.append(
-            tuple(
-                tuple(weight[i] * ident[r][c] + triple.beta[i][r][c] for c in range(q))
-                for r in range(q)
-            )
-        )
+    alpha = [
+        tuple(tuple(x + w if r == c else x for c, x in enumerate(row)) for r, row in enumerate(b))
+        for w, b in zip(weight, triple.beta)
+    ]
     algebra = semidirect_sum(q, h, alpha)
     n = q + h.dim
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(q):
-        gram[i][i] = Fraction(1)
-    for r in range(h.dim):
-        for c in range(h.dim):
-            gram[q + r][q + c] = triple.h_metric.gram[r][c]
-    metric = InnerProduct(tuple(tuple(row) for row in gram))
-    theta = Covector(tuple([Fraction(0)] * q + weight))
+    # block diagonal: the identity on the flat factor and h's metric on h
+    h_rows = tuple((ZERO,) * q + row for row in triple.h_metric.gram)
+    metric = InnerProduct(identity_matrix(n)[:q] + h_rows)
+    theta = Covector(tuple([ZERO] * q + weight))
     u = Subspace.from_vectors(identity_matrix(n)[:q], n)
     structure = validate_lcp(algebra, metric, theta, u)
     if not is_unimodular(algebra) or not structure.adapted:
@@ -478,7 +460,7 @@ def conformal_exponential_residual(
     """Max-norm defect of E^T G E = exp(2 t w) G for E = exp(t * action).
 
     The one floating-point computation in the package: the matrix
-    exponential uses scaling-and-squaring (scipy).
+    exponential uses scaling-and-squaring (scipy, from the `numeric` extra).
     """
     import numpy
     from scipy.linalg import expm

@@ -20,8 +20,11 @@ from .linalg import (
     Vector,
     _add_product,
     _columns,
+    _dense_row,
     _descending_chain,
     _exact,
+    _gram_rows,
+    _integer_row,
     _lift,
     _sparse,
     as_fraction,
@@ -29,7 +32,6 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
-    mat_mul,
     pairs,
     transpose,
     vector,
@@ -237,13 +239,7 @@ class LieAlgebra:
     @cached_property
     def _derived_algebra(self) -> Subspace:
         n = self.dim
-        rows = []
-        for _, _, terms in self.table:
-            row = [ZERO] * n
-            for k, c in terms:
-                row[k] = c
-            rows.append(row)
-        return Subspace.from_vectors(rows, n)
+        return Subspace.from_vectors([_dense_row(t, n) for t in self._lifted_table[1].values()], n)
 
     @cached_property
     def _lifted_table(self) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
@@ -258,58 +254,63 @@ class LieAlgebra:
     @cached_property
     def _killing_form(self) -> Matrix:
         n = self.dim
-        ads: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
-        for i, j, terms in self.table:
-            for k, c in terms:
-                ads[i][(k, j)] = c
-                ads[j][(k, i)] = -c
+        c, brackets = self._lifted_table
+        # c ad_i as {(k, l): int}: the traces below are over c^2
+        ads: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+        for (i, j), terms in brackets.items():
+            for k, x in terms:
+                ads[i][(k, j)] = x
+                ads[j][(k, i)] = -x
         out = [[ZERO] * n for _ in range(n)]
         active = [i for i in range(n) if ads[i]]  # ad_i = 0 leaves row and column i zero
         for a, i in enumerate(active):
             for j in active[a:]:
-                tr = sum((c * ads[j].get((l, k), ZERO) for (k, l), c in ads[i].items()), ZERO)
-                out[i][j] = out[j][i] = tr
+                if tr := sum(x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items()):
+                    out[i][j] = out[j][i] = Fraction(tr, c * c)
         return tuple(tuple(row) for row in out)
 
 
-def _basis_images(algebra: LieAlgebra, v: Sequence[Fraction]) -> dict[int, Vector]:
-    """{i: [e_i, v]} for every i with [e_i, v] != 0, from one sweep of the table.
-
-    The entry (i, j, C_ij) adds v_j C_ij to [e_i, v] and -v_i C_ij to [e_j, v].
-    """
-    n = algebra.dim
-    images: dict[int, list[Fraction]] = {}
-    for i, j, terms in algebra.table:
-        for a, f in ((i, v[j]), (j, -v[i])):
+def _basis_images(algebra: LieAlgebra, v: Sequence[Fraction]) -> dict[int, dict[int, int]]:
+    """{i: {k: int}}, the nonzero images c w [e_i, v] from one sweep of the
+    integer table (`_lifted_table`, denominator c), with w v the primitive
+    integer multiple of v. They share the scale c w, so the spans and kernels
+    built from them are those of the [e_i, v]."""
+    if len(v) != algebra.dim:
+        raise ValueError("vector length does not match the algebra dimension")
+    w = _integer_row(v)
+    images: dict[int, dict[int, int]] = {}
+    for (i, j), terms in algebra._lifted_table[1].items():
+        for a, f in ((i, w[j]), (j, -w[i])):
             if f:
-                row = images.get(a) or images.setdefault(a, [ZERO] * n)
-                for k, c in terms:
-                    row[k] += f * c
-    return {i: tuple(row) for i, row in images.items() if any(row)}
+                row = images.setdefault(a, {})
+                get = row.get
+                for k, x in terms:
+                    row[k] = get(k, 0) + f * x
+    return {i: nz for i, row in images.items() if (nz := {k: x for k, x in row.items() if x})}
 
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
     """Span of all brackets of the two subspaces.
 
     [x, y] is the sum of x_i [e_i, y] over the nonzero images of y, so each
-    right-hand row costs one sweep of the table; zero brackets are dropped.
+    right-hand row costs one sweep of the table; the left-hand rows enter as
+    primitive integer rows, and zero brackets are dropped.
     """
     n = algebra.dim
+    if {left.ambient_dim, right.ambient_dim} != {n}:
+        raise ValueError("subspace dimension does not match the algebra")
+    lefts = [_integer_row(x) for x in left.basis]
     brackets = []
     for y in right.basis:
-        images = _basis_images(algebra, y)
-        if not images:
-            continue
-        for x in left.basis:
-            acc = [ZERO] * n
-            for i, image in images.items():
-                f = x[i]
-                if f:
-                    for k, c in enumerate(image):
-                        if c:
-                            acc[k] += f * c
+        images = _basis_images(algebra, y).items()
+        for x in lefts:
+            acc = [0] * n
+            for i, image in images:
+                if f := x[i]:
+                    for k, c in image.items():
+                        acc[k] += f * c
             if any(acc):
-                brackets.append(tuple(acc))
+                brackets.append(acc)
     return Subspace.from_vectors(brackets, n)
 
 
@@ -378,13 +379,12 @@ def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[Fraction]]) -> 
     n = algebra.dim
     rows = []
     for v in vectors:
-        by_coordinate: dict[int, list[Fraction]] = {}
+        by_coordinate: dict[int, list[int]] = {}
         for i, image in _basis_images(algebra, v).items():
-            for k, c in enumerate(image):
-                if c:
-                    by_coordinate.setdefault(k, [ZERO] * n)[i] = c
-        rows.extend(tuple(row) for row in by_coordinate.values())
-    return Subspace(n, kernel(tuple(rows), n))
+            for k, c in image.items():
+                by_coordinate.setdefault(k, [0] * n)[i] = c
+        rows.extend(by_coordinate.values())
+    return Subspace(n, kernel(rows, n))
 
 
 def center(algebra: LieAlgebra) -> Subspace:
@@ -392,19 +392,15 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
-    return all(
-        s.contains(image)
+    return not any(
+        any(s._integer_residue(image).values())
         for row in s.basis
         for image in _basis_images(algebra, row).values()
     )
 
 
 def is_abelian_subspace(algebra: LieAlgebra, s: Subspace) -> bool:
-    rows = s.basis
-    return all(
-        is_zero_vector(algebra.bracket(rows[i], rows[j]))
-        for i, j in pairs(len(rows))
-    )
+    return bracket_span(algebra, s, s).is_zero()
 
 
 def radical(algebra: LieAlgebra) -> Subspace:
@@ -417,8 +413,7 @@ def radical(algebra: LieAlgebra) -> Subspace:
     commutator = derived_algebra(algebra)
     if commutator.is_zero():
         return algebra.full_space()
-    killing = killing_form(algebra)
-    constraints = mat_mul(commutator.basis, killing)
+    constraints = _gram_rows(killing_form(algebra), commutator.basis)
     rad = Subspace(algebra.dim, kernel(constraints, algebra.dim))
     if not is_ideal(algebra, rad) or not _derived_chain(algebra, rad)[-1].is_zero():
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
@@ -503,10 +498,9 @@ def semidirect_sum(
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(q):
         for j in range(h.dim):
-            # [u_i, x_j] = -alpha_j u_i: column i of -alpha_j in the u block
-            col = {r: -mats[j][r][i] for r in range(q) if mats[j][r][i] != 0}
-            if col:
-                brackets[(i, q + j)] = col
+            # [u_i, x_j] = -alpha_j u_i: column i of -alpha_j in the u block; from_brackets
+            # drops an entry with no coefficients
+            brackets[(i, q + j)] = {r: -mats[j][r][i] for r in range(q) if mats[j][r][i] != 0}
     for i, j, terms in h.table:
         brackets[(q + i, q + j)] = {q + k: c for k, c in terms}
     return LieAlgebra.from_brackets(n, brackets, labels)

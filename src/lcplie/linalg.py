@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Vectors and matrices are immutable tuples with Fraction entries; every
-routine here is pure and exact. Floating point never enters this module.
+Two forms of a matrix meet here. At the API, vectors and matrices are
+immutable tuples with Fraction entries. Inside, the kernels work on
+integer rows over a common denominator: dense lists of ints for
+elimination, and `SparseRows`, the nonzero rows as (column, int) pairs,
+for products. Every routine here is pure and exact. Floating point never
+enters this module.
 """
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -22,6 +27,7 @@ SparseRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _FRACTION = {Fraction}
+_RATIONAL = {int, Fraction}
 
 # ASCII digits only, matched in full: "\d" admits other scripts and "$" a final newline.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -57,11 +63,11 @@ def vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
-def _exact(row: Iterable[int | str | Fraction]) -> Vector:
-    """row as a tuple: rows of Fractions pass through, other rows go through
-    `vector`, so ints are accepted and floats and bools raise TypeError."""
+def _exact(row: Iterable[int | str | Fraction], kinds: set[type] = _FRACTION) -> Vector:
+    """row as a tuple: rows whose entries are all of the kinds pass through,
+    other rows go through `vector`, so floats and bools raise TypeError."""
     row = tuple(row)
-    return row if set(map(type, row)) <= _FRACTION else vector(row)
+    return row if set(map(type, row)) <= kinds else vector(row)
 
 
 def matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
@@ -83,10 +89,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in v)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     """Exact inner product of coordinate sequences; zero factors are skipped."""
     return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
@@ -98,33 +100,6 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product; each nonzero entry of a meets only the nonzero entries of b."""
-    ncols = len(b[0]) if b else 0
-    sparse_rows = [tuple((c, y) for c, y in enumerate(row) if y) for row in b]
-    out = []
-    for row in a:
-        acc = [ZERO] * ncols
-        for x, terms in zip(row, sparse_rows, strict=True):
-            if x:
-                for c, y in terms:
-                    acc[c] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix], size: int) -> Matrix:
-    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms and zero
-    entries are skipped."""
-    out = tuple(zero_vector(size) for _ in range(size))
-    for c, m in zip(coeffs, mats, strict=True):
-        if c != 0:
-            out = tuple(
-                tuple(x + c * y if y else x for x, y in zip(r, s)) for r, s in zip(out, m)
-            )
-    return out
 
 
 def pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -147,8 +122,8 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The primitive integer multiple of a rational row."""
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """The primitive integer multiple of a row of ints and Fractions."""
     scale = lcm(*(x.denominator for x in row))
     return _primitive([x.numerator * (scale // x.denominator) for x in row])
 
@@ -188,6 +163,14 @@ def _lowest_terms(d: int, mats: Sequence[SparseRows]) -> tuple[int, tuple[Sparse
     return d // g, tuple(
         tuple((r, tuple((c, x // g) for c, x in terms)) for r, terms in m) for m in mats
     )
+
+
+def _dense_row(terms: Iterable[tuple[int, int]], size: int) -> list[int]:
+    """The int row of length size whose nonzero entries are terms."""
+    row = [0] * size
+    for c, x in terms:
+        row[c] = x
+    return row
 
 
 def _unlift_row(d: int, terms: Iterable[tuple[int, int]], size: int) -> Vector:
@@ -253,7 +236,7 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     return _primitive([p * x - f * y if y else p * x for x, y in zip(row, pivot_row)])
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
+def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows, pivot columns). The output is the canonical
@@ -264,9 +247,10 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     lcm of its denominators and kept primitive (its content divided out) after
     every update. Elimination stops once no rows are pending or every column
     has a pivot. Fractions are built only for the final pivot rows, divided
-    by their pivots. Rows are read through `_exact`.
+    by their pivots. Rows of ints and Fractions are read as they are; other
+    rows go through `vector`, so floats and bools raise TypeError.
     """
-    pending = [row for row in map(_integer_row, map(_exact, rows)) if any(row)]
+    pending = [row for row in (_integer_row(_exact(row, _RATIONAL)) for row in rows) if any(row)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[list[int]] = []
     pivots: list[int] = []
@@ -466,6 +450,16 @@ def _reduced_echelon_pivots(rows: Matrix) -> tuple[int, ...] | None:
     return tuple(pivots)
 
 
+def _gram_rows(gram: Matrix, rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """A positive multiple of r G for each r of rows as dense int rows, zero rows
+    left out: for a symmetric G, the conditions g(r, x) = 0, from one sparse product."""
+    n = len(gram)
+    if any(len(row) != n for row in (*gram, *rows)):
+        raise ValueError("gram matrix and rows must have matching dimensions")
+    _, (g, r) = _lift((gram, rows))
+    return [_dense_row(terms, n) for _, terms in _products(r, (g,))[0]]
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A rational subspace held by its canonical reduced-row-echelon basis.
@@ -560,8 +554,25 @@ class Subspace:
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
         """Complement with respect to the inner product given by gram."""
-        constraints = tuple(mat_vec(gram, row) for row in self.basis)
-        return Subspace(self.ambient_dim, kernel(constraints, self.ambient_dim))
+        return Subspace(self.ambient_dim, kernel(_gram_rows(gram, self.basis), self.ambient_dim))
+
+    @cached_property
+    def _lifted(self) -> tuple[int, SparseRows]:
+        """(B, rows): the common denominator B of the canonical rows, and B times them."""
+        scale, (rows,) = _lift((self.basis,))
+        return scale, rows
+
+    def _integer_residue(self, v: dict[int, int]) -> dict[int, int]:
+        """B v - sum over r of v[p_r] (B b_r) for an integer vector v given as
+        {column: entry}: B times `residue(v)`, zero exactly when v lies in the
+        span. Entries may be zero."""
+        scale, rows = self._lifted
+        out = {k: scale * x for k, x in v.items()}
+        for p, (_, terms) in zip(self.pivots, rows):
+            if coeff := v.get(p):
+                for c, x in terms:
+                    out[c] = out.get(c, 0) - coeff * x
+        return out
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -10,7 +10,7 @@ import pytest
 from lcplie.connections import InnerProduct
 from lcplie.lcp import LCPStructure, LCPTriple, build_from_triple, validate_lcp
 from lcplie.liealg import Covector, LieAlgebra
-from lcplie.linalg import Subspace
+from lcplie.linalg import ZERO, Subspace, zero_vector
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -132,6 +132,33 @@ def fraction_det(a) -> Fraction:
                 f = work[i][c] * inv
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return result
+
+
+def mat_mul(a, b):
+    """Exact product; each nonzero entry of a meets only the nonzero entries of b."""
+    ncols = len(b[0]) if b else 0
+    sparse_rows = [tuple((c, y) for c, y in enumerate(row) if y) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for x, terms in zip(row, sparse_rows, strict=True):
+            if x:
+                for c, y in terms:
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def mat_combination(coeffs, mats, size: int):
+    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms and zero
+    entries are skipped."""
+    out = tuple(zero_vector(size) for _ in range(size))
+    for c, m in zip(coeffs, mats, strict=True):
+        if c != 0:
+            out = tuple(
+                tuple(x + c * y if y else x for x, y in zip(r, s)) for r, s in zip(out, m)
+            )
+    return out
 
 
 def corpus_text(name: str) -> str:

@@ -37,7 +37,6 @@ from lcplie.linalg import (
     inverse,
     is_zero_vector,
     kernel,
-    mat_mul,
     mat_vec,
     matrix,
     pair_index,
@@ -55,6 +54,8 @@ from conftest import (
     make_heis3,
     make_sl2,
     make_sol3,
+    mat_combination,
+    mat_mul,
     sol3_theta,
 )
 
@@ -645,9 +646,11 @@ class TestWeyl:
         original = connections._koszul_matrices
 
         def perturbed(algebra, gram):
-            k_mats = [[list(row) for row in m] for m in original(algebra, gram)]
+            d, rows = original(algebra, gram)
+            k_mats = [[list(row) for row in _unlift(d, m, algebra.dim)] for m in rows]
             k_mats[2][0][1] += 1  # g(D_{e_3} e_2, e_1)
-            return [matrix(m) for m in k_mats]
+            d, rows = _lift(k_mats)
+            return d, list(rows)
 
         monkeypatch.setattr(connections, "_koszul_matrices", perturbed)
         with pytest.raises(RuntimeError, match=r"cross-check failed at \(2, 0, 1\)"):
@@ -893,6 +896,14 @@ class TestIntegerLift:
                 lifted_invariants(r.denominator, r.rows, r.operators)
                 assert _lift(r.operators) == (r.denominator, r.rows)
 
+    def test_built_connections_equal_the_checked_constructor(self):
+        for algebra, metric, theta in pipeline_cases():
+            for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
+                checked = Connection(conn.dim, conn.nabla)
+                assert conn == checked and conn.nabla == checked.nabla
+                assert all(type(x) is F for m in conn.nabla for row in m for x in row)
+                assert conn.lifted == checked.lifted
+
     def test_empty_and_zero_families(self):
         assert _lift(()) == (1, ())
         zero = ((F(0), F(0)), (F(0), F(0)))
@@ -935,6 +946,31 @@ class TestDenseOracles:
                 assert r.is_flat() == all(not any(row) for op in dense for row in op)
                 flat.add(r.is_flat())
         assert flat == {True, False}
+
+    def test_directional_and_evaluate_match_a_dense_combination(self):
+        rng = random.Random(5252)
+        for algebra, metric, theta in pipeline_cases():
+            n = algebra.dim
+            conn = weyl_connection(algebra, metric, theta)
+            r = curvature(algebra, conn)
+            for _ in range(3):
+                x = tuple(F(rng.randint(-9, 9) * 10**12, rng.randint(1, 10**6)) for _ in range(n))
+                y = tuple(small_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n))
+                assert conn.directional(x) == mat_combination(x, conn.nabla, n)
+                assert conn.directional(y) == mat_combination(y, conn.nabla, n)
+                coeffs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs(n)]
+                assert r.evaluate(x, y) == mat_combination(coeffs, r.operators, n)
+        assert conn.directional(zero_vector(n)) == tuple(zero_vector(n) for _ in range(n))
+
+    def test_directional_and_evaluate_reject_inexact_coefficients(self, sol3):
+        conn = levi_civita(sol3, InnerProduct.identity(3))
+        r = curvature(sol3, conn)
+        assert conn.lifted[1][0] and not r.is_flat()
+        for bad in (0.5, True):
+            with pytest.raises(TypeError):
+                conn.directional((bad, F(0), F(0)))
+        with pytest.raises(TypeError):
+            r.evaluate((0.5, F(0), F(0)), (F(1), F(2), F(3)))
 
     def test_kernel_matches_the_kernel_of_the_distinct_fraction_rows(self):
         for algebra, metric, theta in pipeline_cases():

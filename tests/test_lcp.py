@@ -37,7 +37,6 @@ from lcplie.linalg import (
     Subspace,
     identity_matrix,
     kernel,
-    mat_mul,
     mat_vec,
     matrix,
     rank,
@@ -54,6 +53,7 @@ from conftest import (
     make_rot5_structure,
     make_sol3,
     make_sol3_structure,
+    mat_mul,
     sol3_theta,
 )
 from test_connections import (
@@ -222,6 +222,23 @@ class TestParallelAndFlat:
 
 
 class TestMaximalFlatFactor:
+    def test_self_check_makes_no_bracket_calls(
+        self, monkeypatch, rot4_structure, rot5_structure
+    ):
+        calls = []
+        bracket = LieAlgebra.bracket
+
+        def counted(self, x, y):
+            calls.append(1)
+            return bracket(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "bracket", counted)
+        for s in (rot4_structure, rot5_structure):
+            result = maximal_flat_factor(s.algebra, s.metric, s.lee_form)
+            # a proper flat factor of dimension 2: the abelian-ideal self-check runs
+            assert result.classification == CLASS_LCP and result.subspace.dim == 2
+        assert calls == []
+
     def test_sol3(self, sol3):
         result = maximal_flat_factor(sol3, InnerProduct.identity(3), sol3_theta())
         assert result.subspace == Subspace.from_vectors([vector([1, 0, 0])], 3)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcplie import liealg
+from lcplie import liealg, linalg
 from lcplie.liealg import (
     Covector,
     LieAlgebra,
@@ -36,9 +36,10 @@ from lcplie.connections import InnerProduct, is_closed
 from lcplie.lcp import LCPTriple
 from lcplie.linalg import (
     Subspace,
+    det,
+    inverse,
     kernel,
-    mat_combination,
-    mat_mul,
+    mat_vec,
     matrix,
     pairs,
     symmetric_signature,
@@ -55,6 +56,8 @@ from conftest import (
     make_heis3,
     make_sl2,
     make_sol3,
+    mat_combination,
+    mat_mul,
 )
 from test_connections import closed_covectors, random_metric_algebras
 
@@ -471,6 +474,16 @@ class DenseBrackets:
             chain.append(nxt)
         return tuple(chain)
 
+    def centralizer(self, vectors):
+        """x with [x, v] = 0 for each v: sum over i of x_i [e_i, v] = 0 gives one
+        row per coordinate of the brackets."""
+        rows = tuple(
+            row
+            for v in vectors
+            for row in transpose(tuple(self.bracket(e, v) for e in self.full.basis))
+        )
+        return Subspace(self.n, kernel(rows, self.n))
+
     def radical(self):
         """The Killing-orthogonal of the derived algebra."""
         if self.derived.is_zero():
@@ -588,13 +601,7 @@ class TestTableDrivenStructure:
                 )
                 assert is_ideal(algebra, left) == ideal
                 ideal_verdicts.add(ideal)
-                # x centralizes left iff sum over i of x_i [e_i, v] = 0 for each basis row v
-                rows = tuple(
-                    row
-                    for v in left.basis
-                    for row in transpose(tuple(dense.bracket(e, v) for e in dense.full.basis))
-                )
-                assert liealg._centralizer(algebra, left.basis) == Subspace(n, kernel(rows, n))
+                assert liealg._centralizer(algebra, left.basis) == dense.centralizer(left.basis)
                 closed_verdicts.add(left.contains_subspace(dense.span(left, left)))
         assert ideal_verdicts == {True, False}
         assert closed_verdicts == {True, False}
@@ -663,6 +670,86 @@ class TestTableDrivenStructure:
             calls.clear()
             compute(algebra)
             assert len(calls) == 1, algebra.labels
+
+
+def sl2_plus_line():
+    return LieAlgebra.from_brackets(4, {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)}})
+
+
+def rebased(algebra, rng):
+    """The same algebra on the basis f_i = P e_i, for a seeded rational P with
+    large numerators and denominators, so its structure constants are far
+    from integers."""
+    n = algebra.dim
+    while True:
+        p = tuple(
+            tuple(F(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)) for _ in range(n))
+            for _ in range(n)
+        )
+        if det(p):
+            break
+    cols, p_inv = transpose(p), inverse(p)
+    brackets = {
+        (i, j): dict(enumerate(mat_vec(p_inv, algebra.bracket(cols[i], cols[j]))))
+        for i, j in pairs(n)
+    }
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+def rational_subspaces(rng, n, count):
+    """Spans of random rows whose entries have up to 12-digit numerators and
+    9-digit denominators."""
+    return [
+        Subspace.from_vectors(
+            [
+                [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) if rng.random() < 0.7 else F(0)
+                 for _ in range(n)]
+                for _ in range(rng.randint(1, n))
+            ],
+            n,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestIntegerRowStructure:
+    """The structure functions scale each vector to a primitive integer row and
+    read the integer table; against the dense oracle on coordinates with large,
+    non-integer denominators."""
+
+    def test_matches_the_dense_oracle_on_rational_coordinates(self):
+        rng = random.Random(1618)
+        verdicts = set()
+        algebras = [heis_plus_diag(), sl2_on_plane(), sl2_plus_line(), make_sol3(), make_sl2()]
+        for algebra in algebras + [rebased(a, rng) for a in algebras]:
+            n = algebra.dim
+            dense = DenseBrackets(algebra)
+            rad = radical(algebra)
+            assert rad == dense.radical()
+            assert center(algebra) == dense.centralizer(dense.full.basis)
+            spaces = rational_subspaces(rng, n, 4) + [Subspace.zero(n), dense.full, dense.derived, rad]
+            for left in spaces:
+                for right in spaces[:2] + spaces[-3:]:
+                    assert bracket_span(algebra, left, right) == dense.span(left, right)
+                ideal = left.contains_subspace(dense.span(dense.full, left))
+                abelian = dense.span(left, left).is_zero()
+                assert is_ideal(algebra, left) == ideal
+                assert is_abelian_subspace(algebra, left) == abelian
+                verdicts |= {("ideal", ideal), ("abelian", abelian)}
+        assert verdicts == {("ideal", True), ("ideal", False), ("abelian", True), ("abelian", False)}
+
+    def test_bracket_span_rejects_subspaces_of_another_dimension(self):
+        algebra = LieAlgebra.from_brackets(3, {(0, 1): {1: 1}})
+        own = algebra.full_space()
+        for n in (5, 2):
+            other = Subspace.full(n)
+            for left, right in ((other, other), (other, own), (own, other)):
+                with pytest.raises(ValueError, match="dimension does not match the algebra"):
+                    bracket_span(algebra, left, right)
+            with pytest.raises(ValueError):
+                is_abelian_subspace(algebra, other)
+            with pytest.raises(ValueError):
+                is_ideal(algebra, other)
 
 
 class TestForms:
@@ -823,13 +910,8 @@ class TestHomomorphismDefect:
                 perturbed_failures += expected is not None
         assert perturbed_failures > 0
 
-    def test_triple_and_semidirect_sum_multiply_no_dense_matrices(
-        self, monkeypatch, rot4_structure
-    ):
-        def forbidden(a, b):
-            raise AssertionError("mat_mul called")
-
-        monkeypatch.setattr(liealg, "mat_mul", forbidden)
+    def test_triple_and_semidirect_sum_multiply_no_dense_matrices(self, rot4_structure):
+        assert not hasattr(linalg, "mat_mul")
         aff = make_aff()
         triple = LCPTriple(aff, InnerProduct.identity(2), 2, (ROTATION, ZERO2))
         # the lee form is -1/2 on a: alpha(a) = ROTATION - I/2, alpha(b) = 0

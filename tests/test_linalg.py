@@ -24,7 +24,6 @@ from lcplie.linalg import (
     identity_matrix,
     inverse,
     kernel,
-    mat_mul,
     mat_vec,
     matrix,
     pair_index,
@@ -36,7 +35,7 @@ from lcplie.linalg import (
     vector,
 )
 
-from conftest import fraction_det
+from conftest import fraction_det, mat_mul
 
 F = Fraction
 
@@ -177,8 +176,8 @@ def test_products_reject_length_mismatch_even_across_zeros():
         dot(vector([0, 0]), vector([1]))
     with pytest.raises(ValueError):
         mat_vec(matrix([[0, 1]]), vector([0]))
-    with pytest.raises(ValueError):
-        mat_mul(matrix([[0, 1]]), matrix([[1, 0]]))
+    with pytest.raises(ValueError, match="vector length"):
+        connections.Connection(2, (identity_matrix(2),) * 2).directional(vector([0]))
 
 
 def test_det_matches_permutation_expansion():
