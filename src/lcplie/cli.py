@@ -33,6 +33,7 @@ from .liealg import (
     Covector,
     LieAlgebra,
     _jacobi_defects,
+    _lift_table,
     center,
     derived_algebra,
     is_abelian,
@@ -140,7 +141,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             algebra = None
             names = ", ".join(
                 "(" + ", ".join(doc.basis[t] for t in triple) + ")"
-                for triple, _ in _jacobi_defects(doc.dim, doc.brackets)
+                for triple in _jacobi_defects(_lift_table(doc.brackets)[1])
             )
             print(f"jacobi: FAIL at basis triples {names}")
             problems += 1

@@ -1,5 +1,7 @@
-"""Invariant metrics, the Levi-Civita connection, and its closed-form
-conformal modification for a closed covector, all in exact arithmetic.
+"""Invariant metrics and the connections they determine, in exact arithmetic:
+the Weyl connection of a closed covector theta, the torsion-free connection
+with Dg = -2 theta (x) g, from one Koszul step that carries the theta terms,
+and the Levi-Civita connection as its theta = 0 case.
 
 Conventions: a connection is a family of matrices nabla[i], one per basis
 direction, acting on coordinate columns; nabla[i] applied to e_j is the
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -22,6 +25,7 @@ from .linalg import (
     Vector,
     _add_product,
     _bareiss,
+    _dense_row,
     _exact,
     _integer_row,
     _lift,
@@ -189,16 +193,15 @@ class CurvatureTensor:
     @cached_property
     def kernel(self) -> Subspace:
         """Joint kernel of all operators: the kernel of their nonzero rows, one
-        row for each primitive integer row, so rows that are positive multiples
-        of each other enter the elimination once."""
-        distinct: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+        primitive integer row for each, so rows that are positive multiples of
+        each other enter the elimination once and as the ints it works on."""
+        distinct: dict[tuple[tuple[int, int], ...], None] = {}
         for op in self.rows:
             for _, terms in op:
                 g = gcd(*(v for _, v in terms))
-                distinct.setdefault(tuple((c, v // g) for c, v in terms), terms)
-        d, n = self.denominator, self.dim
-        rows = tuple(_unlift_row(d, terms, n) for terms in distinct.values())
-        return Subspace(n, kernel(rows, n))
+                distinct[tuple((c, v // g) for c, v in terms)] = None
+        n = self.dim
+        return Subspace(n, kernel(tuple(_dense_row(terms, n) for terms in distinct), n))
 
 
 def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
@@ -209,20 +212,24 @@ def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
     return all(sum((th[k] * c for k, c in terms), ZERO) == 0 for _, _, terms in algebra.table)
 
 
-def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> tuple[int, list[SparseRows]]:
-    """(2 c g, rows): the matrices K_i with K_i[k][j] = g(D_{e_i} e_j, e_k) for
-    the metric connection D, times 2 c g, as integer rows; c and g are the common
-    denominators of the structure constants and of the Gram matrix.
+def _koszul_matrices(
+    algebra: LieAlgebra, gram: Matrix, theta: Vector
+) -> tuple[int, list[SparseRows]]:
+    """(2 c g^2, rows): the matrices G D_i, (G D_i)[k][j] = g(D_{e_i} e_j, e_k), of
+    the torsion-free connection D with Dg = -2 theta (x) g, times 2 c g^2, as
+    integer rows; c and g are the common denominators of the structure constants
+    and of the Gram matrix and theta.
 
-    Koszul's formula on basis vectors, in Milnor's lowered structure constants
-    C_abm = g([e_a, e_b], e_m): g(D_i e_j, e_k) = (C_ijk - C_ikj - C_jki) / 2.
-    Each nonzero bracket is lowered once and each nonzero C_abm is scattered
-    into the entries it feeds, so the work follows the nonzero constants.
+    G D_i = K_i + theta_i G + g_i theta^T - theta g_i^T, with g_i row i of G and
+    K_i Koszul's formula in Milnor's lowered structure constants C_abm =
+    g([e_a, e_b], e_m): K_i[k][j] = (C_ijk - C_ikj - C_jki) / 2. Over 2 c g^2 the
+    Koszul part carries the factor g and the theta part 2 c. Each nonzero
+    C_abm and theta_s G_ab is scattered into the entries it feeds, so the work
+    follows the nonzero constants.
     """
-    n = algebra.dim
     c, brackets = algebra._lifted_table
-    g, (gram_rows,) = _lift((gram,))
-    k_mats: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    g, (gram_rows, vectors) = _lift((gram, (theta,)))
+    k_mats: list[dict[int, dict[int, int]]] = [{} for _ in range(algebra.dim)]
 
     def add(i: int, k: int, j: int, x: int) -> None:
         row = k_mats[i].setdefault(k, {})
@@ -232,74 +239,59 @@ def _koszul_matrices(algebra: LieAlgebra, gram: Matrix) -> tuple[int, list[Spars
         bracket = dict(terms)
         # the gram matrix is symmetric, so C_abm = sum over k of C^k_ab g_mk
         for m, g_m in gram_rows:
-            if h := sum(bracket[k] * y for k, y in g_m if k in bracket):  # C_bam = -C_abm
+            if h := g * sum(bracket[k] * y for k, y in g_m if k in bracket):  # C_bam = -C_abm
                 add(a, m, b, h)  # C_ijk with (i, j, k) = (a, b, m)
                 add(b, m, a, -h)  # ... and (b, a, m)
                 add(a, b, m, -h)  # -C_ikj with (i, k, j) = (a, b, m)
                 add(b, a, m, h)  # ... and (b, a, m)
                 add(m, b, a, -h)  # -C_jki with (j, k, i) = (a, b, m)
                 add(m, a, b, h)  # ... and (b, a, m)
-    return 2 * c * g, [_sparse(k) for k in k_mats]
+    for (a, g_a), (s, t) in product(gram_rows, dict(vectors).get(0, ())):
+        for b, y in g_a:
+            x = 2 * c * t * y  # theta_s G_ab
+            add(s, a, b, x)  # theta_i G_kj with (i, k, j) = (s, a, b)
+            add(b, a, s, x)  # G_ki theta_j with (i, k, j) = (b, a, s)
+            add(a, s, b, -x)  # -theta_k G_ij with (i, k, j) = (a, s, b)
+    return 2 * c * g * g, [_sparse(k) for k in k_mats]
 
 
-def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
-    """The torsion-free metric connection, from the Koszul formula: nabla_i =
-    G^-1 K_i, multiplied on integer numerators."""
+def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Vector) -> Connection:
+    """The torsion-free connection with Dg = -2 theta (x) g: G^-1 multiplied
+    into the rows of `_koszul_matrices` on integer numerators."""
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
     d_inv, (gram_inv,) = _lift((metric.gram_inverse,))
-    d_k, k_mats = _koszul_matrices(algebra, metric.gram)
+    d_k, k_mats = _koszul_matrices(algebra, metric.gram, theta)
     return Connection._from_lifted(algebra.dim, d_inv * d_k, _products(gram_inv, k_mats))
+
+
+def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
+    """The torsion-free metric connection: the Koszul build with theta = 0."""
+    return _koszul_connection(algebra, metric, zero_vector(algebra.dim))
 
 
 def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
     """Conformal modification of the metric connection by a closed covector.
 
-    Built from the closed-form correction of the Levi-Civita connection, then
-    checked at every (i, j, k) against the two identities that determine it;
-    a failure raises, signaling an internal inconsistency. Both steps work on
-    integer numerators over common denominators and visit nonzero entries
-    only; every entry they skip is zero on both sides of its identity.
+    Built by the Koszul step with its theta terms (`_koszul_matrices`), then
+    checked at every (i, j, k) against the two identities that determine it; a
+    failure raises, signaling an internal inconsistency. The check reads only
+    the built connection, on integer numerators, and visits nonzero entries
+    only; every entry it skips is zero on both sides of its identity.
     """
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
     if not is_closed(algebra, theta):
         raise ValueError("covector is not closed; no conformal connection is defined")
-    d_lc, lc = levi_civita(algebra, metric).lifted
-    n = algebra.dim
-    # G, and theta and its metric dual as the two rows of one matrix, over one denominator
-    d_g, (gram, vectors) = _lift((metric.gram, (theta.coefficients, metric.sharp(theta))))
-    th, sharp = (dict(vectors).get(r, ()) for r in (0, 1))
-    theta_at, gram_rows = dict(th), dict(gram)
-    # D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, with g_i row i of G, has
-    # numerators over d = lcm(d_lc, d_g^2): LC_i carries the factor d / d_lc, the
-    # theta terms d / d_g and the products sharp g_i^T d / d_g^2
-    d = lcm(d_lc, d_g * d_g)
-    f_lc, f_theta, f_sharp = d // d_lc, d // d_g, d // (d_g * d_g)
-    nabla = []
-    for i in range(n):
-        acc: dict[int, dict[int, int]] = {}
-        for r, terms in lc[i]:
-            acc[r] = {c: f_lc * x for c, x in terms}
-        if t := theta_at.get(i):
-            for r in range(n):
-                row = acc.setdefault(r, {})
-                row[r] = row.get(r, 0) + f_theta * t
-        row = acc.setdefault(i, {})
-        for c, t in th:
-            row[c] = row.get(c, 0) + f_theta * t
-        for r, s in sharp:
-            row = acc.setdefault(r, {})
-            for c, g in gram_rows.get(i, ()):
-                row[c] = row.get(c, 0) - f_sharp * s * g
-        nabla.append(_sparse(acc))
-    conn = Connection._from_lifted(n, d, nabla)
+    conn = _koszul_connection(algebra, metric, theta.coefficients)
 
     # By Koszul, D is the only torsion-free connection with g(D_i e_j, e_k) +
     # g(e_j, D_i e_k) = 2 theta_i g_jk. Torsion fails at (i, j, k), j < i, if T(e_i, e_j)_k != 0.
     _, torsions = _torsion_numerators(algebra, conn)
     failures = [((j, i, k), "torsion") for (i, j), t in torsions.items() for k in t]
     d, nabla = conn.lifted
+    d_g, (gram, vectors) = _lift((metric.gram, (theta.coefficients,)))  # G and theta over d_g
+    theta_at = dict(dict(vectors).get(0, ()))
     # G D_i has numerators over d_g d and 2 theta_i G over d_g^2: both go over d_g lcm(d, d_g)
     f_d, f_g = lcm(d, d_g) // d, lcm(d, d_g) // d_g
     for i, g_d in enumerate(_products(gram, nabla)):

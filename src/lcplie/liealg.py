@@ -40,6 +40,8 @@ from .linalg import (
 BracketMap = Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
 # Nonzero C^k_ij of [e_i, e_j] as (i, j, ((k, C^k_ij), ...)), i < j, k ascending, by (i, j).
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+# The same brackets times a common denominator c, as {(i, j): ((k, c C^k_ij), ...)}.
+LiftedBrackets = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def _is_index(x: object) -> bool:
@@ -98,44 +100,53 @@ def _is_canonical(dim: int, table: object) -> bool:
     return True
 
 
-def _jacobi_defects(dim: int, table: BracketTable):
-    """Yield ((i, j, k), defect vector) for each violated basis triple i < j < k,
-    in ascending order.
+def _lift_table(table: BracketTable) -> tuple[int, LiftedBrackets]:
+    """(c, brackets): the least common denominator c of the structure constants
+    and the table's nonzero brackets times c."""
+    c = lcm(*{x.denominator for _, _, terms in table for _, x in terms})
+    return c, {
+        (i, j): tuple((k, x.numerator * (c // x.denominator)) for k, x in terms)
+        for i, j, terms in table
+    }
+
+
+def _jacobi_defects(brackets: LiftedBrackets) -> Iterator[tuple[int, int, int]]:
+    """Yield each violated basis triple (i, j, k), i < j < k, in ascending
+    order, from the integer brackets of `_lift_table`.
 
     A triple can fail only if one of its nested brackets [[e_a, e_b], e_c] is
     nonzero: (a, b) has a nonzero bracket, m is in its support and m has a
     nonzero bracket with c. Only those triples are visited, and each nested
-    bracket is expanded over nonzero structure constants alone.
+    bracket is expanded over nonzero structure constants alone, on ints.
     """
-    sparse: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    sparse: LiftedBrackets = {}
     partners: dict[int, list[int]] = {}
-    for i, j, terms in table:
+    for (i, j), terms in brackets.items():
         sparse[(i, j)] = terms
-        sparse[(j, i)] = tuple((m, -c) for m, c in terms)
+        sparse[(j, i)] = tuple((m, -x) for m, x in terms)
         partners.setdefault(i, []).append(j)
         partners.setdefault(j, []).append(i)
     triples = {
         tuple(sorted((a, b, c)))
-        for a, b, terms in table
+        for (a, b), terms in brackets.items()
         for m, _ in terms
         for c in partners.get(m, ())
         if c != a and c != b
     }
     for i, j, k in sorted(triples):
-        acc = [ZERO] * dim
+        acc: dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # [[e_a, e_b], e_c] = sum over m of C^m_ab [e_m, e_c]
             for m, x in sparse.get((a, b), ()):
                 for t, y in sparse.get((m, c), ()):
-                    acc[t] += x * y
-        if any(acc):
-            yield (i, j, k), tuple(acc)
+                    acc[t] = acc.get(t, 0) + x * y
+        if any(acc.values()):
+            yield i, j, k
 
 
 def check_jacobi(dim: int, brackets: BracketMap) -> tuple[tuple[int, int, int], ...]:
     """Violated Jacobi triples of a candidate bracket table (empty = valid)."""
-    table = _normalize_brackets(dim, brackets)
-    return tuple(triple for triple, _ in _jacobi_defects(dim, table))
+    return tuple(_jacobi_defects(_lift_table(_normalize_brackets(dim, brackets))[1]))
 
 
 @dataclass(frozen=True)
@@ -176,8 +187,7 @@ class LieAlgebra:
             raise ValueError("basis labels must be distinct")
         if not _is_canonical(n, self.table):
             raise ValueError("bracket table is not in the canonical sparse form")
-        violations = tuple(t for t, _ in _jacobi_defects(n, self.table))
-        if violations:
+        if violations := tuple(_jacobi_defects(self._lifted_table[1])):
             raise ValueError(f"Jacobi identity fails at basis triples {violations}")
 
     @classmethod
@@ -242,14 +252,8 @@ class LieAlgebra:
         return Subspace.from_vectors([_dense_row(t, n) for t in self._lifted_table[1].values()], n)
 
     @cached_property
-    def _lifted_table(self) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
-        """(c, {(i, j): ((k, c C^k_ij), ...)}): the least common denominator c of
-        the structure constants and the table's nonzero brackets times c."""
-        c = lcm(*{x.denominator for _, _, terms in self.table for _, x in terms})
-        return c, {
-            (i, j): tuple((k, x.numerator * (c // x.denominator)) for k, x in terms)
-            for i, j, terms in self.table
-        }
+    def _lifted_table(self) -> tuple[int, LiftedBrackets]:
+        return _lift_table(self.table)
 
     @cached_property
     def _killing_form(self) -> Matrix:

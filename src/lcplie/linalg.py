@@ -540,8 +540,8 @@ class Subspace:
         b_r, from one kernel, or self when every value is zero. Combined by the
         rref kernel rows c, the b_r give a canonical basis: each reads c_r at p_r.
         """
-        if len(values) != self.dim:
-            raise ValueError("need one value per basis row")
+        if len(values) != self.dim or len({len(v) for v in values}) > 1:
+            raise ValueError("need one value per basis row, all of the same length")
         if all(is_zero_vector(v) for v in values):
             return self
         columns = transpose(self.basis)

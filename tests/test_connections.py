@@ -259,9 +259,10 @@ def symmetric_samples(seed):
 
 
 def dense_weyl(algebra, metric, theta):
-    """D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, entry by entry."""
+    """D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, entry by entry, from
+    the reference Koszul formula."""
     n, th, gram = algebra.dim, theta.coefficients, metric.gram
-    lc = levi_civita(algebra, metric).nabla
+    lc = reference_levi_civita(algebra, metric)
     sharp = mat_vec(inverse(gram), th)
     return tuple(
         tuple(
@@ -599,29 +600,42 @@ class TestWeyl:
                         assert gram_entry_sum(gram, conn.nabla[i], j, k) == expected
 
     def test_cross_check_names_the_first_disagreeing_entry(self, monkeypatch, sol3):
-        original = connections.levi_civita
+        original = connections._koszul_connection
 
-        def perturbed(algebra, metric):
-            nabla = [[list(row) for row in m] for m in original(algebra, metric).nabla]
+        def perturbed(algebra, metric, theta):
+            nabla = [[list(row) for row in m] for m in original(algebra, metric, theta).nabla]
             nabla[1][2][0] += 1  # the e_3-component of D_{e_2} e_1
             return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
 
-        monkeypatch.setattr(connections, "levi_civita", perturbed)
+        monkeypatch.setattr(connections, "_koszul_connection", perturbed)
         with pytest.raises(RuntimeError, match=r"cross-check failed at \(1, 0, 2\)"):
             weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
 
-    def test_cross_check_catches_a_wrong_metric_dual(self, monkeypatch):
+    def test_cross_check_catches_a_wrong_gram_inverse(self, monkeypatch):
         structure = random_triple_structure(random.Random(8))
-        original = InnerProduct.sharp
+        algebra, metric, theta = structure.algebra, structure.metric, structure.lee_form
+        wrong_inverse = [list(row) for row in inverse(metric.gram)]
+        wrong_inverse[-1][-1] += 1
+        wrong_inverse = matrix(wrong_inverse)
+        # the build multiplies G^-1 into the matrices G D_i, so W in its place gives W G D_i
+        good = dense_weyl(algebra, metric, theta)
+        wrong = tuple(mat_mul(wrong_inverse, mat_mul(metric.gram, m)) for m in good)
+        (i, j, k), name = parent_cross_check_witness(algebra, metric, theta, wrong)
 
-        def wrong(self, theta):
-            raised = list(original(self, theta))
-            raised[-1] += 1
-            return tuple(raised)
+        monkeypatch.setattr(InnerProduct, "gram_inverse", property(lambda self: wrong_inverse))
+        message = f"cross-check failed at ({i}, {j}, {k}): the {name} identity fails"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            weyl_connection(algebra, metric, theta)
 
-        monkeypatch.setattr(connections.InnerProduct, "sharp", wrong)
-        with pytest.raises(RuntimeError, match=r"cross-check failed at \(0, 0, 3\)"):
-            weyl_connection(structure.algebra, structure.metric, structure.lee_form)
+    def test_calls_neither_levi_civita_nor_the_metric_dual(self, monkeypatch, sol3):
+        def forbidden(*args):
+            raise AssertionError("the Weyl build calls a step it should not need")
+
+        monkeypatch.setattr(connections, "levi_civita", forbidden)
+        monkeypatch.setattr(InnerProduct, "sharp", forbidden)
+        structure = random_triple_structure(random.Random(8))
+        weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
+        weyl_connection(structure.algebra, structure.metric, structure.lee_form)
 
     def test_matches_the_dense_closed_form(self):
         for algebra, metric, theta in pipeline_cases():
@@ -645,8 +659,8 @@ class TestWeyl:
     def test_a_wrong_koszul_step_raises(self, monkeypatch, sol3):
         original = connections._koszul_matrices
 
-        def perturbed(algebra, gram):
-            d, rows = original(algebra, gram)
+        def perturbed(algebra, gram, theta):
+            d, rows = original(algebra, gram, theta)
             k_mats = [[list(row) for row in _unlift(d, m, algebra.dim)] for m in rows]
             k_mats[2][0][1] += 1  # g(D_{e_3} e_2, e_1)
             d, rows = _lift(k_mats)
@@ -660,9 +674,9 @@ class TestWeyl:
         calls = []
         original = connections._koszul_matrices
 
-        def counting(algebra, gram):
+        def counting(algebra, gram, theta):
             calls.append(None)
-            return original(algebra, gram)
+            return original(algebra, gram, theta)
 
         structure = random_triple_structure(random.Random(8))
         monkeypatch.setattr(connections, "_koszul_matrices", counting)
@@ -682,15 +696,15 @@ class TestWeyl:
         ids=["torsion", "conformal"],
     )
     def test_each_identity_is_needed(self, monkeypatch, sol3, entries, witness):
-        original = connections.levi_civita
+        original = connections._koszul_connection
 
-        def perturbed(algebra, metric):
-            nabla = [[list(row) for row in m] for m in original(algebra, metric).nabla]
+        def perturbed(algebra, metric, theta):
+            nabla = [[list(row) for row in m] for m in original(algebra, metric, theta).nabla]
             for i, r, c, delta in entries:
                 nabla[i][r][c] += delta
             return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
 
-        monkeypatch.setattr(connections, "levi_civita", perturbed)
+        monkeypatch.setattr(connections, "_koszul_connection", perturbed)
         with pytest.raises(RuntimeError, match="cross-check failed at " + witness):
             weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
 
@@ -1002,7 +1016,7 @@ def mutations(rng, metric, n):
 class TestSelfCheckMutations:
     def test_a_mutated_connection_fails_where_the_dense_check_names(self, monkeypatch):
         rng = random.Random(7373)
-        original = connections.levi_civita
+        original = connections._koszul_connection
         seen = set()
         for algebra, metric, theta in [c for c in pipeline_cases() if c[0].dim <= 6]:
             n = algebra.dim
@@ -1016,11 +1030,11 @@ class TestSelfCheckMutations:
                     )
                     return tuple(out)
 
-                def perturbed(algebra, metric, bump=bump):
-                    return Connection(algebra.dim, bump(original(algebra, metric).nabla))
+                def perturbed(algebra, metric, theta, bump=bump):
+                    return Connection(algebra.dim, bump(original(algebra, metric, theta).nabla))
 
                 witness = parent_cross_check_witness(algebra, metric, theta, bump(good))
-                monkeypatch.setattr(connections, "levi_civita", perturbed)
+                monkeypatch.setattr(connections, "_koszul_connection", perturbed)
                 if witness is None:  # the skew change of a diagonal entry is no change
                     assert weyl_connection(algebra, metric, theta).nabla == good
                     continue
@@ -1032,7 +1046,7 @@ class TestSelfCheckMutations:
                     f"conformal connection cross-check failed at ({wi}, {wj}, {wk}): "
                     f"the {name} identity fails"
                 )
-            monkeypatch.setattr(connections, "levi_civita", original)
+            monkeypatch.setattr(connections, "_koszul_connection", original)
         assert seen == {"torsion", "conformal"}
 
 

@@ -811,6 +811,12 @@ class TestResidueRestriction:
         with pytest.raises(ValueError, match="one value per basis row"):
             s.restrict([(F(1),)])
 
+    def test_restrict_rejects_values_of_different_lengths(self):
+        # zipping the values would drop the condition that the shorter row lacks
+        for values in ([[1, 0], [0]], [[1], [0, 5]]):
+            with pytest.raises(ValueError, match="same length"):
+                Subspace.full(2).restrict(values)
+
 
 class TestDescendingChain:
     def test_a_fixed_start_is_the_whole_chain(self):
