@@ -57,6 +57,8 @@ def _load(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
 def _format_combination(coeffs, labels, dual: bool = False) -> str:

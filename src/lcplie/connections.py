@@ -5,7 +5,8 @@ and the Levi-Civita connection as its theta = 0 case.
 
 Conventions: a connection is a family of matrices nabla[i], one per basis
 direction, acting on coordinate columns; nabla[i] applied to e_j is the
-covariant derivative of e_j along e_i.
+covariant derivative of e_j along e_i. Connections and curvature store the
+integer rows of their matrices over one denominator; dense views are lazy.
 """
 from __future__ import annotations
 
@@ -114,39 +115,30 @@ def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -
 
 @dataclass(frozen=True)
 class Connection:
-    dim: int
-    nabla: tuple[Matrix, ...]
+    """Operators nabla[i] = D_{e_i}, stored as `CurvatureTensor` stores its own:
+    rows[i] holds the nonzero rows of `denominator` times nabla[i] as ints, in
+    lowest terms. The dense `nabla` is a view, built on first read."""
 
-    def __post_init__(self) -> None:
-        n = self.dim
-        if len(self.nabla) != n or any(
-            len(m) != n or any(len(row) != n for row in m) for m in self.nabla
-        ):
-            raise ValueError("connection needs one n x n matrix per basis direction")
-        object.__setattr__(self, "nabla", tuple(tuple(map(_exact, m)) for m in self.nabla))
+    dim: int
+    denominator: int
+    rows: tuple[SparseRows, ...]
 
     @classmethod
-    def _from_lifted(cls, dim: int, d: int, rows: Sequence[SparseRows]) -> "Connection":
-        """The connection with d nabla[i] = rows[i], and that lift as `lifted`.
-        Its nabla is built of Fractions here, so the constructor's checks are skipped."""
-        d, rows = _lowest_terms(d, rows)
-        conn = object.__new__(cls)
-        nabla = tuple(_unlift(d, m, dim) for m in rows)
-        conn.__dict__.update(dim=dim, nabla=nabla, lifted=(d, rows))
-        return conn
+    def from_matrices(cls, dim: int, nabla: Sequence[Matrix]) -> "Connection":
+        """The connection with the given n x n matrices, entries as in `vector`."""
+        if len(nabla) != dim or any(len(m) != dim or any(len(r) != dim for r in m) for m in nabla):
+            raise ValueError("connection needs one n x n matrix per basis direction")
+        return cls(dim, *_lift(tuple(map(_exact, m)) for m in nabla))
 
     @cached_property
-    def lifted(self) -> tuple[int, tuple[SparseRows, ...]]:
-        """(d, rows): the least common denominator d of the nabla[i], and each
-        d nabla[i] as its nonzero integer rows; built at most once."""
-        return _lift(self.nabla)
+    def nabla(self) -> tuple[Matrix, ...]:
+        return tuple(_unlift(self.denominator, m, self.dim) for m in self.rows)
 
     def directional(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of the derivative along the vector x."""
         if len(x) != self.dim:
             raise ValueError("vector length does not match the connection dimension")
-        d, nabla = self.lifted
-        return _combination(d, zip(x, nabla), self.dim)
+        return _combination(self.denominator, zip(x, self.rows), self.dim)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         return mat_vec(self.directional(x), y)
@@ -262,7 +254,7 @@ def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Vector)
         raise ValueError("metric dimension does not match the algebra")
     d_inv, (gram_inv,) = _lift((metric.gram_inverse,))
     d_k, k_mats = _koszul_matrices(algebra, metric.gram, theta)
-    return Connection._from_lifted(algebra.dim, d_inv * d_k, _products(gram_inv, k_mats))
+    return Connection(algebra.dim, *_lowest_terms(d_inv * d_k, _products(gram_inv, k_mats)))
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
@@ -289,7 +281,7 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
     # g(e_j, D_i e_k) = 2 theta_i g_jk. Torsion fails at (i, j, k), j < i, if T(e_i, e_j)_k != 0.
     _, torsions = _torsion_numerators(algebra, conn)
     failures = [((j, i, k), "torsion") for (i, j), t in torsions.items() for k in t]
-    d, nabla = conn.lifted
+    d, nabla = conn.denominator, conn.rows
     d_g, (gram, vectors) = _lift((metric.gram, (theta.coefficients,)))  # G and theta over d_g
     theta_at = dict(dict(vectors).get(0, ()))
     # G D_i has numerators over d_g d and 2 theta_i G over d_g^2: both go over d_g lcm(d, d_g)
@@ -323,7 +315,7 @@ def _torsion_numerators(
     n = algebra.dim
     if connection.dim != n:
         raise ValueError("connection dimension does not match the algebra")
-    d, nabla = connection.lifted
+    d, nabla = connection.denominator, connection.rows
     c, brackets = algebra._lifted_table
     out: dict[tuple[int, int], dict[int, int]] = {}
     for i, rows in enumerate(nabla):
@@ -360,6 +352,6 @@ def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
     n = algebra.dim
     if connection.dim != n:
         raise ValueError("connection dimension does not match the algebra")
-    d, nabla = connection.lifted
+    d, nabla = connection.denominator, connection.rows
     c = algebra._lifted_table[0]
     return CurvatureTensor(n, *_lowest_terms(d * d * c, tuple(_bracket_defects(algebra, d, nabla))))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
 from .liealg import BracketTable, LieAlgebra
-from .linalg import Matrix, Vector, as_fraction, identity_matrix
+from .linalg import ZERO, Matrix, Vector, as_fraction, identity_matrix
 from .lattice import IntMatrix, _check_int_matrix
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
@@ -32,6 +32,8 @@ def _fail(where: str, message: str) -> None:
 def _rational(value: object, where: str) -> Fraction:
     if not isinstance(value, str):
         _fail(where, f"rationals must be strings like '3' or '-2/5', got {value!r}")
+    if value == "0":  # the shared ZERO, which the integer lifts skip by identity
+        return ZERO
     try:
         return as_fraction(value)
     except ValueError as exc:
@@ -155,6 +157,8 @@ def _parse_algebra_fields(obj: dict, where: str, allow: set[str]) -> AlgebraDocu
             or any(not isinstance(s, str) or not s for s in raw_basis)
         ):
             _fail(f"{where}.basis", f"expected {dim} nonempty label strings")
+        if any(0xD800 <= ord(c) <= 0xDFFF for s in raw_basis for c in s):  # not UTF-8 text
+            _fail(f"{where}.basis", "labels must not contain unpaired surrogates")
         if len(set(raw_basis)) != dim:
             _fail(f"{where}.basis", "labels must be distinct")
         basis = tuple(raw_basis)

@@ -107,7 +107,7 @@ def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> boo
     """Whether every covariant basis derivative maps s into itself."""
     if {connection.dim, s.ambient_dim} != {algebra.dim}:
         raise ValueError("algebra, connection and subspace dimensions must agree")
-    return _invariant_part(s, connection.lifted[1]).dim == s.dim
+    return _invariant_part(s, connection.rows).dim == s.dim
 
 
 def is_flat_subspace(
@@ -157,8 +157,8 @@ class ConformalAnalysis:
             raise ValueError("covector must be closed")
         if not is_unimodular(algebra):
             raise ValueError("the flat-factor construction requires a unimodular algebra")
-        _, nabla = self.connection.lifted
-        w = _descending_chain(self.curvature.kernel, lambda s: _invariant_part(s, nabla))[-1]
+        rows = self.connection.rows
+        w = _descending_chain(self.curvature.kernel, lambda s: _invariant_part(s, rows))[-1]
         if w.is_full():
             classification = CLASS_CONFORMALLY_FLAT
         elif w.is_zero():

@@ -18,6 +18,7 @@ from .linalg import (
     SparseRows,
     Subspace,
     Vector,
+    _RATIONAL,
     _add_product,
     _columns,
     _dense_row,
@@ -454,12 +455,24 @@ def _bracket_defects(
         yield _sparse(acc)
 
 
+def _lifted_action(
+    h: LieAlgebra, mats: Sequence[Matrix], q: int
+) -> tuple[int, tuple[SparseRows, ...], tuple[int, int] | None]:
+    """(d, rows, defect): the q x q action matrices over their common denominator
+    d (`_lift`), and the first basis pair on which they fail to be a homomorphism."""
+    if len(mats) != h.dim:
+        raise ValueError("need one action matrix per basis vector of the acting algebra")
+    mats = [tuple(_exact(row, _RATIONAL) for row in m) for m in mats]
+    if any(len(m) != q or any(len(r) != q for r in m) for m in mats):
+        raise ValueError(f"action matrices must be {q}x{q}")
+    d, rows = _lift(mats)
+    return d, rows, next((p for p, m in zip(pairs(h.dim), _bracket_defects(h, d, rows)) if m), None)
+
+
 def homomorphism_defect(h: LieAlgebra, mats: Sequence[Matrix], q: int) -> tuple[int, int] | None:
     """First basis pair (i, j) on which e_i -> mats[i] fails to carry the bracket
     of h to the commutator of q x q matrices, or None for a homomorphism."""
-    d, lifted = _lift(mats)
-    defects = zip(pairs(h.dim), _bracket_defects(h, d, lifted))
-    return next((pair for pair, rows in defects if rows), None)
+    return _lifted_action(h, mats, q)[2]
 
 
 def semidirect_sum(
@@ -479,17 +492,9 @@ def semidirect_sum(
     """
     if q < 1:
         raise ValueError("the abelian factor must have positive dimension")
-    if len(alpha) != h.dim:
-        raise ValueError("need one action matrix per basis vector of the acting algebra")
-    mats = [tuple(vector(row) for row in m) for m in alpha]
-    if any(len(m) != q or any(len(r) != q for r in m) for m in mats):
-        raise ValueError(f"action matrices must be {q}x{q}")
-
-    defect = homomorphism_defect(h, mats, q)
+    d, rows, defect = _lifted_action(h, alpha, q)
     if defect is not None:
-        raise ValueError(
-            f"action is not a Lie algebra homomorphism: fails on basis pair {defect}"
-        )
+        raise ValueError(f"action is not a Lie algebra homomorphism: fails on basis pair {defect}")
 
     if u_labels is None:
         u_labels = []
@@ -497,14 +502,10 @@ def semidirect_sum(
             while label in h.labels:
                 label += "'"
             u_labels.append(label)
-    labels = tuple(u_labels) + h.labels
-    n = q + h.dim
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(q):
-        for j in range(h.dim):
-            # [u_i, x_j] = -alpha_j u_i: column i of -alpha_j in the u block; from_brackets
-            # drops an entry with no coefficients
-            brackets[(i, q + j)] = {r: -mats[j][r][i] for r in range(q) if mats[j][r][i] != 0}
-    for i, j, terms in h.table:
-        brackets[(q + i, q + j)] = {q + k: c for k, c in terms}
-    return LieAlgebra.from_brackets(n, brackets, labels)
+    # [u_c, x_j] = -alpha_j u_c: entry (r, c) of d alpha_j gives u_r the coefficient -x / d
+    columns = [_columns(m) for m in rows]
+    table = tuple(
+        (c, q + j, tuple((r, Fraction(-x, d)) for r, x in columns[j][c]))
+        for c in range(q) for j in range(h.dim) if c in columns[j]
+    ) + tuple((q + i, q + j, tuple((q + k, x) for k, x in terms)) for i, j, terms in h.table)
+    return LieAlgebra(q + h.dim, tuple(u_labels) + h.labels, table)

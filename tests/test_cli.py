@@ -474,7 +474,10 @@ class TestInputContract:
 
     def _reject(self, run, tmp_path, text, *command):
         doc = tmp_path / "doc.json"
-        doc.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            doc.write_bytes(text)
+        else:
+            doc.write_text(text, encoding="utf-8")
         code, out, err = run(*command, str(doc))
         assert code == 1
         assert out == ""
@@ -511,6 +514,16 @@ class TestInputContract:
         text = '{"matrix": [[' + "7" * 5000 + "]]}"
         err = self._reject(run, tmp_path, text, "lattice", "snf")
         assert "invalid JSON" in err
+
+    def test_file_that_is_not_utf8(self, run, tmp_path):
+        err = self._reject(run, tmp_path, b"\xff\xfe{}", "validate")
+        assert err.startswith(f"error: cannot read {tmp_path / 'doc.json'}: ")
+
+    def test_basis_label_with_a_lone_surrogate(self, run, tmp_path):
+        data = json.loads(corpus_text("sol3.json"))
+        data["basis"][0] = "\ud800"
+        err = self._reject(run, tmp_path, json.dumps(data), "analyze")
+        assert err.startswith("error: document.basis: ")
 
     def test_deeply_nested_document(self, run, tmp_path):
         err = self._reject(run, tmp_path, "[" * 1000 + "\n", "validate")

@@ -305,7 +305,7 @@ def dense_torsion(algebra, conn):
 
 def random_connection(rng, n):
     """A seeded connection with about half of its entries small nonzero rationals."""
-    return Connection(
+    return Connection.from_matrices(
         n,
         tuple(
             tuple(
@@ -514,12 +514,19 @@ class TestLeviCivita:
 
 class TestConnection:
     def test_entries_are_exact(self):
-        conn = Connection(2, (((1, 0), (0, F(1, 2))), ((F(0), F(0)), (F(0), F(0)))))
+        conn = Connection.from_matrices(2, (((1, 0), (0, F(1, 2))), ((F(0), F(0)), (F(0), F(0)))))
         assert conn.nabla == (((F(1), F(0)), (F(0), F(1, 2))), ((F(0), F(0)), (F(0), F(0))))
         assert all(type(x) is F for m in conn.nabla for row in m for x in row)
         for bad in (0.5, 0.0, True):
             with pytest.raises(TypeError):
-                Connection(2, (((F(1), F(0)), (F(0), bad)),) * 2)
+                Connection.from_matrices(2, (((F(1), F(0)), (F(0), bad)),) * 2)
+
+    def test_from_matrices_rejects_a_wrong_shape(self):
+        message = "connection needs one n x n matrix per basis direction"
+        one, ragged = identity_matrix(2), ((F(0), F(0)), (F(0),))
+        for nabla in ((one,), (one, identity_matrix(3)), (one, ragged)):
+            with pytest.raises(ValueError, match=message):
+                Connection.from_matrices(2, nabla)
 
 
 class TestWeyl:
@@ -605,7 +612,7 @@ class TestWeyl:
         def perturbed(algebra, metric, theta):
             nabla = [[list(row) for row in m] for m in original(algebra, metric, theta).nabla]
             nabla[1][2][0] += 1  # the e_3-component of D_{e_2} e_1
-            return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
+            return Connection.from_matrices(algebra.dim, tuple(matrix(m) for m in nabla))
 
         monkeypatch.setattr(connections, "_koszul_connection", perturbed)
         with pytest.raises(RuntimeError, match=r"cross-check failed at \(1, 0, 2\)"):
@@ -702,7 +709,7 @@ class TestWeyl:
             nabla = [[list(row) for row in m] for m in original(algebra, metric, theta).nabla]
             for i, r, c, delta in entries:
                 nabla[i][r][c] += delta
-            return Connection(algebra.dim, tuple(matrix(m) for m in nabla))
+            return Connection.from_matrices(algebra.dim, tuple(matrix(m) for m in nabla))
 
         monkeypatch.setattr(connections, "_koszul_connection", perturbed)
         with pytest.raises(RuntimeError, match="cross-check failed at " + witness):
@@ -717,7 +724,7 @@ class TestTorsion:
     def test_custom_connection_with_torsion(self):
         plane = make_abelian(2)
         nabla = (matrix([[0, 1], [0, 0]]), matrix([[0, 0], [0, 0]]))
-        conn = Connection(2, nabla)
+        conn = Connection.from_matrices(2, nabla)
         t = torsion(plane, conn)
         assert t[pair_index(0, 1, 2)] == (F(1), F(0))
         assert not is_torsion_free(plane, conn)
@@ -883,7 +890,7 @@ def parent_cross_check_witness(algebra, metric, theta, nabla):
     identity name at which D violates torsion-freeness (reported as (j, i, k)
     for the pair i < j) or conformal compatibility, or None."""
     n, gram, th = algebra.dim, metric.gram, theta.coefficients
-    torsions = zip(pairs(n), dense_torsion(algebra, Connection(n, nabla)))
+    torsions = zip(pairs(n), dense_torsion(algebra, Connection.from_matrices(n, nabla)))
     failures = [((j, i, k), "torsion") for (i, j), t in torsions for k, x in enumerate(t) if x]
     for i, j, k in product(range(n), repeat=3):
         if gram_entry_sum(gram, nabla[i], j, k) != 2 * th[i] * gram[j][k]:
@@ -896,12 +903,12 @@ class TestIntegerLift:
         rng = random.Random(4242)
         for algebra, metric, theta in pipeline_cases():
             for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
-                d, rows = conn.lifted
+                d, rows = conn.denominator, conn.rows
                 lifted_invariants(d, rows, conn.nabla)
                 # the lift weyl_connection and levi_civita record is the one read off nabla
                 assert _lift(conn.nabla) == (d, rows)
             conn = random_connection(rng, algebra.dim)
-            lifted_invariants(*conn.lifted, conn.nabla)
+            lifted_invariants(conn.denominator, conn.rows, conn.nabla)
 
     def test_curvature_rows_are_the_lift_of_its_operators(self):
         for algebra, metric, theta in pipeline_cases():
@@ -913,10 +920,10 @@ class TestIntegerLift:
     def test_built_connections_equal_the_checked_constructor(self):
         for algebra, metric, theta in pipeline_cases():
             for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
-                checked = Connection(conn.dim, conn.nabla)
+                checked = Connection.from_matrices(conn.dim, conn.nabla)
                 assert conn == checked and conn.nabla == checked.nabla
                 assert all(type(x) is F for m in conn.nabla for row in m for x in row)
-                assert conn.lifted == checked.lifted
+                assert (conn.denominator, conn.rows) == (checked.denominator, checked.rows)
 
     def test_empty_and_zero_families(self):
         assert _lift(()) == (1, ())
@@ -979,7 +986,7 @@ class TestDenseOracles:
     def test_directional_and_evaluate_reject_inexact_coefficients(self, sol3):
         conn = levi_civita(sol3, InnerProduct.identity(3))
         r = curvature(sol3, conn)
-        assert conn.lifted[1][0] and not r.is_flat()
+        assert conn.rows[0] and not r.is_flat()
         for bad in (0.5, True):
             with pytest.raises(TypeError):
                 conn.directional((bad, F(0), F(0)))
@@ -1031,7 +1038,8 @@ class TestSelfCheckMutations:
                     return tuple(out)
 
                 def perturbed(algebra, metric, theta, bump=bump):
-                    return Connection(algebra.dim, bump(original(algebra, metric, theta).nabla))
+                    nabla = bump(original(algebra, metric, theta).nabla)
+                    return Connection.from_matrices(algebra.dim, nabla)
 
                 witness = parent_cross_check_witness(algebra, metric, theta, bump(good))
                 monkeypatch.setattr(connections, "_koszul_connection", perturbed)

@@ -131,7 +131,7 @@ class TestIntegerInvariantPart:
                 ))
                 for s in starts:
                     fractional += any(x.denominator > 1 for row in s.basis for x in row)
-                    got = lcp._invariant_part(s, conn.lifted[1])
+                    got = lcp._invariant_part(s, conn.rows)
                     assert got == fraction_invariant_part(s, conn.nabla)
                     proper += 0 < got.dim < s.dim
         assert fractional > 50 and proper > 0
@@ -202,7 +202,7 @@ class TestParallelAndFlat:
             n = algebra.dim
             # upper triangular matrices keep every leading coordinate block, their
             # transposes do not
-            triangular = Connection(n, tuple(
+            triangular = Connection.from_matrices(n, tuple(
                 tuple(tuple(F(rng.randint(-2, 2)) if c >= r else F(0) for c in range(n)) for r in range(n))
                 for _ in range(n)
             ))
@@ -589,6 +589,15 @@ class TestConstraintSpace:
     def test_sol3_bound_is_the_b_line(self, sol3_structure):
         bound = characteristic_constraint_space(sol3_structure)
         assert bound == Subspace.from_vectors([vector([0, 0, 1])], 3)
+
+    def test_validation_and_the_bound_never_build_the_dense_connection(
+        self, sol3_structure, rot4_structure, rot5_structure
+    ):
+        for made in (sol3_structure, rot4_structure, rot5_structure):
+            s = validate_lcp(made.algebra, made.metric, made.lee_form, made.flat_factor)
+            characteristic_constraint_space(s)
+            assert "connection" in vars(s.analysis)
+            assert "nabla" not in vars(s.analysis.connection)
 
     def test_bound_satisfies_each_linear_condition(self, sol3_structure):
         s = sol3_structure

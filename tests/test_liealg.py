@@ -872,6 +872,19 @@ class TestSemidirect:
             )
             assert is_unimodular(algebra)
 
+    def test_matches_the_bracket_map_built_entry_by_entry(self):
+        for h, mats, q in seeded_representations(seed=17, count=8):
+            brackets = {
+                (c, q + j): {r: -mats[j][r][c] for r in range(q)}
+                for c in range(q)
+                for j in range(h.dim)
+            }
+            brackets.update({(q + i, q + j): {q + k: x for k, x in t} for i, j, t in h.table})
+            expected = LieAlgebra.from_brackets(q + h.dim, brackets).table
+            assert semidirect_sum(q, h, mats).table == expected
+            as_strings = tuple(tuple(tuple(map(str, row)) for row in m) for m in mats)
+            assert semidirect_sum(q, h, as_strings).table == expected
+
 
 def dense_homomorphism_defect(h, mats, q):
     """First pair (i, j) with [M_i, M_j] != M_[e_i, e_j], from full matrix
@@ -910,6 +923,13 @@ class TestHomomorphismDefect:
                 assert homomorphism_defect(h, copy, q) == expected
                 perturbed_failures += expected is not None
         assert perturbed_failures > 0
+
+    def test_checks_the_matrix_count_and_shape(self, aff):
+        with pytest.raises(ValueError, match="need one action matrix per basis vector"):
+            homomorphism_defect(aff, (ZERO2,), 2)
+        wide = matrix([[0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="action matrices must be 2x2"):
+            homomorphism_defect(aff, (wide, wide), 2)
 
     def test_triple_and_semidirect_sum_multiply_no_dense_matrices(self, rot4_structure):
         assert not hasattr(linalg, "mat_mul")

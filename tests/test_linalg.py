@@ -177,7 +177,7 @@ def test_products_reject_length_mismatch_even_across_zeros():
     with pytest.raises(ValueError):
         mat_vec(matrix([[0, 1]]), vector([0]))
     with pytest.raises(ValueError, match="vector length"):
-        connections.Connection(2, (identity_matrix(2),) * 2).directional(vector([0]))
+        connections.Connection.from_matrices(2, (identity_matrix(2),) * 2).directional(vector([0]))
 
 
 def test_det_matches_permutation_expansion():
