@@ -39,7 +39,6 @@ from .linalg import (
     dot,
     identity_matrix,
     inverse,
-    kernel,
     mat_vec,
     matrix,
     pair_index,
@@ -193,7 +192,7 @@ class CurvatureTensor:
                 g = gcd(*(v for _, v in terms))
                 distinct[tuple((c, v // g) for c, v in terms)] = None
         n = self.dim
-        return Subspace(n, kernel(tuple(_dense_row(terms, n) for terms in distinct), n))
+        return Subspace.kernel_of([_dense_row(terms, n) for terms in distinct], n)
 
 
 def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
     Subspace,
     _bareiss,
-    _integer_row,
     det,
-    kernel,
     matrix,
 )
 
@@ -76,34 +75,40 @@ def _identity_int(n: int) -> list[list[int]]:
 def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U a V = D diagonal, d_i | d_{i+1}, U and V unimodular.
 
+    At step s the pivot is the first entry of least absolute value in the
+    block of rows and columns s and beyond, in row-major order; the scan stops
+    at an entry of absolute value 1. Column operations act on the rows of V^T,
+    and on the rows of D from s on: the rows above are zero in those columns.
     The factorization is re-verified before returning; a failure raises.
     """
     k = a.size
     d = [list(row) for row in a.matrix]
     u = _identity_int(k)
-    v = _identity_int(k)
+    vt = _identity_int(k)  # V^T: column c of V is row c here
 
     def row_sub(i: int, j: int, q: int) -> None:
         if q:
             d[i] = [x - q * y for x, y in zip(d[i], d[j])]
             u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_sub(i: int, j: int, q: int) -> None:
+    def col_sub(s: int, i: int, j: int, q: int) -> None:
         if q:
-            for row in d:
+            for row in d[s:]:
                 row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
+            vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
 
     for s in range(k):
         while True:
-            best = None
+            best, least = None, 0
             for r in range(s, k):
+                row = d[r]
                 for c in range(s, k):
-                    if d[r][c] != 0 and (
-                        best is None or abs(d[r][c]) < abs(d[best[0]][best[1]])
-                    ):
-                        best = (r, c)
+                    if (x := abs(row[c])) and (best is None or x < least):
+                        best, least = (r, c), x
+                        if x == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break  # remaining block is zero
             r0, c0 = best
@@ -111,10 +116,9 @@ def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, Int
                 d[s], d[r0] = d[r0], d[s]
                 u[s], u[r0] = u[r0], u[s]
             if c0 != s:
-                for row in d:
+                for row in d[s:]:
                     row[s], row[c0] = row[c0], row[s]
-                for row in v:
-                    row[s], row[c0] = row[c0], row[s]
+                vt[s], vt[c0] = vt[c0], vt[s]
             if d[s][s] < 0:
                 d[s] = [-x for x in d[s]]
                 u[s] = [-x for x in u[s]]
@@ -126,7 +130,7 @@ def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, Int
                     dirty = dirty or d[r][s] != 0
             for c in range(s + 1, k):
                 if d[s][c] != 0:
-                    col_sub(c, s, d[s][c] // p)
+                    col_sub(s, c, s, d[s][c] // p)
                     dirty = dirty or d[s][c] != 0
             if dirty:
                 continue  # remainders shrank the pivot candidates; rescan
@@ -148,21 +152,15 @@ def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, Int
 
     uu = tuple(tuple(row) for row in u)
     dd = tuple(tuple(row) for row in d)
-    vv = tuple(tuple(row) for row in v)
+    vv = tuple(zip(*vt))
     _verify_snf(a.matrix, uu, dd, vv)
     return uu, dd, vv
 
 
 def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
     k = len(a)
-    av = [
-        [sum(a[r][t] * v[t][c] for t in range(k)) for c in range(k)]
-        for r in range(k)
-    ]
-    uav = [
-        [sum(u[r][t] * av[t][c] for t in range(k)) for c in range(k)]
-        for r in range(k)
-    ]
+    av = [[sum(map(mul, row, col)) for col in zip(*v)] for row in a]
+    uav = [[sum(map(mul, row, col)) for col in zip(*av)] for row in u]
     ok = all(
         uav[r][c] == (d[r][c] if r == c else 0) and (r == c or d[r][c] == 0)
         for r in range(k)
@@ -175,7 +173,8 @@ def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
             ok = False
     ok = ok and all(x >= 0 for x in diag)
-    ok = ok and abs(det_integer(u)) == 1 and abs(det_integer(v)) == 1
+    # the last value `_bareiss` yields is the determinant
+    ok = ok and all(abs(list(_bareiss(list(map(list, m))))[-1]) == 1 for m in (u, v))
     if not ok:
         raise RuntimeError("normal form self-check failed")
 
@@ -248,17 +247,11 @@ class SplittingVerdict:
 def _integer_fixed_covector(a: IntegerEndomorphism) -> tuple[int, ...]:
     """First canonical kernel vector of (A^T - I), scaled to integers, gcd 1."""
     k = a.size
-    rows = tuple(
-        tuple(
-            Fraction(a.matrix[r][c] - (1 if r == c else 0))
-            for r in range(k)
-        )
-        for c in range(k)
-    )
-    basis = kernel(rows, k)
-    if not basis:
+    rows = [[a.matrix[r][c] - (1 if r == c else 0) for r in range(k)] for c in range(k)]
+    fixed = Subspace.kernel_of(rows, k)
+    if fixed.is_zero():
         raise RuntimeError("no fixed covector although the determinant vanishes")
-    return tuple(_integer_row(basis[0]))
+    return fixed.rows[0]
 
 
 def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> SplittingVerdict:
@@ -309,7 +302,7 @@ def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> Splitt
         )
         if at_x != x:
             raise RuntimeError("fixed covector self-check failed")
-        perp = Subspace(k, kernel((tuple(Fraction(v) for v in x),), k))
+        perp = Subspace.kernel_of((x,), k)
         witness = NonDensityWitness(x, perp.intersect(split.e2))
     return SplittingVerdict(
         integral=True,

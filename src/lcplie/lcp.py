@@ -42,7 +42,6 @@ from .linalg import (
     _descending_chain,
     _exact,
     identity_matrix,
-    kernel,
     pairs,
     transpose,
 )
@@ -79,7 +78,7 @@ class ConstraintReport:
 
 
 def _vanishes_on(theta: Covector, s: Subspace) -> bool:
-    return all(theta.value(row) == 0 for row in s.basis)
+    return not any(theta.value(row) for row in s.rows)
 
 
 def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
@@ -244,8 +243,8 @@ class LCPStructure:
         """ker theta, the centralizer of the flat factor, the radical and [g, g]."""
         algebra, n = self.algebra, self.algebra.dim
         return (
-            Subspace(n, kernel((self.lee_form.coefficients,), n)),
-            _centralizer(algebra, self.flat_factor.basis),
+            Subspace.kernel_of((self.lee_form.coefficients,), n),
+            _centralizer(algebra, self.flat_factor.rows),
             radical(algebra),
             derived_algebra(algebra),
         )
@@ -253,9 +252,10 @@ class LCPStructure:
     @cached_property
     def _characteristic_bound(self) -> Subspace:
         """The complement restricted by the residues of its rows in the conditions."""
-        complement, conditions = self._orthocomplement, self._linear_conditions
+        complement = self._orthocomplement
+        residues = [c._residue_rows(complement) for c in self._linear_conditions]
         return complement.restrict(
-            [[x for c in conditions for x in c.residue(row)] for row in complement.basis]
+            [[x for rows in residues for x in rows[r]] for r in range(complement.dim)]
         )
 
 
@@ -314,7 +314,13 @@ class LCPTriple:
         for idx, b in enumerate(self.beta):
             if len(b) != q or any(len(row) != q for row in b):
                 raise ValueError(f"action matrix {idx} is not {q}x{q}")
-            if any(b[r][c] != -b[c][r] for r in range(q) for c in range(q)):
+            # each pair r <= c once, as row r against column r; shared ZEROs are skipped
+            if any(
+                x != -y
+                for r, (row, col) in enumerate(zip(b, zip(*b)))
+                for x, y in zip(row[r:], col[r:])
+                if x is not ZERO or y is not ZERO
+            ):
                 raise ValueError(f"action matrix {idx} is not skew-symmetric")
         defect = homomorphism_defect(h, self.beta, q)
         if defect is not None:

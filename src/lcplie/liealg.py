@@ -25,14 +25,12 @@ from .linalg import (
     _descending_chain,
     _exact,
     _gram_rows,
-    _integer_row,
     _lift,
     _sparse,
     as_fraction,
     dot,
     identity_matrix,
     is_zero_vector,
-    kernel,
     pairs,
     transpose,
     vector,
@@ -275,14 +273,13 @@ class LieAlgebra:
         return tuple(tuple(row) for row in out)
 
 
-def _basis_images(algebra: LieAlgebra, v: Sequence[Fraction]) -> dict[int, dict[int, int]]:
-    """{i: {k: int}}, the nonzero images c w [e_i, v] from one sweep of the
-    integer table (`_lifted_table`, denominator c), with w v the primitive
-    integer multiple of v. They share the scale c w, so the spans and kernels
-    built from them are those of the [e_i, v]."""
-    if len(v) != algebra.dim:
+def _basis_images(algebra: LieAlgebra, w: Sequence[int]) -> dict[int, dict[int, int]]:
+    """{i: {k: int}}, the nonzero images c [e_i, w] of an integer vector w from
+    one sweep of the integer table (`_lifted_table`, denominator c). They share
+    the scale c, so the spans and kernels built from them are those of the
+    [e_i, w]."""
+    if len(w) != algebra.dim:
         raise ValueError("vector length does not match the algebra dimension")
-    w = _integer_row(v)
     images: dict[int, dict[int, int]] = {}
     for (i, j), terms in algebra._lifted_table[1].items():
         for a, f in ((i, w[j]), (j, -w[i])):
@@ -298,17 +295,16 @@ def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspa
     """Span of all brackets of the two subspaces.
 
     [x, y] is the sum of x_i [e_i, y] over the nonzero images of y, so each
-    right-hand row costs one sweep of the table; the left-hand rows enter as
-    primitive integer rows, and zero brackets are dropped.
+    right-hand row costs one sweep of the table; both sides enter as their
+    integer rows, and zero brackets are dropped.
     """
     n = algebra.dim
     if {left.ambient_dim, right.ambient_dim} != {n}:
         raise ValueError("subspace dimension does not match the algebra")
-    lefts = [_integer_row(x) for x in left.basis]
     brackets = []
-    for y in right.basis:
+    for y in right.rows:
         images = _basis_images(algebra, y).items()
-        for x in lefts:
+        for x in left.rows:
             acc = [0] * n
             for i, image in images:
                 if f := x[i]:
@@ -375,8 +371,8 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
     return trace_form(algebra).is_zero()
 
 
-def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
-    """{x : [x, v] = 0 for every given v}.
+def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subspace:
+    """{x : [x, v] = 0 for every given integer vector v}.
 
     [x, v] is the sum of x_i [e_i, v] over the nonzero images of v, so each v
     gives one constraint row per coordinate k, with entry i = [e_i, v]_k.
@@ -389,17 +385,17 @@ def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[Fraction]]) -> 
             for k, c in image.items():
                 by_coordinate.setdefault(k, [0] * n)[i] = c
         rows.extend(by_coordinate.values())
-    return Subspace(n, kernel(rows, n))
+    return Subspace.kernel_of(rows, n)
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    return _centralizer(algebra, map(algebra.basis_vector, range(algebra.dim)))
+    return _centralizer(algebra, algebra.full_space().rows)
 
 
 def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
     return not any(
         any(s._integer_residue(image).values())
-        for row in s.basis
+        for row in s.rows
         for image in _basis_images(algebra, row).values()
     )
 
@@ -418,8 +414,8 @@ def radical(algebra: LieAlgebra) -> Subspace:
     commutator = derived_algebra(algebra)
     if commutator.is_zero():
         return algebra.full_space()
-    constraints = _gram_rows(killing_form(algebra), commutator.basis)
-    rad = Subspace(algebra.dim, kernel(constraints, algebra.dim))
+    constraints = _gram_rows(killing_form(algebra), commutator.rows)
+    rad = Subspace.kernel_of(constraints, algebra.dim)
     if not is_ideal(algebra, rad) or not _derived_chain(algebra, rad)[-1].is_zero():
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
     return rad

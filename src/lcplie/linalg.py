@@ -4,8 +4,10 @@ Two forms of a matrix meet here. At the API, vectors and matrices are
 immutable tuples with Fraction entries. Inside, the kernels work on
 integer rows over a common denominator: dense lists of ints for
 elimination, and `SparseRows`, the nonzero rows as (column, int) pairs,
-for products. Every routine here is pure and exact. Floating point never
-enters this module.
+for products. A `Subspace` is stored in the integer form, as the primitive
+integer rows of its reduced row echelon form; its Fraction basis is a view.
+Every routine here is pure and exact. Floating point never enters this
+module.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -23,6 +26,8 @@ Matrix = tuple[Vector, ...]
 # An integer matrix by its nonzero rows: (row, ((column, entry), ...)) pairs,
 # rows and columns ascending, every entry a nonzero int.
 SparseRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+# A reduced row echelon form as its primitive integer rows and their pivot columns.
+Echelon = tuple[list[list[int]], tuple[int, ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,6 +129,8 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
     """The primitive integer multiple of a row of ints and Fractions."""
+    if set(map(type, row)) <= {int}:
+        return _primitive(list(row))
     scale = lcm(*(x.denominator for x in row))
     return _primitive([x.numerator * (scale // x.denominator) for x in row])
 
@@ -236,19 +243,15 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     return _primitive([p * x - f * y if y else p * x for x, y in zip(row, pivot_row)])
 
 
-def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form.
-
-    Returns (nonzero rows, pivot columns). The output is the canonical
-    representative of the row space: two inputs span the same subspace
-    iff their rref outputs are identical tuples.
+def _echelon(rows: Iterable[Sequence[int | Fraction]]) -> Echelon:
+    """(rows, pivots): the reduced row echelon form of rows as its primitive
+    integer rows, each with a positive pivot entry, and their pivot columns.
 
     Gauss-Jordan elimination runs on Python ints: each row is scaled by the
     lcm of its denominators and kept primitive (its content divided out) after
     every update. Elimination stops once no rows are pending or every column
-    has a pivot. Fractions are built only for the final pivot rows, divided
-    by their pivots. Rows of ints and Fractions are read as they are; other
-    rows go through `vector`, so floats and bools raise TypeError.
+    has a pivot. Rows of ints and Fractions are read as they are; other rows
+    go through `vector`, so floats and bools raise TypeError.
     """
     pending = [row for row in (_integer_row(_exact(row, _RATIONAL)) for row in rows) if any(row)]
     ncols = len(pending[0]) if pending else 0
@@ -259,6 +262,8 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
         if k is None:
             continue
         pivot_row = pending.pop(k)
+        if pivot_row[c] < 0:
+            pivot_row = [-x for x in pivot_row]
         reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
         reduced.append(pivot_row)
         pivots.append(c)
@@ -271,35 +276,54 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
         ]
         if not pending:
             break
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        out.append(tuple(ZERO if not x else ONE if x == p else Fraction(x, p) for x in row))
-    return tuple(out), tuple(pivots)
+    return reduced, tuple(pivots)
+
+
+def _fraction_rows(rows: Iterable[Sequence[int]], pivots: Iterable[int]) -> Matrix:
+    """Each integer echelon row divided by its pivot entry."""
+    return tuple(
+        tuple(ZERO if not x else ONE if x == row[c] else Fraction(x, row[c]) for x in row)
+        for row, c in zip(rows, pivots)
+    )
+
+
+def _null_space(rows: Iterable[Sequence[int | Fraction]], ncols: int) -> Echelon:
+    """`_echelon` of the right null space {x : m x = 0} of the rows m, of width ncols:
+    one integer vector for each free column f, equal to L at f and to -L r[f] / r[p]
+    at the pivot p of each echelon row r, with L the lcm of those r[p]."""
+    reduced, pivots = _echelon(rows)
+    if not pivots:
+        return [[0] * i + [1] + [0] * (ncols - i - 1) for i in range(ncols)], tuple(range(ncols))
+    vectors = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        scale = lcm(*(row[p] for row, p in zip(reduced, pivots) if row[f]))
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = -row[f] * (scale // row[p])
+        vectors.append(v)
+    return _echelon(vectors)
+
+
+def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form: (nonzero rows, pivot columns), the rows of
+    `_echelon` divided by their pivots. The output is the canonical
+    representative of the row space: two inputs span the same subspace iff
+    their rref outputs are identical tuples."""
+    reduced, pivots = _echelon(rows)
+    return _fraction_rows(reduced, pivots), pivots
 
 
 def rank(m: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(m)[0])
+    return len(_echelon(m)[1])
 
 
 def kernel(m: Matrix, ncols: int | None = None) -> Matrix:
     """Canonical (rref) basis of the right null space {x : m x = 0}."""
-    if not m:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs an explicit width")
-        return identity_matrix(ncols)
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return rref(basis)[0]
+    if not m and ncols is None:
+        raise ValueError("kernel of an empty matrix needs an explicit width")
+    return _fraction_rows(*_null_space(m, len(m[0]) if m else ncols))
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
@@ -429,27 +453,6 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     return pos, neg, n - pos - neg
 
 
-def _reduced_echelon_pivots(rows: Matrix) -> tuple[int, ...] | None:
-    """Pivot columns of rows if they are the canonical reduced echelon form
-    that rref returns, else None: a tuple of tuples without zero rows, each
-    leading with 1, leading columns strictly increasing, and every pivot column
-    zero outside its own row. Rows must have equal lengths."""
-    if not isinstance(rows, tuple):
-        return None
-    pivots: list[int] = []
-    for row in rows:
-        if not isinstance(row, tuple):
-            return None
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
-            return None
-        pivots.append(lead)
-    # below a pivot the column is zero already: later rows lead further right
-    if any(row[p] for r, row in enumerate(rows) for p in pivots[r + 1:]):
-        return None
-    return tuple(pivots)
-
-
 def _gram_rows(gram: Matrix, rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """A positive multiple of r G for each r of rows as dense int rows, zero rows
     left out: for a symmetric G, the conditions g(r, x) = 0, from one sparse product."""
@@ -462,31 +465,49 @@ def _gram_rows(gram: Matrix, rows: Sequence[Sequence[Fraction]]) -> list[list[in
 
 @dataclass(frozen=True)
 class Subspace:
-    """A rational subspace held by its canonical reduced-row-echelon basis.
+    """A rational subspace held by its canonical reduced row echelon form.
 
-    Equality of Subspace values is equality of subspaces: the rref basis is
-    a unique representative of the span. `pivots` holds the pivot column of
-    each basis row.
+    Each of `rows` is the primitive integer multiple, with a positive pivot
+    entry, of one canonical rref row; `basis` is those rref rows as Fractions,
+    built on first read. Both forms are unique to the span, so equality of
+    Subspace values is equality of subspaces. `pivots` holds the pivot column
+    of each row.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(len(row) != self.ambient_dim for row in self.basis):
+        rows, n = self.rows, self.ambient_dim
+        if any(len(row) != n for row in rows):
             raise ValueError("basis row length does not match ambient dimension")
-        pivots = _reduced_echelon_pivots(self.basis)
-        if pivots is None:
+        pivots = [next(compress(range(n), row), n) for row in rows]
+        # rows lead further right each time, so below a pivot the column is zero already
+        if not (
+            type(rows) is tuple
+            and set(map(type, rows)) <= {tuple}
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and all(p < n and row[p] > 0 and gcd(*row) == 1 for row, p in zip(rows, pivots))
+            and all(p < q for p, q in zip(pivots, pivots[1:]))
+            and not any(any(map(row.__getitem__, pivots[r + 1:])) for r, row in enumerate(rows))
+        ):
             raise ValueError("basis rows are not in canonical reduced echelon form")
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
         rows = list(vectors)
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, rref(rows)[0])
+        return cls(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
+
+    @classmethod
+    def kernel_of(cls, m: Sequence[Sequence[int | Fraction]], ambient_dim: int) -> "Subspace":
+        """The right null space {x : m x = 0} of the rows m, each of length ambient_dim."""
+        if any(len(row) != ambient_dim for row in m):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, tuple(map(tuple, _null_space(m, ambient_dim)[0])))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -494,14 +515,19 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, identity_matrix(ambient_dim))
+        return cls.kernel_of((), ambient_dim)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The canonical rref rows as Fractions."""
+        return _fraction_rows(self.rows, self.pivots)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -525,42 +551,62 @@ class Subspace:
         return residue
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        self._check_ambient(other)
+        return not any(any(self._integer_residue(dict(enumerate(w))).values()) for w in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.basis + other.basis, self.ambient_dim)
+        return Subspace.from_vectors(self.rows + other.rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return self.restrict([other.residue(row) for row in self.basis])
+        return self.restrict(other._residue_rows(self))
 
-    def restrict(self, values: Sequence[Sequence[Fraction]]) -> "Subspace":
+    def restrict(self, values: Sequence[Sequence[int | Fraction]]) -> "Subspace":
         """{sum of c_r * b_r : sum of c_r * values[r] = 0} over the canonical rows
         b_r, from one kernel, or self when every value is zero. Combined by the
         rref kernel rows c, the b_r give a canonical basis: each reads c_r at p_r.
+        The combinations are taken on the integer rows B b_r and integer c, and
+        made primitive.
         """
         if len(values) != self.dim or len({len(v) for v in values}) > 1:
             raise ValueError("need one value per basis row, all of the same length")
         if all(is_zero_vector(v) for v in values):
             return self
-        columns = transpose(self.basis)
-        coeffs = kernel(transpose(tuple(values)), self.dim)
-        return Subspace(self.ambient_dim, tuple(mat_vec(columns, c) for c in coeffs))
+        _, lifted = self._lifted
+        rows = []
+        for coeffs in _null_space(transpose(tuple(values)), self.dim)[0]:
+            acc = [0] * self.ambient_dim
+            for f, (_, terms) in zip(coeffs, lifted):
+                if f:
+                    for c, x in terms:
+                        acc[c] += f * x
+            rows.append(tuple(_primitive(acc)))
+        return Subspace(self.ambient_dim, tuple(rows))
 
     def constraint_matrix(self) -> Matrix:
         """Rows y with y . v = 0 exactly characterizing membership in the span."""
-        return kernel(self.basis, self.ambient_dim)
+        return kernel(self.rows, self.ambient_dim)
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
         """Complement with respect to the inner product given by gram."""
-        return Subspace(self.ambient_dim, kernel(_gram_rows(gram, self.basis), self.ambient_dim))
+        return Subspace.kernel_of(_gram_rows(gram, self.rows), self.ambient_dim)
 
     @cached_property
     def _lifted(self) -> tuple[int, SparseRows]:
-        """(B, rows): the common denominator B of the canonical rows, and B times them."""
-        scale, (rows,) = _lift((self.basis,))
-        return scale, rows
+        """(B, rows): the common denominator B of the canonical rows, the lcm of
+        the pivot entries, and B times them."""
+        scale = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+        return scale, tuple(
+            (r, tuple((c, x * (scale // row[p])) for c, x in enumerate(row) if x))
+            for r, (row, p) in enumerate(zip(self.rows, self.pivots))
+        )
+
+    def _residue_rows(self, other: "Subspace") -> list[list[int]]:
+        """`_integer_residue` of each integer row B' b'_r of other, as dense rows:
+        the residues of its canonical rows b'_r, all times one positive scale."""
+        n = self.ambient_dim
+        return [_dense_row(self._integer_residue(dict(t)).items(), n) for _, t in other._lifted[1]]
 
     def _integer_residue(self, v: dict[int, int]) -> dict[int, int]:
         """B v - sum over r of v[p_r] (B b_r) for an integer vector v given as

@@ -835,7 +835,7 @@ class TestCurvature:
         for algebra, metric, theta in pipeline_cases():
             r = curvature(algebra, weyl_connection(algebra, metric, theta))
             stacked = tuple(row for op in r.operators for row in op)
-            assert r.kernel == Subspace(algebra.dim, kernel(stacked, algebra.dim))
+            assert r.kernel == Subspace.from_vectors(kernel(stacked, algebra.dim), algebra.dim)
 
     def test_flat_subspace_verdict_matches_annihilation_on_sol3(self, sol3):
         def annihilates(curv, s):
@@ -999,7 +999,7 @@ class TestDenseOracles:
             rows = dict.fromkeys(
                 row for op in dense_curvature(algebra, conn) for row in op if any(row)
             )
-            expected = Subspace(algebra.dim, kernel(tuple(rows), algebra.dim))
+            expected = Subspace.from_vectors(kernel(tuple(rows), algebra.dim), algebra.dim)
             assert curvature(algebra, conn).kernel == expected
 
 

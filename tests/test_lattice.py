@@ -143,6 +143,91 @@ class TestSmithNormalForm:
                     assert second % first == 0
 
 
+def smith_normal_form_full_scan(matrix):
+    """(U, D, V) by the elimination `smith_normal_form` ran before it stopped
+    its pivot scan early and stored V transposed: every entry of the block is
+    scanned, and column operations touch every row of D and of V."""
+    k = len(matrix)
+    d = [list(row) for row in matrix]
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def row_sub(i, j, q):
+        if q:
+            d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        if q:
+            for row in d + v:
+                row[i] -= q * row[j]
+
+    for s in range(k):
+        while True:
+            best = None
+            for r in range(s, k):
+                for c in range(s, k):
+                    if d[r][c] != 0 and (best is None or abs(d[r][c]) < abs(d[best[0]][best[1]])):
+                        best = (r, c)
+            if best is None:
+                break
+            r0, c0 = best
+            if r0 != s:
+                d[s], d[r0] = d[r0], d[s]
+                u[s], u[r0] = u[r0], u[s]
+            if c0 != s:
+                for row in d + v:
+                    row[s], row[c0] = row[c0], row[s]
+            if d[s][s] < 0:
+                d[s] = [-x for x in d[s]]
+                u[s] = [-x for x in u[s]]
+            p = d[s][s]
+            dirty = False
+            for r in range(s + 1, k):
+                if d[r][s] != 0:
+                    row_sub(r, s, d[r][s] // p)
+                    dirty = dirty or d[r][s] != 0
+            for c in range(s + 1, k):
+                if d[s][c] != 0:
+                    col_sub(c, s, d[s][c] // p)
+                    dirty = dirty or d[s][c] != 0
+            if dirty:
+                continue
+            offender = next(
+                (r for r in range(s + 1, k) if any(d[r][c] % p != 0 for c in range(s + 1, k))),
+                None,
+            )
+            if offender is None:
+                break
+            d[s] = [x + y for x, y in zip(d[s], d[offender])]
+            u[s] = [x + y for x, y in zip(u[s], u[offender])]
+        if best is None:
+            break
+    return tuple(tuple(tuple(row) for row in m) for m in (u, d, v))
+
+
+class TestSmithNormalFormOracle:
+    def test_matches_the_full_scan_elimination(self):
+        rng = random.Random(6174)
+        singular = 0
+        for trial in range(240):
+            k = trial % 12 + 1
+            span = rng.choice((1, 3, 9))
+            if trial % 3 == 0:
+                # rank below k: a product of k x r and r x k factors
+                r = rng.randint(0, k - 1)
+                left = [[rng.randint(-span, span) for _ in range(r)] for _ in range(k)]
+                right = [[rng.randint(-span, span) for _ in range(k)] for _ in range(r)]
+                a = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(k)]
+                     for i in range(k)]
+            else:
+                a = random_int_matrix(rng, k, span)
+            singular += det_integer(a) == 0
+            endo = IntegerEndomorphism(tuple(tuple(row) for row in a))
+            assert smith_normal_form(endo) == smith_normal_form_full_scan(a)
+        assert singular >= 80
+
+
 class TestLatticeIndex:
     def test_small_cases(self):
         assert lattice_index(IntegerEndomorphism(((1, 0), (0, 1)))) == 1

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -32,8 +31,16 @@ from lcplie.lcp import (
     verify_conformal_exponential,
 )
 from lcplie.cli import main
-from lcplie.liealg import Covector, LieAlgebra, derived_algebra, radical
+from lcplie.liealg import (
+    Covector,
+    LieAlgebra,
+    center,
+    derived_algebra,
+    lower_central_series,
+    radical,
+)
 from lcplie.linalg import (
+    ZERO,
     Subspace,
     identity_matrix,
     kernel,
@@ -50,6 +57,7 @@ from conftest import (
     ZERO2,
     make_abelian,
     make_aff,
+    make_rot4_structure,
     make_rot5_structure,
     make_sol3,
     make_sol3_structure,
@@ -316,22 +324,34 @@ class TestJointKernel:
         curvature_rows = [row for op in analysis.curvature.operators for row in op if any(row)]
         assert curvature_rows
         joint_rows = linalg.rref(curvature_rows)[0]
-        original = linalg.kernel
+        original = linalg._null_space
         eliminations = []
 
-        def spy(m, ncols=None):
-            # the joint kernel call, recognised by the row space of its rows
-            if m and linalg.rref(m)[0] == joint_rows:
+        def spy(rows, ncols):
+            # the joint kernel elimination, recognised by the row space of its rows
+            if rows and linalg.rref(rows)[0] == joint_rows:
                 eliminations.append(None)
-            return original(m, ncols)
+            return original(rows, ncols)
 
-        for module in (linalg, connections, lcp):
-            if getattr(module, "kernel", None) is original:
-                monkeypatch.setattr(module, "kernel", spy)
+        monkeypatch.setattr(linalg, "_null_space", spy)
         assert analysis.violations(s.flat_factor) == ()
         assert len(eliminations) == 1
         assert analysis.flat_factor.subspace == s.flat_factor
         assert len(eliminations) == 1
+
+
+class TestIntegerRowSubspaces:
+    def test_structure_layer_builds_no_fraction_basis(self, sl2, heis3, aff):
+        """The radical, the lower central series, the center and the flat factor
+        are computed on integer rows: none of them builds its Fraction basis."""
+        structures = (make_sol3_structure(), make_rot4_structure(), make_rot5_structure())
+        algebras = [sl2, heis3, aff, *(s.algebra for s in structures)]
+        for algebra in algebras:
+            for s in (radical(algebra), center(algebra), *lower_central_series(algebra)):
+                assert "basis" not in vars(s)
+        for structure in structures:
+            analysis = ConformalAnalysis(structure.algebra, structure.metric, structure.lee_form)
+            assert "basis" not in vars(analysis.flat_factor.subspace)
 
 
 class TestValidation:
@@ -468,6 +488,16 @@ class TestTriples:
     def test_rejects_non_skew_action(self, aff):
         with pytest.raises(ValueError, match="skew"):
             LCPTriple(aff, InnerProduct.identity(2), 2, (matrix([[0, 1], [0, 0]]), ZERO2))
+
+    def test_rejects_a_nonzero_diagonal_entry(self, aff):
+        # the entries are the shared ZERO but for one diagonal entry of matrix 1
+        diagonal = ((ZERO, ZERO), (ZERO, Fraction(1)))
+        with pytest.raises(ValueError, match=r"^action matrix 1 is not skew-symmetric$"):
+            LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2, diagonal))
+        # a pair of which one entry is the shared ZERO is still compared
+        lopsided = ((ZERO, Fraction(1)), (ZERO, ZERO))
+        with pytest.raises(ValueError, match=r"^action matrix 0 is not skew-symmetric$"):
+            LCPTriple(aff, InnerProduct.identity(2), 2, (lopsided, diagonal))
 
     def test_rejects_unimodular_base(self):
         with pytest.raises(ValueError, match="unimodular"):
@@ -662,10 +692,10 @@ class TestConstraintSpace:
             for urow in s.flat_factor.basis:
                 cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
                 rows.extend(transpose(tuple(cols)))
-            action = Subspace(n, kernel(tuple(rows), n))
-            theta_kernel = Subspace(n, kernel((s.lee_form.coefficients,), n))
+            action = Subspace.from_vectors(kernel(tuple(rows), n), n)
+            theta_kernel = Subspace.from_vectors(kernel((s.lee_form.coefficients,), n), n)
             gram_rows = tuple(mat_vec(s.metric.gram, row) for row in s.flat_factor.basis)
-            complement = Subspace(n, kernel(gram_rows, n))
+            complement = Subspace.from_vectors(kernel(gram_rows, n), n)
             dense = DenseBrackets(algebra)
             rad, derived = dense.radical(), dense.derived
             assert s.orthocomplement() == complement
@@ -709,7 +739,7 @@ class TestConstraintSpace:
         for s in structures:
             n = s.algebra.dim
             complement = s.orthocomplement()
-            theta_kernel = Subspace(n, kernel((s.lee_form.coefficients,), n))
+            theta_kernel = Subspace.from_vectors(kernel((s.lee_form.coefficients,), n), n)
             pools = (
                 complement.basis,
                 complement.intersect(theta_kernel).basis,
@@ -908,16 +938,15 @@ class TestRestrictionCounts:
         assert calls == []
 
     def test_max_flat_on_rot5_makes_one_kernel_call(self, monkeypatch, capsys):
-        original = linalg.kernel
+        # every kernel, `Subspace.kernel_of` and `Subspace.restrict` included, is one `_null_space`
+        original = linalg._null_space
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("lcplie") and getattr(module, "kernel", None) is original:
-                monkeypatch.setattr(module, "kernel", counted)
+        monkeypatch.setattr(linalg, "_null_space", counted)
         assert main(["lcp", "max-flat", str(CORPUS_DIR / "rot5.json")]) == 0
         assert "classification: lcp" in capsys.readouterr().out
         assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Exact linear algebra: echelon forms, kernels, signatures, subspaces."""
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,9 +13,11 @@ from lcplie import connections, lattice, linalg
 from lcplie.connections import InnerProduct
 from lcplie.lattice import det_integer
 from lcplie.linalg import (
+    _RATIONAL,
     Subspace,
     _bareiss as bareiss,
     _descending_chain,
+    _echelon,
     _eliminate,
     _exact,
     _integer_row,
@@ -682,22 +685,113 @@ class TestIntegerElimination:
             inverse(matrix([[1, 2], [2, 4]]))
 
 
+def rref_with_fraction_rows(rows):
+    """rref as it was before `_echelon`: the same integer elimination, each final
+    pivot row divided by its (possibly negative) pivot into Fractions."""
+    pending = [row for row in (_integer_row(_exact(row, _RATIONAL)) for row in rows) if any(row)]
+    ncols = len(pending[0]) if pending else 0
+    reduced, pivots = [], []
+    for c in range(ncols):
+        k = next((k for k, row in enumerate(pending) if row[c]), None)
+        if k is None:
+            continue
+        pivot_row = pending.pop(k)
+        reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
+        reduced.append(pivot_row)
+        pivots.append(c)
+        if len(pivots) == ncols:
+            break
+        pending = [
+            row
+            for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
+            if any(row)
+        ]
+        if not pending:
+            break
+    out = []
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        out.append(tuple(F(0) if not x else F(1) if x == p else F(x, p) for x in row))
+    return tuple(out), tuple(pivots)
+
+
+def kernel_from_fraction_rows(m, ncols):
+    """kernel as it was before `_null_space`: one Fraction vector per free column
+    of the Fraction rref, then the rref of those vectors."""
+    if not m:
+        return identity_matrix(ncols)
+    ncols = len(m[0])
+    reduced, pivots = rref_with_fraction_rows(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return rref_with_fraction_rows(basis)[0]
+
+
+class TestIntegerEchelon:
+    def test_echelon_and_subspace_rows_match_the_fraction_rref(self):
+        rng = random.Random(1931)
+        cases = [random_rational_rows(rng) for _ in range(120)]
+        cases += [tall_rows(rng, True) for _ in range(60)]
+        cases += [[[rng.randint(-4, 4) for _ in range(5)] for _ in range(rng.randint(1, 7))]
+                  for _ in range(40)]
+        deficient = 0
+        for rows in cases:
+            expected, expected_pivots = rref_with_fraction_rows(rows)
+            reduced, pivots = _echelon(rows)
+            assert pivots == expected_pivots
+            for row, c, fraction_row in zip(reduced, pivots, expected, strict=True):
+                assert all(type(x) is int for x in row)
+                assert row[c] > 0 and math.gcd(*row) == 1
+                assert tuple(F(x, row[c]) for x in row) == fraction_row
+            deficient += len(pivots) < len(rows)
+            if not rows or not rows[0]:
+                continue
+            n = len(rows[0])
+            s = Subspace.from_vectors(rows, n)
+            assert s.rows == tuple(map(tuple, reduced)) and s.pivots == pivots
+            assert "basis" not in vars(s)
+            assert s.basis == expected and rref(rows) == (expected, expected_pivots)
+            null = Subspace.kernel_of(rows, n)
+            assert null.basis == kernel(rows) == kernel_from_fraction_rows(rows, n)
+            assert null.rows == tuple(map(tuple, _echelon(null.basis)[0]))
+        assert deficient > 80
+
+    def test_empty_and_zero_rows_have_the_full_kernel(self):
+        for n in range(5):
+            for rows in ([], [[0] * n], [[F(0)] * n] * 2):
+                assert Subspace.kernel_of(rows, n) == Subspace.full(n)
+                assert kernel(rows, n) == kernel_from_fraction_rows(rows, n) == identity_matrix(n)
+        assert Subspace.full(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_kernel_of_checks_the_row_length(self):
+        with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+            Subspace.kernel_of([(1, 2)], 3)
+
+
 def non_canonical_bases():
-    """Bases of R^3 that rref would change (or a row of the wrong length), with
-    the message Subspace raises for each."""
-    o, i, two = F(0), F(1), F(2)
+    """Row sets of R^3 that are not the canonical integer echelon rows (or have
+    a row of the wrong length), with the message Subspace raises for each."""
     canonical = "not in canonical reduced echelon form"
     return {
-        "pivot not 1": (((two, o, o),), canonical),
-        "negative pivot": (((o, -i, o),), canonical),
-        "entry above a pivot": (((i, i, o), (o, i, o)), canonical),
-        "entry below a pivot": (((i, o, o), (i, i, o)), canonical),
-        "zero row": (((i, o, o), (o, o, o)), canonical),
-        "descending pivots": (((o, i, o), (i, o, o)), canonical),
-        "repeated row": (((i, o, o), (i, o, o)), canonical),
-        "list of rows": ([(i, o, o)], canonical),
-        "row as a list": (([i, o, o],), canonical),
-        "wrong row length": (((i, o),), "row length does not match ambient dimension"),
+        "pivot not 1": (((2, 0, 0),), canonical),  # the primitive row of (1, 0, 0) is itself
+        "non-primitive row": (((2, 0, 4),), canonical),
+        "negative pivot": (((0, -1, 0),), canonical),
+        "entry above a pivot": (((1, 1, 0), (0, 1, 0)), canonical),
+        "entry below a pivot": (((1, 0, 0), (1, 1, 0)), canonical),
+        "zero row": (((1, 0, 0), (0, 0, 0)), canonical),
+        "descending pivots": (((0, 1, 0), (1, 0, 0)), canonical),
+        "repeated row": (((1, 0, 0), (1, 0, 0)), canonical),
+        "list of rows": ([(1, 0, 0)], canonical),
+        "row as a list": (([1, 0, 0],), canonical),
+        "Fraction entry": (((F(1), 0, 0),), canonical),
+        "Fraction rref row": (((F(1), F(0), F(1, 2)),), canonical),
+        "bool entry": (((True, 0, 0),), canonical),
+        "wrong row length": (((1, 0),), "row length does not match ambient dimension"),
     }
 
 
@@ -707,6 +801,12 @@ class TestSubspaceCanonicalForm:
         basis, message = non_canonical_bases()[name]
         with pytest.raises(ValueError, match=message):
             Subspace(3, basis)
+
+    def test_canonical_integer_rows_are_accepted(self):
+        s = Subspace(3, ((2, 0, 1), (0, 1, -3)))
+        assert s.pivots == (0, 1)
+        assert s.basis == ((F(1), F(0), F(1, 2)), (F(0), F(1), F(-3)))
+        assert s == Subspace.from_vectors([(4, 0, 2), (2, 1, -2)], 3)
 
     def test_rref_output_is_accepted_with_its_pivots(self):
         rng = random.Random(2722)
@@ -720,7 +820,7 @@ class TestSubspaceCanonicalForm:
             s = Subspace.from_vectors(rows, n)
             echelon, pivots = rref(rows)
             assert s.basis == echelon and s.pivots == pivots
-            assert Subspace(n, s.basis) == s
+            assert Subspace(n, s.rows) == s
 
     def test_from_vectors_still_coerces_and_rejects_floats(self):
         assert Subspace.from_vectors([(2, "1/2", F(3))], 3).basis == ((F(1), F(1, 4), F(3, 2)),)
@@ -734,7 +834,7 @@ def constraint_matrix_intersect(a, b):
     """The intersection `Subspace.intersect` replaced: one kernel of the stacked
     constraint rows of both subspaces, each row set itself a kernel."""
     n = a.ambient_dim
-    return Subspace(n, kernel(kernel(a.basis, n) + kernel(b.basis, n), n))
+    return Subspace.from_vectors(kernel(kernel(a.basis, n) + kernel(b.basis, n), n), n)
 
 
 def seeded_subspaces(rng, n):
@@ -835,7 +935,7 @@ class TestDescendingChain:
 
         def drop_last_row(s):
             calls.append(s.dim)
-            return Subspace(3, s.basis[:-1]) if s.dim > 1 else s
+            return Subspace(3, s.rows[:-1]) if s.dim > 1 else s
 
         chain = _descending_chain(Subspace.full(3), drop_last_row)
         assert [s.dim for s in chain] == [3, 2, 1]
