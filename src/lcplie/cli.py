@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import documents
 from .connections import InnerProduct, is_closed
@@ -62,31 +63,26 @@ def _load(path: str) -> str:
 
 
 def _format_combination(coeffs, labels, dual: bool = False) -> str:
-    terms = []
+    out = ""
     for c, label in zip(coeffs, labels, strict=True):
-        if c == 0:
+        if not c:
             continue
         name = label + ("*" if dual else "")
-        if c == 1:
-            terms.append(("+", name))
-        elif c == -1:
-            terms.append(("-", name))
+        term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        if out:
+            out += f" - {term}" if c < 0 else f" + {term}"
         else:
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, f"{abs(c)}*{name}"))
-    if not terms:
-        return "0"
-    first_sign, first = terms[0]
-    out = first if first_sign == "+" else f"-{first}"
-    for sign, term in terms[1:]:
-        out += f" {sign} {term}"
-    return out
+            out = f"-{term}" if c < 0 else term
+    return out or "0"
 
 
 def _format_subspace(s: Subspace, labels) -> str:
     if s.is_zero():
         return "0"
-    rows = ", ".join(_format_combination(row, labels) for row in s.basis)
+    rows = ", ".join(  # the canonical rows, building a Fraction per nonzero entry only
+        _format_combination([x and Fraction(x, row[p]) for x in row], labels)
+        for row, p in zip(s.rows, s.pivots)
+    )
     return "span{" + rows + "}"
 
 

@@ -5,12 +5,12 @@ and the Levi-Civita connection as its theta = 0 case.
 
 Conventions: a connection is a family of matrices nabla[i], one per basis
 direction, acting on coordinate columns; nabla[i] applied to e_j is the
-covariant derivative of e_j along e_i. Connections and curvature store the
-integer rows of their matrices over one denominator; dense views are lazy.
+covariant derivative of e_j along e_i. Connections, curvature and the Gram
+inverse store integer rows over one denominator; dense views are lazy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -19,13 +19,13 @@ from typing import Iterable, Sequence
 
 from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
-    ZERO,
     Matrix,
     SparseRows,
     Subspace,
     Vector,
     _add_product,
-    _bareiss,
+    _columns,
+    _definite_inverse,
     _dense_row,
     _exact,
     _integer_row,
@@ -38,9 +38,7 @@ from .linalg import (
     as_fraction,
     dot,
     identity_matrix,
-    inverse,
     mat_vec,
-    matrix,
     pair_index,
     pairs,
     zero_vector,
@@ -49,26 +47,21 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """A positive definite symmetric bilinear form on basis coordinates."""
+    """A positive definite symmetric bilinear form; `lifted_inverse` holds G^-1 on ints."""
 
     gram: Matrix
+    lifted_inverse: tuple[int, SparseRows] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix must be square")
         # Fraction entries; floats and bools raise TypeError, as in as_fraction
-        object.__setattr__(self, "gram", matrix(self.gram))
-        if any(self.gram[i][j] != self.gram[j][i] for i, j in pairs(n)):
+        object.__setattr__(self, "gram", tuple(map(_exact, self.gram)))
+        d, (rows,) = _lift((self.gram,))
+        if _columns(rows) != {r: list(terms) for r, terms in rows}:  # column m is row m
             raise ValueError("gram matrix must be symmetric")
-        # Sylvester's criterion in one elimination pass: scaling a row by a
-        # positive integer scales each leading minor by a positive factor, so
-        # the pivots _bareiss yields have the signs of the leading minors.
-        for k, minor in enumerate(_bareiss([_integer_row(row) for row in self.gram])):
-            if minor <= 0:
-                raise ValueError(
-                    f"gram matrix is not positive definite (leading {k + 1}x{k + 1} minor fails)"
-                )
+        object.__setattr__(self, "lifted_inverse", _definite_inverse(d, rows, n))
 
     @classmethod
     def identity(cls, n: int) -> "InnerProduct":
@@ -87,8 +80,8 @@ class InnerProduct:
 
     @cached_property
     def gram_inverse(self) -> Matrix:
-        """Inverse of the gram matrix, computed once per inner product."""
-        return inverse(self.gram)
+        """Inverse of the gram matrix, the view of `lifted_inverse`."""
+        return _unlift(*self.lifted_inverse, self.dim)
 
     def sharp(self, theta: Covector) -> Vector:
         """The vector metrically dual to a covector."""
@@ -196,11 +189,11 @@ class CurvatureTensor:
 
 
 def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
-    """A left-invariant covector is closed iff it kills all basis brackets."""
+    """A left-invariant covector is closed iff it kills all basis brackets (on ints)."""
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
-    th = theta.coefficients
-    return all(sum((th[k] * c for k, c in terms), ZERO) == 0 for _, _, terms in algebra.table)
+    th = _integer_row(theta.coefficients)
+    return not any(sum(th[k] * x for k, x in terms) for terms in algebra._lifted_table[1].values())
 
 
 def _koszul_matrices(
@@ -251,7 +244,7 @@ def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Vector)
     into the rows of `_koszul_matrices` on integer numerators."""
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
-    d_inv, (gram_inv,) = _lift((metric.gram_inverse,))
+    d_inv, gram_inv = metric.lifted_inverse
     d_k, k_mats = _koszul_matrices(algebra, metric.gram, theta)
     return Connection(algebra.dim, *_lowest_terms(d_inv * d_k, _products(gram_inv, k_mats)))
 

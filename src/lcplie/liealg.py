@@ -243,7 +243,7 @@ class LieAlgebra:
         return Subspace.full(self.dim)
 
     # The invariants below are computed at most once per algebra, on first
-    # use; `derived_algebra` and `killing_form` return them.
+    # use; `derived_algebra`, `trace_form` and `killing_form` return them.
 
     @cached_property
     def _derived_algebra(self) -> Subspace:
@@ -253,6 +253,15 @@ class LieAlgebra:
     @cached_property
     def _lifted_table(self) -> tuple[int, LiftedBrackets]:
         return _lift_table(self.table)
+
+    @cached_property
+    def _trace_form(self) -> Covector:
+        values = [ZERO] * self.dim
+        for i, j, terms in self.table:
+            coeffs = dict(terms)
+            values[i] += coeffs.get(j, ZERO)  # C^j_ij
+            values[j] -= coeffs.get(i, ZERO)  # C^i_ji = -C^i_ij
+        return Covector(tuple(values))
 
     @cached_property
     def _killing_form(self) -> Matrix:
@@ -358,17 +367,12 @@ def killing_form(algebra: LieAlgebra) -> Matrix:
 
 
 def trace_form(algebra: LieAlgebra) -> Covector:
-    """Covector x -> trace(ad_x); zero exactly for unimodular algebras."""
-    values = [ZERO] * algebra.dim
-    for i, j, terms in algebra.table:
-        coeffs = dict(terms)
-        values[i] += coeffs.get(j, ZERO)  # C^j_ij
-        values[j] -= coeffs.get(i, ZERO)  # C^i_ji = -C^i_ij
-    return Covector(tuple(values))
+    """Covector x -> trace(ad_x), zero exactly for unimodular algebras; once per algebra."""
+    return algebra._trace_form
 
 
 def is_unimodular(algebra: LieAlgebra) -> bool:
-    return trace_form(algebra).is_zero()
+    return algebra._trace_form.is_zero()
 
 
 def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subspace:

@@ -6,6 +6,7 @@ integer rows over a common denominator: dense lists of ints for
 elimination, and `SparseRows`, the nonzero rows as (column, int) pairs,
 for products. A `Subspace` is stored in the integer form, as the primitive
 integer rows of its reduced row echelon form; its Fraction basis is a view.
+One sparse integer pass (`_definite_inverse`) checks and inverts a Gram matrix.
 Every routine here is pure and exact. Floating point never enters this
 module.
 """
@@ -46,21 +47,22 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     grammar, a zero denominator and a part past Python's int-string digit
     limit raise ValueError.
     """
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational scalars")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"not a decimal-free rational string: {value!r}")
-        try:
-            return Fraction(value)
+        p, _, q = value.partition("/")
+        try:  # from the matched parts: Fraction(value) would match them again
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
         except ValueError:  # beyond Python's limit on digits in an int conversion
             raise ValueError(
                 f"rational has more than {sys.get_int_max_str_digits()} digits in a part"
             ) from None
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rational scalars")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -352,6 +354,34 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def _definite_inverse(d: int, rows: SparseRows, n: int) -> tuple[int, SparseRows]:
+    """(e, e G^-1 by its nonzero rows, in lowest terms) for the n x n symmetric G
+    with d G = rows, from one Gauss-Jordan pass without row exchanges on the
+    sparse primitive integer rows of [d G | d I]. Each step scales rows by a
+    positive int and adds multiples of the pivot row, so pivot k has the sign
+    of the leading (k+1)x(k+1) minor: ValueError names the first one <= 0."""
+    work = [{n + r: d} for r in range(n)]
+    for r, terms in rows:
+        work[r].update(terms)
+    for k, pivot_row in enumerate(work):
+        if (p := pivot_row.get(k, 0)) <= 0:
+            raise ValueError(
+                f"gram matrix is not positive definite (leading {k + 1}x{k + 1} minor fails)"
+            )
+        for i, row in enumerate(work):
+            if i != k and (f := row.get(k)):
+                new = {c: p * row.get(c, 0) - f * pivot_row.get(c, 0) for c in row | pivot_row}
+                g = gcd(*new.values())
+                work[i] = {c: x // g for c, x in new.items() if x}
+    # row k now holds some D > 0 at column k and D times row k of G^-1 from column n on
+    scale = lcm(*(row[k] for k, row in enumerate(work)))
+    e, (inverse_rows,) = _lowest_terms(scale, [tuple(
+        (k, tuple((c - n, x * (scale // row[k])) for c, x in sorted(row.items()) if c >= n))
+        for k, row in enumerate(work)
+    )])
+    return e, inverse_rows
+
+
 def _bareiss(work: list[list[int]]) -> Iterator[int]:
     """Fraction-free (Bareiss) elimination of a square integer matrix, in place.
 
@@ -515,7 +545,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.kernel_of((), ambient_dim)
+        n = ambient_dim
+        return cls(n, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
 
     @cached_property
     def basis(self) -> Matrix:

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from lcplie import connections
+from lcplie import connections, linalg
 from lcplie.connections import (
     Connection,
     InnerProduct,
@@ -27,9 +27,17 @@ from lcplie.documents import (
     parse_algebra_document,
 )
 from lcplie.lcp import LCPTriple, build_from_triple, is_flat_subspace, is_parallel
-from lcplie.liealg import Covector, LieAlgebra, derived_algebra, semidirect_sum
+from lcplie.liealg import (
+    Covector,
+    LieAlgebra,
+    derived_algebra,
+    is_unimodular,
+    semidirect_sum,
+    trace_form,
+)
 from lcplie.linalg import (
     Subspace,
+    _integer_row,
     _lift,
     _unlift,
     dot,
@@ -373,6 +381,118 @@ def brute_force_subspaces(n):
     return sorted(spans, key=lambda s: (s.dim, s.basis))
 
 
+def previous_definiteness_failure(gram):
+    """In-test copy of the previous Sylvester check: one Bareiss pass on the
+    primitive integer multiples of the rows, stopped at the first pivot <= 0
+    (so never at a row exchange); that pivot's k, or None."""
+    work = [_integer_row(row) for row in gram]
+    n, previous = len(work), 1
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot <= 0:
+            return k + 1
+        for i in range(k + 1, n):
+            f = work[i][k]
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * pivot - f * work[k][j]) // previous
+        previous = pivot
+    return None
+
+
+def previous_fraction_inverse(a):
+    """In-test copy of the previous Gram inverse: Gauss-Jordan on Fractions
+    with row exchanges, as `linalg.inverse` reads it off the rref of [A | I]."""
+    n = len(a)
+    m = [list(row) + [F(int(r == c)) for c in range(n)] for r, row in enumerate(a)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def definite_inverse_samples(seed, count):
+    """Seeded symmetric rational matrices by kind, definite and not, some sparse
+    and some with a zero leading minor."""
+    rng = random.Random(seed)
+    samples = []
+    while len(samples) < count:
+        n = rng.randint(1, 7)
+        kind = rng.choice(["llt", "sparse", "random", "singular", "zero minor", "zero diagonal"])
+        if kind == "llt":
+            gram = random_llt_metric(rng, n).gram
+        elif kind == "sparse":
+            # positive diagonal, a few symmetric off-diagonal pairs: definite or not
+            a = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                a[i][i] = F(rng.randint(1, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(0, n) if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                a[i][j] = a[j][i] = small_rational(rng)
+            gram = tuple(map(tuple, a))
+        elif kind == "random":
+            a = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
+            gram = tuple(tuple(a[r][c] + a[c][r] for c in range(n)) for r in range(n))
+        elif kind in ("singular", "zero minor"):
+            # M M^T; for a zero leading k x k minor, row k - 1 of M repeats a combination
+            # of the rows above it, so the leading minors stop being positive at k
+            m = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
+            k = rng.randint(2, n) if n > 1 else 1
+            if kind == "singular" or k == 1:
+                m[-1] = [F(0)] * n
+            else:
+                f = [small_rational(rng) for _ in range(k - 1)]
+                m[k - 1] = [sum((x * row[c] for x, row in zip(f, m)), F(0)) for c in range(n)]
+            gram = mat_mul(m, transpose(m))
+        else:
+            gram = [list(row) for row in random_llt_metric(rng, n).gram]
+            k = rng.randrange(n)
+            gram[k][k] = F(0)
+            gram = tuple(map(tuple, gram))
+        samples.append((kind, tuple(map(tuple, gram))))
+    return samples
+
+
+class TestDefiniteInverse:
+    def test_one_elimination_matches_the_bareiss_check_and_the_fraction_inverse(self):
+        samples = definite_inverse_samples(seed=2026, count=1200)
+        verdicts = {}
+        for kind, gram in samples:
+            expected = previous_definiteness_failure(gram)
+            assert definiteness_verdict(gram) == expected, (kind, gram)
+            verdicts.setdefault(kind, set()).add(expected)
+            if expected is None:
+                metric = InnerProduct(gram)
+                inv = previous_fraction_inverse(gram)
+                assert metric.gram_inverse == inv, gram
+                d, (rows,) = _lift((inv,))
+                assert metric.lifted_inverse == (d, rows), gram  # lowest terms, as _lift gives
+        assert len(samples) >= 1000
+        assert verdicts["llt"] == {None}
+        assert None in verdicts["sparse"] and len(verdicts["sparse"]) > 1
+        assert None not in verdicts["singular"] | verdicts["zero diagonal"]
+        assert {1, 2, 3, 4} <= verdicts["random"] and {2, 3, 4} <= verdicts["zero minor"]
+        # at least one named minor is zero, not negative
+        assert any(
+            (k := previous_definiteness_failure(gram))
+            and fraction_det(tuple(row[:k] for row in gram[:k])) == 0
+            for kind, gram in samples if kind == "zero minor"
+        )
+
+    def test_identity_and_block_metrics_invert_on_their_nonzero_entries(self):
+        identity = tuple((k, ((k, 1),)) for k in range(200))
+        assert InnerProduct.identity(200).lifted_inverse == (1, identity)
+        gram = ((F(2), F(1), F(0)), (F(1), F(2), F(0)), (F(0), F(0), F(1, 5)))
+        # [[2, 1], [1, 2]]^-1 = [[2, -1], [-1, 2]] / 3 and (1/5)^-1 = 5 = 15/3
+        rows = ((0, ((0, 2), (1, -1))), (1, ((0, -1), (1, 2))), (2, ((2, 15),)))
+        assert InnerProduct(gram).lifted_inverse == (3, rows)
+        assert InnerProduct(()).lifted_inverse == (1, ())
+
+
 class TestInnerProduct:
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -435,6 +555,55 @@ class TestClosedness:
     def test_closed_space_of_sl2_is_zero(self, sl2):
         for theta in closed_covectors(sl2, count=5, seed=3):
             assert theta.is_zero()
+
+    def test_matches_the_fraction_sum_on_seeded_algebras_and_covectors(self):
+        def fraction_is_closed(algebra, theta):
+            th = theta.coefficients
+            return all(sum((th[k] * c for k, c in terms), F(0)) == 0 for _, _, terms in algebra.table)
+
+        rng = random.Random(515)
+        algebras = [make_sol3(), make_heis3(), make_sl2(), make_aff(), make_abelian(3)]
+        algebras += [case[0] for case in corpus_cases()]
+        algebras += [algebra for algebra, _ in random_metric_algebras(seed=77, count=12)]
+        verdicts = []
+        for algebra in algebras:
+            n = algebra.dim
+            thetas = [closed_covector(algebra, rng) for _ in range(2)]
+            thetas += [
+                Covector(tuple(small_rational(rng) if rng.random() < 0.5 else F(0) for _ in range(n)))
+                for _ in range(3)
+            ]
+            # a closed covector plus a small multiple of e_k*: closed iff e_k* kills [g, g]
+            k = rng.randrange(n)
+            thetas.append(Covector(tuple(x + F(int(i == k), 7) for i, x in enumerate(thetas[0].coefficients))))
+            for theta in thetas:
+                verdict = fraction_is_closed(algebra, theta)
+                assert is_closed(algebra, theta) == verdict, (algebra, theta)
+                verdicts.append(verdict)
+        assert len(verdicts) >= 100 and {True, False} <= set(verdicts)
+
+
+class TestNoGramInverseThroughInverse:
+    def test_the_metric_and_weyl_build_never_call_inverse(self, monkeypatch):
+        structure = random_triple_structure(random.Random(8))
+        gram = ((F(2), F(1), F(0)), (F(1), F(2), F(1)), (F(0), F(1), F(2)))
+        expected = previous_fraction_inverse(gram)
+
+        def forbidden(*args):
+            raise AssertionError("a Gram matrix was inverted through linalg.inverse")
+
+        monkeypatch.setattr(linalg, "inverse", forbidden)
+        monkeypatch.setattr(connections, "inverse", forbidden, raising=False)
+        assert InnerProduct(gram).gram_inverse == expected
+        metric = InnerProduct(structure.metric.gram)
+        assert metric.gram_inverse == previous_fraction_inverse(metric.gram)
+        conn = weyl_connection(structure.algebra, metric, structure.lee_form)
+        assert conn == structure.connection()
+
+    def test_the_trace_form_is_built_once_per_algebra(self):
+        algebra = make_aff()
+        assert trace_form(algebra) is trace_form(algebra)
+        assert not is_unimodular(algebra) and trace_form(algebra).coefficients == (F(1), F(0))
 
 
 class TestLeviCivita:
@@ -629,7 +798,9 @@ class TestWeyl:
         wrong = tuple(mat_mul(wrong_inverse, mat_mul(metric.gram, m)) for m in good)
         (i, j, k), name = parent_cross_check_witness(algebra, metric, theta, wrong)
 
-        monkeypatch.setattr(InnerProduct, "gram_inverse", property(lambda self: wrong_inverse))
+        metric = InnerProduct(metric.gram)  # a copy whose stored inverse is replaced
+        d, (rows,) = _lift((wrong_inverse,))
+        object.__setattr__(metric, "lifted_inverse", (d, rows))
         message = f"cross-check failed at ({i}, {j}, {k}): the {name} identity fails"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             weyl_connection(algebra, metric, theta)

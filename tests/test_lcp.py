@@ -1,6 +1,7 @@
 """Flat factors, structure validation, the triple correspondence, exponential checks."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,6 +32,7 @@ from lcplie.lcp import (
     verify_conformal_exponential,
 )
 from lcplie.cli import main
+from lcplie.documents import document_algebra, parse_algebra_document
 from lcplie.liealg import (
     Covector,
     LieAlgebra,
@@ -965,3 +967,97 @@ class TestRestrictionCounts:
             analysis = ConformalAnalysis(structure.algebra, structure.metric, structure.lee_form)
             assert analysis.flat_factor.subspace == structure.flat_factor
             assert calls == [analysis.curvature.kernel]
+
+
+def _zero_block(q):
+    return [["0"] * q for _ in range(q)]
+
+
+def radical_binding_triple(k_brackets, k_labels, q, k_beta, a_beta):
+    """The triple document of h = k (+) aff(R), the identity metric on h, acting
+    on R^q by k_beta on k, a_beta on a and zero on b ([a, b] = b)."""
+    m = len(k_labels)
+    brackets = [{"i": i, "j": j, "c": c} for (i, j), c in k_brackets]
+    brackets.append({"i": m, "j": m + 1, "c": {str(m + 1): "1"}})
+    h = {"dim": m + 2, "basis": k_labels + ["a", "b"], "brackets": brackets, "metric": "identity"}
+    return {"triple": {"h": h, "q": q, "beta": k_beta + [a_beta, _zero_block(q)]}}
+
+
+SO3_BRACKETS = [((0, 1), {"2": "1"}), ((1, 2), {"0": "1"}), ((0, 2), {"1": "-1"})]
+SL2_BRACKETS = [((0, 1), {"1": "2"}), ((0, 2), {"2": "-2"}), ((1, 2), {"0": "1"})]
+J_BLOCK = [["0", "-1"], ["1", "0"]]
+# so(3) on R^3 by its standard representation: L_i e_j = e_i x e_j
+SO3_STANDARD = [
+    [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    [["0", "0", "1"], ["0", "0", "0"], ["-1", "0", "0"]],
+    [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+]
+# (id, triple, radical labels, dim of the bound without the radical condition)
+RADICAL_BINDING = [
+    ("so3+aff", radical_binding_triple(SO3_BRACKETS, ["r1", "r2", "r3"], 2, [_zero_block(2)] * 3,
+                                        J_BLOCK), ["u1", "u2", "a", "b"], 4),
+    ("sl2+aff", radical_binding_triple(SL2_BRACKETS, ["h", "e", "f"], 2, [_zero_block(2)] * 3,
+                                        J_BLOCK), ["u1", "u2", "a", "b"], 4),
+    ("so3+aff on R^3", radical_binding_triple(SO3_BRACKETS, ["r1", "r2", "r3"], 3, SO3_STANDARD,
+                                               _zero_block(3)), ["u1", "u2", "u3", "a", "b"], 1),
+]
+
+
+class TestRadicalBinds:
+    """Structures on non-solvable algebras, where the paper's theorem puts the
+    reduced characteristic group inside the radical: the radical condition cuts
+    the characteristic bound, which no solvable corpus structure shows."""
+
+    @pytest.mark.parametrize("triple, radical_labels, without_radical",
+                             [case[1:] for case in RADICAL_BINDING],
+                             ids=[case[0] for case in RADICAL_BINDING])
+    def test_every_command_on_the_built_structure(
+        self, tmp_path, capsys, triple, radical_labels, without_radical
+    ):
+        def run(*argv):
+            code = main(list(argv))
+            return code, capsys.readouterr().out
+
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(triple), encoding="utf-8")
+        code, built = run("lcp", "from-triple", str(path))
+        assert code == 0
+        structure_path = tmp_path / "structure.json"
+        structure_path.write_text(built, encoding="utf-8")
+        s = str(structure_path)
+        q = triple["triple"]["q"]
+        u = ", ".join(f"u{t + 1}" for t in range(q))
+        assert run("lcp", "detect", s) == (0, "valid: yes\nadapted: yes\nmaximal: yes\n"
+                                             f"flat factor: span{{{u}}} (dim {q})\n")
+        assert run("lcp", "max-flat", s) == (
+            0, f"flat factor = span{{{u}}} (dim {q})\nclassification: lcp\nadapted: yes\n"
+        )
+        assert run("lcp", "char-bound", s) == (0, "bound = span{b} (dim 1)\n")
+        code, report = run("analyze", s)
+        assert code == 0
+        assert "solvable: no\n" in report and "semisimple: no\n" in report
+        radical_line = f"radical: span{{{', '.join(radical_labels)}}} (dim {len(radical_labels)})"
+        assert radical_line + "\n" in report
+
+        doc = parse_algebra_document(built)
+        algebra = document_algebra(doc)
+        structure = validate_lcp(
+            algebra, InnerProduct(doc.metric), Covector(doc.theta),
+            Subspace.from_vectors(doc.flat_factor, algebra.dim),
+        )
+        assert structure.adapted and structure.maximal
+        rad = radical(algebra)
+        labels = algebra.labels
+        expected = Subspace.from_vectors(
+            [[F(int(label == name)) for label in labels] for name in radical_labels], algebra.dim
+        )
+        assert rad == expected
+        bound = characteristic_constraint_space(structure)
+        assert bound.dim == 1 and rad.contains_subspace(bound)
+        # without the radical condition the bound is larger: so(3) or sl(2) enters,
+        # unless the centralizer already excludes it
+        theta_kernel, centralizer, _, derived = structure._linear_conditions
+        loose = structure.orthocomplement().intersect(theta_kernel).intersect(centralizer)
+        loose = loose.intersect(derived)
+        assert loose.dim == without_radical
+        assert loose.intersect(rad) == bound

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from lcplie.linalg import (
     _RATIONAL,
     Subspace,
     _bareiss as bareiss,
+    _definite_inverse as definite_inverse,
     _descending_chain,
     _echelon,
     _eliminate,
@@ -105,6 +107,49 @@ def test_as_fraction_reads_the_grammar_and_names_the_digit_limit():
     assert as_fraction("007/10") == F(7, 10)
     with pytest.raises(ValueError, match="digits in a part"):
         as_fraction("7" * 5000)
+
+
+def previous_as_fraction(text):
+    """In-test copy of the previous string path of as_fraction: the grammar
+    check, then Fraction(text), which matches the string a second time."""
+    if not linalg._RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a decimal-free rational string: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(
+            f"rational has more than {sys.get_int_max_str_digits()} digits in a part"
+        ) from None
+
+
+def outcome(read, text):
+    """(value, its type) or (error type, message)."""
+    try:
+        value = read(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+def test_as_fraction_matches_the_previous_string_parser_on_the_grammar_edges():
+    limit = sys.get_int_max_str_digits()
+    cases = ["007", "-0", "0", "-007/010", "3/06", "1/0", "0/0", "-5/10", "10/5", "2/1",
+             "12345678901234567890/98765432109876543210", "9" * limit, "1/" + "3" * limit,
+             "1" * (limit + 1), "1/" + "1" * (limit + 1), "-" + "2" * (limit + 1) + "/3",
+             "", "-", "/2", "1/", "1/-2", "--1", "1.5", "0x1", "\u0663", "1\n", *OUTSIDE_THE_GRAMMAR]
+    for text in cases:
+        assert outcome(as_fraction, text) == outcome(previous_as_fraction, text), text
+    assert outcome(as_fraction, "1/0") == (ValueError, "zero denominator in '1/0'")
+    assert outcome(as_fraction, "3/06") == (F(1, 2), F)
+    assert outcome(as_fraction, "1" * (limit + 1))[1].endswith("digits in a part")
+    rng = random.Random(31)
+    for _ in range(500):
+        text = str(rng.randint(-10**6, 10**6))
+        if rng.random() < 0.7:
+            text += "/" + str(rng.randint(0, 10**4)).zfill(rng.randint(1, 6))
+        assert outcome(as_fraction, text) == outcome(previous_as_fraction, text), text
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -284,8 +329,14 @@ class TestBareissCore:
             passes.append(len(work))
             return bareiss(work)
 
-        for module in (linalg, lattice, connections):
+        def counted_inverse(d, rows, n):
+            passes.append(n)
+            return definite_inverse(d, rows, n)
+
+        for module in (linalg, lattice):
             monkeypatch.setattr(module, "_bareiss", counted)
+        # the metric checks definiteness in the elimination that inverts it
+        monkeypatch.setattr(connections, "_definite_inverse", counted_inverse)
         a = ((0, 2, 1), (3, 0, 0), (0, 0, 5))
         for run in (lambda: det(matrix(a)), lambda: det_integer(a),
                     lambda: InnerProduct(matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))):
