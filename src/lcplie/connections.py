@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
+    ZERO,
     Matrix,
     SparseRows,
     Subspace,
@@ -70,6 +71,24 @@ class InnerProduct:
     @classmethod
     def from_rows(cls, rows) -> "InnerProduct":
         return cls(tuple(rows))
+
+    @classmethod
+    def _orthogonal_sum(cls, q: int, metric: "InnerProduct") -> "InnerProduct":
+        """The block diagonal form of the identity on R^q and metric, with no
+        second elimination: the inverse is the q x q identity block over
+        metric's inverse denominator e, next to metric's own inverse rows moved
+        down by q. Those rows are in lowest terms over e, so the sum is too."""
+        e, rows = metric.lifted_inverse
+        out = object.__new__(cls)
+        gram = tuple(row + (ZERO,) * metric.dim for row in identity_matrix(q)) + tuple(
+            (ZERO,) * q + row for row in metric.gram
+        )
+        inverse_rows = tuple((r, ((r, e),)) for r in range(q)) + tuple(
+            (q + r, tuple((q + c, x) for c, x in terms)) for r, terms in rows
+        )
+        object.__setattr__(out, "gram", gram)
+        object.__setattr__(out, "lifted_inverse", (e, inverse_rows))
+        return out
 
     @property
     def dim(self) -> int:

@@ -41,6 +41,8 @@ from .linalg import (
     _columns,
     _descending_chain,
     _exact,
+    as_fraction,
+    dot,
     identity_matrix,
     pairs,
     transpose,
@@ -347,8 +349,7 @@ def build_from_triple(triple: LCPTriple) -> LCPStructure:
     algebra = semidirect_sum(q, h, alpha)
     n = q + h.dim
     # block diagonal: the identity on the flat factor and h's metric on h
-    h_rows = tuple((ZERO,) * q + row for row in triple.h_metric.gram)
-    metric = InnerProduct(identity_matrix(n)[:q] + h_rows)
+    metric = InnerProduct._orthogonal_sum(q, triple.h_metric)
     theta = Covector(tuple([ZERO] * q + weight))
     u = Subspace.from_vectors(identity_matrix(n)[:q], n)
     structure = validate_lcp(algebra, metric, theta, u)
@@ -478,6 +479,23 @@ def conformal_exponential_residual(
     return float(numpy.max(numpy.abs(e.T @ g @ e - target)))
 
 
+def is_conformal_action(gram_u: Matrix, action: Matrix, lee_value: Fraction) -> bool:
+    """Whether A^T G + G A = 2 w G holds exactly for A = action, G = gram_u
+    and w = lee_value. E(t) = exp(t A) satisfies E^T G E = exp(2 t w) G for
+    every t if and only if it does: differentiate exp(-2 t w) E^T G E.
+    Entries are read as in `vector`, so a float raises TypeError."""
+    gram_u, action = (tuple(map(_exact, m)) for m in (gram_u, action))
+    q = len(gram_u)
+    if len(action) != q or any(len(row) != q for row in gram_u + action):
+        raise ValueError("gram_u and action must be square matrices of one size")
+    two_w = 2 * as_fraction(lee_value)
+    ga = [[dot(row, col) for col in transpose(action)] for row in gram_u]
+    # (A^T G)[r][c] = (G A)[c][r], as G is symmetric
+    return all(
+        ga[c][r] + ga[r][c] == two_w * g for r, row in enumerate(gram_u) for c, g in enumerate(row)
+    )
+
+
 def verify_conformal_exponential(
     structure: LCPStructure,
     x: Sequence[Fraction],
@@ -485,7 +503,12 @@ def verify_conformal_exponential(
     tol: float,
 ) -> bool:
     """Whether the one-parameter group of x acts conformally on the flat
-    factor to within tol, with conformal factor exp(2 t theta(x))."""
+    factor, with conformal factor exp(2 t theta(x)).
+
+    The verdict is exact, `is_conformal_action` of the action of x, and the
+    same for every t. t and a positive tol are the arguments of the numeric
+    cross-check, `conformal_exponential_residual`, which this does not run.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     hperp = structure.orthocomplement()
@@ -495,7 +518,4 @@ def verify_conformal_exponential(
         )
     action = flat_factor_action(structure, x)
     gram_u = structure.metric.restrict(structure.flat_factor.basis)
-    residual = conformal_exponential_residual(
-        gram_u, action, structure.lee_form.value(x), t
-    )
-    return residual <= tol
+    return is_conformal_action(gram_u, action, structure.lee_form.value(x))

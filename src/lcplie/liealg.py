@@ -243,12 +243,21 @@ class LieAlgebra:
         return Subspace.full(self.dim)
 
     # The invariants below are computed at most once per algebra, on first
-    # use; `derived_algebra`, `trace_form` and `killing_form` return them.
+    # use; `derived_algebra`, `derived_series`, `lower_central_series`,
+    # `trace_form` and `killing_form` return them.
 
     @cached_property
     def _derived_algebra(self) -> Subspace:
         n = self.dim
         return Subspace.from_vectors([_dense_row(t, n) for t in self._lifted_table[1].values()], n)
+
+    @cached_property
+    def _derived_series(self) -> tuple[Subspace, ...]:
+        return _derived_chain(self, self._derived_algebra)
+
+    @cached_property
+    def _lower_central_series(self) -> tuple[Subspace, ...]:
+        return _descending_chain(self._derived_algebra, lambda s: _algebra_bracket(self, s))
 
     @cached_property
     def _lifted_table(self) -> tuple[int, LiftedBrackets]:
@@ -336,15 +345,25 @@ def _derived_chain(algebra: LieAlgebra, s: Subspace) -> tuple[Subspace, ...]:
     return _descending_chain(s, lambda t: bracket_span(algebra, t, t))
 
 
+def _algebra_bracket(algebra: LieAlgebra, s: Subspace) -> Subspace:
+    """[g, s]: the span of the table images [e_i, y] of the rows y of s."""
+    n = algebra.dim
+    return Subspace.from_vectors(
+        [_dense_row(image.items(), n) for y in s.rows for image in _basis_images(algebra, y).values()],
+        n,
+    )
+
+
 def derived_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
-    """Chain starting at the derived algebra, repeated self-bracket, until stable."""
-    return _derived_chain(algebra, derived_algebra(algebra))
+    """Chain starting at the derived algebra, repeated self-bracket, until
+    stable; computed once per algebra."""
+    return algebra._derived_series
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[Subspace, ...]:
-    """Chain starting at the derived algebra, repeated bracket with the whole algebra."""
-    full = algebra.full_space()
-    return _descending_chain(derived_algebra(algebra), lambda s: bracket_span(algebra, full, s))
+    """Chain starting at the derived algebra, repeated bracket with the whole
+    algebra, until stable; computed once per algebra."""
+    return algebra._lower_central_series
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -393,7 +412,16 @@ def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subsp
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    return _centralizer(algebra, algebra.full_space().rows)
+    """{x : [x, e_j] = 0 for every j}, from one sweep of the integer table:
+    the sum of x_i [e_i, e_j] over i gives one constraint row per (j, k),
+    with entry i = c [e_i, e_j]_k."""
+    n = algebra.dim
+    rows: dict[tuple[int, int], list[int]] = {}
+    for (i, j), terms in algebra._lifted_table[1].items():
+        for k, x in terms:
+            rows.setdefault((j, k), [0] * n)[i] = x
+            rows.setdefault((i, k), [0] * n)[j] = -x  # [e_j, e_i] = -[e_i, e_j]
+    return Subspace.kernel_of(list(rows.values()), n)
 
 
 def is_ideal(algebra: LieAlgebra, s: Subspace) -> bool:
@@ -413,6 +441,9 @@ def radical(algebra: LieAlgebra) -> Subspace:
 
     The result is re-checked to be a solvable ideal: an ideal whose derived
     chain ends at zero. An ideal is a subalgebra, so that chain descends.
+    The whole algebra is an ideal, and its derived chain is the derived
+    series with g in front (or the series itself when [g, g] = g), so for a
+    radical equal to g the check reads the cached series.
     Failure of the check signals an internal inconsistency.
     """
     commutator = derived_algebra(algebra)
@@ -420,7 +451,11 @@ def radical(algebra: LieAlgebra) -> Subspace:
         return algebra.full_space()
     constraints = _gram_rows(killing_form(algebra), commutator.rows)
     rad = Subspace.kernel_of(constraints, algebra.dim)
-    if not is_ideal(algebra, rad) or not _derived_chain(algebra, rad)[-1].is_zero():
+    if rad.is_full():
+        solvable = derived_series(algebra)[-1].is_zero()
+    else:
+        solvable = is_ideal(algebra, rad) and _derived_chain(algebra, rad)[-1].is_zero()
+    if not solvable:
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
     return rad
 

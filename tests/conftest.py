@@ -13,6 +13,7 @@ from lcplie.liealg import Covector, LieAlgebra
 from lcplie.linalg import ZERO, Subspace, zero_vector
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 F = Fraction
 

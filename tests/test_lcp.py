@@ -1,8 +1,10 @@
 """Flat factors, structure validation, the triple correspondence, exponential checks."""
 from __future__ import annotations
 
+import importlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,6 +25,7 @@ from lcplie.lcp import (
     check_candidate,
     conformal_exponential_residual,
     flat_factor_action,
+    is_conformal_action,
     is_flat_subspace,
     is_parallel,
     lcp_violations,
@@ -32,7 +35,7 @@ from lcplie.lcp import (
     verify_conformal_exponential,
 )
 from lcplie.cli import main
-from lcplie.documents import document_algebra, parse_algebra_document
+from lcplie.documents import document_algebra, document_triple, parse_algebra_document
 from lcplie.liealg import (
     Covector,
     LieAlgebra,
@@ -54,6 +57,7 @@ from lcplie.linalg import (
 )
 
 from conftest import (
+    BENCH_DIR,
     CORPUS_DIR,
     ROTATION,
     ZERO2,
@@ -601,6 +605,36 @@ class TestTriples:
             assert extracted == triple
             assert build_from_triple(extracted) == s
 
+    def test_block_metric_reuses_the_inverse_of_h(self, monkeypatch):
+        # build_from_triple assembles the inverse of its block diagonal metric from
+        # the triple's; it must equal the one a fresh elimination of the block gives
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        scaling_triple = importlib.import_module("workloads").scaling_triple
+        texts = [(CORPUS_DIR / name).read_text() for name in ("sol3_triple.json", "rot4_triple.json")]
+        texts += [json.dumps(case[1]) for case in RADICAL_BINDING]
+        texts += [
+            json.dumps(scaling_triple(n, random.Random(seed)))
+            for n in (4, 5, 6, 7, 10, 17, 26, 40) for seed in (0, 1)
+        ]
+        eliminations = []
+        definite_inverse = connections._definite_inverse
+        monkeypatch.setattr(
+            connections, "_definite_inverse", lambda *a: eliminations.append(1) or definite_inverse(*a)
+        )
+        for text in texts:
+            triple = document_triple(parse_algebra_document(text))
+            eliminations.clear()
+            metric = build_from_triple(triple).metric
+            assert eliminations == []
+            q = triple.q
+            block = identity_matrix(q + triple.h_algebra.dim)[:q] + tuple(
+                (ZERO,) * q + row for row in triple.h_metric.gram
+            )
+            fresh = InnerProduct(block)
+            assert metric.gram == fresh.gram
+            assert metric.lifted_inverse == fresh.lifted_inverse
+
     def test_extraction_requires_unimodular_ambient(self):
         algebra = make_aff_plus_line()
         theta = Covector((F(1), F(0), F(0)))
@@ -825,6 +859,55 @@ class TestConformalExponential:
             gram_u, broken, s.lee_form.value(vector([0, 0, 1, 0])), 1.0
         )
         assert residual > 1e-3
+
+    def test_exact_check_rejects_the_corrupted_action(self, rot4_structure):
+        # the corrupted rot4 action of criterion 6 in test_acceptance.py
+        s = rot4_structure
+        x = vector([0, 0, 1, 0])
+        action = flat_factor_action(s, x)
+        broken = tuple(
+            tuple(c + (F(1) if (r, k) == (0, 1) else F(0)) for k, c in enumerate(row))
+            for r, row in enumerate(action)
+        )
+        gram_u = s.metric.restrict(s.flat_factor.basis)
+        lee = s.lee_form.value(x)
+        assert is_conformal_action(gram_u, action, lee)
+        assert not is_conformal_action(gram_u, broken, lee)
+
+    def test_exact_check_agrees_with_the_numeric_residual(self):
+        # A = w I + K is conformal for G = I exactly when K is skew
+        rng = random.Random(97)
+        gram = identity_matrix(3)
+        verdicts = set()
+        for _ in range(40):
+            w = F(rng.randint(-3, 3), rng.randint(1, 3))
+            skew = [[F(0)] * 3 for _ in range(3)]
+            for r, c in combinations(range(3), 2):
+                skew[r][c] = F(rng.randint(-2, 2))
+                skew[c][r] = -skew[r][c]
+            if rng.random() < 0.5:
+                r, c = rng.randrange(3), rng.randrange(3)
+                skew[r][c] += F(rng.choice((-1, 1)), rng.randint(1, 4))
+            action = tuple(tuple(w * (r == c) + skew[r][c] for c in range(3)) for r in range(3))
+            exact = is_conformal_action(gram, action, w)
+            assert exact == (conformal_exponential_residual(gram, action, w, 0.5) <= 1e-9)
+            verdicts.add(exact)
+        assert verdicts == {True, False}
+
+    def test_exact_check_rejects_floats_and_mismatched_sizes(self):
+        one = ((F(1),),)
+        with pytest.raises(TypeError):
+            is_conformal_action(one, ((0.5,),), F(0))
+        with pytest.raises(TypeError):
+            is_conformal_action(one, one, 0.5)
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            is_conformal_action(one, identity_matrix(2), F(1))
+
+    def test_verdict_needs_no_numpy_or_scipy(self, monkeypatch, rot4_structure):
+        for name in ("numpy", "scipy", "scipy.linalg"):
+            monkeypatch.setitem(sys.modules, name, None)
+        for row in rot4_structure.orthocomplement().basis:
+            assert verify_conformal_exponential(rot4_structure, row, 1.0, 1e-9)
 
     def test_flat_factor_action_rejects_wrong_length_elements(self, sol3_structure):
         with pytest.raises(ValueError, match="vector length"):

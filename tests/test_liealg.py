@@ -33,7 +33,8 @@ from lcplie.liealg import (
 )
 from lcplie.cli import main
 from lcplie.connections import InnerProduct, is_closed
-from lcplie.lcp import LCPTriple
+from lcplie.documents import document_triple, parse_algebra_document
+from lcplie.lcp import LCPTriple, build_from_triple
 from lcplie.linalg import (
     Subspace,
     det,
@@ -575,9 +576,57 @@ def random_subspaces(rng, n, count):
     return out
 
 
+def algebra_document(path, algebra):
+    """Write the algebra as an algebra document at path and return the path."""
+    path.write_text(json.dumps({
+        "dim": algebra.dim,
+        "basis": list(algebra.labels),
+        "brackets": [
+            {"i": i, "j": j, "c": {str(k): str(c) for k, c in terms}}
+            for i, j, terms in algebra.table
+        ],
+    }))
+    return path
+
+
+def radical_binding_algebras():
+    """The algebras that `build_from_triple` makes of test_lcp's RADICAL_BINDING
+    triples: not solvable, with a proper nonzero radical."""
+    from test_lcp import RADICAL_BINDING  # imported here, as test_lcp imports this module
+
+    return [
+        build_from_triple(document_triple(parse_algebra_document(json.dumps(case[1])))).algebra
+        for case in RADICAL_BINDING
+    ]
+
+
+def checked_radical(algebra):
+    """The radical by the route that checks every radical alike: the
+    Killing-orthogonal of [g, g], accepted only when `is_ideal` holds and the
+    derived chain of the result itself reaches 0."""
+    commutator = derived_algebra(algebra)
+    if commutator.is_zero():
+        return algebra.full_space()
+    rows = [mat_vec(killing_form(algebra), row) for row in commutator.basis]
+    rad = Subspace.from_vectors(kernel(tuple(rows), algebra.dim), algebra.dim)
+    assert is_ideal(algebra, rad) and liealg._derived_chain(algebra, rad)[-1].is_zero()
+    return rad
+
+
 class TestTableDrivenStructure:
     """bracket_span, is_ideal, centralizers, both series and the radical from
     the table, against the dense basis_bracket oracle."""
+
+    def test_center_and_radical_match_the_dense_oracle(self):
+        full_radical = set()
+        algebras = wide_families() + [heis_plus_diag(), sl2_on_plane()] + radical_binding_algebras()
+        for algebra in algebras:
+            dense = DenseBrackets(algebra)
+            assert center(algebra) == dense.centralizer(dense.full.basis)
+            rad = radical(algebra)
+            assert rad == dense.radical() == checked_radical(algebra)
+            full_radical.add(rad.is_full())
+        assert full_radical == {True, False}
 
     def test_matches_the_dense_oracle_on_random_subspaces(self):
         rng = random.Random(314)
@@ -608,16 +657,7 @@ class TestTableDrivenStructure:
         assert closed_verdicts == {True, False}
 
     def test_analyze_heis_plus_diag_makes_no_bracket_calls(self, monkeypatch, tmp_path, capsys):
-        algebra = heis_plus_diag()
-        doc = tmp_path / "heis_diag.json"
-        doc.write_text(json.dumps({
-            "dim": algebra.dim,
-            "basis": list(algebra.labels),
-            "brackets": [
-                {"i": i, "j": j, "c": {str(k): str(c) for k, c in terms}}
-                for i, j, terms in algebra.table
-            ],
-        }))
+        doc = algebra_document(tmp_path / "heis_diag.json", heis_plus_diag())
         calls = []
         bracket = LieAlgebra.bracket
 
@@ -631,9 +671,10 @@ class TestTableDrivenStructure:
         assert "solvable: yes\nnilpotent: no\n" in out
         assert len(calls) == 0
 
-    def test_analyze_builds_each_invariant_once(self, monkeypatch, capsys):
-        builds = {"_killing_form": 0, "_derived_algebra": 0}
-        for name in builds:
+    def test_analyze_builds_each_invariant_once(self, monkeypatch, tmp_path, capsys):
+        names = ("_killing_form", "_derived_algebra", "_derived_series", "_lower_central_series")
+        builds = dict.fromkeys(names, 0)
+        for name in names:
             prop = LieAlgebra.__dict__[name]
 
             def counted(algebra, name=name, build=prop.func):
@@ -641,9 +682,46 @@ class TestTableDrivenStructure:
                 return build(algebra)
 
             monkeypatch.setattr(prop, "func", counted)
-        assert main(["analyze", str(CORPUS_DIR / "sl2.json")]) == 0
-        assert "killing signature: (2, 1, 0)" in capsys.readouterr().out
-        assert builds == {"_killing_form": 1, "_derived_algebra": 1}
+        documents = {
+            CORPUS_DIR / "sl2.json": "killing signature: (2, 1, 0)",
+            CORPUS_DIR / "sol3.json": "solvable: yes\nnilpotent: no\n",
+            algebra_document(tmp_path / "heis_diag.json", heis_plus_diag()): "solvable: yes\n",
+        }
+        for doc, expected in documents.items():
+            builds.update(dict.fromkeys(names, 0))
+            assert main(["analyze", str(doc)]) == 0
+            assert expected in capsys.readouterr().out
+            assert builds == dict.fromkeys(names, 1), doc.name
+
+    def test_solvable_algebras_never_bracket_the_whole_space(self, monkeypatch, tmp_path, capsys):
+        # the radical is the whole algebra: its self-check reads the derived series
+        lefts = []
+        span = liealg.bracket_span
+
+        def spy(algebra, left, right):
+            lefts.append(left)
+            return span(algebra, left, right)
+
+        monkeypatch.setattr(liealg, "bracket_span", spy)
+        heis_diag = str(algebra_document(tmp_path / "heis_diag.json", heis_plus_diag()))
+        for argv in (
+            ["analyze", str(CORPUS_DIR / "sol3.json")],
+            ["analyze", str(CORPUS_DIR / "rot4.json")],
+            ["analyze", heis_diag],
+            ["lcp", "char-bound", str(CORPUS_DIR / "sol3.json")],
+            ["lcp", "char-bound", str(CORPUS_DIR / "rot4.json")],
+        ):
+            lefts.clear()
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert argv[0] == "lcp" or "solvable: yes\n" in out
+            assert lefts and not any(left.is_full() for left in lefts), argv
+
+    def test_full_radical_self_check_reads_the_derived_series(self):
+        sol3 = make_sol3()  # solvable, so the radical is the whole algebra
+        sol3.__dict__["_derived_series"] = (Subspace(3, ((1, 0, 0),)),)  # a cached series not reaching 0
+        with pytest.raises(RuntimeError, match="radical self-check failed"):
+            radical(sol3)
 
     def test_radical_self_check_rejects_a_non_ideal(self, monkeypatch, sol3):
         # span{a} is a subalgebra of sol3 but [u, a] = u leaves it
