@@ -8,7 +8,7 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 
 from . import documents
 from .connections import InnerProduct, is_closed
@@ -62,13 +62,24 @@ def _load(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def _format_combination(coeffs, labels, dual: bool = False) -> str:
+def _ratio(x, d: int) -> str:
+    """str(Fraction(x, d)) for an int x and an int d > 0, from one gcd; for d == 1,
+    str(x), so x may then be a Fraction."""
+    if d == 1:
+        return str(x)
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _format_combination(coeffs, labels, dual: bool = False, denominator: int = 1) -> str:
+    """The sum of c / denominator times each label, for a positive int denominator."""
     out = ""
     for c, label in zip(coeffs, labels, strict=True):
         if not c:
             continue
         name = label + ("*" if dual else "")
-        term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        a = abs(c)
+        term = name if a == denominator else f"{_ratio(a, denominator)}*{name}"
         if out:
             out += f" - {term}" if c < 0 else f" + {term}"
         else:
@@ -79,15 +90,15 @@ def _format_combination(coeffs, labels, dual: bool = False) -> str:
 def _format_subspace(s: Subspace, labels) -> str:
     if s.is_zero():
         return "0"
-    rows = ", ".join(  # the canonical rows, building a Fraction per nonzero entry only
-        _format_combination([x and Fraction(x, row[p]) for x in row], labels)
-        for row, p in zip(s.rows, s.pivots)
+    # each canonical row is its integer row over its positive pivot entry
+    rows = ", ".join(
+        _format_combination(row, labels, denominator=row[p]) for row, p in zip(s.rows, s.pivots)
     )
     return "span{" + rows + "}"
 
 
 def _subspace_rows(s: Subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in s.basis]
+    return [[_ratio(x, row[p]) for x in row] for row, p in zip(s.rows, s.pivots)]
 
 
 def _yesno(flag: bool) -> str:

@@ -11,6 +11,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NoReturn
 
 from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
@@ -25,11 +27,31 @@ class DocumentError(Exception):
     """Malformed document: I/O shape, schema or rational-format problems."""
 
 
-def _fail(where: str, message: str) -> None:
+def _fail(where: str, message: str) -> NoReturn:
     raise DocumentError(f"{where}: {message}")
 
 
-def _rational(value: object, where: str) -> Fraction:
+# A reader called with where="" reports a failure relative to the value it reads
+# (": message", "[2]: message", ".c[0]: message"); the caller puts its own
+# location in front. So a location string is built only on the branch that raises.
+
+
+def _read_each(read: Callable, items: list, where: str) -> tuple:
+    """read(item) for every item, where read reports failures relative to the item.
+    On a failure the items are read again up to the first one that fails, and its
+    message is placed at where[index]."""
+    try:
+        return tuple(map(read, items))
+    except DocumentError:
+        for index, item in enumerate(items):
+            try:
+                read(item)
+            except DocumentError as exc:
+                raise DocumentError(f"{where}[{index}]{exc}") from None
+        raise
+
+
+def _rational(value: object, where: str = "") -> Fraction:
     if not isinstance(value, str):
         _fail(where, f"rationals must be strings like '3' or '-2/5', got {value!r}")
     if value == "0":  # the shared ZERO, which the integer lifts skip by identity
@@ -51,24 +73,21 @@ def _strict_int(value: object, where: str, minimum: int | None = None) -> int:
 def _strict_keys(obj: object, allowed: set[str], where: str) -> dict:
     if not isinstance(obj, dict):
         _fail(where, "expected a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        _fail(where, f"unknown field(s): {', '.join(sorted(unknown))}")
+    if not allowed.issuperset(obj):
+        _fail(where, f"unknown field(s): {', '.join(sorted(set(obj) - allowed))}")
     return obj
 
 
 def _rational_vector(value: object, length: int, where: str) -> Vector:
     if not isinstance(value, list) or len(value) != length:
         _fail(where, f"expected a list of {length} rational strings")
-    return tuple(_rational(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return _read_each(_rational, value, where)
 
 
 def _rational_matrix(value: object, nrows: int | None, ncols: int, where: str) -> Matrix:
     if not isinstance(value, list) or (nrows is not None and len(value) != nrows):
         _fail(where, f"expected a list of {nrows} rows" if nrows is not None else "expected a list of rows")
-    return tuple(
-        _rational_vector(row, ncols, f"{where}[{r}]") for r, row in enumerate(value)
-    )
+    return _read_each(partial(_rational_vector, length=ncols, where=""), value, where)
 
 
 @dataclass(frozen=True)
@@ -100,44 +119,54 @@ class LatticeDocument:
     e2: Matrix | None
 
 
+_ENTRY_KEYS = {"i", "j", "c"}
+
+
 def _parse_brackets(value: object, dim: int, where: str) -> BracketTable:
     if not isinstance(value, list):
         _fail(where, "expected a list of bracket entries")
     entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     seen: set[tuple[int, int]] = set()
-    for pos, raw in enumerate(value):
-        ctx = f"{where}[{pos}]"
-        entry = _strict_keys(raw, {"i", "j", "c"}, ctx)
-        for key in ("i", "j", "c"):
-            if key not in entry:
-                _fail(ctx, f"missing field '{key}'")
-        i = _strict_int(entry["i"], f"{ctx}.i", minimum=0)
-        j = _strict_int(entry["j"], f"{ctx}.j", minimum=0)
-        if i >= dim or j >= dim:
-            _fail(ctx, f"bracket indices ({i}, {j}) out of range for dim {dim}")
-        if i == j:
-            _fail(ctx, f"bracket ({i}, {i}) is zero by antisymmetry; do not list it")
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        if (i, j) in seen:
-            _fail(ctx, f"bracket pair ({i}, {j}) appears more than once")
-        seen.add((i, j))
-        cmap = entry["c"]
-        if not isinstance(cmap, dict) or not cmap:
-            _fail(f"{ctx}.c", "expected a nonempty object of index -> rational string")
-        coeffs = []
-        for key, val in cmap.items():
-            if not isinstance(key, str) or not _INDEX_RE.fullmatch(key):
-                _fail(f"{ctx}.c", f"coefficient keys must be index strings, got {key!r}")
-            # keys have no leading zeros, so a longer key than dim is larger
-            if len(key) > len(str(dim)) or int(key) >= dim:
-                _fail(f"{ctx}.c", f"coefficient index {key} out of range for dim {dim}")
-            c = _rational(val, f"{ctx}.c[{key}]")
-            if c != 0:  # zero coefficients are dropped: the canonical form is unique
-                coeffs.append((int(key), sign * c))
-        if coeffs:
-            entries[(i, j)] = tuple(sorted(coeffs))
+    width = len(str(dim))
+    pos = 0
+    try:  # every failure below is relative to the entry at pos
+        for pos, raw in enumerate(value):
+            entry = _strict_keys(raw, _ENTRY_KEYS, "")
+            for key in ("i", "j", "c"):
+                if key not in entry:
+                    _fail("", f"missing field '{key}'")
+            i = _strict_int(entry["i"], ".i", minimum=0)
+            j = _strict_int(entry["j"], ".j", minimum=0)
+            if i >= dim or j >= dim:
+                _fail("", f"bracket indices ({i}, {j}) out of range for dim {dim}")
+            if i == j:
+                _fail("", f"bracket ({i}, {i}) is zero by antisymmetry; do not list it")
+            flip = i > j
+            if flip:
+                i, j = j, i
+            if (i, j) in seen:
+                _fail("", f"bracket pair ({i}, {j}) appears more than once")
+            seen.add((i, j))
+            cmap = entry["c"]
+            if not isinstance(cmap, dict) or not cmap:
+                _fail(".c", "expected a nonempty object of index -> rational string")
+            coeffs = []
+            for key, val in cmap.items():
+                if not isinstance(key, str) or not _INDEX_RE.fullmatch(key):
+                    _fail(".c", f"coefficient keys must be index strings, got {key!r}")
+                # keys have no leading zeros, so a longer key than dim is larger
+                if len(key) > width or (k := int(key)) >= dim:
+                    _fail(".c", f"coefficient index {key} out of range for dim {dim}")
+                try:
+                    c = _rational(val)
+                except DocumentError as exc:
+                    raise DocumentError(f".c[{key}]{exc}") from None
+                if c:  # zero coefficients are dropped: the canonical form is unique
+                    coeffs.append((k, -c if flip else c))
+            if coeffs:
+                entries[(i, j)] = tuple(sorted(coeffs))
+    except DocumentError as exc:
+        raise DocumentError(f"{where}[{pos}]{exc}") from None
     return tuple((i, j, coeffs) for (i, j), coeffs in sorted(entries.items()))
 
 
@@ -157,7 +186,9 @@ def _parse_algebra_fields(obj: dict, where: str, allow: set[str]) -> AlgebraDocu
             or any(not isinstance(s, str) or not s for s in raw_basis)
         ):
             _fail(f"{where}.basis", f"expected {dim} nonempty label strings")
-        if any(0xD800 <= ord(c) <= 0xDFFF for s in raw_basis for c in s):  # not UTF-8 text
+        if not all(map(str.isascii, raw_basis)) and any(  # not UTF-8 text
+            0xD800 <= ord(c) <= 0xDFFF for s in raw_basis for c in s
+        ):
             _fail(f"{where}.basis", "labels must not contain unpaired surrogates")
         if len(set(raw_basis)) != dim:
             _fail(f"{where}.basis", "labels must be distinct")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from lcplie import cli, connections, lcp
+from lcplie import cli, connections, lcp, linalg
 from lcplie.cli import main
+from lcplie.linalg import Subspace
 
 from conftest import CORPUS_DIR, corpus_text
 
@@ -160,6 +162,104 @@ class TestAnalyze:
         code, _, err = run("analyze", corpus("sol3_triple.json"))
         assert code == 2
         assert "no algebra fields" in err
+
+
+def fraction_format_combination(coeffs, labels, dual=False):
+    """`cli._format_combination` as it was on Fraction coefficients."""
+    out = ""
+    for c, label in zip(coeffs, labels, strict=True):
+        if not c:
+            continue
+        name = label + ("*" if dual else "")
+        term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        if out:
+            out += f" - {term}" if c < 0 else f" + {term}"
+        else:
+            out = f"-{term}" if c < 0 else term
+    return out or "0"
+
+
+def fraction_rows(s):
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(s.rows, s.pivots)]
+
+
+def fraction_format_subspace(s, labels):
+    """`cli._format_subspace` as it was, one Fraction per nonzero entry."""
+    if s.is_zero():
+        return "0"
+    return "span{" + ", ".join(fraction_format_combination(r, labels) for r in fraction_rows(s)) + "}"
+
+
+def fraction_subspace_rows(s):
+    """`cli._subspace_rows` as it was, from the Fraction basis."""
+    return [[str(x) for x in row] for row in fraction_rows(s)]
+
+
+class TestFormatterOracle:
+    """The formatters print x / row[pivot] of the integer echelon rows as the
+    Fraction versions did, and no command that prints a subspace builds the
+    Fraction basis."""
+
+    @staticmethod
+    def seeded_subspaces():
+        rng = random.Random(22)
+        for n in range(1, 7):
+            yield Subspace.zero(n)
+            yield Subspace.full(n)
+            for _ in range(40):
+                vectors = [
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+                     for _ in range(n)]
+                    for _ in range(rng.randint(1, n))
+                ]
+                yield Subspace.from_vectors(vectors, n)
+
+    def test_matches_the_fraction_versions(self):
+        seen = set()
+        for s in self.seeded_subspaces():
+            labels = [f"e{k}" for k in range(s.ambient_dim)]
+            assert cli._format_subspace(s, labels) == fraction_format_subspace(s, labels)
+            assert cli._subspace_rows(s) == fraction_subspace_rows(s)
+            entries = [x for row in fraction_rows(s) for x in row]
+            seen |= {
+                "pivot > 1" if any(row[p] > 1 for row, p in zip(s.rows, s.pivots)) else "",
+                "negative" if any(x < 0 for x in entries) else "",
+                "fractional" if any(x.denominator > 1 for x in entries) else "",
+                "integer > 1" if any(abs(x) > 1 and x.denominator == 1 for x in entries) else "",
+                "zero" if s.is_zero() else "full" if s.is_full() else "",
+            }
+        assert seen >= {"pivot > 1", "negative", "fractional", "integer > 1", "zero", "full"}
+
+    def test_trace_form_coefficients_stay_fractions(self):
+        coeffs = (Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(-1), Fraction(4))
+        labels = ("a", "b", "c", "d", "e")
+        assert cli._format_combination(coeffs, labels, dual=True) == fraction_format_combination(
+            coeffs, labels, dual=True
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "sol3.json"),
+            ("analyze", "sl2.json"),
+            ("analyze", "heis3.json"),
+            ("lcp", "max-flat", "sol3.json", "--json"),
+            ("lcp", "max-flat", "rot4.json", "--json"),
+            ("lcp", "max-flat", "rot5.json", "--json"),
+        ],
+    )
+    def test_no_fraction_basis_is_built(self, run, monkeypatch, argv):
+        calls = []
+        original = linalg._fraction_rows
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "_fraction_rows", counting)
+        code, _, _ = run(*(corpus(a) if a.endswith(".json") else a for a in argv))
+        assert code == 0
+        assert calls == []
 
 
 class TestLcpDetect:
