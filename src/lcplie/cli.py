@@ -295,8 +295,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             raise CommandError(f"document is not a valid LCP structure: {exc}") from exc
         algebra = structure.algebra
         bound = characteristic_constraint_space(structure)
-        payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
-        lines = [f"bound = {_format_subspace(bound, algebra.labels)} (dim {bound.dim})"]
+        report = None
         if args.candidate is not None:
             try:
                 raw = json.loads(args.candidate)
@@ -308,25 +307,28 @@ def cmd_lcp(args: argparse.Namespace) -> int:
                 report = check_candidate(structure, candidate)
             except ValueError as exc:
                 raise CommandError(str(exc)) from exc
-            payload["candidate"] = {
-                "basis": _subspace_rows(report.candidate),
-                "theta_vanishes": report.theta_vanishes,
-                "action_trivial": report.action_trivial,
-                "abelian": report.is_abelian,
-                "in_radical": report.in_radical,
-                "in_commutator": report.in_commutator,
-            }
-            lines.append(f"candidate: {_format_subspace(candidate, algebra.labels)} (dim {candidate.dim})")
-            lines.append(f"theta vanishes: {_yesno(report.theta_vanishes)}")
-            lines.append(f"action trivial: {_yesno(report.action_trivial)}")
-            lines.append(f"abelian: {_yesno(report.is_abelian)}")
-            lines.append(f"in radical: {_yesno(report.in_radical)}")
-            lines.append(f"in commutator: {_yesno(report.in_commutator)}")
         if args.json:
+            payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
+            if report is not None:
+                payload["candidate"] = {
+                    "basis": _subspace_rows(report.candidate),
+                    "theta_vanishes": report.theta_vanishes,
+                    "action_trivial": report.action_trivial,
+                    "abelian": report.is_abelian,
+                    "in_radical": report.in_radical,
+                    "in_commutator": report.in_commutator,
+                }
             print(json.dumps(payload, indent=2))
-        else:
-            for line in lines:
-                print(line)
+            return 0
+        print(f"bound = {_format_subspace(bound, algebra.labels)} (dim {bound.dim})")
+        if report is not None:
+            c = report.candidate
+            print(f"candidate: {_format_subspace(c, algebra.labels)} (dim {c.dim})")
+            print(f"theta vanishes: {_yesno(report.theta_vanishes)}")
+            print(f"action trivial: {_yesno(report.action_trivial)}")
+            print(f"abelian: {_yesno(report.is_abelian)}")
+            print(f"in radical: {_yesno(report.in_radical)}")
+            print(f"in commutator: {_yesno(report.in_commutator)}")
         return 0
 
     raise AssertionError(f"unhandled action {args.action}")
@@ -334,7 +336,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     doc = documents.parse_lattice_document(_load(args.file))
-    endo = IntegerEndomorphism(doc.matrix)
+    endo = IntegerEndomorphism._checked(doc.matrix)
 
     if args.action == "snf":
         u, d, v = smith_normal_form(endo)

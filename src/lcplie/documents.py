@@ -18,7 +18,7 @@ from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
 from .liealg import BracketTable, LieAlgebra
 from .linalg import ZERO, Matrix, Vector, as_fraction, identity_matrix
-from .lattice import IntMatrix, _check_int_matrix
+from .lattice import IntMatrix, _check_shape
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -257,21 +257,28 @@ def parse_algebra_document(text: str) -> AlgebraDocument:
     return _parse_algebra_fields(raw, "document", _TOP_LEVEL_KEYS)
 
 
+def _int_matrix(value: object, where: str) -> IntMatrix:
+    """value as a nonempty square matrix of JSON integers, each entry and the
+    shape checked once; an entry's location is built only for the first
+    entry that is not an integer."""
+    if not isinstance(value, list) or not value or any(not isinstance(r, list) for r in value):
+        _fail(where, "expected a nonempty list of rows")
+    if not all(set(map(type, row)) <= {int} for row in value):  # bools are not ints here
+        for r, row in enumerate(value):
+            for c, x in enumerate(row):
+                _strict_int(x, f"{where}[{r}][{c}]")
+    try:
+        return _check_shape(tuple(map(tuple, value)))
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from None
+
+
 def parse_lattice_document(text: str) -> LatticeDocument:
     raw = _load_json(text)
     data = _strict_keys(raw, {"matrix", "split"}, "document")
     if "matrix" not in data:
         _fail("document", "missing field 'matrix'")
-    rows = data["matrix"]
-    if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
-        _fail("document.matrix", "expected a nonempty list of rows")
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            _strict_int(x, f"document.matrix[{r}][{c}]")
-    try:
-        mat = _check_int_matrix(rows)
-    except ValueError as exc:
-        raise DocumentError(f"document.matrix: {exc}") from exc
+    mat = _int_matrix(data["matrix"], "document.matrix")
     e1 = e2 = None
     if "split" in data:
         split = _strict_keys(data["split"], {"e1", "e2"}, "document.split")
@@ -340,10 +347,14 @@ def emit_any_document(text: str) -> str:
 
 
 def document_algebra(doc: AlgebraDocument) -> LieAlgebra:
-    """Build the validated algebra; raises ValueError on Jacobi failure."""
+    """Build the validated algebra; raises ValueError on Jacobi failure.
+
+    Both producers of an AlgebraDocument, the parser and `structure_document`,
+    hold a positive dim, distinct labels and a canonical bracket table, so the
+    table's form is not checked again; the Jacobi identity is."""
     if not doc.has_algebra:
         raise ValueError("document has no algebra fields")
-    return LieAlgebra(doc.dim, doc.basis, doc.brackets)
+    return LieAlgebra._canonical(doc.dim, doc.basis, doc.brackets)
 
 
 def document_metric(doc: AlgebraDocument) -> InnerProduct | None:

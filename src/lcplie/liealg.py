@@ -48,9 +48,13 @@ def _is_index(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
-    if dim < 1:
+def _check_dim(dim: object) -> None:
+    if not (_is_index(dim) and dim >= 1):
         raise ValueError("dimension must be positive")
+
+
+def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
+    _check_dim(dim)
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in brackets.items():
         if not (_is_index(i) and _is_index(j)):
@@ -174,17 +178,40 @@ class Covector:
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """The constructor checks the dimension, the labels, that the table is in
+    the canonical sparse form and the Jacobi identity. Tables that are
+    canonical by construction (`from_brackets`, `semidirect_sum`, parsed
+    documents) come through `_canonical`, which skips only the form check."""
+
     dim: int
     labels: tuple[str, ...]
     table: BracketTable
 
     def __post_init__(self) -> None:
+        _check_dim(self.dim)
+        self._check(known_canonical=False)
+
+    @classmethod
+    def _canonical(cls, dim: int, labels: tuple[str, ...], table: BracketTable) -> "LieAlgebra":
+        """The algebra of a positive dim and a table in the canonical sparse form,
+        which is not checked again; the labels and the Jacobi identity are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "labels", labels)
+        object.__setattr__(out, "table", table)
+        out._check(known_canonical=True)
+        return out
+
+    def _check(self, known_canonical: bool) -> None:
+        """Raise ValueError unless the labels are one per basis vector and distinct,
+        the table is in the canonical sparse form (read unless known_canonical)
+        and the brackets satisfy the Jacobi identity."""
         n = self.dim
         if len(self.labels) != n:
             raise ValueError("label count does not match dimension")
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
-        if not _is_canonical(n, self.table):
+        if not (known_canonical or _is_canonical(n, self.table)):
             raise ValueError("bracket table is not in the canonical sparse form")
         if violations := tuple(_jacobi_defects(self._lifted_table[1])):
             raise ValueError(f"Jacobi identity fails at basis triples {violations}")
@@ -196,9 +223,10 @@ class LieAlgebra:
         brackets: BracketMap,
         labels: Sequence[str] | None = None,
     ) -> "LieAlgebra":
+        table = _normalize_brackets(dim, brackets)
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(dim))
-        return cls(dim, tuple(labels), _normalize_brackets(dim, brackets))
+        return cls._canonical(dim, tuple(labels), table)
 
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
@@ -543,4 +571,4 @@ def semidirect_sum(
         (c, q + j, tuple((r, Fraction(-x, d)) for r, x in columns[j][c]))
         for c in range(q) for j in range(h.dim) if c in columns[j]
     ) + tuple((q + i, q + j, tuple((q + k, x) for k, x in terms)) for i, j, terms in h.table)
-    return LieAlgebra(q + h.dim, tuple(u_labels) + h.labels, table)
+    return LieAlgebra._canonical(q + h.dim, tuple(u_labels) + h.labels, table)

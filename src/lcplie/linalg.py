@@ -129,10 +129,15 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    """The primitive integer multiple of a row of ints and Fractions."""
-    if set(map(type, row)) <= {int}:
+def _integer_row(row: Sequence[int | str | Fraction]) -> list[int]:
+    """The primitive integer multiple of a row, from one scan of its entry types:
+    rows of ints and Fractions are read as they are, other rows go through
+    `vector`, so floats and bools raise TypeError."""
+    kinds = set(map(type, row))
+    if kinds <= {int}:
         return _primitive(list(row))
+    if not kinds <= _RATIONAL:
+        row = vector(row)
     scale = lcm(*(x.denominator for x in row))
     return _primitive([x.numerator * (scale // x.denominator) for x in row])
 
@@ -255,7 +260,7 @@ def _echelon(rows: Iterable[Sequence[int | Fraction]]) -> Echelon:
     has a pivot. Rows of ints and Fractions are read as they are; other rows
     go through `vector`, so floats and bools raise TypeError.
     """
-    pending = [row for row in (_integer_row(_exact(row, _RATIONAL)) for row in rows) if any(row)]
+    pending = [row for row in map(_integer_row, rows) if any(row)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[list[int]] = []
     pivots: list[int] = []
@@ -493,6 +498,11 @@ def _gram_rows(gram: Matrix, rows: Sequence[Sequence[Fraction]]) -> list[list[in
     return [_dense_row(terms, n) for _, terms in _products(r, (g,))[0]]
 
 
+def _check_ambient_dim(n: object) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"ambient dimension must be a non-negative integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A rational subspace held by its canonical reduced row echelon form.
@@ -502,6 +512,10 @@ class Subspace:
     built on first read. Both forms are unique to the span, so equality of
     Subspace values is equality of subspaces. `pivots` holds the pivot column
     of each row.
+
+    The constructor checks the form of rows given from outside. The
+    subspaces this module computes are canonical by construction and come
+    through `_canonical`, which does not check them again.
     """
 
     ambient_dim: int
@@ -510,6 +524,7 @@ class Subspace:
 
     def __post_init__(self) -> None:
         rows, n = self.rows, self.ambient_dim
+        _check_ambient_dim(n)
         if any(len(row) != n for row in rows):
             raise ValueError("basis row length does not match ambient dimension")
         pivots = [next(compress(range(n), row), n) for row in rows]
@@ -526,27 +541,44 @@ class Subspace:
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
+    def _canonical(cls, ambient_dim: int, echelon: Echelon) -> "Subspace":
+        """The subspace of rows in canonical form with their pivot columns, as
+        `_echelon` and `_null_space` return them, built without the check."""
+        rows, pivots = echelon
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(out, "pivots", pivots)
+        return out
+
+    @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> "Subspace":
+        _check_ambient_dim(ambient_dim)
         rows = list(vectors)
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
+        return cls._canonical(ambient_dim, _echelon(rows))
 
     @classmethod
     def kernel_of(cls, m: Sequence[Sequence[int | Fraction]], ambient_dim: int) -> "Subspace":
         """The right null space {x : m x = 0} of the rows m, each of length ambient_dim."""
+        _check_ambient_dim(ambient_dim)
         if any(len(row) != ambient_dim for row in m):
             raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, tuple(map(tuple, _null_space(m, ambient_dim)[0])))
+        return cls._canonical(ambient_dim, _null_space(m, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        _check_ambient_dim(ambient_dim)
+        return cls._canonical(ambient_dim, ((), ()))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         n = ambient_dim
-        return cls(n, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
+        _check_ambient_dim(n)
+        return cls._canonical(
+            n, (tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), tuple(range(n)))
+        )
 
     @cached_property
     def basis(self) -> Matrix:
@@ -596,8 +628,9 @@ class Subspace:
     def restrict(self, values: Sequence[Sequence[int | Fraction]]) -> "Subspace":
         """{sum of c_r * b_r : sum of c_r * values[r] = 0} over the canonical rows
         b_r, from one kernel, or self when every value is zero. Combined by the
-        rref kernel rows c, the b_r give a canonical basis: each reads c_r at p_r.
-        The combinations are taken on the integer rows B b_r and integer c, and
+        rref kernel rows c, the b_r give a canonical basis: each reads c_r at p_r,
+        so the sum for the kernel row with pivot p has its pivot at p_p. The
+        combinations are taken on the integer rows B b_r and integer c, and
         made primitive.
         """
         if len(values) != self.dim or len({len(v) for v in values}) > 1:
@@ -605,15 +638,18 @@ class Subspace:
         if all(is_zero_vector(v) for v in values):
             return self
         _, lifted = self._lifted
+        kernel_rows, kernel_pivots = _null_space(transpose(tuple(values)), self.dim)
         rows = []
-        for coeffs in _null_space(transpose(tuple(values)), self.dim)[0]:
+        for coeffs in kernel_rows:
             acc = [0] * self.ambient_dim
             for f, (_, terms) in zip(coeffs, lifted):
                 if f:
                     for c, x in terms:
                         acc[c] += f * x
-            rows.append(tuple(_primitive(acc)))
-        return Subspace(self.ambient_dim, tuple(rows))
+            rows.append(_primitive(acc))
+        return Subspace._canonical(
+            self.ambient_dim, (rows, tuple(self.pivots[p] for p in kernel_pivots))
+        )
 
     def constraint_matrix(self) -> Matrix:
         """Rows y with y . v = 0 exactly characterizing membership in the span."""

@@ -1,5 +1,6 @@
 """The exact `error:` line and exit code of every failure site in the bracket
-list and the rational vectors and matrices of a document.
+list and the rational vectors and matrices of a document, and in the integer
+matrix of a lattice document.
 
 Each case replaces one value of a corpus document and runs the command
 through `cli.main`. The expected lines were recorded from the code before
@@ -142,6 +143,28 @@ OTHER_CASES = [
      ("lattice", "snf", "DOC"), 1, "document.split.e1[0]: expected a list of 2 rational strings"),
     ("split-e2-entry-decimal", "lat_diag21_split.json", ("split", "e2", 0, 1), "1.",
      ("lattice", "lemma51", "DOC"), 1, "document.split.e2[0][1]: not a decimal-free rational string: '1.'"),
+    ("matrix-not-a-list", "lat_diag23.json", ("matrix",), {"1": 1},
+     ("lattice", "snf", "DOC"), 1, "document.matrix: expected a nonempty list of rows"),
+    ("matrix-empty", "lat_diag23.json", ("matrix",), [],
+     ("lattice", "index", "DOC"), 1, "document.matrix: expected a nonempty list of rows"),
+    ("matrix-row-not-a-list", "lat_diag23.json", ("matrix", 1), 3,
+     ("lattice", "snf", "DOC"), 1, "document.matrix: expected a nonempty list of rows"),
+    ("matrix-entry-a-string", "lat_diag23.json", ("matrix", 1, 0), "0",
+     ("lattice", "snf", "DOC"), 1, "document.matrix[1][0]: expected an integer, got '0'"),
+    ("matrix-entry-a-bool", "lat_diag23.json", ("matrix", 0, 1), True,
+     ("lattice", "index", "DOC"), 1, "document.matrix[0][1]: expected an integer, got True"),
+    ("matrix-entry-a-float", "lat_diag23.json", ("matrix", 1, 1), 3.0,
+     ("lattice", "snf", "DOC"), 1, "document.matrix[1][1]: expected an integer, got 3.0"),
+    ("matrix-entry-null", "lat_diag23.json", ("matrix", 0, 0), None,
+     ("lattice", "lemma51", "DOC"), 1, "document.matrix[0][0]: expected an integer, got None"),
+    ("matrix-ragged", "lat_diag23.json", ("matrix", 1), [0, 3, 0],
+     ("lattice", "snf", "DOC"), 1, "document.matrix: ragged matrix"),
+    ("matrix-ragged-entry-a-string", "lat_diag23.json", ("matrix",), [[2, 0, 1], [0, "3"]],
+     ("lattice", "snf", "DOC"), 1, "document.matrix[1][1]: expected an integer, got '3'"),
+    ("matrix-not-square", "lat_diag23.json", ("matrix",), [[2, 0, 0], [0, 3, 0]],
+     ("lattice", "index", "DOC"), 1, "document.matrix: matrix must be square"),
+    ("matrix-empty-row", "lat_diag23.json", ("matrix",), [[]],
+     ("lattice", "snf", "DOC"), 1, "document.matrix: matrix must be square"),
     ("label-lone-surrogate", "sol3.json", ("basis", 2), "b\ud800",
      ("analyze", "DOC"), 1, "document.basis: labels must not contain unpaired surrogates"),
     ("h-label-lone-surrogate", "sol3_triple.json", ("triple", "h", "basis", 0), "\udfff",

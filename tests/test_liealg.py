@@ -320,6 +320,17 @@ class TestCanonicalTable:
         with pytest.raises(ValueError, match="canonical"):
             LieAlgebra(2, ("x", "y"), table)
 
+    @pytest.mark.parametrize(
+        "dim, labels",
+        [(0, ()), (-1, ()), (True, ("a",)), (2.0, ("a", "b"))],
+        ids=["zero", "negative", "bool", "float"],
+    )
+    def test_dimension_must_be_a_positive_int(self, dim, labels):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            LieAlgebra(dim, labels, ())
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            LieAlgebra.from_brackets(dim, {}, labels)
+
 
 class TestBrackets:
     def test_bracket_normalization_is_antisymmetric(self):

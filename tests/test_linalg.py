@@ -853,6 +853,19 @@ class TestSubspaceCanonicalForm:
         with pytest.raises(ValueError, match=message):
             Subspace(3, basis)
 
+    @pytest.mark.parametrize("n", [-1, 2.0, True], ids=["negative", "float", "bool"])
+    def test_ambient_dimension_must_be_a_non_negative_int(self, n):
+        builds = [
+            lambda: Subspace(n, ()),
+            lambda: Subspace.from_vectors([], n),
+            lambda: Subspace.kernel_of([], n),
+            lambda: Subspace.zero(n),
+            lambda: Subspace.full(n),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="ambient dimension must be a non-negative integer"):
+                build()
+
     def test_canonical_integer_rows_are_accepted(self):
         s = Subspace(3, ((2, 0, 1), (0, 1, -3)))
         assert s.pivots == (0, 1)
