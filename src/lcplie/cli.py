@@ -113,7 +113,7 @@ def _require_algebra(doc: AlgebraDocument) -> None:
 def _algebra(doc: AlgebraDocument) -> LieAlgebra:
     _require_algebra(doc)
     try:
-        return documents.document_algebra(doc)
+        return documents.document_algebra(doc, parsed=True)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
 
@@ -144,7 +144,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problems = 0
     if doc.has_algebra:
         try:
-            algebra = documents.document_algebra(doc)
+            algebra = documents.document_algebra(doc, parsed=True)
         except ValueError:
             # Only a Jacobi failure gets here from a parsed document; name its triples.
             algebra = None
@@ -174,7 +174,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print("theta: present")
     if doc.triple is not None:
         try:
-            documents.document_triple(doc)
+            documents.document_triple(doc, parsed=True)
             print("triple: ok")
         except ValueError as exc:
             print(f"triple: FAIL ({exc})")
@@ -281,7 +281,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         if doc.triple is None:
             raise CommandError("document has no triple block")
         try:
-            triple = documents.document_triple(doc)
+            triple = documents.document_triple(doc, parsed=True)
             structure = build_from_triple(triple)
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
@@ -336,7 +336,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     doc = documents.parse_lattice_document(_load(args.file))
-    endo = IntegerEndomorphism._checked(doc.matrix)
+    endo = IntegerEndomorphism(doc.matrix)
 
     if args.action == "snf":
         u, d, v = smith_normal_form(endo)

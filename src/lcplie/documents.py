@@ -18,7 +18,7 @@ from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
 from .liealg import BracketTable, LieAlgebra
 from .linalg import ZERO, Matrix, Vector, as_fraction, identity_matrix
-from .lattice import IntMatrix, _check_shape
+from .lattice import IntMatrix, _check_int_matrix
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -257,28 +257,21 @@ def parse_algebra_document(text: str) -> AlgebraDocument:
     return _parse_algebra_fields(raw, "document", _TOP_LEVEL_KEYS)
 
 
-def _int_matrix(value: object, where: str) -> IntMatrix:
-    """value as a nonempty square matrix of JSON integers, each entry and the
-    shape checked once; an entry's location is built only for the first
-    entry that is not an integer."""
-    if not isinstance(value, list) or not value or any(not isinstance(r, list) for r in value):
-        _fail(where, "expected a nonempty list of rows")
-    if not all(set(map(type, row)) <= {int} for row in value):  # bools are not ints here
-        for r, row in enumerate(value):
-            for c, x in enumerate(row):
-                _strict_int(x, f"{where}[{r}][{c}]")
-    try:
-        return _check_shape(tuple(map(tuple, value)))
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
-
-
 def parse_lattice_document(text: str) -> LatticeDocument:
     raw = _load_json(text)
     data = _strict_keys(raw, {"matrix", "split"}, "document")
     if "matrix" not in data:
         _fail("document", "missing field 'matrix'")
-    mat = _int_matrix(data["matrix"], "document.matrix")
+    rows = data["matrix"]
+    if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
+        _fail("document.matrix", "expected a nonempty list of rows")
+    try:
+        mat = _check_int_matrix(rows)
+    except ValueError as exc:
+        for r, row in enumerate(rows):  # name the first entry that is not an integer
+            for c, x in enumerate(row):
+                _strict_int(x, f"document.matrix[{r}][{c}]")
+        raise DocumentError(f"document.matrix: {exc}") from exc
     e1 = e2 = None
     if "split" in data:
         split = _strict_keys(data["split"], {"e1", "e2"}, "document.split")
@@ -346,26 +339,28 @@ def emit_any_document(text: str) -> str:
     return emit_algebra_document(parse_algebra_document(text))
 
 
-def document_algebra(doc: AlgebraDocument) -> LieAlgebra:
-    """Build the validated algebra; raises ValueError on Jacobi failure.
-
-    Both producers of an AlgebraDocument, the parser and `structure_document`,
-    hold a positive dim, distinct labels and a canonical bracket table, so the
-    table's form is not checked again; the Jacobi identity is."""
+def document_algebra(doc: AlgebraDocument, *, parsed: bool = False) -> LieAlgebra:
+    """Build the validated algebra; raises ValueError on a Jacobi failure, or on
+    a bracket table that is not in the canonical sparse form. Set `parsed` only
+    for a document from `parse_algebra_document` or `structure_document`, whose
+    tables are canonical by construction: then only the Jacobi identity is
+    checked."""
     if not doc.has_algebra:
         raise ValueError("document has no algebra fields")
-    return LieAlgebra._canonical(doc.dim, doc.basis, doc.brackets)
+    build = LieAlgebra._canonical if parsed else LieAlgebra
+    return build(doc.dim, doc.basis, doc.brackets)
 
 
 def document_metric(doc: AlgebraDocument) -> InnerProduct | None:
     return None if doc.metric is None else InnerProduct(doc.metric)
 
 
-def document_triple(doc: AlgebraDocument) -> LCPTriple:
+def document_triple(doc: AlgebraDocument, *, parsed: bool = False) -> LCPTriple:
+    """The triple of the document's triple block; `parsed` as in `document_algebra`."""
     if doc.triple is None:
         raise ValueError("document has no triple block")
     block = doc.triple
-    h = document_algebra(block.h)
+    h = document_algebra(block.h, parsed=parsed)
     h_metric = document_metric(block.h)
     if h_metric is None:
         h_metric = InnerProduct.identity(h.dim)

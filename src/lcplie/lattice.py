@@ -20,26 +20,21 @@ from .linalg import (
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _check_int_matrix(rows: Sequence[Sequence[int]], square: bool = True) -> IntMatrix:
+def _check_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     out = []
     for row in rows:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError(f"matrix entries must be integers, got {x!r}")
         out.append(tuple(row))
-    return _check_shape(tuple(out), square)
-
-
-def _check_shape(m: IntMatrix, square: bool = True) -> IntMatrix:
-    """m, after checking that it is nonempty, not ragged and, when square is set, square."""
-    if not m:
+    if not out:
         raise ValueError("matrix must be nonempty")
-    width = len(m[0])
-    if any(len(row) != width for row in m):
+    width = len(out[0])
+    if any(len(row) != width for row in out):
         raise ValueError("ragged matrix")
-    if square and width != len(m):
+    if width != len(out):
         raise ValueError("matrix must be square")
-    return m
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -48,14 +43,6 @@ class IntegerEndomorphism:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_int_matrix(self.matrix))
-
-    @classmethod
-    def _checked(cls, matrix: IntMatrix) -> "IntegerEndomorphism":
-        """The endomorphism of a nonempty square tuple of int tuples, such as a
-        parsed lattice document holds, built without checking it again."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "matrix", matrix)
-        return out
 
     @property
     def size(self) -> int:

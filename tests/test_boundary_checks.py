@@ -8,7 +8,8 @@ The oracle tests wrap both private constructors so that each call also runs
 the public check it skips, over the CLI corpus, the scaling family and
 seeded random inputs. The guard tests count the public checks on every
 command line of `cli_bytes.json`; a public constructor called inside the
-engine would run them again.
+engine would run them again. They also count the checks of a lattice
+document's matrix in the parser: one, with no per-entry location work.
 """
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lcplie import lattice, liealg
+from lcplie import documents, lattice, liealg
 from lcplie.cli import main
 from lcplie.lattice import IntegerEndomorphism
 from lcplie.lcp import build_from_triple, triple_from_lcp
@@ -31,7 +33,7 @@ from lcplie.liealg import LieAlgebra
 from lcplie.linalg import Subspace, pairs
 
 from conftest import BENCH_DIR
-from test_cli_bytes import RECORD, commands, invoke
+from test_cli_bytes import CORPUS_DIR, RECORD, commands, invoke
 from test_connections import random_semidirect_sum
 from test_lcp import random_rotation_triple
 from test_liealg import random_table
@@ -191,9 +193,10 @@ class TestGuard:
 
         monkeypatch.setattr(liealg, "_is_canonical", counting("table", liealg._is_canonical))
         monkeypatch.setattr(Subspace, "__post_init__", counting("subspace", Subspace.__post_init__))
-        monkeypatch.setattr(
-            lattice, "_check_int_matrix", counting("int matrix", lattice._check_int_matrix)
-        )
+        int_matrix = counting("int matrix", lattice._check_int_matrix)
+        monkeypatch.setattr(lattice, "_check_int_matrix", int_matrix)
+        monkeypatch.setattr(documents, "_check_int_matrix", int_matrix)
+        monkeypatch.setattr(documents, "_strict_int", counting("int entry", documents._strict_int))
         return counts
 
     def test_the_counters_see_the_public_checks(self, counts):
@@ -207,5 +210,24 @@ class TestGuard:
         assert invoke(argv) == pinned[" ".join(argv)]
         assert counts["table"] == 0
         assert counts["subspace"] == 0
-        # det_integer, a public function, checks its own argument once
-        assert counts["int matrix"] <= (1 if argv[0] == "lattice" else 0)
+
+    def test_a_lattice_matrix_is_read_in_one_check(self, counts):
+        names = sorted({argv[2] for argv in commands() if argv[0] == "lattice"})
+        assert names
+        for name in names:
+            counts.clear()
+            documents.parse_lattice_document((CORPUS_DIR / name).read_text(encoding="utf-8"))
+            assert counts == {"int matrix": 1}, name
+
+    def test_a_hand_built_document_gets_the_public_table_check(self):
+        bad = documents.AlgebraDocument(
+            dim=2, basis=("a", "b"), brackets=((1, 0, ((0, F(1)),)),),  # i > j
+            metric=None, theta=None, flat_factor=None, triple=None,
+        )
+        with pytest.raises(ValueError, match="not in the canonical sparse form"):
+            documents.document_algebra(bad)
+        triple = documents.TripleBlock(h=bad, q=1, beta=(((F(0),),), ((F(0),),)))
+        with pytest.raises(ValueError, match="not in the canonical sparse form"):
+            documents.document_triple(replace(bad, triple=triple))
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            documents.document_algebra(replace(bad, dim=2.0, brackets=()))
