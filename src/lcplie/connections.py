@@ -24,6 +24,7 @@ from .linalg import (
     SparseRows,
     Subspace,
     Vector,
+    _RATIONAL,
     _add_product,
     _columns,
     _definite_inverse,
@@ -95,7 +96,7 @@ class InnerProduct:
         return len(self.gram)
 
     def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return dot(x, mat_vec(self.gram, y))
+        return dot(_exact(x, _RATIONAL), mat_vec(self.gram, _exact(y, _RATIONAL)))
 
     @cached_property
     def gram_inverse(self) -> Matrix:

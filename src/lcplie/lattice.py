@@ -13,8 +13,8 @@ from typing import Sequence
 from .linalg import (
     Subspace,
     _bareiss,
-    det,
-    matrix,
+    _dense_row,
+    _lift,
 )
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -244,11 +244,9 @@ class SplittingVerdict:
         return self.index is not None
 
 
-def _integer_fixed_covector(a: IntegerEndomorphism) -> tuple[int, ...]:
-    """First canonical kernel vector of (A^T - I), scaled to integers, gcd 1."""
-    k = a.size
-    rows = [[a.matrix[r][c] - (1 if r == c else 0) for r in range(k)] for c in range(k)]
-    fixed = Subspace.kernel_of(rows, k)
+def _integer_fixed_covector(shift: IntMatrix) -> tuple[int, ...]:
+    """First canonical kernel vector of shift^T = A^T - I, as a primitive integer row."""
+    fixed = Subspace.kernel_of(tuple(zip(*shift)), len(shift))
     if fixed.is_zero():
         raise RuntimeError("no fixed covector although the determinant vanishes")
     return fixed.rows[0]
@@ -269,26 +267,19 @@ def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> Splitt
     if split.e1.ambient_dim != k:
         raise ValueError("splitting dimension does not match the matrix")
 
-    e1_invariant = all(split.e1.contains(a.image(row)) for row in split.e1.basis)
-    e2_invariant = all(split.e2.contains(a.image(row)) for row in split.e2.basis)
-
-    if split.e1.is_zero():
-        restriction_invertible = True
-    elif not e1_invariant:
-        restriction_invertible = False
-    else:
-        cols = []
-        for row in split.e1.basis:
-            shifted = tuple(x - y for x, y in zip(a.image(row), row, strict=True))
-            coords = split.e1.coordinates_of(shifted)
-            assert coords is not None  # follows from invariance
-            cols.append(coords)
-        restriction_invertible = det(matrix(cols)) != 0
-
-    ident_shift = tuple(
-        tuple(a.matrix[r][c] - (1 if r == c else 0) for c in range(k)) for r in range(k)
+    # A - I restricted to each summand, which is A-invariant exactly when it is (A - I)-invariant
+    shift = tuple(
+        tuple(x - 1 if r == c else x for c, x in enumerate(row)) for r, row in enumerate(a.matrix)
     )
-    dmi = det_integer(ident_shift)
+    _, (rows,) = _lift((shift,))
+    on_e1, on_e2 = (e._restriction((rows,))[1] for e in (split.e1, split.e2))
+    e1_invariant, e2_invariant = on_e1 is not None, on_e2 is not None
+    restriction_invertible = e1_invariant
+    if e1_invariant:  # B_1 (A - I)|E1 on ints
+        nonzero, dim = dict(next(on_e1)), split.e1.dim
+        work = [_dense_row(nonzero.get(t, ()), dim) for t in range(dim)]
+        restriction_invertible = det_integer(work) != 0
+    dmi = det_integer(shift)
 
     index: int | None = None
     witness: NonDensityWitness | None = None
@@ -296,7 +287,7 @@ def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> Splitt
         if e1_invariant and e2_invariant and restriction_invertible:
             index = abs(dmi)
     else:
-        x = _integer_fixed_covector(a)
+        x = _integer_fixed_covector(shift)
         at_x = tuple(
             sum(a.matrix[r][c] * x[r] for r in range(k)) for c in range(k)
         )

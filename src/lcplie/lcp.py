@@ -22,6 +22,7 @@ from .connections import (
 from .liealg import (
     Covector,
     LieAlgebra,
+    _ad_rows,
     _centralizer,
     derived_algebra,
     homomorphism_defect,
@@ -37,20 +38,20 @@ from .linalg import (
     Matrix,
     SparseRows,
     Subspace,
-    _add_product,
-    _columns,
+    _dense_row,
     _descending_chain,
     _exact,
+    _unlift,
     as_fraction,
     dot,
     identity_matrix,
-    pairs,
     transpose,
 )
 
 CLASS_LCP = "lcp"
 CLASS_CONFORMALLY_FLAT = "conformally-flat"
 CLASS_NONE = "none"
+_NO_SPLIT = "; the structure does not split"
 
 
 class LCPValidationError(ValueError):
@@ -85,23 +86,10 @@ def _vanishes_on(theta: Covector, s: Subspace) -> bool:
 
 def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
     """{w in s : op w in s for every op}, for integer operators given by their
-    nonzero rows (a common positive scale of the operators changes nothing).
-
-    s is restricted by the residues in s of the images op b_r of its canonical
-    rows b_r, taken on the integer rows B b_r (`Subspace._integer_residue`):
-    every value carries the same positive scale, so the restriction is exact.
-    """
-    columns = _columns(s._lifted[1])
-    values: dict[tuple[int, int], dict[int, int]] = {}
-    for idx, op in enumerate(operators):
-        images: dict[int, dict[int, int]] = {}
-        # images[r] = op (B b_r): the basis rows times op^T, whose rows are op's columns
-        _add_product(images, columns, _columns(op).items())
-        for r, image in images.items():
-            for k, v in s._integer_residue(image).items():
-                if v:
-                    values.setdefault((idx, k), {})[r] = v
-    return s.restrict([[values[key].get(r, 0) for key in sorted(values)] for r in range(s.dim)])
+    nonzero rows: s restricted by the residues of the images of its canonical
+    rows (`Subspace._restriction`), which share one positive scale."""
+    residues, _ = s._restriction(operators)
+    return s.restrict([[residues[key].get(r, 0) for key in sorted(residues)] for r in range(s.dim)])
 
 
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
@@ -380,33 +368,28 @@ def triple_from_lcp(structure: LCPStructure) -> LCPTriple:
             "action cannot be expressed over the rationals"
         )
     hperp = structure.orthocomplement()
-    m = hperp.dim
-    h_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in pairs(m):
-        w = algebra.bracket(hperp.basis[i], hperp.basis[j])
-        coords = hperp.coordinates_of(w)
-        if coords is None:
-            raise ValueError(
-                "metric complement of the flat factor is not a subalgebra; "
-                "the structure does not split"
-            )
-        h_brackets[(i, j)] = dict(enumerate(coords))  # from_brackets drops zero terms
-    labels = [algebra.labels[p] for p in hperp.pivots]
-    h_algebra = LieAlgebra.from_brackets(m, h_brackets, labels)
+    m, (b_h, lifted_h), c = hperp.dim, hperp._lifted, algebra._lifted_table[0]
+    rows_h = [_dense_row(terms, algebra.dim) for _, terms in lifted_h]
+    ads = [_ad_rows(algebra, row)[1] for row in rows_h]  # c ad of each B_h b_i
+    _, brackets = hperp._restriction(ads)
+    if brackets is None:
+        raise ValueError("metric complement of the flat factor is not a subalgebra" + _NO_SPLIT)
+    # column j of ad_{b_i} on h is [b_i, b_j]; from_brackets drops zero terms
+    ad_h = [transpose(_unlift(c * b_h * b_h, rows, m)) for rows in brackets]
+    h_brackets = {
+        (i, j): dict(enumerate(ad[j])) for i, ad in enumerate(ad_h) for j in range(i + 1, m)
+    }
+    h_algebra = LieAlgebra.from_brackets(m, h_brackets, [algebra.labels[p] for p in hperp.pivots])
     h_metric = InnerProduct(structure.metric.restrict(hperp.basis))
+    _, actions = u._restriction(ads)
+    if actions is None:
+        raise ValueError("flat factor is not invariant under the complement" + _NO_SPLIT)
     beta = []
-    for x in hperp.basis:
-        try:
-            action = flat_factor_action(structure, x)
-        except ValueError as exc:
-            raise ValueError(
-                "flat factor is not invariant under the complement; "
-                "the structure does not split"
-            ) from exc
-        weight = structure.lee_form.value(x)
+    for row, action in zip(rows_h, actions):
+        weight = structure.lee_form.value(row) / b_h
         beta.append(tuple(
-            tuple(a - weight if r == c else a for c, a in enumerate(row))
-            for r, row in enumerate(action)
+            tuple(a - weight if r == k else a for k, a in enumerate(entries))
+            for r, entries in enumerate(_unlift(c * b_h * u._lifted[0], action, q))
         ))
     return LCPTriple(h_algebra, h_metric, q, tuple(beta))
 
@@ -448,14 +431,11 @@ def check_candidate(structure: LCPStructure, candidate: Subspace) -> ConstraintR
 def flat_factor_action(structure: LCPStructure, x: Sequence[Fraction]) -> Matrix:
     """Rational matrix of the bracket action of x on the flat factor basis."""
     u = structure.flat_factor
-    cols = []
-    for row in u.basis:
-        w = structure.algebra.bracket(x, row)
-        coords = u.coordinates_of(w)
-        if coords is None:
-            raise ValueError("flat factor is not invariant under this element")
-        cols.append(coords)
-    return transpose(tuple(cols))
+    d, ad = _ad_rows(structure.algebra, x)
+    _, action = u._restriction([ad])
+    if action is None:
+        raise ValueError("flat factor is not invariant under this element")
+    return _unlift(d * u._lifted[0], next(action), u.dim)
 
 
 def conformal_exponential_residual(
@@ -509,7 +489,7 @@ def verify_conformal_exponential(
     same for every t. t and a positive tol are the arguments of the numeric
     cross-check, `conformal_exponential_residual`, which this does not run.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN compares false both ways
         raise ValueError("tolerance must be positive")
     hperp = structure.orthocomplement()
     if not hperp.contains(x):

@@ -26,10 +26,12 @@ from .linalg import (
     _exact,
     _gram_rows,
     _lift,
+    _scaled,
     _sparse,
+    _unlift,
+    _unlift_row,
     as_fraction,
     dot,
-    identity_matrix,
     is_zero_vector,
     pairs,
     transpose,
@@ -170,7 +172,7 @@ class Covector:
         return len(self.coefficients)
 
     def value(self, v: Sequence[Fraction]) -> Fraction:
-        return dot(self.coefficients, v)
+        return dot(self.coefficients, _exact(v, _RATIONAL))
 
     def is_zero(self) -> bool:
         return is_zero_vector(self.coefficients)
@@ -203,12 +205,14 @@ class LieAlgebra:
         return out
 
     def _check(self, known_canonical: bool) -> None:
-        """Raise ValueError unless the labels are one per basis vector and distinct,
-        the table is in the canonical sparse form (read unless known_canonical)
-        and the brackets satisfy the Jacobi identity."""
+        """Raise ValueError unless the labels are nonempty strings, one per basis
+        vector and distinct, the table is in the canonical sparse form (read
+        unless known_canonical) and the brackets satisfy the Jacobi identity."""
         n = self.dim
         if len(self.labels) != n:
             raise ValueError("label count does not match dimension")
+        if any(not isinstance(s, str) or not s for s in self.labels):
+            raise ValueError("basis labels must be nonempty strings")
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
         if not (known_canonical or _is_canonical(n, self.table)):
@@ -243,22 +247,16 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
+        if len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        out = [ZERO] * self.dim
-        for i, j, terms in self.table:
-            if not ((x[i] or x[j]) and (y[i] or y[j])):
-                continue
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, c in terms:
-                    out[k] += f * c
-        return tuple(out)
+        d, rows = _ad_rows(self, x)
+        scale, y = _scaled(y)
+        image = ((k, sum(v * y[j] for j, v in terms)) for k, terms in rows)
+        return _unlift_row(d * scale, image, self.dim)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad_x = [x, .]; column j is the bracket with e_j."""
-        cols = [self.bracket(x, row) for row in identity_matrix(self.dim)]
-        return transpose(tuple(cols))
+        return _unlift(*_ad_rows(self, x), self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
@@ -335,6 +333,16 @@ def _basis_images(algebra: LieAlgebra, w: Sequence[int]) -> dict[int, dict[int, 
                 for k, x in terms:
                     row[k] = get(k, 0) + f * x
     return {i: nz for i, row in images.items() if (nz := {k: x for k, x in row.items() if x})}
+
+
+def _ad_rows(algebra: LieAlgebra, x: Sequence[int | Fraction]) -> tuple[int, SparseRows]:
+    """(d, rows): ad_x over the denominator d = c L by its nonzero integer rows,
+    for x times the lcm L of its denominators (`_scaled`; floats and bools raise
+    TypeError). Column j is c [L x, e_j] = -c [e_j, L x], an image of L x."""
+    scale, x = _scaled(x)
+    images = sorted((j, tuple(image.items())) for j, image in _basis_images(algebra, x).items())
+    rows = sorted((k, tuple(terms)) for k, terms in _columns(images, -1).items())
+    return algebra._lifted_table[0] * scale, tuple(rows)
 
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
@@ -423,19 +431,10 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
 
 
 def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subspace:
-    """{x : [x, v] = 0 for every given integer vector v}.
-
-    [x, v] is the sum of x_i [e_i, v] over the nonzero images of v, so each v
-    gives one constraint row per coordinate k, with entry i = [e_i, v]_k.
-    """
+    """{x : [x, v] = 0 for every given integer vector v}: the joint kernel of the
+    ad_v, whose rows are the negated images [e_i, v] read at each coordinate."""
     n = algebra.dim
-    rows = []
-    for v in vectors:
-        by_coordinate: dict[int, list[int]] = {}
-        for i, image in _basis_images(algebra, v).items():
-            for k, c in image.items():
-                by_coordinate.setdefault(k, [0] * n)[i] = c
-        rows.extend(by_coordinate.values())
+    rows = [_dense_row(terms, n) for v in vectors for _, terms in _ad_rows(algebra, v)[1]]
     return Subspace.kernel_of(rows, n)
 
 

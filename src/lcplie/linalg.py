@@ -129,17 +129,22 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(row: Sequence[int | str | Fraction]) -> list[int]:
-    """The primitive integer multiple of a row, from one scan of its entry types:
-    rows of ints and Fractions are read as they are, other rows go through
-    `vector`, so floats and bools raise TypeError."""
+def _scaled(row: Sequence[int | str | Fraction]) -> tuple[int, list[int]]:
+    """(L, L row) as ints, L the lcm of the row's denominators, from one scan of its
+    entry types: rows of ints and Fractions are read as they are, other rows go
+    through `vector`, so floats and bools raise TypeError."""
     kinds = set(map(type, row))
     if kinds <= {int}:
-        return _primitive(list(row))
+        return 1, list(row)
     if not kinds <= _RATIONAL:
         row = vector(row)
     scale = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _integer_row(row: Sequence[int | str | Fraction]) -> list[int]:
+    """The primitive integer multiple of a row (`_scaled`)."""
+    return _primitive(_scaled(row)[1])
 
 
 def _lift(mats: Iterable[Sequence[Sequence[Fraction]]]) -> tuple[int, tuple[SparseRows, ...]]:
@@ -418,18 +423,16 @@ def _bareiss(work: list[list[int]]) -> Iterator[int]:
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, and one Bareiss pass runs on the scaled rows. Float and
-    bool entries raise TypeError, as in as_fraction."""
+    denominators (`_scaled`), and one Bareiss pass runs on the scaled rows.
+    Float and bool entries raise TypeError, as in as_fraction."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    rows = matrix(a)
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    work = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    scaled = [_scaled(row) for row in a]
     determinant = 1  # of the 0x0 matrix
-    for determinant in _bareiss(work):
+    for determinant in _bareiss([row for _, row in scaled]):
         pass
-    return Fraction(determinant, prod(scales))
+    return Fraction(determinant, prod(scale for scale, _ in scaled))
 
 
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
@@ -596,22 +599,21 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.coordinates_of(v) is not None
+        return not any(self.residue(v))
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v in the canonical basis, or None if v is outside."""
-        return tuple(v[p] for p in self.pivots) if is_zero_vector(self.residue(v)) else None
+        return None if any(self.residue(v)) else tuple(Fraction(v[p]) for p in self.pivots)
 
     def residue(self, v: Sequence[Fraction]) -> Vector:
         """v - sum over r of v[p_r] * b_r for the canonical rows b_r with pivots p_r:
-        linear in v, and zero exactly when v lies in the span."""
+        linear in v, and zero exactly when v lies in the span. It is
+        `_integer_residue` of v times the lcm L of its denominators, over B L."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        residue = tuple(v)
-        for p, row in zip(self.pivots, self.basis):
-            if coeff := v[p]:
-                residue = tuple(x - coeff * y if y else x for x, y in zip(residue, row))
-        return residue
+        scale, w = _scaled(v)
+        residue = self._integer_residue({k: x for k, x in enumerate(w) if x})
+        return _unlift_row(self._lifted[0] * scale, residue.items(), self.ambient_dim)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -674,6 +676,31 @@ class Subspace:
         the residues of its canonical rows b'_r, all times one positive scale."""
         n = self.ambient_dim
         return [_dense_row(self._integer_residue(dict(t)).items(), n) for _, t in other._lifted[1]]
+
+    def _restriction(self, operators: Iterable[SparseRows]) -> tuple[
+            dict[tuple[int, int], dict[int, int]], Iterator[SparseRows] | None]:
+        """(residues, matrices) for integer operators given by their nonzero rows:
+        the nonzero entries of the `_integer_residue`s of the images op (B b_r) of
+        the lifted rows as {(operator, column): {r: entry}}, at one positive scale,
+        and, only when there are none, each operator on the subspace in canonical
+        coordinates times B and the operators' scale, built as it is read: column
+        r is image r at the pivots."""
+        columns = _columns(self._lifted[1])
+        residues: dict[tuple[int, int], dict[int, int]] = {}
+        images = []
+        for idx, op in enumerate(operators):
+            images.append(op_images := {})
+            # the lifted rows times op^T, whose rows are op's columns
+            _add_product(op_images, columns, _columns(op).items())
+            for r, image in op_images.items():
+                for k, x in self._integer_residue(image).items():
+                    if x:
+                        residues.setdefault((idx, k), {})[r] = x
+        # row t of a matrix is column p_t of the images, the transpose of their rows r
+        return residues, None if residues else (
+            _sparse({t: dict(cols.get(p, ())) for t, p in enumerate(self.pivots)})
+            for cols in (_columns([(r, image.items()) for r, image in op.items()]) for op in images)
+        )
 
     def _integer_residue(self, v: dict[int, int]) -> dict[int, int]:
         """B v - sum over r of v[p_r] (B b_r) for an integer vector v given as

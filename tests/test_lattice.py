@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from lcplie.documents import parse_lattice_document
 from lcplie.lattice import (
     IntegerEndomorphism,
+    NonDensityWitness,
     SplitDecomposition,
+    SplittingVerdict,
     check_splitting,
     det_integer,
     elementary_divisors,
@@ -18,7 +21,8 @@ from lcplie.lattice import (
 )
 from lcplie.linalg import Subspace, inverse, mat_vec, vector
 
-from conftest import fraction_det
+from conftest import CORPUS_DIR, fraction_det
+from test_linalg import fraction_coordinates, fraction_residue
 
 F = Fraction
 
@@ -368,3 +372,116 @@ class TestCheckSplitting:
             assert verdict.det_minus_identity == 0
             assert verdict.witness is not None
             assert_witness_certifies_non_density(split, verdict.witness, box=8)
+
+
+def fraction_check_splitting(a, split):
+    """`check_splitting` before it restricted A on integer rows: invariance and
+    (A - I)|E1 from the Fraction basis, residues and coordinates, the
+    determinant from a Fraction elimination."""
+    k = a.size
+    if split.e1.ambient_dim != k:
+        raise ValueError("splitting dimension does not match the matrix")
+    e1_invariant = all(not any(fraction_residue(split.e1, a.image(row))) for row in split.e1.basis)
+    e2_invariant = all(not any(fraction_residue(split.e2, a.image(row))) for row in split.e2.basis)
+    if split.e1.is_zero():
+        restriction_invertible = True
+    elif not e1_invariant:
+        restriction_invertible = False
+    else:
+        cols = []
+        for row in split.e1.basis:
+            shifted = tuple(x - y for x, y in zip(a.image(row), row, strict=True))
+            cols.append(fraction_coordinates(split.e1, shifted))
+        restriction_invertible = fraction_det(cols) != 0
+    shift = tuple(tuple(a.matrix[r][c] - (r == c) for c in range(k)) for r in range(k))
+    dmi = det_integer(shift)
+    index = witness = None
+    if dmi != 0:
+        if e1_invariant and e2_invariant and restriction_invertible:
+            index = abs(dmi)
+    else:
+        rows = [[a.matrix[r][c] - (1 if r == c else 0) for r in range(k)] for c in range(k)]
+        x = Subspace.kernel_of(rows, k).rows[0]
+        witness = NonDensityWitness(x, Subspace.kernel_of((x,), k).intersect(split.e2))
+    return SplittingVerdict(True, e1_invariant, e2_invariant, restriction_invertible, dmi, index, witness)
+
+
+def unimodular(rng, k):
+    """A random integer matrix of determinant 1: a product of elementary ones."""
+    p = [[int(r == c) for c in range(k)] for r in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        p = [[x + f * p[j][c] if r == i else x for c, x in enumerate(row)] for r, row in enumerate(p)]
+    return p
+
+
+def seeded_splittings(seed, count=120):
+    """(A, split) pairs in dimension 2 to 5. Two in three conjugate a block
+    triangular integer matrix by a unimodular P, with E1 and E2 spanned by the
+    columns of P that carry the blocks: E1 is invariant, and so is E2 when the
+    block above it is zero, as it is in every other case. A block sometimes
+    fixes its first vector, which makes A - I singular. The rest pair a random
+    A with a random splitting, mostly not invariant."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(count):
+        k = rng.randint(2, 5)
+        r = rng.randint(0, k)
+        if case % 3 < 2:
+            blocks = [[0] * k for _ in range(k)]
+            if case % 3 == 1 and 0 < r < k:  # the block above E2
+                blocks[rng.randrange(r)][rng.randrange(r, k)] = rng.choice((-1, 1))
+            for lo, hi in ((0, r), (r, k)):
+                for i in range(lo, hi):
+                    for j in range(lo, hi):
+                        blocks[i][j] = rng.randint(-2, 3) if j >= i or rng.random() < 0.5 else 0
+                if hi > lo and rng.random() < 0.4:
+                    blocks[lo][lo] = 1
+                    for j in range(lo, hi):
+                        if j != lo:
+                            blocks[j][lo] = 0
+            p = unimodular(rng, k)
+            p_inv = [[int(x) for x in row] for row in inverse(tuple(tuple(map(F, row)) for row in p))]
+            a = int_mat_mul(int_mat_mul(p, blocks), p_inv)
+            columns = list(zip(*p))
+            e1, e2 = columns[:r], columns[r:]
+        else:
+            a = random_int_matrix(rng, k, span=3)
+            while True:
+                vectors = random_int_matrix(rng, k, span=2)
+                if det_integer(vectors) != 0:
+                    break
+            e1, e2 = vectors[:r], vectors[r:]
+        split = SplitDecomposition(Subspace.from_vectors(e1, k), Subspace.from_vectors(e2, k))
+        out.append((IntegerEndomorphism(tuple(map(tuple, a))), split))
+    return out
+
+
+class TestSplittingOracle:
+    def test_verdict_matches_the_fraction_route(self):
+        kinds = set()
+        half_invariant = 0
+        for a, split in seeded_splittings(5151):
+            verdict = check_splitting(a, split)
+            assert verdict == fraction_check_splitting(a, split)
+            half_invariant += verdict.e1_invariant and not verdict.e2_invariant
+            kinds.add((verdict.e1_invariant and verdict.e2_invariant, verdict.det_minus_identity == 0,
+                       verdict.restriction_invertible))
+        assert {(True, True, True), (True, False, True), (False, True, False), (False, False, False)} <= kinds
+        assert (True, True, False) in kinds or (True, False, False) in kinds
+        assert half_invariant > 10
+
+    def test_corpus_splittings_match_the_fraction_route(self):
+        names = sorted(p.name for p in CORPUS_DIR.glob("lat_*.json"))
+        split_docs = 0
+        for name in names:
+            doc = parse_lattice_document((CORPUS_DIR / name).read_text(encoding="utf-8"))
+            if doc.e1 is None:
+                continue
+            k = len(doc.matrix)
+            split = SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
+            a = IntegerEndomorphism(doc.matrix)
+            assert check_splitting(a, split) == fraction_check_splitting(a, split)
+            split_docs += 1
+        assert split_docs >= 2

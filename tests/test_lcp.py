@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -35,12 +36,20 @@ from lcplie.lcp import (
     verify_conformal_exponential,
 )
 from lcplie.cli import main
-from lcplie.documents import document_algebra, document_triple, parse_algebra_document
+from lcplie.documents import (
+    document_algebra,
+    document_metric,
+    document_triple,
+    parse_algebra_document,
+    parse_lattice_document,
+)
+from lcplie.lattice import IntegerEndomorphism, SplitDecomposition, check_splitting
 from lcplie.liealg import (
     Covector,
     LieAlgebra,
     center,
     derived_algebra,
+    is_unimodular,
     lower_central_series,
     radical,
 )
@@ -48,6 +57,7 @@ from lcplie.linalg import (
     ZERO,
     Subspace,
     identity_matrix,
+    inverse,
     kernel,
     mat_vec,
     matrix,
@@ -77,7 +87,9 @@ from test_connections import (
     random_triple_structure,
     small_rational,
 )
+from test_cli_bytes import RECORD, commands, invoke
 from test_liealg import DenseBrackets
+from test_linalg import fraction_coordinates
 
 F = Fraction
 
@@ -917,9 +929,40 @@ class TestConformalExponential:
         with pytest.raises(ValueError):
             verify_conformal_exponential(sol3_structure, vector([0, 1, 0]), 1.0, 0.0)
 
+    def test_rejects_a_nan_tolerance(self, sol3_structure):
+        # tol <= 0 is false for NaN, so the check asks for tol > 0
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            verify_conformal_exponential(sol3_structure, vector([0, 1, 0]), 1.0, float("nan"))
+
     def test_rejects_vectors_outside_the_complement(self, sol3_structure):
         with pytest.raises(ValueError):
             verify_conformal_exponential(sol3_structure, vector([1, 0, 0]), 1.0, 1e-9)
+
+
+# Entry points that read a vector of the caller's, each given (1/2, 0) or (True, 0)
+# with a float or a bool in place of the exact 1/2 or 1.
+EXACT_INPUTS = {
+    "Subspace.coordinates_of": lambda v: Subspace.full(2).coordinates_of(v),
+    "Subspace.contains": lambda v: Subspace.full(2).contains(v),
+    "Subspace.residue": lambda v: Subspace.zero(2).residue(v),
+    "LieAlgebra.bracket left": lambda v: make_aff().bracket(v, vector([0, 1])),
+    "LieAlgebra.bracket right": lambda v: make_aff().bracket(vector([1, 0]), v),
+    "LieAlgebra.ad": lambda v: make_aff().ad(v),
+    "InnerProduct.value left": lambda v: InnerProduct.identity(2).value(v, vector([1, 0])),
+    "InnerProduct.value right": lambda v: InnerProduct.identity(2).value(vector([1, 0]), v),
+    "InnerProduct.restrict": lambda v: InnerProduct.identity(2).restrict([v]),
+    "Covector.value": lambda v: Covector(vector([1, 0])).value(v),
+    "flat_factor_action": lambda v: flat_factor_action(make_rot4_structure(), (0, 0) + v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXACT_INPUTS))
+def test_float_and_bool_entries_raise_type_error(entry):
+    call = EXACT_INPUTS[entry]
+    call((F(1, 2), 0))  # the exact input is accepted
+    for inexact in ((0.5, 0), (True, 0)):
+        with pytest.raises(TypeError):
+            call(inexact)
 
 
 def constraint_matrix_invariant_subspace(start, operators):
@@ -1050,6 +1093,243 @@ class TestRestrictionCounts:
             analysis = ConformalAnalysis(structure.algebra, structure.metric, structure.lee_form)
             assert analysis.flat_factor.subspace == structure.flat_factor
             assert calls == [analysis.curvature.kernel]
+
+
+def fraction_bracket(algebra, x, y):
+    """`LieAlgebra.bracket` before it read the integer table: a Fraction loop
+    over the bracket table."""
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise ValueError("vector length does not match the algebra dimension")
+    out = [ZERO] * algebra.dim
+    for i, j, terms in algebra.table:
+        if not ((x[i] or x[j]) and (y[i] or y[j])):
+            continue
+        f = x[i] * y[j] - x[j] * y[i]
+        if f:
+            for k, c in terms:
+                out[k] += f * c
+    return tuple(out)
+
+
+def fraction_flat_factor_action(structure, x):
+    """`flat_factor_action` before the integer restriction: brackets with the
+    Fraction basis, read back through their coordinates."""
+    u = structure.flat_factor
+    cols = []
+    for row in u.basis:
+        coords = fraction_coordinates(u, fraction_bracket(structure.algebra, x, row))
+        if coords is None:
+            raise ValueError("flat factor is not invariant under this element")
+        cols.append(coords)
+    return transpose(tuple(cols))
+
+
+def fraction_triple_from_lcp(structure):
+    """`triple_from_lcp` before the integer restriction, on the Fraction bases."""
+    algebra = structure.algebra
+    if not is_unimodular(algebra):
+        raise ValueError("triple extraction requires a unimodular algebra")
+    if not structure.adapted:
+        raise ValueError("triple extraction requires an adapted structure")
+    u = structure.flat_factor
+    q = u.dim
+    if structure.metric.restrict(u.basis) != identity_matrix(q):
+        raise ValueError(
+            "flat factor basis is not orthonormal; the orthogonal part of the "
+            "action cannot be expressed over the rationals"
+        )
+    hperp = structure.orthocomplement()
+    m = hperp.dim
+    h_brackets = {}
+    for i, j in combinations(range(m), 2):
+        coords = fraction_coordinates(hperp, fraction_bracket(algebra, hperp.basis[i], hperp.basis[j]))
+        if coords is None:
+            raise ValueError(
+                "metric complement of the flat factor is not a subalgebra; the structure does not split"
+            )
+        h_brackets[(i, j)] = dict(enumerate(coords))
+    labels = [algebra.labels[p] for p in hperp.pivots]
+    h_algebra = LieAlgebra.from_brackets(m, h_brackets, labels)
+    h_metric = InnerProduct(structure.metric.restrict(hperp.basis))
+    beta = []
+    for x in hperp.basis:
+        try:
+            action = fraction_flat_factor_action(structure, x)
+        except ValueError:
+            raise ValueError(
+                "flat factor is not invariant under the complement; the structure does not split"
+            ) from None
+        weight = structure.lee_form.value(x)
+        beta.append(tuple(
+            tuple(a - weight if r == c else a for c, a in enumerate(row)) for r, row in enumerate(action)
+        ))
+    return LCPTriple(h_algebra, h_metric, q, tuple(beta))
+
+
+class Unvalidated:
+    """The fields of an LCPStructure without its validation, so that triple
+    extraction and the flat-factor action also meet factors that do not split."""
+
+    def __init__(self, algebra, metric, theta, u):
+        self.algebra, self.metric, self.lee_form, self.flat_factor = algebra, metric, theta, u
+        self.adapted = not any(theta.value(row) for row in u.basis)
+
+    def orthocomplement(self):
+        return self.flat_factor.orthogonal_complement(self.metric.gram)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def corpus_structures():
+    """The validated structures of the corpus: its triples, built, and the
+    documents that carry a flat factor."""
+    out = []
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        if path.name.startswith("lat_"):
+            continue
+        doc = parse_algebra_document(path.read_text(encoding="utf-8"))
+        if doc.triple is not None:
+            out.append(build_from_triple(document_triple(doc)))
+        elif doc.flat_factor is not None:
+            algebra = document_algebra(doc)
+            metric = document_metric(doc) or InnerProduct.identity(algebra.dim)
+            u = Subspace.from_vectors(doc.flat_factor, algebra.dim)
+            out.append(validate_lcp(algebra, metric, Covector(doc.theta), u))
+    return out
+
+
+def mixed_basis(s, rng):
+    """A built structure s (flat factor first) on the basis f_k = e_k on the flat
+    factor and f_j = e_j + sum over k of c_kj e_k beyond it, for small rationals
+    c: the flat factor keeps its orthonormal canonical basis, and the metric
+    complement gets canonical rows with fractions."""
+    n, q = s.algebra.dim, s.flat_factor.dim
+    p = tuple(
+        tuple(F(int(r == c)) if r >= q or c < q else F(rng.randint(-3, 3), rng.randint(1, 4)) for c in range(n))
+        for r in range(n)
+    )
+    cols, p_inv = transpose(p), inverse(p)
+    brackets = {
+        (i, j): dict(enumerate(mat_vec(p_inv, fraction_bracket(s.algebra, cols[i], cols[j]))))
+        for i, j in combinations(range(n), 2)
+    }
+    algebra = LieAlgebra.from_brackets(n, brackets, s.algebra.labels)
+    metric = InnerProduct(tuple(tuple(s.metric.value(a, b) for b in cols) for a in cols))
+    theta = Covector(tuple(s.lee_form.value(col) for col in cols))
+    return Unvalidated(algebra, metric, theta, s.flat_factor)
+
+
+def extraction_cases():
+    """Structures for the extraction oracles: the corpus, the seeded triples of
+    `test_round_trip_on_seeded_random_triples`, those with the flat factor
+    first again on a `mixed_basis`, and for each of
+    `pipeline_cases` its maximal flat factor and, under the identity metric,
+    every proper nonzero coordinate subspace, most of which do not split."""
+    cases = corpus_structures()
+    rng = random.Random(61)
+    cases += [build_from_triple(random_rotation_triple(rng)) for _ in range(12)]
+    cases += [
+        mixed_basis(s, rng) for s in cases
+        if s.flat_factor == Subspace.from_vectors(identity_matrix(s.algebra.dim)[:s.flat_factor.dim], s.algebra.dim)
+    ]
+    for algebra, metric, theta in pipeline_cases():
+        n = algebra.dim
+        try:
+            w = maximal_flat_factor(algebra, metric, theta).subspace
+        except ValueError:  # not unimodular, or theta not closed
+            w = None
+        if w is not None and not w.is_zero():
+            cases.append(Unvalidated(algebra, metric, theta, w))
+        if n <= 5:
+            identity = InnerProduct.identity(n)
+            for u in coordinate_subspaces(n)[1:-1]:
+                cases += [Unvalidated(algebra, identity, theta, u), Unvalidated(algebra, metric, theta, u)]
+    return cases
+
+
+class TestExtractionOracles:
+    """The flat-factor action and triple extraction against their Fraction
+    routes, results and messages alike."""
+
+    def test_flat_factor_action_matches_the_fraction_route(self):
+        rng = random.Random(7272)
+        messages = Counter()
+        for s in extraction_cases():
+            n = s.algebra.dim
+            xs = list(s.orthocomplement().basis) + [s.algebra.basis_vector(i) for i in range(n)]
+            xs.append(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+            for x in xs:
+                got = outcome(flat_factor_action, s, x)
+                assert got == outcome(fraction_flat_factor_action, s, x)
+                messages[got[1] if isinstance(got[0], type) else "ok"] += 1
+        assert messages["ok"] > 200
+        assert messages["flat factor is not invariant under this element"] > 50
+
+    def test_triple_extraction_matches_the_fraction_route(self):
+        messages = Counter()
+        round_trips = fractional = 0
+        for s in extraction_cases():
+            got = outcome(triple_from_lcp, s)
+            assert got == outcome(fraction_triple_from_lcp, s)
+            if isinstance(got, LCPTriple):
+                messages["ok"] += 1
+                # complements with fractional canonical rows, so that B_h > 1
+                fractional += s.orthocomplement()._lifted[0] > 1
+                if isinstance(s, LCPStructure):
+                    assert build_from_triple(got) == s
+                    round_trips += 1
+            else:
+                messages[got[1]] += 1
+        assert messages["ok"] >= 20 and round_trips >= 15
+        assert fractional >= 10
+        for text in ("is not a subalgebra", "is not invariant under the complement", "not orthonormal",
+                     "requires an adapted structure", "requires a unimodular algebra"):
+            assert sum(count for m, count in messages.items() if text in m) > 0, text
+
+
+class TestOneRestrictionRoute:
+    def test_no_command_or_extraction_calls_bracket_or_coordinates_of(self, monkeypatch):
+        """Every command line of `cli_bytes.json`, and the extraction, the
+        conformal check and Lemma 5.1 on the corpus, restrict operators on
+        integer rows: none calls the Fraction `bracket` or `coordinates_of`."""
+        calls = Counter()
+        for cls, name in ((LieAlgebra, "bracket"), (Subspace, "coordinates_of")):
+            original = getattr(cls, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        make_sol3().bracket(vector([1, 0, 0]), vector([0, 1, 0]))
+        Subspace.full(1).coordinates_of((1,))
+        assert calls == {"bracket": 1, "coordinates_of": 1}
+        calls.clear()
+        pinned = json.loads(RECORD.read_text(encoding="utf-8"))
+        for argv in commands():
+            assert invoke(argv) == pinned[" ".join(argv)]
+        structures = corpus_structures()
+        assert len(structures) >= 4
+        for s in structures:
+            triple_from_lcp(s)
+            for row in s.orthocomplement().basis:
+                assert verify_conformal_exponential(s, row, 1.0, 1e-9)
+        splits = 0
+        for path in sorted(CORPUS_DIR.glob("lat_*.json")):
+            doc = parse_lattice_document(path.read_text(encoding="utf-8"))
+            if doc.e1 is not None:
+                k = len(doc.matrix)
+                split = SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
+                check_splitting(IntegerEndomorphism(doc.matrix), split)
+                splits += 1
+        assert splits >= 2
+        assert calls == {}
 
 
 def _zero_block(q):

@@ -391,6 +391,14 @@ class TestBrackets:
     def test_ad_matrix_columns(self, sol3):
         assert sol3.ad(vector([0, 1, 0])) == matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("labels", [(1, 2), ("", "x")], ids=["ints", "empty string"])
+    def test_labels_must_be_nonempty_strings(self, labels):
+        # the document parser asks the same of basis; an int label broke printing a span
+        with pytest.raises(ValueError, match="^basis labels must be nonempty strings$"):
+            LieAlgebra(2, labels, ())
+        with pytest.raises(ValueError, match="^basis labels must be nonempty strings$"):
+            LieAlgebra.from_brackets(2, {}, labels=labels)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             LieAlgebra.from_brackets(2, {}, labels=("x", "x"))

@@ -922,7 +922,53 @@ def seeded_subspace_pairs(seed):
     return out
 
 
+def fraction_residue(s, v):
+    """`Subspace.residue` before it read the integer rows: a Fraction loop
+    over the canonical basis."""
+    if len(v) != s.ambient_dim:
+        raise ValueError("vector length does not match ambient dimension")
+    residue = tuple(v)
+    for p, row in zip(s.pivots, s.basis):
+        if coeff := v[p]:
+            residue = tuple(x - coeff * y if y else x for x, y in zip(residue, row))
+    return residue
+
+
+def fraction_coordinates(s, v):
+    """`Subspace.coordinates_of` on `fraction_residue`."""
+    return tuple(v[p] for p in s.pivots) if not any(fraction_residue(s, v)) else None
+
+
 class TestResidueRestriction:
+    def test_residue_views_match_the_fraction_loop(self):
+        """residue, coordinates_of and contains against the Fraction loop, on the
+        generator of this class: random vectors, rows of the subspace and
+        rational combinations of them, given as ints, Fractions or strings."""
+        rng = random.Random(2424)
+        members = set()
+        for _ in range(150):
+            n = rng.randint(0, 6)
+            s = seeded_subspaces(rng, n)
+            vectors = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(3)]
+            vectors += [list(row) for row in s.basis]
+            if s.dim:
+                vectors.append([sum(F(rng.randint(-3, 3), rng.randint(1, 4)) * row[k] for row in s.basis)
+                                for k in range(n)])
+            vectors.append([rng.randint(-2, 2) for _ in range(n)])
+            for v in vectors:
+                expected = fraction_residue(s, v)
+                for given in (v, [str(x) for x in v]):
+                    assert s.residue(given) == expected
+                    assert all(type(x) is F for x in s.residue(given))
+                    assert s.coordinates_of(given) == fraction_coordinates(s, v)
+                    assert s.contains(given) == (not any(expected))
+                members.add(not any(expected))
+            for bad in ([0] * (n + 1), [0] * max(n - 1, 0) if n else [0]):
+                for method in (s.residue, s.coordinates_of, s.contains):
+                    with pytest.raises(ValueError, match="vector length"):
+                        method(bad)
+        assert members == {True, False}
+
     def test_intersect_matches_the_constraint_matrix_intersection(self):
         dims = set()
         for a, b in seeded_subspace_pairs(9090):
