@@ -10,7 +10,6 @@ inverse store integer rows over one denominator; dense views are lazy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -25,6 +24,7 @@ from .linalg import (
     Subspace,
     Vector,
     _RATIONAL,
+    _Record,
     _add_product,
     _columns,
     _definite_inverse,
@@ -47,12 +47,11 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class InnerProduct:
-    """A positive definite symmetric bilinear form; `lifted_inverse` holds G^-1 on ints."""
+class InnerProduct(_Record):
+    """A positive definite symmetric bilinear form; `lifted_inverse`, not a
+    field, holds G^-1 on ints."""
 
     gram: Matrix
-    lifted_inverse: tuple[int, SparseRows] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
@@ -108,8 +107,15 @@ class InnerProduct:
         return mat_vec(self.gram_inverse, theta.coefficients)
 
     def restrict(self, rows: Sequence[Vector]) -> Matrix:
-        """Gram matrix of the form on the given spanning rows."""
-        return tuple(tuple(self.value(r, s) for s in rows) for r in rows)
+        """Gram matrix of the form on the given spanning rows: G s once per row
+        s, and each entry r <= s once, the form being symmetric."""
+        rows = [_exact(r, _RATIONAL) for r in rows]
+        images = [mat_vec(self.gram, s) for s in rows]
+        out = [[ZERO] * len(rows) for _ in rows]
+        for i, r in enumerate(rows):
+            for j in range(i, len(rows)):
+                out[i][j] = out[j][i] = dot(r, images[j])
+        return tuple(map(tuple, out))
 
 
 def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -> Matrix:
@@ -125,8 +131,7 @@ def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -
     return _unlift(d * scale, _sparse(acc), n)
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(_Record):
     """Operators nabla[i] = D_{e_i}, stored as `CurvatureTensor` stores its own:
     rows[i] holds the nonzero rows of `denominator` times nabla[i] as ints, in
     lowest terms. The dense `nabla` is a view, built on first read."""
@@ -156,8 +161,7 @@ class Connection:
         return mat_vec(self.directional(x), y)
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(_Record):
     """Curvature operators R[i][j] for i < j, pair-indexed; antisymmetric in (i, j).
 
     Stored sparse over one denominator: rows[p] holds the nonzero rows of

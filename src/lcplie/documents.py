@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NoReturn
@@ -17,7 +16,7 @@ from typing import Callable, NoReturn
 from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
 from .liealg import BracketTable, LieAlgebra
-from .linalg import ZERO, Matrix, Vector, as_fraction, identity_matrix
+from .linalg import ZERO, Matrix, Vector, _Record, as_fraction, identity_matrix
 from .lattice import IntMatrix, _check_int_matrix
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
@@ -90,8 +89,7 @@ def _rational_matrix(value: object, nrows: int | None, ncols: int, where: str) -
     return _read_each(partial(_rational_vector, length=ncols, where=""), value, where)
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(_Record):
     dim: int | None
     basis: tuple[str, ...] | None
     brackets: BracketTable | None
@@ -105,15 +103,13 @@ class AlgebraDocument:
         return self.dim is not None
 
 
-@dataclass(frozen=True)
-class TripleBlock:
+class TripleBlock(_Record):
     h: AlgebraDocument
     q: int
     beta: tuple[Matrix, ...]
 
 
-@dataclass(frozen=True)
-class LatticeDocument:
+class LatticeDocument(_Record):
     matrix: IntMatrix
     e1: Matrix | None
     e2: Matrix | None

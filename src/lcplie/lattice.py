@@ -5,13 +5,13 @@ All computations are over Python ints and Fractions; nothing here rounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .linalg import (
     Subspace,
+    _Record,
     _bareiss,
     _dense_row,
     _lift,
@@ -37,8 +37,7 @@ def _check_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntegerEndomorphism:
+class IntegerEndomorphism(_Record):
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
@@ -199,8 +198,7 @@ def lattice_index(a: IntegerEndomorphism) -> int | None:
     return None if d == 0 else abs(d)
 
 
-@dataclass(frozen=True)
-class SplitDecomposition:
+class SplitDecomposition(_Record):
     """A direct-sum splitting of the ambient rational space."""
 
     e1: Subspace
@@ -215,8 +213,7 @@ class SplitDecomposition:
             raise ValueError("summands overlap; not a direct sum")
 
 
-@dataclass(frozen=True)
-class NonDensityWitness:
+class NonDensityWitness(_Record):
     """Integer vector x with A^T x = x, gcd of entries 1, plus the hyperplane
     x-perp intersected with the second summand. Projections of lattice points
     onto the second summand land in hyperplane + Z * projection(x / |x|^2)."""
@@ -225,8 +222,7 @@ class NonDensityWitness:
     hyperplane: Subspace
 
 
-@dataclass(frozen=True)
-class SplittingVerdict:
+class SplittingVerdict(_Record):
     integral: bool
     e1_invariant: bool
     e2_invariant: bool

@@ -6,7 +6,6 @@ connection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -38,6 +37,7 @@ from .linalg import (
     Matrix,
     SparseRows,
     Subspace,
+    _Record,
     _dense_row,
     _descending_chain,
     _exact,
@@ -62,15 +62,13 @@ class LCPValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class FlatFactorResult:
+class FlatFactorResult(_Record):
     subspace: Subspace
     classification: str  # CLASS_LCP, CLASS_CONFORMALLY_FLAT or CLASS_NONE
     adapted: bool
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(_Record):
     candidate: Subspace
     theta_vanishes: bool
     action_trivial: bool
@@ -93,10 +91,12 @@ def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
 
 
 def is_parallel(algebra: LieAlgebra, connection: Connection, s: Subspace) -> bool:
-    """Whether every covariant basis derivative maps s into itself."""
+    """Whether every covariant basis derivative maps s into itself: whether no
+    image of a canonical row of s leaves a residue. No null space is needed."""
     if {connection.dim, s.ambient_dim} != {algebra.dim}:
         raise ValueError("algebra, connection and subspace dimensions must agree")
-    return _invariant_part(s, connection.rows).dim == s.dim
+    residues, _ = s._restriction(connection.rows)
+    return not residues
 
 
 def is_flat_subspace(
@@ -111,8 +111,7 @@ def is_flat_subspace(
     return is_parallel(algebra, connection, s) and curv.kernel.contains_subspace(s)
 
 
-@dataclass(frozen=True)
-class ConformalAnalysis:
+class ConformalAnalysis(_Record):
     """The conformal connection of one (algebra, metric, covector) and what
     follows from it. Each derived object is computed at most once, on first
     use, and every structure verdict comes from `violations`.
@@ -186,11 +185,11 @@ class ConformalAnalysis:
         return tuple(problems)
 
 
-@dataclass(frozen=True)
-class LCPStructure:
+class LCPStructure(_Record):
     """A validated structure: construction raises on any violation or wrong
     flag, and fills in `maximal` when it is None (None on a non-unimodular
-    algebra, where maximality is not decided). The metric complement and the
+    algebra, where maximality is not decided). `analysis`, not a field, is the
+    `ConformalAnalysis` that validated it. The metric complement and the
     characteristic bound with its conditions are computed once, on first use."""
 
     algebra: LieAlgebra
@@ -199,7 +198,6 @@ class LCPStructure:
     flat_factor: Subspace
     adapted: bool
     maximal: bool | None
-    analysis: ConformalAnalysis = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         analysis = ConformalAnalysis(self.algebra, self.metric, self.lee_form)
@@ -278,8 +276,7 @@ def validate_lcp(
     return LCPStructure(algebra, metric, theta, u, adapted, None)
 
 
-@dataclass(frozen=True)
-class LCPTriple:
+class LCPTriple(_Record):
     """A non-unimodular metric algebra acting orthogonally on an abelian R^q.
 
     The action matrices are one q x q matrix per basis vector of the acting

@@ -5,7 +5,6 @@ follows by antisymmetry. Construction validates the Jacobi identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -19,6 +18,7 @@ from .linalg import (
     Subspace,
     Vector,
     _RATIONAL,
+    _Record,
     _add_product,
     _columns,
     _dense_row,
@@ -154,8 +154,7 @@ def check_jacobi(dim: int, brackets: BracketMap) -> tuple[tuple[int, int, int], 
     return tuple(_jacobi_defects(_lift_table(_normalize_brackets(dim, brackets))[1]))
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(_Record):
     """A linear functional held by its coefficients on the basis."""
 
     coefficients: Vector
@@ -178,8 +177,7 @@ class Covector:
         return is_zero_vector(self.coefficients)
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_Record):
     """The constructor checks the dimension, the labels, that the table is in
     the canonical sparse form and the Jacobi identity. Tables that are
     canonical by construction (`from_brackets`, `semidirect_sum`, parsed

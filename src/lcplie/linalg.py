@@ -7,6 +7,7 @@ elimination, and `SparseRows`, the nonzero rows as (column, int) pairs,
 for products. A `Subspace` is stored in the integer form, as the primitive
 integer rows of its reduced row echelon form; its Fraction basis is a view.
 One sparse integer pass (`_definite_inverse`) checks and inverts a Gram matrix.
+`_Record` is the frozen-record base of the package's value classes.
 Every routine here is pure and exact. Floating point never enters this
 module.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm, prod
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -506,15 +507,81 @@ def _check_ambient_dim(n: object) -> None:
         raise ValueError(f"ambient dimension must be a non-negative integer, got {n!r}")
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _Record:
+    """Base of the frozen record classes, built without generating code.
+
+    A subclass's fields are its own annotated names, in order. The one
+    `__init__` takes them by position or by name and then runs
+    `__post_init__`; equality (records of the same class only), the hash and
+    the `Name(field=value, ...)` repr read them through one attrgetter.
+    Assignment and deletion raise AttributeError: values derived in
+    `__post_init__` or `_canonical` are set with `object.__setattr__`, and
+    `cached_property` writes the instance `__dict__`.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, set_field = self._fields, object.__setattr__
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        # one by one, not through __dict__: an instance whose __dict__ was never
+        # read keeps its values inline, where attribute reads take a third the time
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """The arguments as one value per field, in order; TypeError on a
+        missing, extra or unknown one."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values.update(kwargs)
+        if missing := [key for key in fields if key not in values]:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return tuple(map(values.__getitem__, fields))
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Subspace(_Record):
     """A rational subspace held by its canonical reduced row echelon form.
 
     Each of `rows` is the primitive integer multiple, with a positive pivot
     entry, of one canonical rref row; `basis` is those rref rows as Fractions,
     built on first read. Both forms are unique to the span, so equality of
-    Subspace values is equality of subspaces. `pivots` holds the pivot column
-    of each row.
+    Subspace values is equality of subspaces. `pivots`, set with the rows but
+    not a field, holds the pivot column of each row.
 
     The constructor checks the form of rows given from outside. The
     subspaces this module computes are canonical by construction and come
@@ -523,7 +590,6 @@ class Subspace:
 
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows, n = self.rows, self.ambient_dim

@@ -20,7 +20,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -220,14 +219,15 @@ class TestGuard:
             assert counts == {"int matrix": 1}, name
 
     def test_a_hand_built_document_gets_the_public_table_check(self):
-        bad = documents.AlgebraDocument(
+        fields = dict(
             dim=2, basis=("a", "b"), brackets=((1, 0, ((0, F(1)),)),),  # i > j
             metric=None, theta=None, flat_factor=None, triple=None,
         )
+        bad = documents.AlgebraDocument(**fields)
         with pytest.raises(ValueError, match="not in the canonical sparse form"):
             documents.document_algebra(bad)
         triple = documents.TripleBlock(h=bad, q=1, beta=(((F(0),),), ((F(0),),)))
         with pytest.raises(ValueError, match="not in the canonical sparse form"):
-            documents.document_triple(replace(bad, triple=triple))
+            documents.document_triple(documents.AlgebraDocument(**{**fields, "triple": triple}))
         with pytest.raises(ValueError, match="dimension must be positive"):
-            documents.document_algebra(replace(bad, dim=2.0, brackets=()))
+            documents.document_algebra(documents.AlgebraDocument(**{**fields, "dim": 2.0, "brackets": ()}))

@@ -522,6 +522,19 @@ class TestInnerProduct:
         rows = (vector([1, 1, 0]), vector([0, 0, 2]))
         assert gram.restrict(rows) == matrix([[2, 0], [0, 4]])
 
+    def test_restrict_matches_the_per_entry_form(self):
+        rng = random.Random(1729)
+        for n in range(1, 6):
+            for _ in range(4):
+                metric = random_llt_metric(rng, n)
+                rows = [tuple(small_rational(rng) for _ in range(n)) for _ in range(rng.randint(0, n + 1))]
+                rows += [tuple(rng.randint(-2, 2) for _ in range(n))]  # int entries are read as they are
+                expected = tuple(tuple(metric.value(r, s) for s in rows) for r in rows)
+                assert metric.restrict(rows) == expected
+        for row in ((1.0, F(0)), (True, F(0))):
+            with pytest.raises(TypeError):
+                InnerProduct.identity(2).restrict([(F(1), F(0)), row])
+
     def test_definiteness_check_matches_the_per_minor_oracle(self):
         samples = symmetric_samples(seed=1968)
         assert len(samples) >= 100

@@ -246,6 +246,31 @@ class TestParallelAndFlat:
                         verdicts.add(dense)
         assert verdicts == {True, False}
 
+    def test_is_parallel_matches_the_invariant_part(self):
+        rng = random.Random(4242)
+        verdicts = set()
+        for structure in corpus_structures():
+            algebra, conn, n = structure.algebra, structure.connection(), structure.algebra.dim
+            spans = coordinate_subspaces(n) + [structure.flat_factor, structure.orthocomplement()]
+            for _ in range(6):
+                rows = [[small_rational(rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
+                spans.append(Subspace.from_vectors(rows, n))
+            for s in spans:
+                expected = lcp._invariant_part(s, conn.rows).dim == s.dim
+                assert is_parallel(algebra, conn, s) == expected
+                if 0 < s.dim < n:
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_is_parallel_runs_no_null_space(self, sol3, monkeypatch):
+        conn = sol3_weyl(sol3)
+        lines = [Subspace.from_vectors([vector(v)], 3) for v in ([0, 1, 0], [0, 0, 1])]
+        calls = []
+        original = linalg._null_space
+        monkeypatch.setattr(linalg, "_null_space", lambda *args: calls.append(args) or original(*args))
+        assert [is_parallel(sol3, conn, line) for line in lines] == [False, False]
+        assert calls == []
+
 
 class TestMaximalFlatFactor:
     def test_self_check_makes_no_bracket_calls(
