@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -334,36 +335,45 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled action {args.action}")
 
 
+@contextlib.contextmanager
+def _printable_ints():
+    """Turn the ValueError of an int past Python's limit on int-to-string
+    digits, raised while an output is built, into a CommandError."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CommandError(f"result has an integer of more than {limit} digits to print") from None
+
+
 def cmd_lattice(args: argparse.Namespace) -> int:
+    """Each action builds its whole output before it writes any of it."""
     doc = documents.parse_lattice_document(_load(args.file))
     endo = IntegerEndomorphism(doc.matrix)
+    lines: list[str] = []
 
     if args.action == "snf":
         u, d, v = smith_normal_form(endo)
-        if args.json:
-            payload = {
-                "u": [list(r) for r in u],
-                "d": [list(r) for r in d],
-                "v": [list(r) for r in v],
-                "divisors": [d[i][i] for i in range(len(d))],
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"divisors: ({', '.join(str(d[i][i]) for i in range(len(d)))})")
-            print(f"U = {[list(r) for r in u]}")
-            print(f"D = {[list(r) for r in d]}")
-            print(f"V = {[list(r) for r in v]}")
-        return 0
+        with _printable_ints():
+            if args.json:
+                payload = {
+                    "u": [list(r) for r in u],
+                    "d": [list(r) for r in d],
+                    "v": [list(r) for r in v],
+                    "divisors": [d[i][i] for i in range(len(d))],
+                }
+                lines.append(json.dumps(payload, indent=2))
+            else:
+                lines.append(f"divisors: ({', '.join(str(d[i][i]) for i in range(len(d)))})")
+                lines += [f"{name} = {[list(r) for r in m]}" for name, m in zip("UDV", (u, d, v))]
 
-    if args.action == "index":
+    elif args.action == "index":
         idx = lattice_index(endo)
-        if args.json:
-            print(json.dumps({"index": "infinite" if idx is None else idx}, indent=2))
-        else:
-            print(f"index: {'infinite' if idx is None else idx}")
-        return 0
+        idx = "infinite" if idx is None else idx
+        with _printable_ints():
+            lines.append(json.dumps({"index": idx}, indent=2) if args.json else f"index: {idx}")
 
-    if args.action == "lemma51":
+    elif args.action == "lemma51":
         if doc.e1 is None or doc.e2 is None:
             raise CommandError("document has no split block (e1/e2 bases)")
         k = endo.size
@@ -374,54 +384,54 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CommandError(f"invalid decomposition: {exc}") from exc
         verdict = check_splitting(endo, split)
-        if args.json:
-            payload = {
-                "hypotheses": {
-                    "integral": verdict.integral,
-                    "e1_invariant": verdict.e1_invariant,
-                    "e2_invariant": verdict.e2_invariant,
-                    "restriction_invertible": verdict.restriction_invertible,
-                },
-                "det_a_minus_i": verdict.det_minus_identity,
-                "index": verdict.index,
-                "witness": None
-                if verdict.witness is None
-                else {
-                    "x": list(verdict.witness.vector),
-                    "hyperplane": _subspace_rows(verdict.witness.hyperplane),
-                },
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                "hypotheses: integral: {}; E1 invariant: {}; E2 invariant: {}; "
-                "(A - I)|E1 invertible: {}".format(
-                    _yesno(verdict.integral),
-                    _yesno(verdict.e1_invariant),
-                    _yesno(verdict.e2_invariant),
-                    _yesno(verdict.restriction_invertible),
-                )
-            )
-            print(f"det(A - I) = {verdict.det_minus_identity}")
-            if verdict.index is not None:
-                print(f"conclusion holds: finite index {verdict.index}")
-            elif verdict.witness is not None:
-                x = verdict.witness.vector
-                print(f"witness x = ({', '.join(str(c) for c in x)})")
-                coords = [f"x{i + 1}" for i in range(k)]
-                print(
-                    f"hyperplane W = {_format_subspace(verdict.witness.hyperplane, coords)}"
-                    f" (dim {verdict.witness.hyperplane.dim})"
-                )
-                print(
-                    "density refuted: projections of lattice points onto E2 lie in "
-                    "W + Z * p2(x/|x|^2)"
-                )
+        with _printable_ints():
+            if args.json:
+                payload = {
+                    "hypotheses": {
+                        "integral": verdict.integral,
+                        "e1_invariant": verdict.e1_invariant,
+                        "e2_invariant": verdict.e2_invariant,
+                        "restriction_invertible": verdict.restriction_invertible,
+                    },
+                    "det_a_minus_i": verdict.det_minus_identity,
+                    "index": verdict.index,
+                    "witness": None
+                    if verdict.witness is None
+                    else {
+                        "x": list(verdict.witness.vector),
+                        "hyperplane": _subspace_rows(verdict.witness.hyperplane),
+                    },
+                }
+                lines.append(json.dumps(payload, indent=2))
             else:
-                print("no conclusion: hypotheses fail and det(A - I) is nonzero")
-        return 0
+                hypotheses = (verdict.integral, verdict.e1_invariant, verdict.e2_invariant,
+                              verdict.restriction_invertible)
+                lines.append(
+                    "hypotheses: integral: {}; E1 invariant: {}; E2 invariant: {}; "
+                    "(A - I)|E1 invertible: {}".format(*map(_yesno, hypotheses))
+                )
+                lines.append(f"det(A - I) = {verdict.det_minus_identity}")
+                if verdict.index is not None:
+                    lines.append(f"conclusion holds: finite index {verdict.index}")
+                elif verdict.witness is not None:
+                    x = verdict.witness.vector
+                    lines.append(f"witness x = ({', '.join(str(c) for c in x)})")
+                    coords = [f"x{i + 1}" for i in range(k)]
+                    lines.append(
+                        f"hyperplane W = {_format_subspace(verdict.witness.hyperplane, coords)}"
+                        f" (dim {verdict.witness.hyperplane.dim})"
+                    )
+                    lines.append(
+                        "density refuted: projections of lattice points onto E2 lie in "
+                        "W + Z * p2(x/|x|^2)"
+                    )
+                else:
+                    lines.append("no conclusion: hypotheses fail and det(A - I) is nonzero")
 
-    raise AssertionError(f"unhandled action {args.action}")
+    else:
+        raise AssertionError(f"unhandled action {args.action}")
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 # Built on the first call, not at import. Sharing one parser between calls is

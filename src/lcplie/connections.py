@@ -30,6 +30,7 @@ from .linalg import (
     _definite_inverse,
     _dense_row,
     _exact,
+    _gram_product,
     _integer_row,
     _lift,
     _lowest_terms,
@@ -107,15 +108,12 @@ class InnerProduct(_Record):
         return mat_vec(self.gram_inverse, theta.coefficients)
 
     def restrict(self, rows: Sequence[Vector]) -> Matrix:
-        """Gram matrix of the form on the given spanning rows: G s once per row
-        s, and each entry r <= s once, the form being symmetric."""
-        rows = [_exact(r, _RATIONAL) for r in rows]
-        images = [mat_vec(self.gram, s) for s in rows]
-        out = [[ZERO] * len(rows) for _ in rows]
-        for i, r in enumerate(rows):
-            for j in range(i, len(rows)):
-                out[i][j] = out[j][i] = dot(r, images[j])
-        return tuple(map(tuple, out))
+        """Gram matrix R G R^T of the form on the given spanning rows R: the
+        product d^2 R G of `_gram_product` times (d R)^T on ints, over d^3."""
+        d, lifted, products = _gram_product(self.gram, [_exact(r, _RATIONAL) for r in rows])
+        acc: dict[int, dict[int, int]] = {}
+        _add_product(acc, _columns(products), _columns(lifted).items())
+        return _unlift(d ** 3, _sparse(acc), len(rows))
 
 
 def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -> Matrix:

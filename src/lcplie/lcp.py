@@ -37,12 +37,13 @@ from .linalg import (
     Matrix,
     SparseRows,
     Subspace,
+    _RATIONAL,
     _Record,
+    _columns,
     _dense_row,
     _descending_chain,
     _exact,
     _unlift,
-    as_fraction,
     dot,
     identity_matrix,
     transpose,
@@ -371,12 +372,12 @@ def triple_from_lcp(structure: LCPStructure) -> LCPTriple:
     _, brackets = hperp._restriction(ads)
     if brackets is None:
         raise ValueError("metric complement of the flat factor is not a subalgebra" + _NO_SPLIT)
-    # column j of ad_{b_i} on h is [b_i, b_j]; from_brackets drops zero terms
-    ad_h = [transpose(_unlift(c * b_h * b_h, rows, m)) for rows in brackets]
-    h_brackets = {
-        (i, j): dict(enumerate(ad[j])) for i, ad in enumerate(ad_h) for j in range(i + 1, m)
-    }
-    h_algebra = LieAlgebra.from_brackets(m, h_brackets, [algebra.labels[p] for p in hperp.pivots])
+    # [b_i, b_j], i < j, is column j of ad_{b_i} on h, whose rows are over c B_h^2
+    table = tuple(
+        (i, j, tuple((k, Fraction(x, c * b_h * b_h)) for k, x in columns[j]))
+        for i, columns in enumerate(map(_columns, brackets)) for j in range(i + 1, m) if j in columns
+    )
+    h_algebra = LieAlgebra._canonical(m, tuple(algebra.labels[p] for p in hperp.pivots), table)
     h_metric = InnerProduct(structure.metric.restrict(hperp.basis))
     _, actions = u._restriction(ads)
     if actions is None:
@@ -465,7 +466,7 @@ def is_conformal_action(gram_u: Matrix, action: Matrix, lee_value: Fraction) -> 
     q = len(gram_u)
     if len(action) != q or any(len(row) != q for row in gram_u + action):
         raise ValueError("gram_u and action must be square matrices of one size")
-    two_w = 2 * as_fraction(lee_value)
+    two_w = 2 * _exact((lee_value,), _RATIONAL)[0]
     ga = [[dot(row, col) for col in transpose(action)] for row in gram_u]
     # (A^T G)[r][c] = (G A)[c][r], as G is symmetric
     return all(

@@ -34,7 +34,6 @@ from .linalg import (
     dot,
     is_zero_vector,
     pairs,
-    transpose,
     vector,
 )
 
@@ -181,7 +180,8 @@ class LieAlgebra(_Record):
     """The constructor checks the dimension, the labels, that the table is in
     the canonical sparse form and the Jacobi identity. Tables that are
     canonical by construction (`from_brackets`, `semidirect_sum`, parsed
-    documents) come through `_canonical`, which skips only the form check."""
+    documents and the acting algebra of `lcp.triple_from_lcp`) come through
+    `_canonical`, which skips only the form check."""
 
     dim: int
     labels: tuple[str, ...]

@@ -328,30 +328,11 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
     return _fraction_rows(reduced, pivots), pivots
 
 
-def rank(m: Iterable[Sequence[Fraction]]) -> int:
-    return len(_echelon(m)[1])
-
-
 def kernel(m: Matrix, ncols: int | None = None) -> Matrix:
     """Canonical (rref) basis of the right null space {x : m x = 0}."""
     if not m and ncols is None:
         raise ValueError("kernel of an empty matrix needs an explicit width")
     return _fraction_rows(*_null_space(m, len(m[0]) if m else ncols))
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
-    """A particular solution of a x = b (free variables set to 0), or None."""
-    if not a:
-        return None if not is_zero_vector(b) else ()
-    ncols = len(a[0])
-    augmented = [list(row) + [bi] for row, bi in zip(a, b, strict=True)]
-    reduced, pivots = rref(augmented)
-    x = [ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None  # pivot in the constant column: inconsistent
-        x[p] = row[ncols]
-    return tuple(x)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -492,14 +473,22 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     return pos, neg, n - pos - neg
 
 
-def _gram_rows(gram: Matrix, rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """A positive multiple of r G for each r of rows as dense int rows, zero rows
-    left out: for a symmetric G, the conditions g(r, x) = 0, from one sparse product."""
+def _gram_product(
+    gram: Matrix, rows: Sequence[Sequence[int | Fraction]]
+) -> tuple[int, SparseRows, SparseRows]:
+    """(d, d R, d^2 R G): the common denominator d of G and the rows R, the
+    lifted rows and their product with G, from one `_lift` and one sparse product."""
     n = len(gram)
     if any(len(row) != n for row in (*gram, *rows)):
         raise ValueError("gram matrix and rows must have matching dimensions")
-    _, (g, r) = _lift((gram, rows))
-    return [_dense_row(terms, n) for _, terms in _products(r, (g,))[0]]
+    d, (g, r) = _lift((gram, rows))
+    return d, r, _products(r, (g,))[0]
+
+
+def _gram_rows(gram: Matrix, rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+    """A positive multiple of r G for each r of rows as dense int rows, zero rows
+    left out: for a symmetric G, the conditions g(r, x) = 0."""
+    return [_dense_row(terms, len(gram)) for _, terms in _gram_product(gram, rows)[2]]
 
 
 def _check_ambient_dim(n: object) -> None:
@@ -721,7 +710,7 @@ class Subspace(_Record):
 
     def constraint_matrix(self) -> Matrix:
         """Rows y with y . v = 0 exactly characterizing membership in the span."""
-        return kernel(self.rows, self.ambient_dim)
+        return _fraction_rows(*_null_space(self.rows, self.ambient_dim))
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
         """Complement with respect to the inner product given by gram."""

@@ -2,7 +2,8 @@
 public constructor. What the engine computes itself is built through private
 constructors that do not check it again: `Subspace._canonical` for echelon
 rows from `_echelon`, `_null_space` and `restrict`, and `LieAlgebra._canonical`
-for bracket tables from `from_brackets`, `semidirect_sum` and parsed documents.
+for bracket tables from `from_brackets`, `semidirect_sum`, parsed documents and
+`triple_from_lcp`.
 
 The oracle tests wrap both private constructors so that each call also runs
 the public check it skips, over the CLI corpus, the scaling family and

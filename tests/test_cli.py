@@ -474,6 +474,22 @@ class TestLattice:
         assert code == 2
         assert "split" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_snf_past_the_int_digit_limit_is_one_error_line(self, run, tmp_path, flags):
+        """U and V of this matrix have entries of about 988 digits: past a limit of
+        640 on int-to-string digits, nothing is printed but one error line."""
+        rng = random.Random(0)
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({"matrix": [[rng.randint(-3, 3) for _ in range(48)] for _ in range(48)]}))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run("lattice", "snf", str(doc), *flags)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err == "error: result has an integer of more than 640 digits to print\n"
+
     def test_non_square_matrix_is_a_parse_error(self, run, tmp_path):
         doc = tmp_path / "rect.json"
         doc.write_text('{"matrix": [[1, 0, 0], [0, 1, 0]]}')

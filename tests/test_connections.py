@@ -535,6 +535,20 @@ class TestInnerProduct:
             with pytest.raises(TypeError):
                 InnerProduct.identity(2).restrict([(F(1), F(0)), row])
 
+    def test_restrict_edge_cases(self):
+        metric = InnerProduct(matrix([[2, "1/2"], ["1/2", 3]]))
+        assert metric.restrict([]) == ()
+        # zero rows give zero rows and columns, also beside a nonzero row
+        assert metric.restrict([(F(0), F(0)), (0, 0)]) == matrix([[0, 0], [0, 0]])
+        assert metric.restrict([(F(0), F(0)), (F(1), F(0))]) == matrix([[0, 0], [0, 2]])
+        for row in ((F(1),), (F(1), F(0), F(0)), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                metric.restrict([(F(1), F(0)), row])
+        # rows of ints only are read as they are, and the entries come out as Fractions
+        out = metric.restrict([(1, 2), (0, -3)])
+        assert out == matrix([[16, "-39/2"], ["-39/2", 27]])
+        assert {type(x) for row in out for x in row} == {Fraction}
+
     def test_definiteness_check_matches_the_per_minor_oracle(self):
         samples = symmetric_samples(seed=1968)
         assert len(samples) >= 100

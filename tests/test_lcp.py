@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from lcplie import connections, lcp, linalg
+from lcplie import cli, connections, documents, lattice, lcp, liealg, linalg
 from lcplie.connections import Connection, InnerProduct, curvature, weyl_connection
 from lcplie.lcp import (
     CLASS_CONFORMALLY_FLAT,
@@ -61,7 +61,6 @@ from lcplie.linalg import (
     kernel,
     mat_vec,
     matrix,
-    rank,
     transpose,
     vector,
 )
@@ -85,11 +84,12 @@ from test_connections import (
     random_connection,
     random_llt_metric,
     random_triple_structure,
+    scaling_structure,
     small_rational,
 )
 from test_cli_bytes import RECORD, commands, invoke
 from test_liealg import DenseBrackets
-from test_linalg import fraction_coordinates
+from test_linalg import fraction_coordinates, rank
 
 F = Fraction
 
@@ -1252,13 +1252,14 @@ def mixed_basis(s, rng):
 
 def extraction_cases():
     """Structures for the extraction oracles: the corpus, the seeded triples of
-    `test_round_trip_on_seeded_random_triples`, those with the flat factor
-    first again on a `mixed_basis`, and for each of
+    `test_round_trip_on_seeded_random_triples`, the scaling family for n = 4..12,
+    those with the flat factor first again on a `mixed_basis`, and for each of
     `pipeline_cases` its maximal flat factor and, under the identity metric,
     every proper nonzero coordinate subspace, most of which do not split."""
     cases = corpus_structures()
     rng = random.Random(61)
     cases += [build_from_triple(random_rotation_triple(rng)) for _ in range(12)]
+    cases += [scaling_structure(n) for n in range(4, 13)]
     cases += [
         mixed_basis(s, rng) for s in cases
         if s.flat_factor == Subspace.from_vectors(identity_matrix(s.algebra.dim)[:s.flat_factor.dim], s.algebra.dim)
@@ -1319,6 +1320,39 @@ class TestExtractionOracles:
 
 
 class TestOneRestrictionRoute:
+    def test_extraction_and_the_conformal_check_take_no_dense_route(self, monkeypatch):
+        """`triple_from_lcp` builds h's table from integer rows, and it and
+        `verify_conformal_exponential` restrict the metric through one sparse
+        product: over every extraction case, neither reaches the dense routes.
+        Each is counted in every module that binds it."""
+        cases = extraction_cases()
+        calls = Counter()
+        from_brackets = LieAlgebra.from_brackets.__func__
+        monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(
+            lambda cls, *args: calls.update(["from_brackets"]) or from_brackets(cls, *args)
+        ))
+        for owner, name in ((liealg, "_normalize_brackets"), (linalg, "as_fraction"), (linalg, "mat_vec")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (cli, connections, documents, lattice, lcp, liealg, linalg):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        LieAlgebra.from_brackets(1, {})
+        InnerProduct.identity(1).value((F(1),), ("1",))
+        assert calls == {"from_brackets": 1, "_normalize_brackets": 1, "as_fraction": 1, "mat_vec": 1}
+        calls.clear()
+        outcomes = Counter()
+        for s in cases:
+            outcomes["triple" if isinstance(outcome(triple_from_lcp, s), LCPTriple) else "none"] += 1
+            for x in s.orthocomplement().basis:
+                outcomes[outcome(verify_conformal_exponential, s, x, 1.0, 1e-9)] += 1
+        assert outcomes["triple"] >= 20 and outcomes[True] > 100 and outcomes[False] > 100
+        assert calls == {}
+
     def test_no_command_or_extraction_calls_bracket_or_coordinates_of(self, monkeypatch):
         """Every command line of `cli_bytes.json`, and the extraction, the
         conformal check and Lemma 5.1 on the corpus, restrict operators on

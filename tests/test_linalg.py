@@ -33,9 +33,7 @@ from lcplie.linalg import (
     matrix,
     pair_index,
     pairs,
-    rank,
     rref,
-    solve,
     symmetric_signature,
     vector,
 )
@@ -195,13 +193,10 @@ def test_kernel_of_empty_matrix_is_identity():
     assert kernel((), ncols=3) == identity_matrix(3)
 
 
-def test_solve_and_inverse():
+def test_inverse():
     a = matrix([[2, 1], [1, 1]])
-    x = solve(a, vector([3, 2]))
-    assert x == (F(1), F(1))
     inv = inverse(a)
     assert mat_mul(a, inv) == identity_matrix(2)
-    assert solve(matrix([[1, 1], [1, 1]]), vector([0, 1])) is None
 
 
 def test_products_match_the_schoolbook_formula_on_sparse_matrices():
@@ -254,7 +249,7 @@ def test_det_rejects_float_and_bool_entries():
 
 def test_rank_rejects_float_entries():
     with pytest.raises(TypeError):
-        rank([[0.5, 1]])
+        len(rref([[0.5, 1]])[1])
 
 
 def test_kernel_rejects_float_entries():
@@ -264,8 +259,8 @@ def test_kernel_rejects_float_entries():
 
 def test_rank_rejects_bool_entries():
     with pytest.raises(TypeError):
-        rank([[True, False]])
-    assert rank([[1, 0], [2, 0]]) == 1
+        len(rref([[True, False]])[1])
+    assert len(rref([[1, 0], [2, 0]])[1]) == 1
 
 
 def bareiss_samples(seed):
@@ -556,6 +551,11 @@ def reference_rref(rows):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
+def rank(rows):
+    """The rank of a rational matrix, read off the `reference_rref` oracle."""
+    return len(reference_rref(rows)[1])
+
+
 def random_rational_rows(rng):
     """A seeded matrix mixing small and huge (above 2**64) rationals, plain ints,
     zeros, zero rows, repeated and dependent rows."""
@@ -691,28 +691,6 @@ class TestIntegerElimination:
                 assert mat_vec(m, v) == (F(0),) * len(m)
             assert rank(m) + len(null) == ncols
             assert len(reference_rref(null)[0]) == len(null)
-
-    def test_solve_solves_or_reports_inconsistency(self):
-        rng = random.Random(2720)
-        outcomes = set()
-        for _ in range(100):
-            rows = random_rational_rows(rng)
-            if not rows or not rows[0]:
-                continue
-            a = tuple(tuple(F(x) for x in row) for row in rows)
-            if rng.random() < 0.5:
-                x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in a[0]]
-                b = mat_vec(a, x0)
-            else:
-                b = tuple(F(rng.randint(-4, 4)) for _ in a)
-            augmented = [row + (bi,) for row, bi in zip(a, b)]
-            consistent = len(reference_rref(a)[0]) == len(reference_rref(augmented)[0])
-            x = solve(a, b)
-            assert (x is not None) == consistent
-            if x is not None:
-                assert mat_vec(a, x) == b
-            outcomes.add(consistent)
-        assert outcomes == {True, False}
 
     def test_inverse_is_a_two_sided_inverse_and_singular_raises(self):
         rng = random.Random(2721)
