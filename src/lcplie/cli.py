@@ -1,12 +1,14 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity.
+Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity. Commands
+only print: `main` alone writes stdout and maps failures to exit codes.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import io
 import json
 import sys
 from math import gcd
@@ -106,17 +108,10 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _require_algebra(doc: AlgebraDocument) -> None:
+def _algebra(doc: AlgebraDocument) -> LieAlgebra:
     if not doc.has_algebra:
         raise CommandError("document has no algebra fields (dim, basis, brackets)")
-
-
-def _algebra(doc: AlgebraDocument) -> LieAlgebra:
-    _require_algebra(doc)
-    try:
-        return documents.document_algebra(doc, parsed=True)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    return documents.document_algebra(doc, parsed=True)
 
 
 def _metric(doc: AlgebraDocument) -> InnerProduct:
@@ -210,11 +205,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _detect_payload(doc: AlgebraDocument):
-    algebra = _algebra(doc)
-    metric = _metric(doc)
-    theta = _theta(doc)
-    u = _flat_factor(doc)
-    return algebra, metric, theta, u
+    return _algebra(doc), _metric(doc), _theta(doc), _flat_factor(doc)
 
 
 def cmd_lcp(args: argparse.Namespace) -> int:
@@ -250,12 +241,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
 
     if args.action == "max-flat":
         algebra = _algebra(doc)
-        metric = _metric(doc)
-        theta = _theta(doc)
-        try:
-            result = maximal_flat_factor(algebra, metric, theta)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        result = maximal_flat_factor(algebra, _metric(doc), _theta(doc))
         if args.json:
             payload = {
                 "flat_factor": _subspace_rows(result.subspace),
@@ -281,12 +267,8 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     if args.action == "from-triple":
         if doc.triple is None:
             raise CommandError("document has no triple block")
-        try:
-            triple = documents.document_triple(doc, parsed=True)
-            structure = build_from_triple(triple)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
-        sys.stdout.write(documents.emit_algebra_document(documents.structure_document(structure)))
+        structure = build_from_triple(documents.document_triple(doc, parsed=True))
+        print(documents.emit_algebra_document(documents.structure_document(structure)), end="")
         return 0
 
     if args.action == "char-bound":
@@ -304,10 +286,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
                 candidate = Subspace.from_vectors(rows, algebra.dim)
             except (ValueError, DocumentError, RecursionError) as exc:
                 raise CommandError(f"invalid candidate basis: {exc}") from exc
-            try:
-                report = check_candidate(structure, candidate)
-            except ValueError as exc:
-                raise CommandError(str(exc)) from exc
+            report = check_candidate(structure, candidate)
         if args.json:
             payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
             if report is not None:
@@ -335,43 +314,29 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled action {args.action}")
 
 
-@contextlib.contextmanager
-def _printable_ints():
-    """Turn the ValueError of an int past Python's limit on int-to-string
-    digits, raised while an output is built, into a CommandError."""
-    try:
-        yield
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise CommandError(f"result has an integer of more than {limit} digits to print") from None
-
-
 def cmd_lattice(args: argparse.Namespace) -> int:
-    """Each action builds its whole output before it writes any of it."""
     doc = documents.parse_lattice_document(_load(args.file))
     endo = IntegerEndomorphism(doc.matrix)
-    lines: list[str] = []
 
     if args.action == "snf":
         u, d, v = smith_normal_form(endo)
-        with _printable_ints():
-            if args.json:
-                payload = {
-                    "u": [list(r) for r in u],
-                    "d": [list(r) for r in d],
-                    "v": [list(r) for r in v],
-                    "divisors": [d[i][i] for i in range(len(d))],
-                }
-                lines.append(json.dumps(payload, indent=2))
-            else:
-                lines.append(f"divisors: ({', '.join(str(d[i][i]) for i in range(len(d)))})")
-                lines += [f"{name} = {[list(r) for r in m]}" for name, m in zip("UDV", (u, d, v))]
+        if args.json:
+            payload = {
+                "u": [list(r) for r in u],
+                "d": [list(r) for r in d],
+                "v": [list(r) for r in v],
+                "divisors": [d[i][i] for i in range(len(d))],
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            print(f"divisors: ({', '.join(str(d[i][i]) for i in range(len(d)))})")
+            for name, m in zip("UDV", (u, d, v)):
+                print(f"{name} = {[list(r) for r in m]}")
 
     elif args.action == "index":
         idx = lattice_index(endo)
         idx = "infinite" if idx is None else idx
-        with _printable_ints():
-            lines.append(json.dumps({"index": idx}, indent=2) if args.json else f"index: {idx}")
+        print(json.dumps({"index": idx}, indent=2) if args.json else f"index: {idx}")
 
     elif args.action == "lemma51":
         if doc.e1 is None or doc.e2 is None:
@@ -384,53 +349,51 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CommandError(f"invalid decomposition: {exc}") from exc
         verdict = check_splitting(endo, split)
-        with _printable_ints():
-            if args.json:
-                payload = {
-                    "hypotheses": {
-                        "integral": verdict.integral,
-                        "e1_invariant": verdict.e1_invariant,
-                        "e2_invariant": verdict.e2_invariant,
-                        "restriction_invertible": verdict.restriction_invertible,
-                    },
-                    "det_a_minus_i": verdict.det_minus_identity,
-                    "index": verdict.index,
-                    "witness": None
-                    if verdict.witness is None
-                    else {
-                        "x": list(verdict.witness.vector),
-                        "hyperplane": _subspace_rows(verdict.witness.hyperplane),
-                    },
-                }
-                lines.append(json.dumps(payload, indent=2))
-            else:
-                hypotheses = (verdict.integral, verdict.e1_invariant, verdict.e2_invariant,
-                              verdict.restriction_invertible)
-                lines.append(
-                    "hypotheses: integral: {}; E1 invariant: {}; E2 invariant: {}; "
-                    "(A - I)|E1 invertible: {}".format(*map(_yesno, hypotheses))
+        if args.json:
+            payload = {
+                "hypotheses": {
+                    "integral": verdict.integral,
+                    "e1_invariant": verdict.e1_invariant,
+                    "e2_invariant": verdict.e2_invariant,
+                    "restriction_invertible": verdict.restriction_invertible,
+                },
+                "det_a_minus_i": verdict.det_minus_identity,
+                "index": verdict.index,
+                "witness": None
+                if verdict.witness is None
+                else {
+                    "x": list(verdict.witness.vector),
+                    "hyperplane": _subspace_rows(verdict.witness.hyperplane),
+                },
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            hypotheses = (verdict.integral, verdict.e1_invariant, verdict.e2_invariant,
+                          verdict.restriction_invertible)
+            print(
+                "hypotheses: integral: {}; E1 invariant: {}; E2 invariant: {}; "
+                "(A - I)|E1 invertible: {}".format(*map(_yesno, hypotheses))
+            )
+            print(f"det(A - I) = {verdict.det_minus_identity}")
+            if verdict.index is not None:
+                print(f"conclusion holds: finite index {verdict.index}")
+            elif verdict.witness is not None:
+                x = verdict.witness.vector
+                print(f"witness x = ({', '.join(str(c) for c in x)})")
+                coords = [f"x{i + 1}" for i in range(k)]
+                print(
+                    f"hyperplane W = {_format_subspace(verdict.witness.hyperplane, coords)}"
+                    f" (dim {verdict.witness.hyperplane.dim})"
                 )
-                lines.append(f"det(A - I) = {verdict.det_minus_identity}")
-                if verdict.index is not None:
-                    lines.append(f"conclusion holds: finite index {verdict.index}")
-                elif verdict.witness is not None:
-                    x = verdict.witness.vector
-                    lines.append(f"witness x = ({', '.join(str(c) for c in x)})")
-                    coords = [f"x{i + 1}" for i in range(k)]
-                    lines.append(
-                        f"hyperplane W = {_format_subspace(verdict.witness.hyperplane, coords)}"
-                        f" (dim {verdict.witness.hyperplane.dim})"
-                    )
-                    lines.append(
-                        "density refuted: projections of lattice points onto E2 lie in "
-                        "W + Z * p2(x/|x|^2)"
-                    )
-                else:
-                    lines.append("no conclusion: hypotheses fail and det(A - I) is nonzero")
+                print(
+                    "density refuted: projections of lattice points onto E2 lie in "
+                    "W + Z * p2(x/|x|^2)"
+                )
+            else:
+                print("no conclusion: hypotheses fail and det(A - I) is nonzero")
 
     else:
         raise AssertionError(f"unhandled action {args.action}")
-    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -471,15 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command with stdout on a buffer, written once it returns, so a
+    failed command writes no stdout; a RuntimeError (a failed self-check) propagates."""
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CommandError, ValueError) as exc:
+        message = str(exc)
+        if "integer string conversion" in message:  # Python's int-to-string digit limit
+            limit = sys.get_int_max_str_digits()
+            message = f"result has an integer of more than {limit} digits to print"
+        print(f"error: {message}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

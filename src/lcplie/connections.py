@@ -14,7 +14,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .liealg import Covector, LieAlgebra, _bracket_defects
 from .linalg import (
@@ -129,6 +129,20 @@ def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -
     return _unlift(d * scale, _sparse(acc), n)
 
 
+def _check_operators(record: _Record, count: Callable[[int], int], one_per: str) -> None:
+    """ValueError unless dim and denominator are ints >= 1, not bools, and rows
+    is a tuple of count(dim) operators, one per basis `one_per`. The entries
+    of the operators are not read, so the check costs O(dim)."""
+    name = type(record).__name__
+    for field in ("dim", "denominator"):
+        value = getattr(record, field)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} {field} must be an integer >= 1, got {value!r}")
+    n = count(record.dim)
+    if not isinstance(record.rows, tuple) or len(record.rows) != n:
+        raise ValueError(f"{name} rows must be a tuple of {n} operators, one per basis {one_per}")
+
+
 class Connection(_Record):
     """Operators nabla[i] = D_{e_i}, stored as `CurvatureTensor` stores its own:
     rows[i] holds the nonzero rows of `denominator` times nabla[i] as ints, in
@@ -137,6 +151,9 @@ class Connection(_Record):
     dim: int
     denominator: int
     rows: tuple[SparseRows, ...]
+
+    def __post_init__(self) -> None:
+        _check_operators(self, lambda n: n, "direction")
 
     @classmethod
     def from_matrices(cls, dim: int, nabla: Sequence[Matrix]) -> "Connection":
@@ -170,6 +187,9 @@ class CurvatureTensor(_Record):
     dim: int
     denominator: int
     rows: tuple[SparseRows, ...]
+
+    def __post_init__(self) -> None:
+        _check_operators(self, lambda n: n * (n - 1) // 2, "pair i < j")
 
     @cached_property
     def operators(self) -> tuple[Matrix, ...]:

@@ -78,11 +78,15 @@ def _exact(row: Iterable[int | str | Fraction], kinds: set[type] = _FRACTION) ->
     return row if set(map(type, row)) <= kinds else vector(row)
 
 
-def matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
-    out = tuple(vector(row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
+def _rectangular(rows: Sequence[Sequence]) -> Sequence[Sequence]:
+    """rows, or ValueError if they are not all of one length."""
+    if len({len(row) for row in rows}) > 1:
         raise ValueError("ragged matrix")
-    return out
+    return rows
+
+
+def matrix(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
+    return _rectangular(tuple(vector(row) for row in rows))
 
 
 def zero_vector(n: int) -> Vector:
@@ -103,7 +107,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+    return tuple(zip(*_rectangular(m)))
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
@@ -264,9 +268,10 @@ def _echelon(rows: Iterable[Sequence[int | Fraction]]) -> Echelon:
     lcm of its denominators and kept primitive (its content divided out) after
     every update. Elimination stops once no rows are pending or every column
     has a pivot. Rows of ints and Fractions are read as they are; other rows
-    go through `vector`, so floats and bools raise TypeError.
+    go through `vector`, so floats and bools raise TypeError; rows of unequal
+    length raise ValueError.
     """
-    pending = [row for row in map(_integer_row, rows) if any(row)]
+    pending = [row for row in _rectangular(list(map(_integer_row, rows))) if any(row)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[list[int]] = []
     pivots: list[int] = []

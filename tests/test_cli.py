@@ -1,7 +1,9 @@
 """End-to-end command behavior, exit codes and frozen report text."""
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
@@ -17,6 +19,7 @@ from lcplie.cli import main
 from lcplie.linalg import Subspace
 
 from conftest import CORPUS_DIR, corpus_text
+from test_cli_bytes import RECORD, commands
 
 SOL3_ANALYSIS = """\
 dim: 3
@@ -680,3 +683,87 @@ class TestStdlibOnly:
             out, err = capsys.readouterr()
             assert code == expected, command
             assert bool(out) == (code == 0) and bool(err) == (code != 0), command
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestOneWriter:
+    """`main` alone writes stdout, once, after the command returns, and alone maps
+    failures to exit codes: a failed command leaves stdout empty."""
+
+    DIGIT_LIMIT_LINE = "error: result has an integer of more than 640 digits to print\n"
+
+    @staticmethod
+    def _big(rng: random.Random) -> str:
+        return str(rng.choice((1, -1)) * rng.randrange(10**399, 10**400))
+
+    def test_analyze_past_the_int_digit_limit_is_one_error_line(self, run, tmp_path):
+        """In R t x R^3 with [t, x] and [t, y] vectors of 400-digit entries, the
+        echelon rows of the derived algebra are 2 x 2 minors of about 800 digits."""
+        rng = random.Random(5)
+        doc = tmp_path / "wide.json"
+        brackets = [
+            {"i": 0, "j": j, "c": {str(k): self._big(rng) for k in (1, 2, 3)}} for j in (1, 2)
+        ]
+        doc.write_text(json.dumps({"dim": 4, "basis": list("txyz"), "brackets": brackets}))
+        with int_digit_limit(640):
+            code, out, err = run("analyze", str(doc))
+        assert (code, out, err) == (2, "", self.DIGIT_LIMIT_LINE)
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_char_bound_candidate_past_the_int_digit_limit_is_one_error_line(self, run, flags):
+        rng = random.Random(6)
+        candidate = json.dumps([["0", "0"] + [self._big(rng) for _ in range(3)] for _ in range(2)])
+        with int_digit_limit(640):
+            code, out, err = run(
+                "lcp", "char-bound", corpus("rot5.json"), "--candidate", candidate, *flags
+            )
+        assert (code, out, err) == (2, "", self.DIGIT_LIMIT_LINE)
+
+    def test_every_pinned_command_writes_stdout_at_most_once(self):
+        pinned = json.loads(RECORD.read_text(encoding="utf-8"))
+
+        class CountingStdout:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        for argv in commands():
+            stdout = CountingStdout()
+            args = [str(CORPUS_DIR / a) if a.endswith(".json") else a for a in argv]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                main(args)
+            assert len(stdout.writes) <= 1, argv
+            assert "".join(stdout.writes) == pinned[" ".join(argv)]["stdout"], argv
+
+    def test_an_engine_value_error_is_exit_2_and_one_error_line(self, run, monkeypatch):
+        def fail(algebra):
+            print("partial output")
+            raise ValueError("x")
+
+        monkeypatch.setattr(cli, "radical", fail)
+        assert run("analyze", corpus("sol3.json")) == (2, "", "error: x\n")
+
+    def test_a_runtime_error_propagates(self, capsys, monkeypatch):
+        def fail(algebra):
+            print("partial output")
+            raise RuntimeError("self-check failed")
+
+        monkeypatch.setattr(cli, "radical", fail)
+        with pytest.raises(RuntimeError, match="self-check failed"):
+            main(["analyze", corpus("sol3.json")])
+        assert capsys.readouterr() == ("", "")

@@ -12,6 +12,7 @@ import pytest
 from lcplie import connections, linalg
 from lcplie.connections import (
     Connection,
+    CurvatureTensor,
     InnerProduct,
     curvature,
     is_closed,
@@ -723,6 +724,34 @@ class TestConnection:
         for nabla in ((one,), (one, identity_matrix(3)), (one, ragged)):
             with pytest.raises(ValueError, match=message):
                 Connection.from_matrices(2, nabla)
+
+    @pytest.mark.parametrize(
+        "cls, dim, denominator, rows, message",
+        [
+            (Connection, 3, 1, ((),), "Connection rows must be a tuple of 3 operators"),
+            (Connection, 2, 1, [(), ()], "Connection rows must be a tuple of 2 operators"),
+            (Connection, 3, 0, ((),) * 3, "Connection denominator must be an integer >= 1, got 0"),
+            (Connection, 2, -1, ((),) * 2, "Connection denominator must be an integer >= 1"),
+            (Connection, 2, True, ((),) * 2, "Connection denominator must be an integer >= 1"),
+            (Connection, 0, 1, (), "Connection dim must be an integer >= 1, got 0"),
+            (Connection, 2.0, 1, ((),) * 2, "Connection dim must be an integer >= 1"),
+            (CurvatureTensor, 3, 1, ((),), "CurvatureTensor rows must be a tuple of 3 operators"),
+            (CurvatureTensor, 2, F(1), ((),), "CurvatureTensor denominator must be an integer"),
+            (CurvatureTensor, True, 1, (), "CurvatureTensor dim must be an integer >= 1"),
+        ],
+    )
+    def test_constructor_checks_dim_denominator_and_operator_count(
+        self, cls, dim, denominator, rows, message
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(dim, denominator, rows)
+
+    def test_constructor_accepts_what_the_engine_builds(self, sol3):
+        conn = levi_civita(sol3, InnerProduct.identity(3))
+        assert Connection(conn.dim, conn.denominator, conn.rows) == conn
+        tensor = curvature(sol3, conn)
+        assert CurvatureTensor(3, tensor.denominator, tensor.rows) == tensor
+        assert CurvatureTensor(1, 1, ()).is_flat()
 
 
 class TestWeyl:

@@ -193,6 +193,29 @@ def test_kernel_of_empty_matrix_is_identity():
     assert kernel((), ncols=3) == identity_matrix(3)
 
 
+@pytest.mark.parametrize(
+    "routine, rows",
+    [
+        (rref, [[1, 2], [3]]),
+        (rref, [[0, 0], [0]]),
+        (kernel, ((1, 2), (1,))),
+        (linalg.transpose, ((1, 2), (3,))),
+        (linalg.transpose, ((1,), (2, 3))),
+        (matrix, [[1, 2], [3]]),
+    ],
+)
+def test_ragged_rows_are_a_value_error(routine, rows):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        routine(rows)
+
+
+def test_rectangular_rows_of_any_shape_are_read():
+    assert rref([[0, 0], [0, 0]]) == ((), ())
+    assert kernel(((1, 2),)) == ((F(1), F(-1, 2)),)
+    assert linalg.transpose(((1, 2, 3),)) == ((1,), (2,), (3,))
+    assert linalg.transpose(()) == ()
+
+
 def test_inverse():
     a = matrix([[2, 1], [1, 1]])
     inv = inverse(a)
