@@ -209,6 +209,8 @@ def _detect_payload(doc: AlgebraDocument):
 
 
 def cmd_lcp(args: argparse.Namespace) -> int:
+    if args.candidate is not None and args.action != "char-bound":
+        raise CommandError("--candidate applies only to lcp char-bound")
     doc = documents.parse_algebra_document(_load(args.file))
     if args.action == "detect":
         try:
@@ -397,10 +399,36 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-# Built on the first call, not at import. Sharing one parser between calls is
-# safe: every action is `store` or `store_true` and every default is an
-# immutable value or a `set_defaults(func=...)` command, so parse_args
-# mutates nothing in the parser.
+# The grammar, written once: command -> (action choices, handler, options, help).
+# `build_parser` makes one subparser per entry and `_read_plain` reads the same
+# entries. An option with action "store_true" is a flag; any other takes one value.
+_OPTIONS = {
+    "--candidate": {"help": "JSON basis (list of rational-string vectors)"},
+    "--json": {"action": "store_true"},
+}
+_FLAGS = {option for option, spec in _OPTIONS.items() if spec.get("action") == "store_true"}
+_COMMANDS = {
+    "validate": ((), cmd_validate, (), "check a document's algebra, metric and covector"),
+    "analyze": ((), cmd_analyze, (), "structural invariants of the algebra"),
+    "lcp": (
+        ("detect", "max-flat", "from-triple", "char-bound"),
+        cmd_lcp,
+        ("--candidate", "--json"),
+        "conformal product structure analysis",
+    ),
+    "lattice": (
+        ("snf", "index", "lemma51"),
+        cmd_lattice,
+        ("--json",),
+        "integer matrix normal forms and splitting checks",
+    ),
+}
+
+
+# Built on the first line that `_read_plain` leaves to argparse. Sharing one
+# parser between calls is safe: every action is `store` or `store_true` and
+# every default is an immutable value or a `set_defaults(func=...)` command, so
+# parse_args mutates nothing in the parser.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -408,35 +436,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of conformal product structures on metric Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a document's algebra, metric and covector")
-    p_validate.add_argument("file")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_analyze = sub.add_parser("analyze", help="structural invariants of the algebra")
-    p_analyze.add_argument("file")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_lcp = sub.add_parser("lcp", help="conformal product structure analysis")
-    p_lcp.add_argument("action", choices=["detect", "max-flat", "from-triple", "char-bound"])
-    p_lcp.add_argument("file")
-    p_lcp.add_argument("--candidate", help="JSON basis (list of rational-string vectors)")
-    p_lcp.add_argument("--json", action="store_true")
-    p_lcp.set_defaults(func=cmd_lcp)
-
-    p_lattice = sub.add_parser("lattice", help="integer matrix normal forms and splitting checks")
-    p_lattice.add_argument("action", choices=["snf", "index", "lemma51"])
-    p_lattice.add_argument("file")
-    p_lattice.add_argument("--json", action="store_true")
-    p_lattice.set_defaults(func=cmd_lattice)
-
+    for command, (choices, func, options, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if choices:
+            p.add_argument("action", choices=list(choices))
+        p.add_argument("file")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, for a plain line:
+    a command, its action if it has choices, one file, then only the exact
+    options the command allows, each flag alone and each other option with one
+    value. None for any other line (help, abbreviations, `--opt=value`, `--`,
+    a token that is empty or starts with "-", a usage error), which argparse
+    reads instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    choices, func, options, _ = _COMMANDS[argv[0]]
+    at = 2 if choices else 1  # the file's index
+    if len(argv) <= at or any(not t or t[0] == "-" for t in argv[1 : at + 1]):
+        return None
+    if choices and argv[1] not in choices:
+        return None
+    values = {"command": argv[0], "func": func, "file": argv[at]}
+    if choices:
+        values["action"] = argv[1]
+    for option in options:  # argparse's defaults
+        values[option[2:]] = False if option in _FLAGS else None
+    rest = iter(argv[at + 1 :])
+    for token in rest:
+        if token not in options:
+            return None
+        if token in _FLAGS:
+            values[token[2:]] = True
+            continue
+        value = next(rest, "")
+        if not value or value[0] == "-":
+            return None
+        values[token[2:]] = value
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     """Run the command with stdout on a buffer, written once it returns, so a
     failed command writes no stdout; a RuntimeError (a failed self-check) propagates."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):

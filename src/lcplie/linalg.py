@@ -334,10 +334,14 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[Matrix, tuple[int, .
 
 
 def kernel(m: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical (rref) basis of the right null space {x : m x = 0}."""
-    if not m and ncols is None:
+    """Canonical (rref) basis of the right null space {x : m x = 0}; ncols, needed
+    when m has no rows, must otherwise equal the width of the rows."""
+    width = len(m[0]) if m else ncols
+    if width is None:
         raise ValueError("kernel of an empty matrix needs an explicit width")
-    return _fraction_rows(*_null_space(m, len(m[0]) if m else ncols))
+    if ncols is not None and ncols != width:
+        raise ValueError(f"kernel: rows of width {width}, ncols {ncols}")
+    return _fraction_rows(*_null_space(m, width))
 
 
 def inverse(a: Matrix) -> Matrix:

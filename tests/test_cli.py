@@ -1,6 +1,7 @@
 """End-to-end command behavior, exit codes and frozen report text."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -19,7 +20,7 @@ from lcplie.cli import main
 from lcplie.linalg import Subspace
 
 from conftest import CORPUS_DIR, corpus_text
-from test_cli_bytes import RECORD, commands
+from test_cli_bytes import RECORD, commands, invoke as invoke_pinned
 
 SOL3_ANALYSIS = """\
 dim: 3
@@ -75,10 +76,12 @@ class TestModuleEntryPoint:
 
 
 class TestParser:
-    def test_two_calls_build_the_parser_once(self, run):
+    def test_two_calls_build_the_parser_once(self, capsys):
+        # two lines that only argparse reads: plain lines never build the parser
         cli.build_parser.cache_clear()
-        assert run("analyze", corpus("sol3.json")) == (0, SOL3_ANALYSIS, "")
-        assert run("analyze", corpus("heis3.json"))[0] == 0
+        for argv in (["analyze"], ["lcp", "detect"]):
+            with pytest.raises(SystemExit):
+                main(argv)
         assert cli.build_parser.cache_info().misses == 1
 
     def test_usage_error_exits_2_with_the_same_stderr_every_time(self, capsys):
@@ -91,6 +94,145 @@ class TestParser:
                 main(["analyze"])
             assert exc.value.code == 2
             assert capsys.readouterr() == ("", expected)
+
+
+def parser_as_it_was():
+    """`build_parser` as it was before the grammar became one table: one
+    subparser written out by hand per command."""
+    parser = argparse.ArgumentParser(
+        prog="lcplie",
+        description="Exact analysis of conformal product structures on metric Lie algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_validate = sub.add_parser("validate", help="check a document's algebra, metric and covector")
+    p_validate.add_argument("file")
+    p_validate.set_defaults(func=cli.cmd_validate)
+    p_analyze = sub.add_parser("analyze", help="structural invariants of the algebra")
+    p_analyze.add_argument("file")
+    p_analyze.set_defaults(func=cli.cmd_analyze)
+    p_lcp = sub.add_parser("lcp", help="conformal product structure analysis")
+    p_lcp.add_argument("action", choices=["detect", "max-flat", "from-triple", "char-bound"])
+    p_lcp.add_argument("file")
+    p_lcp.add_argument("--candidate", help="JSON basis (list of rational-string vectors)")
+    p_lcp.add_argument("--json", action="store_true")
+    p_lcp.set_defaults(func=cli.cmd_lcp)
+    p_lattice = sub.add_parser("lattice", help="integer matrix normal forms and splitting checks")
+    p_lattice.add_argument("action", choices=["snf", "index", "lemma51"])
+    p_lattice.add_argument("file")
+    p_lattice.add_argument("--json", action="store_true")
+    p_lattice.set_defaults(func=cli.cmd_lattice)
+    return parser
+
+
+def parse(parser, argv):
+    """(vars of the namespace or None, exit code, stdout, stderr) of parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return None, exc.code, out.getvalue(), err.getvalue()
+    return namespace, None, out.getvalue(), err.getvalue()
+
+
+def parse_main(argv):
+    """(exit code, stdout, stderr) of main on a line that argparse exits on."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# One line for each kind that argparse reads, not the plain-line reader.
+ARGPARSE_LINES = (
+    (),
+    ("-h",),
+    ("--help",),
+    ("lcp", "-h"),
+    ("lattice", "snf", "m.json", "--help"),
+    ("lcp", "detect", "s.json", "--js"),
+    ("lcp", "char-bound", "s.json", "--cand", "[]"),
+    ("lcp", "char-bound", "s.json", "--candidate=[]"),
+    ("validate", "--", "s.json"),
+    ("validate", "-"),
+    ("validate", "-x"),
+    ("validate", ""),
+    ("lcp", "char-bound", "s.json", "--candidate", "-1"),
+    ("lcp", "char-bound", "s.json", "--candidate", ""),
+    ("lcp", "char-bound", "s.json", "--candidate"),
+    ("lcp", "--json", "detect", "s.json"),
+    ("analyze",),
+    ("analyze", "s.json", "t.json"),
+    ("lcp", "detect"),
+    ("lcp", "solve", "s.json"),
+    ("frobnicate", "s.json"),
+    ("validate", "s.json", "--json"),
+    ("analyze", "s.json", "--json"),
+    ("lattice", "snf", "m.json", "--candidate", "[]"),
+)
+ARGV_SEED = 28
+ARGV_MUTATIONS = 10000
+
+
+def pinned_lines() -> list[list[str]]:
+    return [
+        [str(CORPUS_DIR / a) if a.endswith(".json") else a for a in argv] for argv in commands()
+    ]
+
+
+def mutated_lines(rng: random.Random, pinned: list[list[str]]):
+    """Pinned lines after one to three random deletions, insertions, replacements
+    or swaps, with tokens drawn from every line argparse reads and the pinned ones."""
+    pool = sorted({t for argv in (*ARGPARSE_LINES, *pinned) for t in argv})
+    for _ in range(ARGV_MUTATIONS):
+        argv = list(rng.choice(pinned))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(4)
+            at = rng.randrange(len(argv) + 1)
+            if kind == 0:
+                argv.insert(at, rng.choice(pool))
+            elif at < len(argv):
+                if kind == 1:
+                    del argv[at]
+                elif kind == 2:
+                    argv[at] = rng.choice(pool)
+                elif at + 1 < len(argv):
+                    argv[at], argv[at + 1] = argv[at + 1], argv[at]
+        yield argv
+
+
+class TestPlainLines:
+    """`cli._read_plain` reads a plain line into argparse's own namespace and
+    leaves every other line to argparse."""
+
+    def test_every_pinned_line_is_plain(self):
+        cli.build_parser.cache_clear()
+        for argv in commands():
+            invoke_pinned(argv)
+        assert cli.build_parser.cache_info().misses == 0
+
+    def test_the_reader_agrees_with_argparse_on_seeded_lines(self):
+        parser = cli.build_parser()
+        pinned = pinned_lines()
+        lines = [*pinned, *map(list, ARGPARSE_LINES)]
+        lines += mutated_lines(random.Random(ARGV_SEED), pinned)
+        read = 0
+        for argv in lines:
+            plain = cli._read_plain(argv)
+            if plain is not None:
+                read += 1
+                assert vars(plain) == parse(parser, argv)[0], argv
+        assert len(pinned) < read < len(lines)
+
+    @pytest.mark.parametrize("argv", ARGPARSE_LINES, ids=" ".join)
+    def test_other_lines_go_to_argparse_and_read_as_they_did(self, argv, monkeypatch):
+        assert cli._read_plain(list(argv)) is None
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        expected = parse(parser_as_it_was(), list(argv))
+        assert parse(cli.build_parser(), list(argv)) == expected
+        if expected[0] is None:
+            assert parse_main(list(argv)) == expected[1:]
 
 
 class TestValidate:
@@ -412,6 +554,18 @@ class TestLcpCharBound:
             "lcp", "char-bound", corpus("sol3.json"), "--candidate", '[["1", "0", "0"]]'
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "action, name",
+        [("detect", "sol3.json"), ("max-flat", "sol3.json"), ("from-triple", "sol3_triple.json")],
+    )
+    def test_candidate_is_refused_by_every_other_action(self, run, action, name, flags):
+        basis = '[["0", "1", "0"]]'
+        for candidate in (("--candidate", basis), (f"--candidate={basis}",)):
+            assert run("lcp", action, corpus(name), *candidate, *flags) == (
+                2, "", "error: --candidate applies only to lcp char-bound\n"
+            )
 
     def test_malformed_candidate(self, run):
         code, _, err = run("lcp", "char-bound", corpus("sol3.json"), "--candidate", "[[0.5]]")

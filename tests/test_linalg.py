@@ -193,6 +193,13 @@ def test_kernel_of_empty_matrix_is_identity():
     assert kernel((), ncols=3) == identity_matrix(3)
 
 
+@pytest.mark.parametrize("rows, ncols", [(((1, 2),), 3), (((1, 2), (3, 4)), 1)])
+def test_kernel_rejects_a_width_other_than_the_rows(rows, ncols):
+    with pytest.raises(ValueError, match=f"^kernel: rows of width 2, ncols {ncols}$"):
+        kernel(rows, ncols)
+    assert kernel(rows, 2) == kernel(rows)
+
+
 @pytest.mark.parametrize(
     "routine, rows",
     [
