@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity. Commands
-only print: `main` alone writes stdout and maps failures to exit codes.
+only print: `main` alone writes stdout and maps failures to exit codes: a
+`DocumentError` to 1, and a `ValueError` to 2, including a field that the
+command needs and `documents` finds missing.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .lcp import (
 )
 from .liealg import (
     Covector,
-    LieAlgebra,
     _jacobi_defects,
     _lift_table,
     center,
@@ -49,10 +50,6 @@ from .liealg import (
     trace_form,
 )
 from .linalg import Subspace, symmetric_signature
-
-
-class CommandError(Exception):
-    """Semantic failure of an otherwise well-formed command (exit code 2)."""
 
 
 def _load(path: str) -> str:
@@ -108,31 +105,19 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _algebra(doc: AlgebraDocument) -> LieAlgebra:
-    if not doc.has_algebra:
-        raise CommandError("document has no algebra fields (dim, basis, brackets)")
-    return documents.document_algebra(doc, parsed=True)
-
-
 def _metric(doc: AlgebraDocument) -> InnerProduct:
     if doc.metric is None:
-        raise CommandError("document has no metric")
+        raise ValueError("document has no metric")
     try:
         return documents.document_metric(doc)
     except ValueError as exc:
-        raise CommandError(f"invalid metric: {exc}") from exc
+        raise ValueError(f"invalid metric: {exc}") from exc
 
 
 def _theta(doc: AlgebraDocument) -> Covector:
     if doc.theta is None:
-        raise CommandError("document has no theta covector")
+        raise ValueError("document has no theta covector")
     return Covector(doc.theta)
-
-
-def _flat_factor(doc: AlgebraDocument) -> Subspace:
-    if doc.flat_factor is None:
-        raise CommandError("document has no flat_factor")
-    return Subspace.from_vectors(doc.flat_factor, doc.dim)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -184,7 +169,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     doc = documents.parse_algebra_document(_load(args.file))
-    algebra = _algebra(doc)
+    algebra = documents.document_algebra(doc, parsed=True)
     labels = algebra.labels
     rad = radical(algebra)
     print(f"dim: {algebra.dim}")
@@ -205,12 +190,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _detect_payload(doc: AlgebraDocument):
-    return _algebra(doc), _metric(doc), _theta(doc), _flat_factor(doc)
+    algebra = documents.document_algebra(doc, parsed=True)
+    metric, theta = _metric(doc), _theta(doc)
+    if doc.flat_factor is None:
+        raise ValueError("document has no flat_factor")
+    return algebra, metric, theta, Subspace.from_vectors(doc.flat_factor, doc.dim)
 
 
 def cmd_lcp(args: argparse.Namespace) -> int:
     if args.candidate is not None and args.action != "char-bound":
-        raise CommandError("--candidate applies only to lcp char-bound")
+        raise ValueError("--candidate applies only to lcp char-bound")
     doc = documents.parse_algebra_document(_load(args.file))
     if args.action == "detect":
         try:
@@ -242,7 +231,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "max-flat":
-        algebra = _algebra(doc)
+        algebra = documents.document_algebra(doc, parsed=True)
         result = maximal_flat_factor(algebra, _metric(doc), _theta(doc))
         if args.json:
             payload = {
@@ -267,8 +256,6 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "from-triple":
-        if doc.triple is None:
-            raise CommandError("document has no triple block")
         structure = build_from_triple(documents.document_triple(doc, parsed=True))
         print(documents.emit_algebra_document(documents.structure_document(structure)), end="")
         return 0
@@ -277,7 +264,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         try:
             structure = validate_lcp(*_detect_payload(doc))
         except LCPValidationError as exc:
-            raise CommandError(f"document is not a valid LCP structure: {exc}") from exc
+            raise ValueError(f"document is not a valid LCP structure: {exc}") from exc
         algebra = structure.algebra
         bound = characteristic_constraint_space(structure)
         report = None
@@ -287,7 +274,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
                 rows = documents._rational_matrix(raw, None, algebra.dim, "candidate")
                 candidate = Subspace.from_vectors(rows, algebra.dim)
             except (ValueError, DocumentError, RecursionError) as exc:
-                raise CommandError(f"invalid candidate basis: {exc}") from exc
+                raise ValueError(f"invalid candidate basis: {exc}") from exc
             report = check_candidate(structure, candidate)
         if args.json:
             payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
@@ -342,14 +329,14 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
     elif args.action == "lemma51":
         if doc.e1 is None or doc.e2 is None:
-            raise CommandError("document has no split block (e1/e2 bases)")
+            raise ValueError("document has no split block (e1/e2 bases)")
         k = endo.size
         try:
             split = SplitDecomposition(
                 Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k)
             )
         except ValueError as exc:
-            raise CommandError(f"invalid decomposition: {exc}") from exc
+            raise ValueError(f"invalid decomposition: {exc}") from exc
         verdict = check_splitting(endo, split)
         if args.json:
             payload = {
@@ -496,7 +483,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CommandError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc)
         if "integer string conversion" in message:  # Python's int-to-string digit limit
             limit = sys.get_int_max_str_digits()

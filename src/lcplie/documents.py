@@ -336,13 +336,13 @@ def emit_any_document(text: str) -> str:
 
 
 def document_algebra(doc: AlgebraDocument, *, parsed: bool = False) -> LieAlgebra:
-    """Build the validated algebra; raises ValueError on a Jacobi failure, or on
-    a bracket table that is not in the canonical sparse form. Set `parsed` only
-    for a document from `parse_algebra_document` or `structure_document`, whose
-    tables are canonical by construction: then only the Jacobi identity is
-    checked."""
+    """Build the validated algebra; raises ValueError if the document has no
+    algebra fields, on a Jacobi failure, or on a bracket table that is not in
+    the canonical sparse form. Set `parsed` only for a document from
+    `parse_algebra_document` or `structure_document`, whose tables are
+    canonical by construction: then only the Jacobi identity is checked."""
     if not doc.has_algebra:
-        raise ValueError("document has no algebra fields")
+        raise ValueError("document has no algebra fields (dim, basis, brackets)")
     build = LieAlgebra._canonical if parsed else LieAlgebra
     return build(doc.dim, doc.basis, doc.brackets)
 
@@ -352,7 +352,8 @@ def document_metric(doc: AlgebraDocument) -> InnerProduct | None:
 
 
 def document_triple(doc: AlgebraDocument, *, parsed: bool = False) -> LCPTriple:
-    """The triple of the document's triple block; `parsed` as in `document_algebra`."""
+    """The triple of the document's triple block; raises ValueError if there is
+    none. `parsed` as in `document_algebra`."""
     if doc.triple is None:
         raise ValueError("document has no triple block")
     block = doc.triple

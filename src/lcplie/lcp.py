@@ -23,6 +23,7 @@ from .liealg import (
     LieAlgebra,
     _ad_rows,
     _centralizer,
+    _is_index,
     derived_algebra,
     homomorphism_defect,
     is_abelian_subspace,
@@ -293,8 +294,8 @@ class LCPTriple(_Record):
         h, q = self.h_algebra, self.q
         if self.h_metric.dim != h.dim:
             raise ValueError("metric dimension does not match the acting algebra")
-        if q < 1:
-            raise ValueError("the abelian factor must have positive dimension")
+        if not (_is_index(q) and q >= 1):
+            raise ValueError(f"the abelian factor dimension must be an integer >= 1, got {q!r}")
         if len(self.beta) != h.dim:
             raise ValueError("need one action matrix per basis vector")
         # Fraction entries; floats and bools raise TypeError, as in Connection

@@ -550,8 +550,8 @@ def semidirect_sum(
     columns (entry [r][c] is the e_r-coefficient of the image of e_c).
     alpha must be a Lie algebra homomorphism into gl(q).
     """
-    if q < 1:
-        raise ValueError("the abelian factor must have positive dimension")
+    if not (_is_index(q) and q >= 1):
+        raise ValueError(f"the abelian factor dimension must be an integer >= 1, got {q!r}")
     d, rows, defect = _lifted_action(h, alpha, q)
     if defect is not None:
         raise ValueError(f"action is not a Lie algebra homomorphism: fails on basis pair {defect}")

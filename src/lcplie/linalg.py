@@ -22,7 +22,6 @@ from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 # An integer matrix by its nonzero rows: (row, ((column, entry), ...)) pairs,

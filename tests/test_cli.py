@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lcplie import cli, connections, lcp, linalg
+from lcplie import cli, connections, documents, lcp, linalg
 from lcplie.cli import main
 from lcplie.linalg import Subspace
 
@@ -307,6 +307,30 @@ class TestAnalyze:
         code, _, err = run("analyze", corpus("sol3_triple.json"))
         assert code == 2
         assert "no algebra fields" in err
+
+
+# Pinned lines whose document lacks a field, with the `documents` builder that checks it.
+MISSING_FIELD_LINES = [
+    ("analyze sol3_triple.json", documents.document_algebra),
+    ("lcp detect sol3_triple.json", documents.document_algebra),
+    ("lcp max-flat sol3_triple.json", documents.document_algebra),
+    ("lcp char-bound sol3_triple.json --json", documents.document_algebra),
+    ("lcp from-triple sol3.json", documents.document_triple),
+    ("lcp from-triple heis3.json --json", documents.document_triple),
+]
+
+
+@pytest.mark.parametrize(("line", "build"), MISSING_FIELD_LINES)
+def test_a_missing_field_is_checked_once_in_documents(line, build):
+    """`documents` alone checks that a field is present: its ValueError is the
+    pinned line after "error: ", and `main` maps it to exit 2 with no stdout."""
+    argv = tuple(line.split())
+    name = next(a for a in argv if a.endswith(".json"))
+    with pytest.raises(ValueError) as exc:
+        build(documents.parse_algebra_document(corpus_text(name)), parsed=True)
+    expected = {"code": 2, "stdout": "", "stderr": f"error: {exc.value}\n"}
+    assert json.loads(RECORD.read_text(encoding="utf-8"))[line] == expected
+    assert invoke_pinned(argv) == expected
 
 
 def fraction_format_combination(coeffs, labels, dual=False):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -551,6 +552,13 @@ class TestTriples:
             LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2,))
         with pytest.raises(ValueError):
             LCPTriple(aff, InnerProduct.identity(2), 1, (ZERO2, ZERO2))
+
+    @pytest.mark.parametrize("q", [2.0, True, False, 0, -1, "2", Fraction(2)])
+    def test_rejects_q_that_is_not_an_int_at_least_one(self, aff, q):
+        # as Subspace and LieAlgebra do for a dimension: a bool or a float is no int
+        message = f"the abelian factor dimension must be an integer >= 1, got {q!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LCPTriple(aff, InnerProduct.identity(2), q, (ZERO2, ZERO2))
 
     @pytest.mark.parametrize(
         "beta",

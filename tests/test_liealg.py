@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -950,6 +951,13 @@ class TestSemidirect:
         assert algebra.labels == ("u1", "u2''", "u2", "u2'")
         named = semidirect_sum(1, make_aff(), (matrix([[-1]]), matrix([[0]])), u_labels=("w",))
         assert named.labels == ("w", "a", "b")
+
+    @pytest.mark.parametrize("q", [2.0, True, False, 0, -1, "2", F(2)])
+    def test_rejects_q_that_is_not_an_int_at_least_one(self, aff, q):
+        # as LieAlgebra does for its dimension: a bool or a float is no int
+        message = f"the abelian factor dimension must be an integer >= 1, got {q!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            semidirect_sum(q, aff, (matrix([[-1]]), matrix([[0]])))
 
     def test_rejects_non_homomorphism(self):
         plane = make_abelian(2)
