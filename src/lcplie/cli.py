@@ -19,7 +19,6 @@ from . import documents
 from .connections import InnerProduct, is_closed
 from .documents import AlgebraDocument, DocumentError
 from .lattice import (
-    IntegerEndomorphism,
     SplitDecomposition,
     check_splitting,
     lattice_index,
@@ -305,10 +304,9 @@ def cmd_lcp(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     doc = documents.parse_lattice_document(_load(args.file))
-    endo = IntegerEndomorphism(doc.matrix)
 
     if args.action == "snf":
-        u, d, v = smith_normal_form(endo)
+        u, d, v = smith_normal_form(doc.endomorphism)
         if args.json:
             payload = {
                 "u": [list(r) for r in u],
@@ -323,21 +321,21 @@ def cmd_lattice(args: argparse.Namespace) -> int:
                 print(f"{name} = {[list(r) for r in m]}")
 
     elif args.action == "index":
-        idx = lattice_index(endo)
+        idx = lattice_index(doc.endomorphism)
         idx = "infinite" if idx is None else idx
         print(json.dumps({"index": idx}, indent=2) if args.json else f"index: {idx}")
 
     elif args.action == "lemma51":
         if doc.e1 is None or doc.e2 is None:
             raise ValueError("document has no split block (e1/e2 bases)")
-        k = endo.size
+        k = doc.endomorphism.size
         try:
             split = SplitDecomposition(
                 Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k)
             )
         except ValueError as exc:
             raise ValueError(f"invalid decomposition: {exc}") from exc
-        verdict = check_splitting(endo, split)
+        verdict = check_splitting(doc.endomorphism, split)
         if args.json:
             payload = {
                 "hypotheses": {

@@ -17,7 +17,7 @@ from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
 from .liealg import BracketTable, LieAlgebra
 from .linalg import ZERO, Matrix, Vector, _Record, as_fraction, identity_matrix
-from .lattice import IntMatrix, _check_int_matrix
+from .lattice import IntegerEndomorphism
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -110,7 +110,7 @@ class TripleBlock(_Record):
 
 
 class LatticeDocument(_Record):
-    matrix: IntMatrix
+    endomorphism: IntegerEndomorphism
     e1: Matrix | None
     e2: Matrix | None
 
@@ -262,7 +262,7 @@ def parse_lattice_document(text: str) -> LatticeDocument:
     if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
         _fail("document.matrix", "expected a nonempty list of rows")
     try:
-        mat = _check_int_matrix(rows)
+        endomorphism = IntegerEndomorphism(rows)
     except ValueError as exc:
         for r, row in enumerate(rows):  # name the first entry that is not an integer
             for c, x in enumerate(row):
@@ -274,10 +274,10 @@ def parse_lattice_document(text: str) -> LatticeDocument:
         for key in ("e1", "e2"):
             if key not in split:
                 _fail("document.split", f"missing field '{key}'")
-        k = len(mat)
+        k = endomorphism.size
         e1 = _rational_matrix(split["e1"], None, k, "document.split.e1")
         e2 = _rational_matrix(split["e2"], None, k, "document.split.e2")
-    return LatticeDocument(mat, e1, e2)
+    return LatticeDocument(endomorphism, e1, e2)
 
 
 def _emit_rational(f: Fraction) -> str:
@@ -321,7 +321,7 @@ def emit_algebra_document(doc: AlgebraDocument) -> str:
 
 
 def emit_lattice_document(doc: LatticeDocument) -> str:
-    out: dict = {"matrix": [list(row) for row in doc.matrix]}
+    out: dict = {"matrix": [list(row) for row in doc.endomorphism.matrix]}
     if doc.e1 is not None and doc.e2 is not None:
         out["split"] = {"e1": _emit_matrix(doc.e1), "e2": _emit_matrix(doc.e2)}
     return json.dumps(out, indent=2) + "\n"

@@ -11,9 +11,11 @@ from typing import Sequence
 
 from .linalg import (
     Subspace,
+    _RATIONAL,
     _Record,
     _bareiss,
     _dense_row,
+    _exact,
     _lift,
 )
 
@@ -48,6 +50,8 @@ class IntegerEndomorphism(_Record):
         return len(self.matrix)
 
     def image(self, v: Sequence[int | Fraction]):
+        """A v; entries of v are read as in `vector`, so floats and bools raise TypeError."""
+        v = _exact(v, _RATIONAL)
         return tuple(
             sum(a * x for a, x in zip(row, v, strict=True)) for row in self.matrix
         )
@@ -61,10 +65,7 @@ def det_integer(rows: Sequence[Sequence[int]]) -> int:
         raise ValueError("determinant of a non-square matrix")
     if work:
         _check_int_matrix(work)  # rejects entries that are not ints
-    determinant = 1
-    for determinant in _bareiss(work):
-        pass
-    return determinant
+    return _bareiss(work)
 
 
 def _identity_int(n: int) -> list[list[int]]:
@@ -172,8 +173,7 @@ def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
             ok = False
     ok = ok and all(x >= 0 for x in diag)
-    # the last value `_bareiss` yields is the determinant
-    ok = ok and all(abs(list(_bareiss(list(map(list, m))))[-1]) == 1 for m in (u, v))
+    ok = ok and all(abs(_bareiss(list(map(list, m)))) == 1 for m in (u, v))
     if not ok:
         raise RuntimeError("normal form self-check failed")
 
@@ -189,7 +189,7 @@ def lattice_index(a: IntegerEndomorphism) -> int | None:
     Computed as |det a| and independently cross-checked against the product
     of the elementary divisors.
     """
-    d = det_integer(a.matrix)
+    d = _bareiss(list(map(list, a.matrix)))
     prod = 1
     for x in elementary_divisors(a):
         prod *= x
@@ -274,8 +274,8 @@ def check_splitting(a: IntegerEndomorphism, split: SplitDecomposition) -> Splitt
     if e1_invariant:  # B_1 (A - I)|E1 on ints
         nonzero, dim = dict(next(on_e1)), split.e1.dim
         work = [_dense_row(nonzero.get(t, ()), dim) for t in range(dim)]
-        restriction_invertible = det_integer(work) != 0
-    dmi = det_integer(shift)
+        restriction_invertible = _bareiss(work) != 0
+    dmi = _bareiss(list(map(list, shift)))
 
     index: int | None = None
     witness: NonDensityWitness | None = None

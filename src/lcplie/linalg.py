@@ -382,24 +382,21 @@ def _definite_inverse(d: int, rows: SparseRows, n: int) -> tuple[int, SparseRows
     return e, inverse_rows
 
 
-def _bareiss(work: list[list[int]]) -> Iterator[int]:
-    """Fraction-free (Bareiss) elimination of a square integer matrix, in place.
-
-    Yields each step's diagonal entry before it is used as the pivot, so up to
-    the first zero the values are the leading principal minors. A zero pivot
-    is replaced by the first lower row that is nonzero in its column, negated
-    so that the determinant is kept; when there is none the elimination stops.
-    The last value yielded is the determinant. Every division is exact.
+def _bareiss(work: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination in place; 1 for the 0x0 matrix. A zero pivot is replaced by
+    the first lower row that is nonzero in its column, negated so that the
+    determinant is kept; with none the determinant is 0. Every division is
+    exact, and the last pivot is the determinant.
     """
     n = len(work)
     previous = 1
     for k in range(n):
         pivot = work[k][k]
-        yield pivot
         if not pivot:
             swap = next((i for i in range(k + 1, n) if work[i][k]), None)
             if swap is None:
-                return
+                return 0
             work[k], work[swap] = [-x for x in work[swap]], work[k]
             pivot = work[k][k]
         pivot_row = work[k]
@@ -409,6 +406,7 @@ def _bareiss(work: list[list[int]]) -> Iterator[int]:
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - f * pivot_row[j]) // previous
         previous = pivot
+    return previous
 
 
 def det(a: Matrix) -> Fraction:
@@ -419,10 +417,7 @@ def det(a: Matrix) -> Fraction:
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
     scaled = [_scaled(row) for row in a]
-    determinant = 1  # of the 0x0 matrix
-    for determinant in _bareiss([row for _, row in scaled]):
-        pass
-    return Fraction(determinant, prod(scale for scale, _ in scaled))
+    return Fraction(_bareiss([row for _, row in scaled]), prod(scale for scale, _ in scaled))
 
 
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
@@ -433,11 +428,13 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     diagonal entry or, when every diagonal entry is zero, the hyperbolic plane
     of a nonzero a[s][t], counts its signs, and replaces the rest of the form
     by its Schur complement a[u][w] - sum over p, q of a[u][p] B^-1[p][q] a[q][w].
-    Indices whose row becomes zero count as zero.
+    Indices whose row becomes zero count as zero. Entries are read as in
+    `vector`, so floats and bools raise TypeError.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("signature of a non-square matrix")
+    a = tuple(map(_exact, a))
     # row i of the remaining form as {column: nonzero entry}; zero rows are dropped
     work = {i: r for i, row in enumerate(a) if (r := {j: x for j, x in enumerate(row) if x})}
     if any(work.get(j, {}).get(i) != x for i, row in work.items() for j, x in row.items()):
@@ -721,8 +718,9 @@ class Subspace(_Record):
         return _fraction_rows(*_null_space(self.rows, self.ambient_dim))
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
-        """Complement with respect to the inner product given by gram."""
-        return Subspace.kernel_of(_gram_rows(gram, self.rows), self.ambient_dim)
+        """Complement with respect to the inner product given by gram, whose
+        entries are read as in `vector`: floats and bools raise TypeError."""
+        return Subspace.kernel_of(_gram_rows(tuple(map(_exact, gram)), self.rows), self.ambient_dim)
 
     @cached_property
     def _lifted(self) -> tuple[int, SparseRows]:

@@ -195,7 +195,6 @@ class TestGuard:
         monkeypatch.setattr(Subspace, "__post_init__", counting("subspace", Subspace.__post_init__))
         int_matrix = counting("int matrix", lattice._check_int_matrix)
         monkeypatch.setattr(lattice, "_check_int_matrix", int_matrix)
-        monkeypatch.setattr(documents, "_check_int_matrix", int_matrix)
         monkeypatch.setattr(documents, "_strict_int", counting("int entry", documents._strict_int))
         return counts
 
@@ -218,6 +217,13 @@ class TestGuard:
             counts.clear()
             documents.parse_lattice_document((CORPUS_DIR / name).read_text(encoding="utf-8"))
             assert counts == {"int matrix": 1}, name
+
+    @pytest.mark.parametrize("argv", [a for a in commands() if a[0] == "lattice"], ids=" ".join)
+    def test_a_lattice_command_checks_its_matrix_once(self, counts, pinned, argv):
+        """The parser's `IntegerEndomorphism` is the one check: the Smith form,
+        the index and the splitting check do not read the matrix again."""
+        assert invoke(argv) == pinned[" ".join(argv)]
+        assert counts["int matrix"] == 1
 
     def test_a_hand_built_document_gets_the_public_table_check(self):
         fields = dict(

@@ -185,7 +185,7 @@ class TestTripleBlock:
 class TestLatticeDocuments:
     def test_corpus_split_document(self):
         doc = parse_lattice_document(corpus_text("lat_diag21_split.json"))
-        assert doc.matrix == ((2, 0), (0, 1))
+        assert doc.endomorphism.matrix == ((2, 0), (0, 1))
         assert doc.e1 == ((Fraction(1), Fraction(0)),)
         assert doc.e2 == ((Fraction(0), Fraction(1)),)
 

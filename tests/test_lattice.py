@@ -479,9 +479,9 @@ class TestSplittingOracle:
             doc = parse_lattice_document((CORPUS_DIR / name).read_text(encoding="utf-8"))
             if doc.e1 is None:
                 continue
-            k = len(doc.matrix)
+            k = doc.endomorphism.size
             split = SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
-            a = IntegerEndomorphism(doc.matrix)
+            a = doc.endomorphism
             assert check_splitting(a, split) == fraction_check_splitting(a, split)
             split_docs += 1
         assert split_docs >= 2

@@ -53,15 +53,20 @@ from lcplie.liealg import (
     is_unimodular,
     lower_central_series,
     radical,
+    semidirect_sum,
 )
 from lcplie.linalg import (
     ZERO,
     Subspace,
+    as_fraction,
+    det,
     identity_matrix,
     inverse,
     kernel,
     mat_vec,
     matrix,
+    rref,
+    symmetric_signature,
     transpose,
     vector,
 )
@@ -998,6 +1003,51 @@ def test_float_and_bool_entries_raise_type_error(entry):
             call(inexact)
 
 
+# Every public entry that reads numbers of the caller's, each given a scalar x
+# in place of an exact 1/2 somewhere among its numeric arguments.
+NUMERIC_ENTRIES = {
+    "as_fraction": lambda x: as_fraction(x),
+    "vector": lambda x: vector((x, 0)),
+    "matrix": lambda x: matrix(((x, 0), (0, 1))),
+    "det": lambda x: det(((x, 1), (1, 1))),
+    "inverse": lambda x: inverse(((x, 1), (1, 1))),
+    "kernel": lambda x: kernel(((x, 1),)),
+    "rref": lambda x: rref(((x, 1),)),
+    "symmetric_signature": lambda x: symmetric_signature(((x, x), (x, x))),
+    "Subspace.from_vectors": lambda x: Subspace.from_vectors(((x, 1),), 2),
+    "Subspace.kernel_of": lambda x: Subspace.kernel_of(((x, 1),), 2),
+    "Subspace.contains": lambda x: Subspace.full(2).contains((x, 0)),
+    "Subspace.residue": lambda x: Subspace.zero(2).residue((x, 0)),
+    "Subspace.coordinates_of": lambda x: Subspace.full(2).coordinates_of((x, 0)),
+    "Subspace.restrict": lambda x: Subspace.full(2).restrict(((x,), (0,))),
+    "Subspace.orthogonal_complement":
+        lambda x: Subspace.full(2).orthogonal_complement(((x, 0), (0, 1))),
+    "Covector": lambda x: Covector((x, 0)),
+    "Covector.value": lambda x: Covector((1, 0)).value((x, 0)),
+    "InnerProduct": lambda x: InnerProduct(((x, 0), (0, 1))),
+    "InnerProduct.value": lambda x: InnerProduct.identity(2).value((x, 0), (x, 0)),
+    "InnerProduct.restrict": lambda x: InnerProduct.identity(2).restrict(((x, 0),)),
+    "LieAlgebra.bracket": lambda x: make_aff().bracket((x, 0), (0, x)),
+    "LieAlgebra.ad": lambda x: make_aff().ad((x, 0)),
+    "LieAlgebra.from_brackets": lambda x: LieAlgebra.from_brackets(2, {(0, 1): {1: x}}),
+    "Connection.from_matrices":
+        lambda x: Connection.from_matrices(2, (((x, 0), (0, 0)), ((0, 0), (0, 0)))),
+    "IntegerEndomorphism.image": lambda x: IntegerEndomorphism(((1,),)).image((x,)),
+    "flat_factor_action": lambda x: flat_factor_action(make_rot4_structure(), (0, 0, x, 0)),
+    "is_conformal_action": lambda x: is_conformal_action(((x,),), ((x,),), x),
+    "semidirect_sum": lambda x: semidirect_sum(1, make_aff(), (((x,),), ((0,),))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRIES))
+def test_a_float_or_bool_scalar_raises_type_error(entry):
+    call = NUMERIC_ENTRIES[entry]
+    call(F(1, 2))  # the exact input is accepted
+    for inexact in (0.5, True):
+        with pytest.raises(TypeError):
+            call(inexact)
+
+
 def constraint_matrix_invariant_subspace(start, operators):
     """The flat-factor fixed point that `_invariant_part` replaced: W -> {w in W :
     op w in W for all op}, with membership in W read from its constraint rows."""
@@ -1391,9 +1441,9 @@ class TestOneRestrictionRoute:
         for path in sorted(CORPUS_DIR.glob("lat_*.json")):
             doc = parse_lattice_document(path.read_text(encoding="utf-8"))
             if doc.e1 is not None:
-                k = len(doc.matrix)
+                k = doc.endomorphism.size
                 split = SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
-                check_splitting(IntegerEndomorphism(doc.matrix), split)
+                check_splitting(doc.endomorphism, split)
                 splits += 1
         assert splits >= 2
         assert calls == {}

@@ -43,7 +43,9 @@ RECORDS = {
     documents.TripleBlock: lambda: dict(
         h=documents.AlgebraDocument(**algebra_document()), q=1, beta=(((F(0),),),)
     ),
-    documents.LatticeDocument: lambda: dict(matrix=((2, 1), (1, 1)), e1=None, e2=None),
+    documents.LatticeDocument: lambda: dict(
+        endomorphism=IntegerEndomorphism(((2, 1), (1, 1))), e1=None, e2=None
+    ),
     IntegerEndomorphism: lambda: dict(matrix=((2, 1), (1, 1))),
     SplitDecomposition: lambda: dict(e1=Subspace(2, ((1, 0),)), e2=Subspace(2, ((0, 1),))),
     NonDensityWitness: lambda: dict(vector=(1, 0), hyperplane=Subspace(2, ((0, 1),))),
@@ -153,11 +155,12 @@ def test_derived_values_take_no_part_in_equality():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """In a fresh interpreter without site, so that no installed package's
-    start-up hook loads them first."""
+    start-up hook loads them first, and with -B, so that it writes no bytecode
+    into the source tree."""
     src = Path(lcplie.__file__).resolve().parent.parent
     code = "import sys, lcplie.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-S", "-B", "-c", code], env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
