@@ -167,13 +167,15 @@ class Connection(_Record):
         return tuple(_unlift(self.denominator, m, self.dim) for m in self.rows)
 
     def directional(self, x: Sequence[Fraction]) -> Matrix:
-        """Matrix of the derivative along the vector x."""
+        """Matrix of the derivative along the vector x. x is read as in
+        `vector` before any zero is skipped, so a float raises TypeError."""
+        x = _exact(x, _RATIONAL)
         if len(x) != self.dim:
             raise ValueError("vector length does not match the connection dimension")
         return _combination(self.denominator, zip(x, self.rows), self.dim)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return mat_vec(self.directional(x), y)
+        return mat_vec(self.directional(x), _exact(y, _RATIONAL))
 
 
 class CurvatureTensor(_Record):
@@ -207,7 +209,8 @@ class CurvatureTensor(_Record):
         return _unlift(-self.denominator, self.rows[pair_index(j, i, n)], n)
 
     def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Matrix:
-        n = self.dim
+        """R(x, y), with x and y read as in `vector` before any zero is skipped."""
+        x, y, n = _exact(x, _RATIONAL), _exact(y, _RATIONAL), self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length does not match the curvature dimension")
         terms = ((x[i] * y[j] - x[j] * y[i], m) for (i, j), m in zip(pairs(n), self.rows) if m)

@@ -462,11 +462,14 @@ def is_conformal_action(gram_u: Matrix, action: Matrix, lee_value: Fraction) -> 
     """Whether A^T G + G A = 2 w G holds exactly for A = action, G = gram_u
     and w = lee_value. E(t) = exp(t A) satisfies E^T G E = exp(2 t w) G for
     every t if and only if it does: differentiate exp(-2 t w) E^T G E.
-    Entries are read as in `vector`, so a float raises TypeError."""
+    Entries are read as in `vector`, so a float raises TypeError; a gram_u
+    that is not symmetric raises ValueError, as in `InnerProduct`."""
     gram_u, action = (tuple(map(_exact, m)) for m in (gram_u, action))
     q = len(gram_u)
     if len(action) != q or any(len(row) != q for row in gram_u + action):
         raise ValueError("gram_u and action must be square matrices of one size")
+    if any(gram_u[r][c] != gram_u[c][r] for r in range(q) for c in range(r)):
+        raise ValueError("gram_u must be symmetric")
     two_w = 2 * _exact((lee_value,), _RATIONAL)[0]
     ga = [[dot(row, col) for col in transpose(action)] for row in gram_u]
     # (A^T G)[r][c] = (G A)[c][r], as G is symmetric

@@ -1,16 +1,24 @@
-"""Shared builders for the algebra corpus used across the test modules."""
+"""Shared builders for the algebra corpus used across the test modules.
+
+The exact reference routes are in `reference.py` and the seeded cases in
+`cases.py`; a test module imports those two, this one, `lcplie`, pytest and
+the standard library, and no other test module.
+"""
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lcplie.connections import InnerProduct
-from lcplie.lcp import LCPStructure, LCPTriple, build_from_triple, validate_lcp
-from lcplie.liealg import Covector, LieAlgebra
-from lcplie.linalg import ZERO, Subspace, zero_vector
+sys.dont_write_bytecode = True  # before the first import of lcplie: leave no cache in src/
+
+from lcplie.connections import InnerProduct  # noqa: E402
+from lcplie.lcp import LCPStructure, LCPTriple, build_from_triple, validate_lcp  # noqa: E402
+from lcplie.liealg import Covector, LieAlgebra  # noqa: E402
+from lcplie.linalg import Subspace  # noqa: E402
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -111,55 +119,6 @@ def rot5_structure() -> LCPStructure:
 @pytest.fixture
 def corpus_dir() -> Path:
     return CORPUS_DIR
-
-
-def fraction_det(a) -> Fraction:
-    """Determinant by Gaussian elimination over Fractions with row swaps: the
-    reference that the integer elimination core is compared against."""
-    n = len(a)
-    work = [[F(x) for x in row] for row in a]
-    result = F(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return F(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
-
-
-def mat_mul(a, b):
-    """Exact product; each nonzero entry of a meets only the nonzero entries of b."""
-    ncols = len(b[0]) if b else 0
-    sparse_rows = [tuple((c, y) for c, y in enumerate(row) if y) for row in b]
-    out = []
-    for row in a:
-        acc = [ZERO] * ncols
-        for x, terms in zip(row, sparse_rows, strict=True):
-            if x:
-                for c, y in terms:
-                    acc[c] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_combination(coeffs, mats, size: int):
-    """The size x size matrix sum of coeffs[i] * mats[i]; zero terms and zero
-    entries are skipped."""
-    out = tuple(zero_vector(size) for _ in range(size))
-    for c, m in zip(coeffs, mats, strict=True):
-        if c != 0:
-            out = tuple(
-                tuple(x + c * y if y else x for x, y in zip(r, s)) for r, s in zip(out, m)
-            )
-    return out
 
 
 def corpus_text(name: str) -> str:

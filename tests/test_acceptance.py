@@ -15,13 +15,10 @@ from lcplie.cli import main
 from lcplie.connections import (
     InnerProduct,
     curvature,
-    is_closed,
     levi_civita,
     weyl_connection,
 )
 from lcplie.documents import (
-    document_algebra,
-    document_metric,
     document_triple,
     emit_any_document,
     parse_algebra_document,
@@ -42,7 +39,6 @@ from lcplie.lcp import (
     is_flat_subspace,
     maximal_flat_factor,
     triple_from_lcp,
-    validate_lcp,
     verify_conformal_exponential,
 )
 from lcplie.liealg import (
@@ -53,8 +49,9 @@ from lcplie.liealg import (
     is_unimodular,
     radical,
 )
-from lcplie.linalg import Subspace, kernel, mat_vec, vector
+from lcplie.linalg import Subspace, mat_vec, vector
 
+from cases import closed_covectors, corpus_structures, random_matrix
 from conftest import (
     CORPUS_DIR,
     corpus_text,
@@ -65,6 +62,7 @@ from conftest import (
     make_sl2,
     make_sol3,
 )
+from reference import mat_mul
 
 F = Fraction
 
@@ -86,32 +84,7 @@ def algebra_corpus():
     )
 
 
-def closed_covectors(algebra, count=3, seed=0):
-    """One seeded coefficient per basis row of the covectors vanishing on [g, g]."""
-    rng = random.Random(seed)
-    free = kernel(derived_algebra(algebra).basis, ncols=algebra.dim)
-    out = []
-    for _ in range(count):
-        coeffs = [F(rng.randint(-3, 3)) for _ in free]
-        out.append(Covector(tuple(
-            sum((c * row[k] for c, row in zip(coeffs, free)), F(0)) for k in range(algebra.dim)
-        )))
-    assert all(is_closed(algebra, theta) for theta in out)
-    return out
-
-
-def load_structure(name: str):
-    doc = parse_algebra_document(corpus_text(name))
-    return validate_lcp(
-        document_algebra(doc),
-        document_metric(doc),
-        Covector(doc.theta),
-        Subspace.from_vectors(doc.flat_factor, doc.dim),
-    )
-
-
-def structure_corpus():
-    return tuple(load_structure(name) for name in ("sol3.json", "rot4.json", "rot5.json"))
+STRUCTURES = ("sol3.json", "rot4.json", "rot5.json")
 
 
 def test_criterion_1_metric_connection_exactness(capsys):
@@ -254,7 +227,7 @@ def test_criterion_4_maximal_flat_factor(capsys):
 def test_criterion_5_correspondence_round_trip(capsys):
     failures = []
     count = 0
-    for s in structure_corpus():
+    for s in corpus_structures(STRUCTURES):
         count += 1
         triple = triple_from_lcp(s)
         rebuilt = build_from_triple(triple)
@@ -282,13 +255,13 @@ def test_criterion_5_correspondence_round_trip(capsys):
 def test_criterion_6_conformal_exponential(capsys):
     failures = []
     checked = 0
-    for s in structure_corpus():
+    for s in corpus_structures(STRUCTURES):
         for row in s.orthocomplement().basis:
             for t in (1.0, -1.0, 0.5, -0.5):
                 checked += 1
                 if not verify_conformal_exponential(s, row, t, 1e-9):
                     failures.append(f"residual above 1e-9 in dim {s.algebra.dim} at t={t}")
-    rot4 = load_structure("rot4.json")
+    (rot4,) = corpus_structures(("rot4.json",))
     direction = vector([0, 0, 1, 0])
     action = flat_factor_action(rot4, direction)
     broken = tuple(
@@ -315,7 +288,7 @@ def test_criterion_6_conformal_exponential(capsys):
 
 def test_criterion_7_characteristic_constraint_space(capsys):
     failures = []
-    s = load_structure("sol3.json")
+    (s,) = corpus_structures(("sol3.json",))
     bound = characteristic_constraint_space(s)
     if bound != Subspace.from_vectors([vector([0, 0, 1])], 3):
         failures.append(f"bound is {bound.basis}")
@@ -339,22 +312,12 @@ def test_criterion_8_lattice_suite(capsys):
     start = time.perf_counter()
     failures = []
     rng = random.Random(271828)
-
-    def as_lists(m):
-        return [list(row) for row in m]
-
-    def mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-
     for _ in range(100):
         k = rng.randint(1, 6)
-        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        a = random_matrix(rng, k)
         endo = IntegerEndomorphism(tuple(tuple(row) for row in a))
         u, d, v = smith_normal_form(endo)
-        if mul(mul(as_lists(u), a), as_lists(v)) != as_lists(d):
+        if mat_mul(mat_mul(u, a), v) != d:
             failures.append("factorization does not reconstruct the input")
         if abs(det_integer(u)) != 1 or abs(det_integer(v)) != 1:
             failures.append("transforms are not unimodular")

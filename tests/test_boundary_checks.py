@@ -15,11 +15,9 @@ document's matrix in the parser: one, with no per-entry location work.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import io
 import json
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -32,11 +30,17 @@ from lcplie.lcp import build_from_triple, triple_from_lcp
 from lcplie.liealg import LieAlgebra
 from lcplie.linalg import Subspace, pairs
 
-from conftest import BENCH_DIR
-from test_cli_bytes import CORPUS_DIR, RECORD, commands, invoke
-from test_connections import random_semidirect_sum
-from test_lcp import random_rotation_triple
-from test_liealg import random_table
+from cases import (
+    RECORD,
+    commands,
+    invoke,
+    random_rotation_triple,
+    random_semidirect_sum,
+    random_table,
+    rational_rows,
+    scaling_triple,
+)
+from conftest import CORPUS_DIR
 
 F = Fraction
 
@@ -104,11 +108,8 @@ class TestOracle:
         assert mismatches == []
         assert calls["Subspace"] > 200 and calls["LieAlgebra"] > 50
 
-    def test_scaling_family(self, oracle, monkeypatch, tmp_path):
+    def test_scaling_family(self, oracle, tmp_path):
         calls, mismatches = oracle
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-        monkeypatch.syspath_prepend(str(BENCH_DIR))
-        scaling_triple = importlib.import_module("workloads").scaling_triple
         for n in range(4, 13):
             triple = tmp_path / f"triple{n}.json"
             triple.write_text(json.dumps(scaling_triple(n, random.Random(n))), encoding="utf-8")
@@ -126,23 +127,13 @@ class TestOracle:
     def test_seeded_rational_inputs(self, oracle):
         calls, mismatches = oracle
         rng = random.Random(2309)
-
-        def entry():
-            return F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
-
-        def rows(count, width, dependent=True):
-            out = [[entry() for _ in range(width)] for _ in range(count)]
-            if dependent and out and rng.random() < 0.3:
-                out.append([2 * x for x in out[0]])  # a dependent row
-            return out
-
         for _ in range(1000):
             n = rng.randint(0, 6)
-            a = Subspace.from_vectors(rows(rng.randint(0, n + 1), n), n)
-            b = Subspace.kernel_of(rows(rng.randint(0, n), n), n)
-            cut = a.restrict(rows(a.dim, rng.randint(1, 3), dependent=False))
+            a = Subspace.from_vectors(rational_rows(rng, rng.randint(0, n + 1), n), n)
+            b = Subspace.kernel_of(rational_rows(rng, rng.randint(0, n), n), n)
+            cut = a.restrict(rational_rows(rng, a.dim, rng.randint(1, 3), dependent=False))
             meet = a.intersect(b)
-            gram = rows(n, n, dependent=False)
+            gram = rational_rows(rng, n, n, dependent=False)
             gram = [[gram[i][j] + gram[j][i] for j in range(n)] for i in range(n)]
             complement = a.orthogonal_complement(tuple(map(tuple, gram)))
             total = a.add(b)

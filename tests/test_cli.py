@@ -1,7 +1,6 @@
 """End-to-end command behavior, exit codes and frozen report text."""
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib
 import io
@@ -17,10 +16,17 @@ import pytest
 
 from lcplie import cli, connections, documents, lcp, linalg
 from lcplie.cli import main
-from lcplie.linalg import Subspace
 
+import reference
+from cases import (
+    RECORD,
+    commands,
+    invoke as invoke_pinned,
+    mutated_lines,
+    pinned_lines,
+    subspaces_by_dimension,
+)
 from conftest import CORPUS_DIR, corpus_text
-from test_cli_bytes import RECORD, commands, invoke as invoke_pinned
 
 SOL3_ANALYSIS = """\
 dim: 3
@@ -67,7 +73,7 @@ class TestModuleEntryPoint:
         paths = (src, os.environ.get("PYTHONPATH"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         done = subprocess.run(
-            [sys.executable, "-m", "lcplie", "validate", path],
+            [sys.executable, "-B", "-m", "lcplie", "validate", path],
             capture_output=True, env=env, timeout=60, check=False,
         )
         assert expected[0] == done.returncode == 0
@@ -94,34 +100,6 @@ class TestParser:
                 main(["analyze"])
             assert exc.value.code == 2
             assert capsys.readouterr() == ("", expected)
-
-
-def parser_as_it_was():
-    """`build_parser` as it was before the grammar became one table: one
-    subparser written out by hand per command."""
-    parser = argparse.ArgumentParser(
-        prog="lcplie",
-        description="Exact analysis of conformal product structures on metric Lie algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_validate = sub.add_parser("validate", help="check a document's algebra, metric and covector")
-    p_validate.add_argument("file")
-    p_validate.set_defaults(func=cli.cmd_validate)
-    p_analyze = sub.add_parser("analyze", help="structural invariants of the algebra")
-    p_analyze.add_argument("file")
-    p_analyze.set_defaults(func=cli.cmd_analyze)
-    p_lcp = sub.add_parser("lcp", help="conformal product structure analysis")
-    p_lcp.add_argument("action", choices=["detect", "max-flat", "from-triple", "char-bound"])
-    p_lcp.add_argument("file")
-    p_lcp.add_argument("--candidate", help="JSON basis (list of rational-string vectors)")
-    p_lcp.add_argument("--json", action="store_true")
-    p_lcp.set_defaults(func=cli.cmd_lcp)
-    p_lattice = sub.add_parser("lattice", help="integer matrix normal forms and splitting checks")
-    p_lattice.add_argument("action", choices=["snf", "index", "lemma51"])
-    p_lattice.add_argument("file")
-    p_lattice.add_argument("--json", action="store_true")
-    p_lattice.set_defaults(func=cli.cmd_lattice)
-    return parser
 
 
 def parse(parser, argv):
@@ -175,33 +153,6 @@ ARGV_SEED = 28
 ARGV_MUTATIONS = 10000
 
 
-def pinned_lines() -> list[list[str]]:
-    return [
-        [str(CORPUS_DIR / a) if a.endswith(".json") else a for a in argv] for argv in commands()
-    ]
-
-
-def mutated_lines(rng: random.Random, pinned: list[list[str]]):
-    """Pinned lines after one to three random deletions, insertions, replacements
-    or swaps, with tokens drawn from every line argparse reads and the pinned ones."""
-    pool = sorted({t for argv in (*ARGPARSE_LINES, *pinned) for t in argv})
-    for _ in range(ARGV_MUTATIONS):
-        argv = list(rng.choice(pinned))
-        for _ in range(rng.randint(1, 3)):
-            kind = rng.randrange(4)
-            at = rng.randrange(len(argv) + 1)
-            if kind == 0:
-                argv.insert(at, rng.choice(pool))
-            elif at < len(argv):
-                if kind == 1:
-                    del argv[at]
-                elif kind == 2:
-                    argv[at] = rng.choice(pool)
-                elif at + 1 < len(argv):
-                    argv[at], argv[at + 1] = argv[at + 1], argv[at]
-        yield argv
-
-
 class TestPlainLines:
     """`cli._read_plain` reads a plain line into argparse's own namespace and
     leaves every other line to argparse."""
@@ -216,7 +167,7 @@ class TestPlainLines:
         parser = cli.build_parser()
         pinned = pinned_lines()
         lines = [*pinned, *map(list, ARGPARSE_LINES)]
-        lines += mutated_lines(random.Random(ARGV_SEED), pinned)
+        lines += mutated_lines(random.Random(ARGV_SEED), pinned, ARGPARSE_LINES, ARGV_MUTATIONS)
         read = 0
         for argv in lines:
             plain = cli._read_plain(argv)
@@ -229,7 +180,7 @@ class TestPlainLines:
     def test_other_lines_go_to_argparse_and_read_as_they_did(self, argv, monkeypatch):
         assert cli._read_plain(list(argv)) is None
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-        expected = parse(parser_as_it_was(), list(argv))
+        expected = parse(reference.parser_as_it_was(), list(argv))
         assert parse(cli.build_parser(), list(argv)) == expected
         if expected[0] is None:
             assert parse_main(list(argv)) == expected[1:]
@@ -333,63 +284,18 @@ def test_a_missing_field_is_checked_once_in_documents(line, build):
     assert invoke_pinned(argv) == expected
 
 
-def fraction_format_combination(coeffs, labels, dual=False):
-    """`cli._format_combination` as it was on Fraction coefficients."""
-    out = ""
-    for c, label in zip(coeffs, labels, strict=True):
-        if not c:
-            continue
-        name = label + ("*" if dual else "")
-        term = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        if out:
-            out += f" - {term}" if c < 0 else f" + {term}"
-        else:
-            out = f"-{term}" if c < 0 else term
-    return out or "0"
-
-
-def fraction_rows(s):
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(s.rows, s.pivots)]
-
-
-def fraction_format_subspace(s, labels):
-    """`cli._format_subspace` as it was, one Fraction per nonzero entry."""
-    if s.is_zero():
-        return "0"
-    return "span{" + ", ".join(fraction_format_combination(r, labels) for r in fraction_rows(s)) + "}"
-
-
-def fraction_subspace_rows(s):
-    """`cli._subspace_rows` as it was, from the Fraction basis."""
-    return [[str(x) for x in row] for row in fraction_rows(s)]
-
-
 class TestFormatterOracle:
     """The formatters print x / row[pivot] of the integer echelon rows as the
     Fraction versions did, and no command that prints a subspace builds the
     Fraction basis."""
 
-    @staticmethod
-    def seeded_subspaces():
-        rng = random.Random(22)
-        for n in range(1, 7):
-            yield Subspace.zero(n)
-            yield Subspace.full(n)
-            for _ in range(40):
-                vectors = [
-                    [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
-                     for _ in range(n)]
-                    for _ in range(rng.randint(1, n))
-                ]
-                yield Subspace.from_vectors(vectors, n)
-
     def test_matches_the_fraction_versions(self):
         seen = set()
-        for s in self.seeded_subspaces():
+        for s in subspaces_by_dimension(22, range(1, 7), 40, num=4, den=6, density=0.6):
             labels = [f"e{k}" for k in range(s.ambient_dim)]
-            assert cli._format_subspace(s, labels) == fraction_format_subspace(s, labels)
-            assert cli._subspace_rows(s) == fraction_subspace_rows(s)
-            entries = [x for row in fraction_rows(s) for x in row]
+            assert cli._format_subspace(s, labels) == reference.fraction_format_subspace(s, labels)
+            assert cli._subspace_rows(s) == reference.fraction_subspace_rows(s)
+            entries = [x for row in reference.fraction_rows(s) for x in row]
             seen |= {
                 "pivot > 1" if any(row[p] > 1 for row, p in zip(s.rows, s.pivots)) else "",
                 "negative" if any(x < 0 for x in entries) else "",
@@ -402,7 +308,7 @@ class TestFormatterOracle:
     def test_trace_form_coefficients_stay_fractions(self):
         coeffs = (Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(-1), Fraction(4))
         labels = ("a", "b", "c", "d", "e")
-        assert cli._format_combination(coeffs, labels, dual=True) == fraction_format_combination(
+        assert cli._format_combination(coeffs, labels, dual=True) == reference.fraction_format_combination(
             coeffs, labels, dual=True
         )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 import pytest
@@ -21,208 +21,53 @@ from lcplie.connections import (
     torsion,
     weyl_connection,
 )
-from lcplie.documents import (
-    document_algebra,
-    document_metric,
-    document_triple,
-    parse_algebra_document,
-)
-from lcplie.lcp import LCPTriple, build_from_triple, is_flat_subspace, is_parallel
-from lcplie.liealg import (
-    Covector,
-    LieAlgebra,
-    derived_algebra,
-    is_unimodular,
-    semidirect_sum,
-    trace_form,
-)
+from lcplie.lcp import is_flat_subspace, is_parallel
+from lcplie.liealg import Covector, is_unimodular, trace_form
 from lcplie.linalg import (
     Subspace,
-    _integer_row,
     _lift,
     _unlift,
-    dot,
     identity_matrix,
-    inverse,
     is_zero_vector,
-    kernel,
     mat_vec,
     matrix,
     pair_index,
     pairs,
-    transpose,
     vector,
     zero_vector,
 )
 
+import reference
+from cases import (
+    brute_force_subspaces,
+    closed_covector,
+    closed_covectors,
+    corpus_cases,
+    definite_inverse_samples,
+    mutations,
+    pipeline_cases,
+    random_connection,
+    random_llt_metric,
+    random_metric_algebras,
+    random_spd_metric,
+    random_triple_structure,
+    scaling_family,
+    small_rational,
+    symmetric_samples,
+)
 from conftest import (
-    CORPUS_DIR,
-    fraction_det,
     make_abelian,
     make_aff,
     make_heis3,
     make_sl2,
     make_sol3,
-    mat_combination,
-    mat_mul,
     sol3_theta,
 )
+from reference import gram_entry_sum, leading_minor_failure, mat_mul
 
 F = Fraction
 
 CORPUS = (make_abelian, make_heis3, make_aff, make_sol3, make_sl2)
-
-
-def ip(gram, x, y):
-    return dot(mat_vec(gram, y), x)
-
-
-def koszul_oracle(algebra, gram, x, y, z):
-    """One half of the cyclic bracket sum; pins down the metric connection."""
-    return (
-        ip(gram, algebra.bracket(x, y), z)
-        - ip(gram, algebra.bracket(x, z), y)
-        - ip(gram, algebra.bracket(y, z), x)
-    ) / 2
-
-
-def weyl_oracle(algebra, gram, theta, x, y, z):
-    """Inner product of the conformal derivative, expanded term by term."""
-    return (
-        koszul_oracle(algebra, gram, x, y, z)
-        + theta.value(x) * ip(gram, y, z)
-        + theta.value(y) * ip(gram, x, z)
-        - theta.value(z) * ip(gram, x, y)
-    )
-
-
-def closed_covectors(algebra, count=3, seed=0):
-    """Deterministic sample of covectors vanishing on the derived algebra."""
-    rng = random.Random(seed)
-    out = [closed_covector(algebra, rng) for _ in range(count)]
-    assert all(is_closed(algebra, theta) for theta in out)
-    return out
-
-
-def random_spd_metric(rng, n):
-    a = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-    gram = mat_mul(transpose(a), a)
-    return InnerProduct(
-        tuple(
-            tuple(gram[i][j] + (1 if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-    )
-
-
-def small_rational(rng):
-    return F(rng.randint(-3, 3), rng.randint(1, 3))
-
-
-def random_llt_metric(rng, n):
-    """L L^T with L lower triangular and a positive diagonal: rational, positive definite."""
-    lower = [
-        [small_rational(rng) if c < r else F(rng.randint(1, 3), rng.randint(1, 2)) if c == r else F(0)
-         for c in range(n)]
-        for r in range(n)
-    ]
-    return InnerProduct(mat_mul(lower, transpose(lower)))
-
-
-def random_triple_structure(rng):
-    """build_from_triple on h = aff(R) + R^(m-2) acting by one rotation block on R^q."""
-    m, q = rng.randint(2, 3), rng.randint(2, 3)
-    h = LieAlgebra.from_brackets(m, {(0, 1): {1: F(1)}})
-
-    def rotation(scale):
-        block = [[F(0)] * q for _ in range(q)]
-        block[0][1], block[1][0] = -scale, scale
-        return tuple(tuple(row) for row in block)
-
-    beta = (rotation(small_rational(rng)), rotation(F(0))) + tuple(
-        rotation(small_rational(rng)) for _ in range(m - 2)
-    )
-    return build_from_triple(LCPTriple(h, random_llt_metric(rng, m), q, beta))
-
-
-def random_semidirect_sum(rng):
-    """R^q extended by aff(R) (b acting by zero) or by an abelian algebra acting
-    through commuting polynomials in one random matrix; Jacobi holds by construction."""
-    q = rng.randint(1, 3)
-    a = [[small_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(q)] for _ in range(q)]
-    zero = tuple(tuple(F(0) for _ in range(q)) for _ in range(q))
-    if rng.random() < 0.5:
-        return semidirect_sum(q, make_aff(), (tuple(map(tuple, a)), zero))
-    d = rng.randint(1, 3)
-    a2 = mat_mul(a, a)
-    alpha = []
-    for _ in range(d):
-        s, t = small_rational(rng), small_rational(rng)
-        alpha.append(
-            tuple(tuple(s * a[r][c] + t * a2[r][c] for c in range(q)) for r in range(q))
-        )
-    return semidirect_sum(q, make_abelian(d), alpha)
-
-
-def random_metric_algebras(seed, count):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        if rng.random() < 0.5:
-            algebra = random_triple_structure(rng).algebra
-        else:
-            algebra = random_semidirect_sum(rng)
-        out.append((algebra, random_llt_metric(rng, algebra.dim)))
-    return out
-
-
-def reference_levi_civita(algebra, metric):
-    """The Koszul formula evaluated through InnerProduct.value, one entry at a time."""
-    n = algebra.dim
-    e = [tuple(F(int(r == c)) for c in range(n)) for r in range(n)]
-    gram_inv = inverse(metric.gram)
-    nabla = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            rhs = tuple(
-                F(1, 2)
-                * (
-                    metric.value(algebra.basis_bracket(i, j), e[k])
-                    - metric.value(algebra.basis_bracket(i, k), e[j])
-                    - metric.value(algebra.basis_bracket(j, k), e[i])
-                )
-                for k in range(n)
-            )
-            cols.append(mat_vec(gram_inv, rhs))
-        nabla.append(transpose(tuple(cols)))
-    return tuple(nabla)
-
-
-def raw_form(gram, x, y):
-    n = len(gram)
-    return sum((x[a] * gram[a][b] * y[b] for a in range(n) for b in range(n)), F(0))
-
-
-def column(m, j):
-    return tuple(row[j] for row in m)
-
-
-def gram_entry_sum(gram, m, j, k):
-    """g(m e_j, e_k) + g(e_j, m e_k) in raw arithmetic."""
-    n = len(gram)
-    e_j = tuple(F(int(t == j)) for t in range(n))
-    e_k = tuple(F(int(t == k)) for t in range(n))
-    return raw_form(gram, column(m, j), e_k) + raw_form(gram, e_j, column(m, k))
-
-
-def leading_minor_failure(gram):
-    """Sylvester's criterion one minor at a time: the first k whose leading
-    k x k minor is not positive, or None for a positive definite matrix."""
-    for k in range(1, len(gram) + 1):
-        if fraction_det(tuple(row[:k] for row in gram[:k])) <= 0:
-            return k
-    return None
 
 
 def definiteness_verdict(gram):
@@ -238,237 +83,17 @@ def definiteness_verdict(gram):
     return None
 
 
-def symmetric_samples(seed):
-    """Seeded symmetric rational matrices, by kind."""
-    rng = random.Random(seed)
-    samples = [("1x1", ((c,),)) for c in (F(3, 2), F(0), F(-1, 3))]
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        samples.append(("positive definite", random_llt_metric(rng, n).gram))
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        a = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
-        samples.append(
-            ("indefinite or random", tuple(tuple(a[r][c] + a[c][r] for c in range(n)) for r in range(n)))
-        )
-    for _ in range(20):
-        # A A^T with A of rank below n: positive semidefinite and singular
-        n = rng.randint(2, 6)
-        width = rng.randint(1, n - 1)
-        a = [[small_rational(rng) for _ in range(width)] for _ in range(n)]
-        samples.append(("singular", mat_mul(a, transpose(a))))
-    for _ in range(20):
-        # a positive definite matrix with one diagonal entry set to zero
-        n = rng.randint(2, 6)
-        gram = [list(row) for row in random_llt_metric(rng, n).gram]
-        k = 0 if rng.random() < 0.5 else rng.randrange(n)
-        gram[k][k] = F(0)
-        samples.append(("zero diagonal entry", tuple(map(tuple, gram))))
-    return samples
-
-
-def dense_weyl(algebra, metric, theta):
-    """D_i = LC_i + theta_i I + e_i theta^T - sharp g_i^T, entry by entry, from
-    the reference Koszul formula."""
-    n, th, gram = algebra.dim, theta.coefficients, metric.gram
-    lc = reference_levi_civita(algebra, metric)
-    sharp = mat_vec(inverse(gram), th)
-    return tuple(
-        tuple(
-            tuple(
-                lc[i][r][c]
-                + (th[i] if r == c else 0)
-                + (th[c] if r == i else 0)
-                - sharp[r] * gram[i][c]
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def dense_curvature(algebra, conn):
-    """[D_i, D_j] - D_[e_i, e_j] for i < j, from full matrix products."""
-    n = algebra.dim
-    ops = []
-    for i, j in pairs(n):
-        ab = mat_mul(conn.nabla[i], conn.nabla[j])
-        ba = mat_mul(conn.nabla[j], conn.nabla[i])
-        d = conn.directional(algebra.basis_bracket(i, j))
-        ops.append(
-            tuple(tuple(ab[r][c] - ba[r][c] - d[r][c] for c in range(n)) for r in range(n))
-        )
-    return tuple(ops)
-
-
-def dense_torsion(algebra, conn):
-    """D_i e_j - D_j e_i - [e_i, e_j] for i < j, from full matrix-vector products."""
-    out = []
-    for i, j in pairs(algebra.dim):
-        a = mat_vec(conn.nabla[i], algebra.basis_vector(j))
-        b = mat_vec(conn.nabla[j], algebra.basis_vector(i))
-        out.append(tuple(x - y - z for x, y, z in zip(a, b, algebra.basis_bracket(i, j))))
-    return tuple(out)
-
-
-def random_connection(rng, n):
-    """A seeded connection with about half of its entries small nonzero rationals."""
-    return Connection.from_matrices(
-        n,
-        tuple(
-            tuple(
-                tuple(small_rational(rng) if rng.random() < 0.5 else F(0) for _ in range(n))
-                for _ in range(n)
-            )
-            for _ in range(n)
-        ),
-    )
-
-
-def corpus_cases():
-    """(algebra, metric, covector) from every algebra and triple file of the corpus."""
-    rng = random.Random(41)
-    cases = []
-    for path in sorted(CORPUS_DIR.glob("*.json")):
-        if path.name.startswith("lat_"):
-            continue
-        doc = parse_algebra_document(path.read_text(encoding="utf-8"))
-        if doc.triple is not None:
-            s = build_from_triple(document_triple(doc))
-            cases.append((s.algebra, s.metric, s.lee_form))
-            continue
-        algebra = document_algebra(doc)
-        metric = document_metric(doc) or InnerProduct.identity(algebra.dim)
-        if doc.theta is not None:
-            cases.append((algebra, metric, Covector(doc.theta)))
-        else:
-            cases.extend((algebra, metric, closed_covector(algebra, rng)) for _ in range(2))
-    return cases
-
-
-def closed_covector(algebra, rng):
-    """A seeded combination of a basis of the covectors that vanish on [g, g]."""
-    free = kernel(derived_algebra(algebra).basis, ncols=algebra.dim)
-    coeffs = [F(rng.randint(-3, 3)) for _ in free]
-    return Covector(
-        tuple(sum((c * row[k] for c, row in zip(coeffs, free)), F(0)) for k in range(algebra.dim))
-    )
-
-
-def pipeline_cases():
-    """sol3, the corpus and the seeded generators, each with a closed covector."""
-    cases = [(make_sol3(), InnerProduct.identity(3), sol3_theta())] + corpus_cases()
-    rng = random.Random(606)
-    for _ in range(4):
-        s = random_triple_structure(rng)
-        cases.append((s.algebra, s.metric, s.lee_form))
-        cases.append((s.algebra, random_llt_metric(rng, s.algebra.dim), s.lee_form))
-    for _ in range(4):
-        algebra = random_semidirect_sum(rng)
-        metric = random_llt_metric(rng, algebra.dim)
-        cases.extend((algebra, metric, closed_covector(algebra, rng)) for _ in range(2))
-    for algebra, metric in random_metric_algebras(seed=808, count=6):
-        cases.append((algebra, metric, closed_covector(algebra, rng)))
-    return cases
-
-
-def brute_force_subspaces(n):
-    """Every span of at most two vectors with entries in {-1, 0, 1}, plus 0 and the whole space."""
-    vectors = [vector(v) for v in product((-1, 0, 1), repeat=n) if any(v)]
-    spans = {Subspace.zero(n), Subspace.full(n)}
-    spans.update(Subspace.from_vectors([v], n) for v in vectors)
-    spans.update(Subspace.from_vectors(pair, n) for pair in combinations(vectors, 2))
-    return sorted(spans, key=lambda s: (s.dim, s.basis))
-
-
-def previous_definiteness_failure(gram):
-    """In-test copy of the previous Sylvester check: one Bareiss pass on the
-    primitive integer multiples of the rows, stopped at the first pivot <= 0
-    (so never at a row exchange); that pivot's k, or None."""
-    work = [_integer_row(row) for row in gram]
-    n, previous = len(work), 1
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return k + 1
-        for i in range(k + 1, n):
-            f = work[i][k]
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * pivot - f * work[k][j]) // previous
-        previous = pivot
-    return None
-
-
-def previous_fraction_inverse(a):
-    """In-test copy of the previous Gram inverse: Gauss-Jordan on Fractions
-    with row exchanges, as `linalg.inverse` reads it off the rref of [A | I]."""
-    n = len(a)
-    m = [list(row) + [F(int(r == c)) for c in range(n)] for r, row in enumerate(a)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if m[r][c])
-        m[c], m[p] = m[p], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def definite_inverse_samples(seed, count):
-    """Seeded symmetric rational matrices by kind, definite and not, some sparse
-    and some with a zero leading minor."""
-    rng = random.Random(seed)
-    samples = []
-    while len(samples) < count:
-        n = rng.randint(1, 7)
-        kind = rng.choice(["llt", "sparse", "random", "singular", "zero minor", "zero diagonal"])
-        if kind == "llt":
-            gram = random_llt_metric(rng, n).gram
-        elif kind == "sparse":
-            # positive diagonal, a few symmetric off-diagonal pairs: definite or not
-            a = [[F(0)] * n for _ in range(n)]
-            for i in range(n):
-                a[i][i] = F(rng.randint(1, 9), rng.randint(1, 4))
-            for _ in range(rng.randint(0, n) if n > 1 else 0):
-                i, j = rng.sample(range(n), 2)
-                a[i][j] = a[j][i] = small_rational(rng)
-            gram = tuple(map(tuple, a))
-        elif kind == "random":
-            a = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
-            gram = tuple(tuple(a[r][c] + a[c][r] for c in range(n)) for r in range(n))
-        elif kind in ("singular", "zero minor"):
-            # M M^T; for a zero leading k x k minor, row k - 1 of M repeats a combination
-            # of the rows above it, so the leading minors stop being positive at k
-            m = [[small_rational(rng) for _ in range(n)] for _ in range(n)]
-            k = rng.randint(2, n) if n > 1 else 1
-            if kind == "singular" or k == 1:
-                m[-1] = [F(0)] * n
-            else:
-                f = [small_rational(rng) for _ in range(k - 1)]
-                m[k - 1] = [sum((x * row[c] for x, row in zip(f, m)), F(0)) for c in range(n)]
-            gram = mat_mul(m, transpose(m))
-        else:
-            gram = [list(row) for row in random_llt_metric(rng, n).gram]
-            k = rng.randrange(n)
-            gram[k][k] = F(0)
-            gram = tuple(map(tuple, gram))
-        samples.append((kind, tuple(map(tuple, gram))))
-    return samples
-
-
 class TestDefiniteInverse:
     def test_one_elimination_matches_the_bareiss_check_and_the_fraction_inverse(self):
         samples = definite_inverse_samples(seed=2026, count=1200)
         verdicts = {}
         for kind, gram in samples:
-            expected = previous_definiteness_failure(gram)
+            expected = leading_minor_failure(gram)
             assert definiteness_verdict(gram) == expected, (kind, gram)
             verdicts.setdefault(kind, set()).add(expected)
             if expected is None:
                 metric = InnerProduct(gram)
-                inv = previous_fraction_inverse(gram)
+                inv = reference.inverse(gram)
                 assert metric.gram_inverse == inv, gram
                 d, (rows,) = _lift((inv,))
                 assert metric.lifted_inverse == (d, rows), gram  # lowest terms, as _lift gives
@@ -479,8 +104,8 @@ class TestDefiniteInverse:
         assert {1, 2, 3, 4} <= verdicts["random"] and {2, 3, 4} <= verdicts["zero minor"]
         # at least one named minor is zero, not negative
         assert any(
-            (k := previous_definiteness_failure(gram))
-            and fraction_det(tuple(row[:k] for row in gram[:k])) == 0
+            (k := leading_minor_failure(gram))
+            and reference.det(tuple(row[:k] for row in gram[:k])) == 0
             for kind, gram in samples if kind == "zero minor"
         )
 
@@ -585,10 +210,6 @@ class TestClosedness:
             assert theta.is_zero()
 
     def test_matches_the_fraction_sum_on_seeded_algebras_and_covectors(self):
-        def fraction_is_closed(algebra, theta):
-            th = theta.coefficients
-            return all(sum((th[k] * c for k, c in terms), F(0)) == 0 for _, _, terms in algebra.table)
-
         rng = random.Random(515)
         algebras = [make_sol3(), make_heis3(), make_sl2(), make_aff(), make_abelian(3)]
         algebras += [case[0] for case in corpus_cases()]
@@ -605,7 +226,7 @@ class TestClosedness:
             k = rng.randrange(n)
             thetas.append(Covector(tuple(x + F(int(i == k), 7) for i, x in enumerate(thetas[0].coefficients))))
             for theta in thetas:
-                verdict = fraction_is_closed(algebra, theta)
+                verdict = reference.is_closed(reference.DenseBrackets(algebra).c, theta.coefficients)
                 assert is_closed(algebra, theta) == verdict, (algebra, theta)
                 verdicts.append(verdict)
         assert len(verdicts) >= 100 and {True, False} <= set(verdicts)
@@ -615,7 +236,7 @@ class TestNoGramInverseThroughInverse:
     def test_the_metric_and_weyl_build_never_call_inverse(self, monkeypatch):
         structure = random_triple_structure(random.Random(8))
         gram = ((F(2), F(1), F(0)), (F(1), F(2), F(1)), (F(0), F(1), F(2)))
-        expected = previous_fraction_inverse(gram)
+        expected = reference.inverse(gram)
 
         def forbidden(*args):
             raise AssertionError("a Gram matrix was inverted through linalg.inverse")
@@ -624,7 +245,7 @@ class TestNoGramInverseThroughInverse:
         monkeypatch.setattr(connections, "inverse", forbidden, raising=False)
         assert InnerProduct(gram).gram_inverse == expected
         metric = InnerProduct(structure.metric.gram)
-        assert metric.gram_inverse == previous_fraction_inverse(metric.gram)
+        assert metric.gram_inverse == reference.inverse(metric.gram)
         conn = weyl_connection(structure.algebra, metric, structure.lee_form)
         assert conn == structure.connection()
 
@@ -640,6 +261,7 @@ class TestLeviCivita:
             algebra = make()
             gram = InnerProduct.identity(algebra.dim)
             conn = levi_civita(algebra, gram)
+            koszul = reference.koszul_form(algebra, gram)
             for i in range(algebra.dim):
                 for j in range(algebra.dim):
                     for k in range(algebra.dim):
@@ -647,13 +269,7 @@ class TestLeviCivita:
                             conn.apply(algebra.basis_vector(i), algebra.basis_vector(j)),
                             algebra.basis_vector(k),
                         )
-                        rhs = koszul_oracle(
-                            algebra,
-                            gram.gram,
-                            algebra.basis_vector(i),
-                            algebra.basis_vector(j),
-                            algebra.basis_vector(k),
-                        )
+                        rhs = koszul[i][j][k]
                         assert lhs == rhs
 
     def test_sol3_frozen_matrices(self, sol3):
@@ -699,7 +315,7 @@ class TestLeviCivita:
     def test_seeded_random_structures_match_the_reference_formula(self):
         for algebra, metric in random_metric_algebras(seed=314, count=12):
             conn = levi_civita(algebra, metric)
-            assert conn.nabla == reference_levi_civita(algebra, metric)
+            assert conn.nabla == reference.weyl(algebra, metric)
             assert is_torsion_free(algebra, conn)
             gram, n = metric.gram, algebra.dim
             for i in range(n):
@@ -777,6 +393,7 @@ class TestWeyl:
             for gram in (InnerProduct.identity(algebra.dim), random_spd_metric(rng, algebra.dim)):
                 for theta in closed_covectors(algebra, count=3, seed=17):
                     conn = weyl_connection(algebra, gram, theta)
+                    koszul = reference.koszul_form(algebra, gram, theta)
                     for i in range(algebra.dim):
                         for j in range(algebra.dim):
                             for k in range(algebra.dim):
@@ -784,14 +401,7 @@ class TestWeyl:
                                     mat_vec(conn.nabla[i], algebra.basis_vector(j)),
                                     algebra.basis_vector(k),
                                 )
-                                rhs = weyl_oracle(
-                                    algebra,
-                                    gram.gram,
-                                    theta,
-                                    algebra.basis_vector(i),
-                                    algebra.basis_vector(j),
-                                    algebra.basis_vector(k),
-                                )
+                                rhs = koszul[i][j][k]
                                 assert lhs == rhs
 
     def test_conformal_compatibility_identity(self):
@@ -846,13 +456,13 @@ class TestWeyl:
     def test_cross_check_catches_a_wrong_gram_inverse(self, monkeypatch):
         structure = random_triple_structure(random.Random(8))
         algebra, metric, theta = structure.algebra, structure.metric, structure.lee_form
-        wrong_inverse = [list(row) for row in inverse(metric.gram)]
+        wrong_inverse = [list(row) for row in reference.inverse(metric.gram)]
         wrong_inverse[-1][-1] += 1
         wrong_inverse = matrix(wrong_inverse)
         # the build multiplies G^-1 into the matrices G D_i, so W in its place gives W G D_i
-        good = dense_weyl(algebra, metric, theta)
+        good = reference.weyl(algebra, metric, theta)
         wrong = tuple(mat_mul(wrong_inverse, mat_mul(metric.gram, m)) for m in good)
-        (i, j, k), name = parent_cross_check_witness(algebra, metric, theta, wrong)
+        (i, j, k), name = reference.cross_check_witness(algebra, metric, theta, wrong)
 
         metric = InnerProduct(metric.gram)  # a copy whose stored inverse is replaced
         d, (rows,) = _lift((wrong_inverse,))
@@ -872,9 +482,29 @@ class TestWeyl:
         weyl_connection(structure.algebra, structure.metric, structure.lee_form)
 
     def test_matches_the_dense_closed_form(self):
+        """D_i = LC_i + theta_i I + e_i theta^T - theta^sharp g_i^T, entry by entry,
+        where LC is the Koszul route without theta; the Koszul route with its
+        theta terms must give the same matrices."""
         for algebra, metric, theta in pipeline_cases():
+            n, th, gram = algebra.dim, theta.coefficients, metric.gram
+            lc = reference.weyl(algebra, metric)
+            sharp = reference.mat_vec(reference.inverse(gram), th)
+            closed_form = tuple(
+                tuple(
+                    tuple(
+                        lc[i][r][c]
+                        + (th[i] if r == c else 0)
+                        + (th[c] if r == i else 0)
+                        - sharp[r] * gram[i][c]
+                        for c in range(n)
+                    )
+                    for r in range(n)
+                )
+                for i in range(n)
+            )
+            assert reference.weyl(algebra, metric, theta) == closed_form
             conn = weyl_connection(algebra, metric, theta)
-            assert conn.nabla == dense_weyl(algebra, metric, theta)
+            assert conn.nabla == closed_form
 
     def test_makes_no_inner_product_value_calls(self, monkeypatch, sol3):
         calls = []
@@ -962,10 +592,10 @@ class TestTorsion:
         for algebra, _ in cases:
             for _ in range(3):
                 conn = random_connection(rng, algebra.dim)
-                assert torsion(algebra, conn) == dense_torsion(algebra, conn)
+                assert torsion(algebra, conn) == reference.torsion(algebra, conn.nabla)
         for algebra, metric, theta in pipeline_cases():
             conn = weyl_connection(algebra, metric, theta)
-            assert torsion(algebra, conn) == dense_torsion(algebra, conn)
+            assert torsion(algebra, conn) == reference.torsion(algebra, conn.nabla)
 
     def test_rejects_a_connection_of_another_dimension(self, sol3):
         conn = levi_civita(make_abelian(2), InnerProduct.identity(2))
@@ -1056,13 +686,13 @@ class TestCurvature:
     def test_matches_the_dense_formula(self):
         for algebra, metric, theta in pipeline_cases():
             for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
-                assert curvature(algebra, conn).operators == dense_curvature(algebra, conn)
+                assert curvature(algebra, conn).operators == reference.curvature(algebra, conn.nabla)
 
     def test_joint_kernel_is_the_kernel_of_every_operator_row(self):
         for algebra, metric, theta in pipeline_cases():
             r = curvature(algebra, weyl_connection(algebra, metric, theta))
             stacked = tuple(row for op in r.operators for row in op)
-            assert r.kernel == Subspace.from_vectors(kernel(stacked, algebra.dim), algebra.dim)
+            assert r.kernel == Subspace.from_vectors(reference.kernel(stacked, algebra.dim), algebra.dim)
 
     def test_flat_subspace_verdict_matches_annihilation_on_sol3(self, sol3):
         def annihilates(curv, s):
@@ -1082,24 +712,6 @@ class TestCurvature:
         assert verdicts == {True, False}
 
 
-def scaling_structure(n):
-    """build_from_triple on aff(R) + R^(m-2), m = n - n // 2, with a tridiagonal
-    metric, acting by one rotation block scaled per generator on R^(n // 2)."""
-    q = n // 2
-    m = n - q
-    h = LieAlgebra.from_brackets(m, {(0, 1): {1: F(1)}})
-    gram = [[F(2 if r == c else -1 if abs(r - c) == 1 else 0, 2) for c in range(m)] for r in range(m)]
-    gram[0][0] = F(1, 2)
-
-    def rotation(scale):
-        block = [[F(0)] * q for _ in range(q)]
-        block[0][1], block[1][0] = F(-scale), F(scale)
-        return tuple(map(tuple, block))
-
-    beta = (rotation(1), rotation(0)) + tuple(rotation(i + 2) for i in range(m - 2))
-    return build_from_triple(LCPTriple(h, InnerProduct(tuple(map(tuple, gram))), q, beta))
-
-
 def lifted_invariants(d, rows, mats):
     """The lift is exact, in lowest terms, and holds nonzero ascending entries only."""
     n = len(mats[0]) if mats else 0
@@ -1110,19 +722,6 @@ def lifted_invariants(d, rows, mats):
         for _, terms in m:
             assert terms and all(x for _, x in terms)
             assert [c for c, _ in terms] == sorted({c for c, _ in terms})
-
-
-def parent_cross_check_witness(algebra, metric, theta, nabla):
-    """The Weyl self-check evaluated densely: the least (i, j, k) with its
-    identity name at which D violates torsion-freeness (reported as (j, i, k)
-    for the pair i < j) or conformal compatibility, or None."""
-    n, gram, th = algebra.dim, metric.gram, theta.coefficients
-    torsions = zip(pairs(n), dense_torsion(algebra, Connection.from_matrices(n, nabla)))
-    failures = [((j, i, k), "torsion") for (i, j), t in torsions for k, x in enumerate(t) if x]
-    for i, j, k in product(range(n), repeat=3):
-        if gram_entry_sum(gram, nabla[i], j, k) != 2 * th[i] * gram[j][k]:
-            failures.append(((i, j, k), "conformal"))
-    return min(failures) if failures else None
 
 
 class TestIntegerLift:
@@ -1164,7 +763,7 @@ class TestIntegerLift:
 class TestDenseOracles:
     def test_levi_civita_matches_the_reference_formula_on_every_case(self):
         for algebra, metric, _ in pipeline_cases():
-            assert levi_civita(algebra, metric).nabla == reference_levi_civita(algebra, metric)
+            assert levi_civita(algebra, metric).nabla == reference.weyl(algebra, metric)
 
     def test_operator_evaluate_and_flatness_match_the_dense_tensor(self):
         rng = random.Random(5151)
@@ -1173,7 +772,7 @@ class TestDenseOracles:
             n = algebra.dim
             for conn in (levi_civita(algebra, metric), weyl_connection(algebra, metric, theta)):
                 r = curvature(algebra, conn)
-                dense = dense_curvature(algebra, conn)
+                dense = reference.curvature(algebra, conn.nabla)
                 for i, j in product(range(n), repeat=2):
                     if i < j:
                         expected = dense[pair_index(i, j, n)]
@@ -1204,10 +803,10 @@ class TestDenseOracles:
             for _ in range(3):
                 x = tuple(F(rng.randint(-9, 9) * 10**12, rng.randint(1, 10**6)) for _ in range(n))
                 y = tuple(small_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n))
-                assert conn.directional(x) == mat_combination(x, conn.nabla, n)
-                assert conn.directional(y) == mat_combination(y, conn.nabla, n)
+                assert conn.directional(x) == reference.combination(x, conn.nabla, n)
+                assert conn.directional(y) == reference.combination(y, conn.nabla, n)
                 coeffs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs(n)]
-                assert r.evaluate(x, y) == mat_combination(coeffs, r.operators, n)
+                assert r.evaluate(x, y) == reference.combination(coeffs, r.operators, n)
         assert conn.directional(zero_vector(n)) == tuple(zero_vector(n) for _ in range(n))
 
     def test_directional_and_evaluate_reject_inexact_coefficients(self, sol3):
@@ -1219,32 +818,31 @@ class TestDenseOracles:
                 conn.directional((bad, F(0), F(0)))
         with pytest.raises(TypeError):
             r.evaluate((0.5, F(0), F(0)), (F(1), F(2), F(3)))
+        # a flat connection has only zero operators, which skip nothing they read
+        plane = make_abelian(2)
+        flat = levi_civita(plane, InnerProduct.identity(2))
+        r = curvature(plane, flat)
+        assert not any(flat.rows) and r.is_flat()
+        exact, one = (F(1, 2), F(1, 4)), (F(1), F(0))
+        assert flat.directional(exact) == ((F(0), F(0)), (F(0), F(0)))
+        assert flat.apply(exact, one) == r.evaluate(exact, one)[0] == (F(0), F(0))
+        for bad in ((0.5, 0.25), (True, F(0))):
+            with pytest.raises(TypeError):
+                flat.directional(bad)
+            for x, y in ((bad, one), (one, bad)):
+                with pytest.raises(TypeError):
+                    flat.apply(x, y)
+                with pytest.raises(TypeError):
+                    r.evaluate(x, y)
 
     def test_kernel_matches_the_kernel_of_the_distinct_fraction_rows(self):
         for algebra, metric, theta in pipeline_cases():
             conn = weyl_connection(algebra, metric, theta)
             rows = dict.fromkeys(
-                row for op in dense_curvature(algebra, conn) for row in op if any(row)
+                row for op in reference.curvature(algebra, conn.nabla) for row in op if any(row)
             )
-            expected = Subspace.from_vectors(kernel(tuple(rows), algebra.dim), algebra.dim)
+            expected = Subspace.from_vectors(reference.kernel(tuple(rows), algebra.dim), algebra.dim)
             assert curvature(algebra, conn).kernel == expected
-
-
-def mutations(rng, metric, n):
-    """Seeded changes (i, delta) of one D_i: a single entry, or delta G^-1 (E_rc - E_cr),
-    which leaves g(D_i e_j, e_k) + g(e_j, D_i e_k) unchanged."""
-    gram_inv = inverse(metric.gram)
-    for kind in ("entry", "entry", "skew"):
-        i, r, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        delta = F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
-        change = [[F(0)] * n for _ in range(n)]
-        if kind == "entry":
-            change[r][c] = delta
-        elif r != c:
-            for a in range(n):
-                change[a][c] += delta * gram_inv[a][r]
-                change[a][r] -= delta * gram_inv[a][c]
-        yield i, change
 
 
 class TestSelfCheckMutations:
@@ -1268,7 +866,7 @@ class TestSelfCheckMutations:
                     nabla = bump(original(algebra, metric, theta).nabla)
                     return Connection.from_matrices(algebra.dim, nabla)
 
-                witness = parent_cross_check_witness(algebra, metric, theta, bump(good))
+                witness = reference.cross_check_witness(algebra, metric, theta, bump(good))
                 monkeypatch.setattr(connections, "_koszul_connection", perturbed)
                 if witness is None:  # the skew change of a diagonal entry is no change
                     assert weyl_connection(algebra, metric, theta).nabla == good
@@ -1287,7 +885,7 @@ class TestSelfCheckMutations:
 
 class TestSparseStorage:
     def test_curvature_stores_the_nonzero_rows_and_builds_no_dense_operator(self, monkeypatch):
-        s = scaling_structure(30)
+        s = scaling_family(30)
         algebra = s.algebra
         assert algebra.dim == 30
         conn = weyl_connection(algebra, s.metric, s.lee_form)

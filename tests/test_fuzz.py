@@ -8,44 +8,14 @@ or 2 and raises nothing; a failed command writes no stdout and exactly one
 """
 from __future__ import annotations
 
-import contextlib
-import copy
-import io
 import json
 import random
 
-from lcplie.cli import main
-
+from cases import POOL, invoke, mutate
 from conftest import CORPUS_DIR
 
 SEED = 27
 CASES = 1000
-
-POOL = (
-    True,
-    False,
-    None,
-    0.5,
-    -1e300,
-    0,
-    -3,
-    "",
-    "x",
-    "1/0",
-    "١",
-    "0",
-    "2",
-    "-1/2",
-    "7/3",
-    1,
-    "1" * 5000 + "/7",
-    [],
-    [[]],
-    [["1", "0"], ["0"]],
-    [[["1"]]],
-    {},
-    {"i": 0, "j": 1, "c": {"0": "1"}},
-)
 
 COMMANDS = (
     ("validate",),
@@ -57,41 +27,6 @@ COMMANDS = (
     ),
     *(("lattice", action, *flags) for action in ("snf", "index", "lemma51") for flags in ((), ("--json",))),
 )
-
-
-def nodes(tree, parent=None, key=None):
-    """Every (container, key) slot of the JSON tree, the root as (None, None)."""
-    yield parent, key
-    if isinstance(tree, dict):
-        for k, v in tree.items():
-            yield from nodes(v, tree, k)
-    elif isinstance(tree, list):
-        for k, v in enumerate(tree):
-            yield from nodes(v, tree, k)
-
-
-def mutate(rng: random.Random, doc):
-    """doc after one or two random deletions, unknown keys or pool values."""
-    doc = copy.deepcopy(doc)
-    for _ in range(rng.randint(1, 2)):
-        parent, key = rng.choice(list(nodes(doc)))
-        kind = rng.choice(("delete", "add", "replace"))
-        if parent is None:
-            doc = copy.deepcopy(rng.choice(POOL)) if kind == "replace" else doc
-        elif kind == "delete":
-            del parent[key]
-        elif kind == "add" and isinstance(parent, dict):
-            parent[f"unknown{rng.randrange(3)}"] = copy.deepcopy(rng.choice(POOL))
-        else:
-            parent[key] = copy.deepcopy(rng.choice(POOL))
-    return doc
-
-
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_mutated_corpus_documents_give_an_exit_code_and_at_most_one_error_line(tmp_path):
@@ -107,7 +42,7 @@ def test_mutated_corpus_documents_give_an_exit_code_and_at_most_one_error_line(t
             argv = [*command, str(path)]
             if command[1:2] == ("char-bound",) and rng.random() < 0.5:
                 argv.append(f"--candidate={candidate}")
-            code, out, err = invoke(argv)
+            code, out, err = invoke(argv).values()
             assert code in (0, 1, 2), (case, argv)
             if err:
                 assert out == "" and code != 0, (case, argv)

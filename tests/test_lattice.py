@@ -10,49 +10,21 @@ import pytest
 from lcplie.documents import parse_lattice_document
 from lcplie.lattice import (
     IntegerEndomorphism,
-    NonDensityWitness,
     SplitDecomposition,
-    SplittingVerdict,
     check_splitting,
     det_integer,
     elementary_divisors,
     lattice_index,
     smith_normal_form,
 )
-from lcplie.linalg import Subspace, inverse, mat_vec, vector
+from lcplie.linalg import Subspace, mat_vec, vector
 
-from conftest import CORPUS_DIR, fraction_det
-from test_linalg import fraction_coordinates, fraction_residue
+import reference
+from cases import random_matrix, seeded_splittings
+from conftest import CORPUS_DIR
+from reference import mat_mul
 
 F = Fraction
-
-
-def int_mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)
-    ]
-
-
-def random_int_matrix(rng, k, span=9):
-    return [[rng.randint(-span, span) for _ in range(k)] for _ in range(k)]
-
-
-def second_projection(split: SplitDecomposition):
-    """p2 along E1 as an explicit matrix, computed from scratch."""
-    cols = list(split.e1.basis) + list(split.e2.basis)
-    n = len(cols[0])
-    to_split = inverse(tuple(tuple(F(cols[j][i]) for j in range(n)) for i in range(n)))
-    r = split.e1.dim
-    rows = []
-    for i in range(n):
-        row = [F(0)] * n
-        for idx in range(split.e2.dim):
-            for k in range(n):
-                row[k] += split.e2.basis[idx][i] * to_split[r + idx][k]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def assert_witness_certifies_non_density(split, witness, box=10):
@@ -61,7 +33,7 @@ def assert_witness_certifies_non_density(split, witness, box=10):
     x = witness.vector
     k = len(x)
     norm_sq = sum(c * c for c in x)
-    p2 = second_projection(split)
+    p2 = reference.second_projection(split)
     px = mat_vec(p2, vector([F(c, norm_sq) for c in x]))
     points = [()]
     for _ in range(k):
@@ -79,8 +51,8 @@ class TestDeterminant:
         rng = random.Random(1234)
         for _ in range(40):
             k = rng.randint(1, 5)
-            a = random_int_matrix(rng, k, span=6)
-            assert det_integer(a) == fraction_det(a)
+            a = random_matrix(rng, k, span=6)
+            assert det_integer(a) == reference.det(a)
 
     @pytest.mark.parametrize(
         "a",
@@ -117,10 +89,7 @@ class TestSmithNormalForm:
         endo = IntegerEndomorphism(((2, 1), (0, 3)))
         u, d, v = smith_normal_form(endo)
         assert d == ((1, 0), (0, 6))
-        assert int_mat_mul(int_mat_mul([list(r) for r in u], [[2, 1], [0, 3]]), [list(r) for r in v]) == [
-            [1, 0],
-            [0, 6],
-        ]
+        assert mat_mul(mat_mul(u, ((2, 1), (0, 3))), v) == ((1, 0), (0, 6))
         assert elementary_divisors(endo) == (1, 6)
 
     def test_zero_matrix(self):
@@ -131,11 +100,9 @@ class TestSmithNormalForm:
         rng = random.Random(8128)
         for _ in range(100):
             k = rng.randint(1, 6)
-            a = random_int_matrix(rng, k)
+            a = random_matrix(rng, k)
             u, d, v = smith_normal_form(IntegerEndomorphism(tuple(tuple(r) for r in a)))
-            assert int_mat_mul(int_mat_mul([list(r) for r in u], a), [list(r) for r in v]) == [
-                list(r) for r in d
-            ]
+            assert mat_mul(mat_mul(u, a), v) == d
             assert abs(det_integer(u)) == 1
             assert abs(det_integer(v)) == 1
             diag = [d[i][i] for i in range(k)]
@@ -145,69 +112,6 @@ class TestSmithNormalForm:
                     assert second == 0
                 else:
                     assert second % first == 0
-
-
-def smith_normal_form_full_scan(matrix):
-    """(U, D, V) by the elimination `smith_normal_form` ran before it stopped
-    its pivot scan early and stored V transposed: every entry of the block is
-    scanned, and column operations touch every row of D and of V."""
-    k = len(matrix)
-    d = [list(row) for row in matrix]
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-    v = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def row_sub(i, j, q):
-        if q:
-            d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):
-        if q:
-            for row in d + v:
-                row[i] -= q * row[j]
-
-    for s in range(k):
-        while True:
-            best = None
-            for r in range(s, k):
-                for c in range(s, k):
-                    if d[r][c] != 0 and (best is None or abs(d[r][c]) < abs(d[best[0]][best[1]])):
-                        best = (r, c)
-            if best is None:
-                break
-            r0, c0 = best
-            if r0 != s:
-                d[s], d[r0] = d[r0], d[s]
-                u[s], u[r0] = u[r0], u[s]
-            if c0 != s:
-                for row in d + v:
-                    row[s], row[c0] = row[c0], row[s]
-            if d[s][s] < 0:
-                d[s] = [-x for x in d[s]]
-                u[s] = [-x for x in u[s]]
-            p = d[s][s]
-            dirty = False
-            for r in range(s + 1, k):
-                if d[r][s] != 0:
-                    row_sub(r, s, d[r][s] // p)
-                    dirty = dirty or d[r][s] != 0
-            for c in range(s + 1, k):
-                if d[s][c] != 0:
-                    col_sub(c, s, d[s][c] // p)
-                    dirty = dirty or d[s][c] != 0
-            if dirty:
-                continue
-            offender = next(
-                (r for r in range(s + 1, k) if any(d[r][c] % p != 0 for c in range(s + 1, k))),
-                None,
-            )
-            if offender is None:
-                break
-            d[s] = [x + y for x, y in zip(d[s], d[offender])]
-            u[s] = [x + y for x, y in zip(u[s], u[offender])]
-        if best is None:
-            break
-    return tuple(tuple(tuple(row) for row in m) for m in (u, d, v))
 
 
 class TestSmithNormalFormOracle:
@@ -225,10 +129,10 @@ class TestSmithNormalFormOracle:
                 a = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(k)]
                      for i in range(k)]
             else:
-                a = random_int_matrix(rng, k, span)
+                a = random_matrix(rng, k, span=span)
             singular += det_integer(a) == 0
             endo = IntegerEndomorphism(tuple(tuple(row) for row in a))
-            assert smith_normal_form(endo) == smith_normal_form_full_scan(a)
+            assert smith_normal_form(endo) == reference.smith_normal_form_full_scan(a)
         assert singular >= 80
 
 
@@ -251,7 +155,7 @@ class TestLatticeIndex:
         rng = random.Random(31)
         for _ in range(60):
             k = rng.randint(1, 5)
-            a = random_int_matrix(rng, k, span=7)
+            a = random_matrix(rng, k, span=7)
             expected = abs(det_integer(a))
             got = lattice_index(IntegerEndomorphism(tuple(tuple(r) for r in a)))
             assert got == (expected if expected else None)
@@ -362,7 +266,7 @@ class TestCheckSplitting:
                 [sign * p[1][1], -sign * p[0][1]],
                 [-sign * p[1][0], sign * p[0][0]],
             ]
-            a = int_mat_mul(int_mat_mul([list(r) for r in p], [[2, 0], [0, 1]]), p_inv)
+            a = mat_mul(mat_mul(p, ((2, 0), (0, 1))), p_inv)
             e1 = Subspace.from_vectors([vector([p[0][0], p[1][0]])], 2)
             e2 = Subspace.from_vectors([vector([p[0][1], p[1][1]])], 2)
             split = SplitDecomposition(e1, e2)
@@ -374,97 +278,13 @@ class TestCheckSplitting:
             assert_witness_certifies_non_density(split, verdict.witness, box=8)
 
 
-def fraction_check_splitting(a, split):
-    """`check_splitting` before it restricted A on integer rows: invariance and
-    (A - I)|E1 from the Fraction basis, residues and coordinates, the
-    determinant from a Fraction elimination."""
-    k = a.size
-    if split.e1.ambient_dim != k:
-        raise ValueError("splitting dimension does not match the matrix")
-    e1_invariant = all(not any(fraction_residue(split.e1, a.image(row))) for row in split.e1.basis)
-    e2_invariant = all(not any(fraction_residue(split.e2, a.image(row))) for row in split.e2.basis)
-    if split.e1.is_zero():
-        restriction_invertible = True
-    elif not e1_invariant:
-        restriction_invertible = False
-    else:
-        cols = []
-        for row in split.e1.basis:
-            shifted = tuple(x - y for x, y in zip(a.image(row), row, strict=True))
-            cols.append(fraction_coordinates(split.e1, shifted))
-        restriction_invertible = fraction_det(cols) != 0
-    shift = tuple(tuple(a.matrix[r][c] - (r == c) for c in range(k)) for r in range(k))
-    dmi = det_integer(shift)
-    index = witness = None
-    if dmi != 0:
-        if e1_invariant and e2_invariant and restriction_invertible:
-            index = abs(dmi)
-    else:
-        rows = [[a.matrix[r][c] - (1 if r == c else 0) for r in range(k)] for c in range(k)]
-        x = Subspace.kernel_of(rows, k).rows[0]
-        witness = NonDensityWitness(x, Subspace.kernel_of((x,), k).intersect(split.e2))
-    return SplittingVerdict(True, e1_invariant, e2_invariant, restriction_invertible, dmi, index, witness)
-
-
-def unimodular(rng, k):
-    """A random integer matrix of determinant 1: a product of elementary ones."""
-    p = [[int(r == c) for c in range(k)] for r in range(k)]
-    for _ in range(3 * k):
-        i, j = rng.sample(range(k), 2)
-        f = rng.choice((-2, -1, 1, 2))
-        p = [[x + f * p[j][c] if r == i else x for c, x in enumerate(row)] for r, row in enumerate(p)]
-    return p
-
-
-def seeded_splittings(seed, count=120):
-    """(A, split) pairs in dimension 2 to 5. Two in three conjugate a block
-    triangular integer matrix by a unimodular P, with E1 and E2 spanned by the
-    columns of P that carry the blocks: E1 is invariant, and so is E2 when the
-    block above it is zero, as it is in every other case. A block sometimes
-    fixes its first vector, which makes A - I singular. The rest pair a random
-    A with a random splitting, mostly not invariant."""
-    rng = random.Random(seed)
-    out = []
-    for case in range(count):
-        k = rng.randint(2, 5)
-        r = rng.randint(0, k)
-        if case % 3 < 2:
-            blocks = [[0] * k for _ in range(k)]
-            if case % 3 == 1 and 0 < r < k:  # the block above E2
-                blocks[rng.randrange(r)][rng.randrange(r, k)] = rng.choice((-1, 1))
-            for lo, hi in ((0, r), (r, k)):
-                for i in range(lo, hi):
-                    for j in range(lo, hi):
-                        blocks[i][j] = rng.randint(-2, 3) if j >= i or rng.random() < 0.5 else 0
-                if hi > lo and rng.random() < 0.4:
-                    blocks[lo][lo] = 1
-                    for j in range(lo, hi):
-                        if j != lo:
-                            blocks[j][lo] = 0
-            p = unimodular(rng, k)
-            p_inv = [[int(x) for x in row] for row in inverse(tuple(tuple(map(F, row)) for row in p))]
-            a = int_mat_mul(int_mat_mul(p, blocks), p_inv)
-            columns = list(zip(*p))
-            e1, e2 = columns[:r], columns[r:]
-        else:
-            a = random_int_matrix(rng, k, span=3)
-            while True:
-                vectors = random_int_matrix(rng, k, span=2)
-                if det_integer(vectors) != 0:
-                    break
-            e1, e2 = vectors[:r], vectors[r:]
-        split = SplitDecomposition(Subspace.from_vectors(e1, k), Subspace.from_vectors(e2, k))
-        out.append((IntegerEndomorphism(tuple(map(tuple, a))), split))
-    return out
-
-
 class TestSplittingOracle:
     def test_verdict_matches_the_fraction_route(self):
         kinds = set()
         half_invariant = 0
         for a, split in seeded_splittings(5151):
             verdict = check_splitting(a, split)
-            assert verdict == fraction_check_splitting(a, split)
+            assert verdict == reference.check_splitting(a, split)
             half_invariant += verdict.e1_invariant and not verdict.e2_invariant
             kinds.add((verdict.e1_invariant and verdict.e2_invariant, verdict.det_minus_identity == 0,
                        verdict.restriction_invertible))
@@ -482,6 +302,6 @@ class TestSplittingOracle:
             k = doc.endomorphism.size
             split = SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
             a = doc.endomorphism
-            assert check_splitting(a, split) == fraction_check_splitting(a, split)
+            assert check_splitting(a, split) == reference.check_splitting(a, split)
             split_docs += 1
         assert split_docs >= 2

@@ -1,7 +1,6 @@
 """Flat factors, structure validation, the triple correspondence, exponential checks."""
 from __future__ import annotations
 
-import importlib
 import json
 import random
 import re
@@ -39,7 +38,6 @@ from lcplie.lcp import (
 from lcplie.cli import main
 from lcplie.documents import (
     document_algebra,
-    document_metric,
     document_triple,
     parse_algebra_document,
     parse_lattice_document,
@@ -50,7 +48,6 @@ from lcplie.liealg import (
     LieAlgebra,
     center,
     derived_algebra,
-    is_unimodular,
     lower_central_series,
     radical,
     semidirect_sum,
@@ -71,8 +68,26 @@ from lcplie.linalg import (
     vector,
 )
 
+import reference
+from cases import (
+    RADICAL_BINDING,
+    RECORD,
+    commands,
+    coordinate_subspaces,
+    corpus_structures,
+    extraction_cases,
+    invoke,
+    pipeline_cases,
+    random_connection,
+    random_llt_metric,
+    random_rotation_triple,
+    random_triple_structure,
+    scaling_family,
+    scaling_triple,
+    small_rational,
+    small_triple_structures,
+)
 from conftest import (
-    BENCH_DIR,
     CORPUS_DIR,
     ROTATION,
     ZERO2,
@@ -82,20 +97,9 @@ from conftest import (
     make_rot5_structure,
     make_sol3,
     make_sol3_structure,
-    mat_mul,
     sol3_theta,
 )
-from test_connections import (
-    pipeline_cases,
-    random_connection,
-    random_llt_metric,
-    random_triple_structure,
-    scaling_structure,
-    small_rational,
-)
-from test_cli_bytes import RECORD, commands, invoke
-from test_liealg import DenseBrackets
-from test_linalg import fraction_coordinates, rank
+from reference import DenseBrackets, mat_mul, rank
 
 F = Fraction
 
@@ -110,37 +114,6 @@ def make_aff_plus_line() -> LieAlgebra:
 
 def sol3_weyl(sol3):
     return weyl_connection(sol3, InnerProduct.identity(3), sol3_theta())
-
-
-def coordinate_subspaces(n):
-    """All spans of subsets of the standard basis; closed under sum and meet."""
-    out = []
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            rows = [
-                tuple(F(1) if k == i else F(0) for k in range(n)) for i in subset
-            ]
-            out.append(Subspace.from_vectors(rows, n))
-    return out
-
-
-def invariant_closure(conn, v):
-    """The smallest subspace containing v that every nabla_i maps into itself."""
-    n = len(v)
-    span = Subspace.from_vectors([v], n)
-    while True:
-        grown = Subspace.from_vectors(
-            span.basis + tuple(mat_vec(m, row) for m in conn.nabla for row in span.basis), n
-        )
-        if grown == span:
-            return span
-        span = grown
-
-
-def fraction_invariant_part(s, operators):
-    """The invariant part on dense Fraction operators: s restricted by the
-    residues in s of the images op b_r of its canonical rows."""
-    return s.restrict([[x for m in operators for x in s.residue(mat_vec(m, row))] for row in s.basis])
 
 
 class TestIntegerInvariantPart:
@@ -164,7 +137,7 @@ class TestIntegerInvariantPart:
                 for s in starts:
                     fractional += any(x.denominator > 1 for row in s.basis for x in row)
                     got = lcp._invariant_part(s, conn.rows)
-                    assert got == fraction_invariant_part(s, conn.nabla)
+                    assert got == reference.invariant_part(s, conn.nabla)
                     proper += 0 < got.dim < s.dim
         assert fractional > 50 and proper > 0
 
@@ -244,7 +217,7 @@ class TestParallelAndFlat:
                 for _ in range(3):
                     start = [F(rng.choice((-1, 0, 0, 1))) for _ in range(n)]
                     spans.append(Subspace.from_vectors([start], n))
-                    spans.append(invariant_closure(conn, start))
+                    spans.append(reference.invariant_closure(conn.nabla, start))
                 for s in spans:
                     dense = all(s.contains(mat_vec(m, row)) for m in conn.nabla for row in s.basis)
                     assert is_parallel(algebra, conn, s) == dense
@@ -509,30 +482,6 @@ class TestValidation:
         assert not s.adapted
 
 
-def random_rotation_triple(rng):
-    """h = aff(R) + R^k with [a, b] = c b, a random rational L L^T metric, and
-    q from 1 to 4 turned by commuting 2x2 rotation blocks: a and each central
-    generator scale every block by its own random rational, b acts by zero."""
-    k, q = rng.randint(0, 2), rng.randint(1, 4)
-    m = 2 + k
-    c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-    h = LieAlgebra.from_brackets(m, {(0, 1): {1: c}})
-
-    def rotations(scales):
-        out = [[F(0)] * q for _ in range(q)]
-        for block, scale in enumerate(scales):
-            r = 2 * block
-            out[r][r + 1], out[r + 1][r] = -scale, scale
-        return tuple(map(tuple, out))
-
-    def random_scales():
-        return [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q // 2)]
-
-    beta = [rotations(random_scales()), rotations([F(0)] * (q // 2))]
-    beta += [rotations(random_scales()) for _ in range(k)]
-    return LCPTriple(h, random_llt_metric(rng, m), q, tuple(beta))
-
-
 class TestTriples:
     def test_rejects_non_skew_action(self, aff):
         with pytest.raises(ValueError, match="skew"):
@@ -658,9 +607,6 @@ class TestTriples:
     def test_block_metric_reuses_the_inverse_of_h(self, monkeypatch):
         # build_from_triple assembles the inverse of its block diagonal metric from
         # the triple's; it must equal the one a fresh elimination of the block gives
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-        monkeypatch.syspath_prepend(str(BENCH_DIR))
-        scaling_triple = importlib.import_module("workloads").scaling_triple
         texts = [(CORPUS_DIR / name).read_text() for name in ("sol3_triple.json", "rot4_triple.json")]
         texts += [json.dumps(case[1]) for case in RADICAL_BINDING]
         texts += [
@@ -774,15 +720,10 @@ class TestConstraintSpace:
         for s in structures:
             algebra = s.algebra
             n = algebra.dim
-            rows = []
-            for urow in s.flat_factor.basis:
-                cols = [algebra.bracket(e, urow) for e in identity_matrix(n)]
-                rows.extend(transpose(tuple(cols)))
-            action = Subspace.from_vectors(kernel(tuple(rows), n), n)
-            theta_kernel = Subspace.from_vectors(kernel((s.lee_form.coefficients,), n), n)
-            gram_rows = tuple(mat_vec(s.metric.gram, row) for row in s.flat_factor.basis)
-            complement = Subspace.from_vectors(kernel(gram_rows, n), n)
             dense = DenseBrackets(algebra)
+            action = dense.centralizer(reference.basis(s.flat_factor))
+            theta_kernel = reference.span(reference.kernel((s.lee_form.coefficients,)), n)
+            complement = reference.orthocomplement(s.flat_factor, s.metric.gram)
             rad, derived = dense.radical(), dense.derived
             assert s.orthocomplement() == complement
             assert s._linear_conditions == (theta_kernel, action, rad, derived)
@@ -825,7 +766,7 @@ class TestConstraintSpace:
         for s in structures:
             n = s.algebra.dim
             complement = s.orthocomplement()
-            theta_kernel = Subspace.from_vectors(kernel((s.lee_form.coefficients,), n), n)
+            theta_kernel = reference.span(reference.kernel((s.lee_form.coefficients,)), n)
             pools = (
                 complement.basis,
                 complement.intersect(theta_kernel).basis,
@@ -952,6 +893,13 @@ class TestConformalExponential:
             is_conformal_action(one, one, 0.5)
         with pytest.raises(ValueError, match="square matrices of one size"):
             is_conformal_action(one, identity_matrix(2), F(1))
+        # A^T G + G A = 0 = 2 w G here, but reading (A^T G)[r][c] as (G A)[c][r] needs G symmetric
+        gram = ((F(0), F(1)), (F(-1), F(0)))
+        action = ((F(1), F(0)), (F(0), F(-1)))
+        negated = tuple(tuple(-x for x in row) for row in mat_mul(gram, action))
+        assert mat_mul(transpose(action), gram) == negated
+        with pytest.raises(ValueError, match="^gram_u must be symmetric$"):
+            is_conformal_action(gram, action, F(0))
 
     def test_verdict_needs_no_numpy_or_scipy(self, monkeypatch, rot4_structure):
         for name in ("numpy", "scipy", "scipy.linalg"):
@@ -1048,38 +996,8 @@ def test_a_float_or_bool_scalar_raises_type_error(entry):
             call(inexact)
 
 
-def constraint_matrix_invariant_subspace(start, operators):
-    """The flat-factor fixed point that `_invariant_part` replaced: W -> {w in W :
-    op w in W for all op}, with membership in W read from its constraint rows."""
-    current = start
-    while not current.is_zero():
-        constraints = current.constraint_matrix()
-        basis_cols = transpose(current.basis)
-        stacked = [
-            row
-            for op in operators
-            for row in mat_mul(constraints, mat_mul(op, basis_cols))
-        ]
-        coeff_kernel = kernel(tuple(stacked), current.dim)
-        if len(coeff_kernel) == current.dim:
-            break
-        vectors = [mat_vec(basis_cols, c) for c in coeff_kernel]
-        current = Subspace.from_vectors(vectors, current.ambient_dim)
-    return current
-
-
-def small_triple_structures(seed, count, max_dim):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        s = random_triple_structure(rng)
-        if s.algebra.dim <= max_dim:
-            out.append(s)
-    return out
-
-
 class TestRestrictionOracles:
-    def test_flat_factor_matches_the_constraint_matrix_fixed_point(self):
+    def test_flat_factor_matches_the_reference_flat_factor(self):
         cases = pipeline_cases()
         rng = random.Random(1357)
         for _ in range(6):
@@ -1089,6 +1007,7 @@ class TestRestrictionOracles:
         for _ in range(3):
             theta = Covector((F(rng.randint(1, 3)), F(rng.randint(-3, 3))))
             cases.append((make_abelian(2), random_llt_metric(rng, 2), theta))
+        cases += [(s.algebra, s.metric, s.lee_form) for s in map(scaling_family, range(4, 13))]
         classes = []
         for algebra, metric, theta in cases:
             analysis = ConformalAnalysis(algebra, metric, theta)
@@ -1096,9 +1015,7 @@ class TestRestrictionOracles:
                 result = analysis.flat_factor
             except ValueError:  # zero or non-closed covector, or non-unimodular algebra
                 continue
-            expected = constraint_matrix_invariant_subspace(
-                analysis.curvature.kernel, analysis.connection.nabla
-            )
+            expected = reference.flat_factor(algebra, metric, theta)
             assert result.subspace == expected
             assert result == maximal_flat_factor(algebra, metric, theta)
             classes.append(result.classification)
@@ -1178,163 +1095,12 @@ class TestRestrictionCounts:
             assert calls == [analysis.curvature.kernel]
 
 
-def fraction_bracket(algebra, x, y):
-    """`LieAlgebra.bracket` before it read the integer table: a Fraction loop
-    over the bracket table."""
-    if len(x) != algebra.dim or len(y) != algebra.dim:
-        raise ValueError("vector length does not match the algebra dimension")
-    out = [ZERO] * algebra.dim
-    for i, j, terms in algebra.table:
-        if not ((x[i] or x[j]) and (y[i] or y[j])):
-            continue
-        f = x[i] * y[j] - x[j] * y[i]
-        if f:
-            for k, c in terms:
-                out[k] += f * c
-    return tuple(out)
-
-
-def fraction_flat_factor_action(structure, x):
-    """`flat_factor_action` before the integer restriction: brackets with the
-    Fraction basis, read back through their coordinates."""
-    u = structure.flat_factor
-    cols = []
-    for row in u.basis:
-        coords = fraction_coordinates(u, fraction_bracket(structure.algebra, x, row))
-        if coords is None:
-            raise ValueError("flat factor is not invariant under this element")
-        cols.append(coords)
-    return transpose(tuple(cols))
-
-
-def fraction_triple_from_lcp(structure):
-    """`triple_from_lcp` before the integer restriction, on the Fraction bases."""
-    algebra = structure.algebra
-    if not is_unimodular(algebra):
-        raise ValueError("triple extraction requires a unimodular algebra")
-    if not structure.adapted:
-        raise ValueError("triple extraction requires an adapted structure")
-    u = structure.flat_factor
-    q = u.dim
-    if structure.metric.restrict(u.basis) != identity_matrix(q):
-        raise ValueError(
-            "flat factor basis is not orthonormal; the orthogonal part of the "
-            "action cannot be expressed over the rationals"
-        )
-    hperp = structure.orthocomplement()
-    m = hperp.dim
-    h_brackets = {}
-    for i, j in combinations(range(m), 2):
-        coords = fraction_coordinates(hperp, fraction_bracket(algebra, hperp.basis[i], hperp.basis[j]))
-        if coords is None:
-            raise ValueError(
-                "metric complement of the flat factor is not a subalgebra; the structure does not split"
-            )
-        h_brackets[(i, j)] = dict(enumerate(coords))
-    labels = [algebra.labels[p] for p in hperp.pivots]
-    h_algebra = LieAlgebra.from_brackets(m, h_brackets, labels)
-    h_metric = InnerProduct(structure.metric.restrict(hperp.basis))
-    beta = []
-    for x in hperp.basis:
-        try:
-            action = fraction_flat_factor_action(structure, x)
-        except ValueError:
-            raise ValueError(
-                "flat factor is not invariant under the complement; the structure does not split"
-            ) from None
-        weight = structure.lee_form.value(x)
-        beta.append(tuple(
-            tuple(a - weight if r == c else a for c, a in enumerate(row)) for r, row in enumerate(action)
-        ))
-    return LCPTriple(h_algebra, h_metric, q, tuple(beta))
-
-
-class Unvalidated:
-    """The fields of an LCPStructure without its validation, so that triple
-    extraction and the flat-factor action also meet factors that do not split."""
-
-    def __init__(self, algebra, metric, theta, u):
-        self.algebra, self.metric, self.lee_form, self.flat_factor = algebra, metric, theta, u
-        self.adapted = not any(theta.value(row) for row in u.basis)
-
-    def orthocomplement(self):
-        return self.flat_factor.orthogonal_complement(self.metric.gram)
-
-
 def outcome(f, *args):
     """f(*args), or the type and message of the exception it raises."""
     try:
         return f(*args)
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
-
-
-def corpus_structures():
-    """The validated structures of the corpus: its triples, built, and the
-    documents that carry a flat factor."""
-    out = []
-    for path in sorted(CORPUS_DIR.glob("*.json")):
-        if path.name.startswith("lat_"):
-            continue
-        doc = parse_algebra_document(path.read_text(encoding="utf-8"))
-        if doc.triple is not None:
-            out.append(build_from_triple(document_triple(doc)))
-        elif doc.flat_factor is not None:
-            algebra = document_algebra(doc)
-            metric = document_metric(doc) or InnerProduct.identity(algebra.dim)
-            u = Subspace.from_vectors(doc.flat_factor, algebra.dim)
-            out.append(validate_lcp(algebra, metric, Covector(doc.theta), u))
-    return out
-
-
-def mixed_basis(s, rng):
-    """A built structure s (flat factor first) on the basis f_k = e_k on the flat
-    factor and f_j = e_j + sum over k of c_kj e_k beyond it, for small rationals
-    c: the flat factor keeps its orthonormal canonical basis, and the metric
-    complement gets canonical rows with fractions."""
-    n, q = s.algebra.dim, s.flat_factor.dim
-    p = tuple(
-        tuple(F(int(r == c)) if r >= q or c < q else F(rng.randint(-3, 3), rng.randint(1, 4)) for c in range(n))
-        for r in range(n)
-    )
-    cols, p_inv = transpose(p), inverse(p)
-    brackets = {
-        (i, j): dict(enumerate(mat_vec(p_inv, fraction_bracket(s.algebra, cols[i], cols[j]))))
-        for i, j in combinations(range(n), 2)
-    }
-    algebra = LieAlgebra.from_brackets(n, brackets, s.algebra.labels)
-    metric = InnerProduct(tuple(tuple(s.metric.value(a, b) for b in cols) for a in cols))
-    theta = Covector(tuple(s.lee_form.value(col) for col in cols))
-    return Unvalidated(algebra, metric, theta, s.flat_factor)
-
-
-def extraction_cases():
-    """Structures for the extraction oracles: the corpus, the seeded triples of
-    `test_round_trip_on_seeded_random_triples`, the scaling family for n = 4..12,
-    those with the flat factor first again on a `mixed_basis`, and for each of
-    `pipeline_cases` its maximal flat factor and, under the identity metric,
-    every proper nonzero coordinate subspace, most of which do not split."""
-    cases = corpus_structures()
-    rng = random.Random(61)
-    cases += [build_from_triple(random_rotation_triple(rng)) for _ in range(12)]
-    cases += [scaling_structure(n) for n in range(4, 13)]
-    cases += [
-        mixed_basis(s, rng) for s in cases
-        if s.flat_factor == Subspace.from_vectors(identity_matrix(s.algebra.dim)[:s.flat_factor.dim], s.algebra.dim)
-    ]
-    for algebra, metric, theta in pipeline_cases():
-        n = algebra.dim
-        try:
-            w = maximal_flat_factor(algebra, metric, theta).subspace
-        except ValueError:  # not unimodular, or theta not closed
-            w = None
-        if w is not None and not w.is_zero():
-            cases.append(Unvalidated(algebra, metric, theta, w))
-        if n <= 5:
-            identity = InnerProduct.identity(n)
-            for u in coordinate_subspaces(n)[1:-1]:
-                cases += [Unvalidated(algebra, identity, theta, u), Unvalidated(algebra, metric, theta, u)]
-    return cases
 
 
 class TestExtractionOracles:
@@ -1350,7 +1116,7 @@ class TestExtractionOracles:
             xs.append(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
             for x in xs:
                 got = outcome(flat_factor_action, s, x)
-                assert got == outcome(fraction_flat_factor_action, s, x)
+                assert got == outcome(reference.flat_factor_action, s, x)
                 messages[got[1] if isinstance(got[0], type) else "ok"] += 1
         assert messages["ok"] > 200
         assert messages["flat factor is not invariant under this element"] > 50
@@ -1360,7 +1126,7 @@ class TestExtractionOracles:
         round_trips = fractional = 0
         for s in extraction_cases():
             got = outcome(triple_from_lcp, s)
-            assert got == outcome(fraction_triple_from_lcp, s)
+            assert got == outcome(reference.triple_from_lcp, s)
             if isinstance(got, LCPTriple):
                 messages["ok"] += 1
                 # complements with fractional canonical rows, so that B_h > 1
@@ -1447,40 +1213,6 @@ class TestOneRestrictionRoute:
                 splits += 1
         assert splits >= 2
         assert calls == {}
-
-
-def _zero_block(q):
-    return [["0"] * q for _ in range(q)]
-
-
-def radical_binding_triple(k_brackets, k_labels, q, k_beta, a_beta):
-    """The triple document of h = k (+) aff(R), the identity metric on h, acting
-    on R^q by k_beta on k, a_beta on a and zero on b ([a, b] = b)."""
-    m = len(k_labels)
-    brackets = [{"i": i, "j": j, "c": c} for (i, j), c in k_brackets]
-    brackets.append({"i": m, "j": m + 1, "c": {str(m + 1): "1"}})
-    h = {"dim": m + 2, "basis": k_labels + ["a", "b"], "brackets": brackets, "metric": "identity"}
-    return {"triple": {"h": h, "q": q, "beta": k_beta + [a_beta, _zero_block(q)]}}
-
-
-SO3_BRACKETS = [((0, 1), {"2": "1"}), ((1, 2), {"0": "1"}), ((0, 2), {"1": "-1"})]
-SL2_BRACKETS = [((0, 1), {"1": "2"}), ((0, 2), {"2": "-2"}), ((1, 2), {"0": "1"})]
-J_BLOCK = [["0", "-1"], ["1", "0"]]
-# so(3) on R^3 by its standard representation: L_i e_j = e_i x e_j
-SO3_STANDARD = [
-    [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
-    [["0", "0", "1"], ["0", "0", "0"], ["-1", "0", "0"]],
-    [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
-]
-# (id, triple, radical labels, dim of the bound without the radical condition)
-RADICAL_BINDING = [
-    ("so3+aff", radical_binding_triple(SO3_BRACKETS, ["r1", "r2", "r3"], 2, [_zero_block(2)] * 3,
-                                        J_BLOCK), ["u1", "u2", "a", "b"], 4),
-    ("sl2+aff", radical_binding_triple(SL2_BRACKETS, ["h", "e", "f"], 2, [_zero_block(2)] * 3,
-                                        J_BLOCK), ["u1", "u2", "a", "b"], 4),
-    ("so3+aff on R^3", radical_binding_triple(SO3_BRACKETS, ["r1", "r2", "r3"], 3, SO3_STANDARD,
-                                               _zero_block(3)), ["u1", "u2", "u3", "a", "b"], 1),
-]
 
 
 class TestRadicalBinds:

@@ -34,21 +34,21 @@ from lcplie.liealg import (
 )
 from lcplie.cli import main
 from lcplie.connections import InnerProduct, is_closed
-from lcplie.documents import document_triple, parse_algebra_document
-from lcplie.lcp import LCPTriple, build_from_triple
-from lcplie.linalg import (
-    Subspace,
-    det,
-    inverse,
-    kernel,
-    mat_vec,
-    matrix,
-    pairs,
-    symmetric_signature,
-    transpose,
-    vector,
-)
+from lcplie.lcp import LCPTriple
+from lcplie.linalg import Subspace, matrix, pairs, symmetric_signature, vector
 
+import reference
+from cases import (
+    closed_covectors,
+    radical_binding_algebras,
+    random_subspace,
+    random_table,
+    rebased,
+    seeded_algebras,
+    seeded_representations,
+    sparse_table,
+    wide_families,
+)
 from conftest import (
     CORPUS_DIR,
     ROTATION,
@@ -58,23 +58,10 @@ from conftest import (
     make_heis3,
     make_sl2,
     make_sol3,
-    mat_combination,
-    mat_mul,
 )
-from test_connections import closed_covectors, random_metric_algebras
+from reference import DenseBrackets
 
 F = Fraction
-
-
-def jacobiator(algebra, x, y, z):
-    return tuple(
-        a + b + c
-        for a, b, c in zip(
-            algebra.bracket(algebra.bracket(x, y), z),
-            algebra.bracket(algebra.bracket(y, z), x),
-            algebra.bracket(algebra.bracket(z, x), y),
-        )
-    )
 
 
 class TestJacobi:
@@ -82,11 +69,12 @@ class TestJacobi:
         for make in (make_sol3, make_heis3, make_aff, make_sl2, make_abelian):
             algebra = make()
             n = algebra.dim
+            c = DenseBrackets(algebra).c
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        defect = jacobiator(
-                            algebra,
+                        defect = reference.jacobiator(
+                            c,
                             algebra.basis_vector(i),
                             algebra.basis_vector(j),
                             algebra.basis_vector(k),
@@ -106,67 +94,6 @@ class TestJacobi:
         assert check_jacobi(3, {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)}}) == ()
 
 
-def dense_jacobi_defects(dim, table):
-    """Every triple i < j < k swept over full structure constants c[a][b][m]."""
-    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    pos = 0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for m in range(dim):
-                c[a][b][m] = table[pos][m]
-                c[b][a][m] = -table[pos][m]
-            pos += 1
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                defect = tuple(
-                    sum(
-                        (
-                            c[i][j][m] * c[m][k][t]
-                            + c[j][k][m] * c[m][i][t]
-                            + c[k][i][m] * c[m][j][t]
-                            for m in range(dim)
-                        ),
-                        F(0),
-                    )
-                    for t in range(dim)
-                )
-                if any(defect):
-                    out.append(((i, j, k), defect))
-    return out
-
-
-def random_table(rng, dim):
-    """Bracket table with a random share of nonzero pairs; mostly not a Lie algebra."""
-    density = rng.choice((0.2, 0.4, 0.7))
-    table = []
-    for _ in range(dim * (dim - 1) // 2):
-        if rng.random() < density:
-            table.append(
-                tuple(
-                    F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.4 else F(0)
-                    for _ in range(dim)
-                )
-            )
-        else:
-            table.append((F(0),) * dim)
-    return table
-
-
-def sparse_table(dim, dense):
-    """The canonical nonzero-bracket form of a dense pair-indexed table."""
-    return tuple(
-        (i, j, tuple((k, c) for k, c in enumerate(row) if c))
-        for (i, j), row in zip(pairs(dim), dense)
-        if any(row)
-    )
-
-
-def dense_table(algebra):
-    return [algebra.basis_bracket(i, j) for i, j in pairs(algebra.dim)]
-
-
 class TestSparseJacobi:
     def test_matches_dense_sweep_on_seeded_random_tables(self):
         rng = random.Random(1976)
@@ -174,7 +101,7 @@ class TestSparseJacobi:
         for _ in range(60):
             dim = rng.randint(3, 7)
             table = random_table(rng, dim)
-            expected = dense_jacobi_defects(dim, table)
+            expected = reference.jacobi_defects(reference.structure_constants(dim, sparse_table(dim, table)))
             lifted = liealg._lift_table(sparse_table(dim, table))[1]
             assert list(liealg._jacobi_defects(lifted)) == [triple for triple, _ in expected]
             violated += bool(expected)
@@ -183,7 +110,7 @@ class TestSparseJacobi:
     def test_valid_tables_have_no_defects(self):
         for make in (make_sol3, make_heis3, make_aff, make_sl2, make_abelian):
             algebra = make()
-            assert dense_jacobi_defects(algebra.dim, dense_table(algebra)) == []
+            assert reference.jacobi_defects(DenseBrackets(algebra).c) == []
             assert list(liealg._jacobi_defects(algebra._lifted_table[1])) == []
 
     def test_wide_abelian_algebra_builds_fast(self):
@@ -194,33 +121,16 @@ class TestSparseJacobi:
             assert is_abelian(algebra)
 
 
-def seeded_algebras():
-    """Seeded build_from_triple structures and semidirect sums, then sl2 and heis3."""
-    algebras = [algebra for algebra, _ in random_metric_algebras(seed=1729, count=16)]
-    return algebras + [make_sl2(), make_heis3()]
-
-
-def dense_ad(algebra, i):
-    """Matrix of ad_{e_i}: column j is basis_bracket(i, j)."""
-    n = algebra.dim
-    return transpose(tuple(algebra.basis_bracket(i, j) for j in range(n)))
-
-
 class TestSparseTable:
     """Every reader of the nonzero-bracket table against a dense formula."""
 
     def test_basis_bracket_matches_the_table(self):
         for algebra in seeded_algebras():
             n = algebra.dim
-            rows = {(i, j): terms for i, j, terms in algebra.table}
+            c = DenseBrackets(algebra).c
             for i in range(n):
                 for j in range(n):
-                    expected = [F(0)] * n
-                    for k, c in rows.get((i, j), ()):
-                        expected[k] = c
-                    for k, c in rows.get((j, i), ()):
-                        expected[k] = -c
-                    assert algebra.basis_bracket(i, j) == tuple(expected)
+                    assert algebra.basis_bracket(i, j) == c[i][j]
 
     def test_bracket_is_the_dense_sum(self):
         rng = random.Random(61)
@@ -229,40 +139,25 @@ class TestSparseTable:
             for _ in range(4):
                 x = [F(rng.randint(-2, 2)) if rng.random() < 0.6 else F(0) for _ in range(n)]
                 y = [F(rng.randint(-2, 2), 2) if rng.random() < 0.6 else F(0) for _ in range(n)]
-                expected = [F(0)] * n
-                for i in range(n):
-                    for j in range(n):
-                        for k, c in enumerate(algebra.basis_bracket(i, j)):
-                            expected[k] += x[i] * y[j] * c
-                assert algebra.bracket(x, y) == tuple(expected)
+                assert algebra.bracket(x, y) == DenseBrackets(algebra).bracket(x, y)
 
     def test_trace_form_is_the_trace_of_ad(self):
         for algebra in seeded_algebras():
-            n = algebra.dim
-            expected = tuple(
-                sum((algebra.basis_bracket(i, j)[j] for j in range(n)), F(0)) for i in range(n)
-            )
+            expected = reference.trace_form(DenseBrackets(algebra).c)
             assert trace_form(algebra).coefficients == expected
 
     def test_killing_form_is_the_trace_of_the_product(self):
         for algebra in seeded_algebras():
-            n = algebra.dim
-            ads = [dense_ad(algebra, i) for i in range(n)]
-            expected = tuple(
-                tuple(
-                    sum((p[k][k] for k in range(n)), F(0))
-                    for p in (mat_mul(ads[i], ads[j]) for j in range(n))
-                )
-                for i in range(n)
-            )
+            expected = reference.killing_form(DenseBrackets(algebra).c)
             assert killing_form(algebra) == expected
 
     def test_center_is_the_common_kernel_of_ad(self):
         for algebra in seeded_algebras():
             n = algebra.dim
             # x is central iff [x, e_j] = -ad_{e_j} x vanishes for every j
-            rows = tuple(row for j in range(n) for row in dense_ad(algebra, j))
-            assert center(algebra) == Subspace.from_vectors(kernel(rows, n), n)
+            c = DenseBrackets(algebra).c
+            rows = tuple(row for j in range(n) for row in reference.ad(c, j))
+            assert center(algebra) == Subspace.from_vectors(reference.kernel(rows, n), n)
 
     def test_is_closed_means_theta_kills_every_bracket(self):
         rng = random.Random(62)
@@ -272,9 +167,7 @@ class TestSparseTable:
             for theta in closed_covectors(algebra, count=2, seed=n) + [
                 Covector(tuple(F(rng.randint(-1, 1)) for _ in range(n))) for _ in range(3)
             ]:
-                expected = all(
-                    theta.value(algebra.basis_bracket(i, j)) == 0 for i, j in pairs(n)
-                )
+                expected = reference.is_closed(DenseBrackets(algebra).c, theta.coefficients)
                 assert is_closed(algebra, theta) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
@@ -295,7 +188,7 @@ def canonical_violations():
         "negative index": ((-1, 2, ((0, F(1)),)),),
         "int coefficient": ((0, 2, ((0, 1),)),),
         "list of entries": [(0, 2, ((0, F(-1)),))],
-        "dense sol3 layout": tuple(dense_table(make_sol3())),
+        "dense sol3 layout": tuple(DenseBrackets(make_sol3()).c[i][j] for i, j in pairs(3)),
         "dense zero layout": ((F(0),) * 3,) * 3,
     }
 
@@ -466,59 +359,6 @@ def sl2_on_plane():
     return semidirect_sum(2, make_sl2(), (h, e, f))
 
 
-class DenseBrackets:
-    """Series and radical oracles from the dense brackets basis_bracket(i, j)."""
-
-    def __init__(self, algebra):
-        n = self.n = algebra.dim
-        self.c = [[algebra.basis_bracket(i, j) for j in range(n)] for i in range(n)]
-        self.ads = [dense_ad(algebra, i) for i in range(n)]
-        self.full = Subspace.full(n)
-        self.derived = self.span(self.full, self.full)
-
-    def bracket(self, x, y):
-        out = [F(0)] * self.n
-        for i, a in enumerate(x):
-            for j, b in enumerate(y):
-                if a and b:
-                    for k, c in enumerate(self.c[i][j]):
-                        out[k] += a * b * c
-        return tuple(out)
-
-    def span(self, left, right):
-        return Subspace.from_vectors(
-            [self.bracket(x, y) for x in left.basis for y in right.basis], self.n
-        )
-
-    def series(self, step):
-        chain = [self.derived]
-        while (nxt := step(chain[-1])) != chain[-1]:
-            chain.append(nxt)
-        return tuple(chain)
-
-    def centralizer(self, vectors):
-        """x with [x, v] = 0 for each v: sum over i of x_i [e_i, v] = 0 gives one
-        row per coordinate of the brackets."""
-        rows = tuple(
-            row
-            for v in vectors
-            for row in transpose(tuple(self.bracket(e, v) for e in self.full.basis))
-        )
-        return Subspace.from_vectors(kernel(rows, self.n), self.n)
-
-    def radical(self):
-        """The Killing-orthogonal of the derived algebra."""
-        if self.derived.is_zero():
-            return self.full
-        n = self.n
-        killing = tuple(
-            tuple(sum((mat_mul(self.ads[i], self.ads[j])[k][k] for k in range(n)), F(0))
-                  for j in range(n))
-            for i in range(n)
-        )
-        return Subspace.from_vectors(kernel(mat_mul(self.derived.basis, killing), n), n)
-
-
 class TestDerivedAlgebraFromTheTable:
     def test_series_and_radical_match_the_dense_oracle(self):
         radicals = set()
@@ -561,41 +401,6 @@ class TestDerivedAlgebraFromTheTable:
         assert len(calls) == 0
 
 
-def wide_family(rng, k, m):
-    """heis_{2k+1} plus R^m acted on by t with random weights in +-{1, 2, 3},
-    under a random basis order; k = 0 or m = 0 leaves that summand out."""
-    brackets = {(i, k + i): {2 * k: F(1)} for i in range(k)}  # [x_i, y_i] = z
-    q = 2 * k + 1 if k else 0
-    for i in range(m):  # [v_i, t] = -w_i v_i
-        brackets[(q + i, q + m)] = {q + i: F(-rng.choice((1, 2, 3)) * rng.choice((1, -1)))}
-    n = q + (m + 1 if m else 0)
-    order = list(range(n))
-    rng.shuffle(order)
-    shuffled = {}
-    for (i, j), coeffs in brackets.items():
-        shuffled[(order[i], order[j])] = {order[t]: c for t, c in coeffs.items()}
-    return LieAlgebra.from_brackets(n, shuffled)
-
-
-def wide_families():
-    rng = random.Random(2718)
-    return [wide_family(rng, k, m) for k, m in ((3, 0), (0, 6), (1, 3), (2, 2))]
-
-
-def random_subspaces(rng, n, count):
-    """Spans of sparse random vectors and of random basis subsets."""
-    out = []
-    for _ in range(count):
-        d = rng.randint(1, n)
-        if rng.random() < 0.5:
-            rows = [[F(rng.choice((-1, 0, 0, 1, 2))) for _ in range(n)] for _ in range(d)]
-        else:
-            picked = rng.sample(range(n), d)
-            rows = [[F(int(c == p)) for c in range(n)] for p in picked]
-        out.append(Subspace.from_vectors(rows, n))
-    return out
-
-
 def algebra_document(path, algebra):
     """Write the algebra as an algebra document at path and return the path."""
     path.write_text(json.dumps({
@@ -609,30 +414,6 @@ def algebra_document(path, algebra):
     return path
 
 
-def radical_binding_algebras():
-    """The algebras that `build_from_triple` makes of test_lcp's RADICAL_BINDING
-    triples: not solvable, with a proper nonzero radical."""
-    from test_lcp import RADICAL_BINDING  # imported here, as test_lcp imports this module
-
-    return [
-        build_from_triple(document_triple(parse_algebra_document(json.dumps(case[1])))).algebra
-        for case in RADICAL_BINDING
-    ]
-
-
-def checked_radical(algebra):
-    """The radical by the route that checks every radical alike: the
-    Killing-orthogonal of [g, g], accepted only when `is_ideal` holds and the
-    derived chain of the result itself reaches 0."""
-    commutator = derived_algebra(algebra)
-    if commutator.is_zero():
-        return algebra.full_space()
-    rows = [mat_vec(killing_form(algebra), row) for row in commutator.basis]
-    rad = Subspace.from_vectors(kernel(tuple(rows), algebra.dim), algebra.dim)
-    assert is_ideal(algebra, rad) and liealg._derived_chain(algebra, rad)[-1].is_zero()
-    return rad
-
-
 class TestTableDrivenStructure:
     """bracket_span, is_ideal, centralizers, both series and the radical from
     the table, against the dense basis_bracket oracle."""
@@ -642,9 +423,11 @@ class TestTableDrivenStructure:
         algebras = wide_families() + [heis_plus_diag(), sl2_on_plane()] + radical_binding_algebras()
         for algebra in algebras:
             dense = DenseBrackets(algebra)
-            assert center(algebra) == dense.centralizer(dense.full.basis)
+            assert center(algebra) == dense.centralizer(reference.identity(algebra.dim))
             rad = radical(algebra)
-            assert rad == dense.radical() == checked_radical(algebra)
+            assert rad == dense.radical()
+            # the radical is a solvable ideal
+            assert is_ideal(algebra, rad) and liealg._derived_chain(algebra, rad)[-1].is_zero()
             full_radical.add(rad.is_full())
         assert full_radical == {True, False}
 
@@ -662,16 +445,18 @@ class TestTableDrivenStructure:
                     lambda s: dense.span(dense.full, s)
                 )
                 assert radical(algebra) == dense.radical()
-            spaces = random_subspaces(rng, n, 4) + [Subspace.zero(n), dense.full, dense.derived]
+            spaces = [random_subspace(rng, n, sparse_share=0.5, choices=(-1, 0, 0, 1, 2)) for _ in range(4)]
+            spaces += [Subspace.zero(n), dense.full, dense.derived]
             for left in spaces:
                 for right in spaces[:3]:
                     assert bracket_span(algebra, left, right) == dense.span(left, right)
                 ideal = all(
-                    left.contains(dense.bracket(e, row)) for e in dense.full.basis for row in left.basis
+                    left.contains(dense.bracket(e, row))
+                    for e in reference.identity(n) for row in reference.basis(left)
                 )
                 assert is_ideal(algebra, left) == ideal
                 ideal_verdicts.add(ideal)
-                assert liealg._centralizer(algebra, left.rows) == dense.centralizer(left.basis)
+                assert liealg._centralizer(algebra, left.rows) == dense.centralizer(reference.basis(left))
                 closed_verdicts.add(left.contains_subspace(dense.span(left, left)))
         assert ideal_verdicts == {True, False}
         assert closed_verdicts == {True, False}
@@ -777,42 +562,6 @@ def sl2_plus_line():
     return LieAlgebra.from_brackets(4, {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)}})
 
 
-def rebased(algebra, rng):
-    """The same algebra on the basis f_i = P e_i, for a seeded rational P with
-    large numerators and denominators, so its structure constants are far
-    from integers."""
-    n = algebra.dim
-    while True:
-        p = tuple(
-            tuple(F(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)) for _ in range(n))
-            for _ in range(n)
-        )
-        if det(p):
-            break
-    cols, p_inv = transpose(p), inverse(p)
-    brackets = {
-        (i, j): dict(enumerate(mat_vec(p_inv, algebra.bracket(cols[i], cols[j]))))
-        for i, j in pairs(n)
-    }
-    return LieAlgebra.from_brackets(n, brackets)
-
-
-def rational_subspaces(rng, n, count):
-    """Spans of random rows whose entries have up to 12-digit numerators and
-    9-digit denominators."""
-    return [
-        Subspace.from_vectors(
-            [
-                [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) if rng.random() < 0.7 else F(0)
-                 for _ in range(n)]
-                for _ in range(rng.randint(1, n))
-            ],
-            n,
-        )
-        for _ in range(count)
-    ]
-
-
 class TestIntegerRowStructure:
     """The structure functions scale each vector to a primitive integer row and
     read the integer table; against the dense oracle on coordinates with large,
@@ -827,8 +576,9 @@ class TestIntegerRowStructure:
             dense = DenseBrackets(algebra)
             rad = radical(algebra)
             assert rad == dense.radical()
-            assert center(algebra) == dense.centralizer(dense.full.basis)
-            spaces = rational_subspaces(rng, n, 4) + [Subspace.zero(n), dense.full, dense.derived, rad]
+            assert center(algebra) == dense.centralizer(reference.identity(n))
+            spaces = [random_subspace(rng, n, num=10**12, den=10**9, density=0.7) for _ in range(4)]
+            spaces += [Subspace.zero(n), dense.full, dense.derived, rad]
             for left in spaces:
                 for right in spaces[:2] + spaces[-3:]:
                     assert bracket_span(algebra, left, right) == dense.span(left, right)
@@ -993,40 +743,19 @@ class TestSemidirect:
             assert semidirect_sum(q, h, as_strings).table == expected
 
 
-def dense_homomorphism_defect(h, mats, q):
-    """First pair (i, j) with [M_i, M_j] != M_[e_i, e_j], from full matrix
-    products and the dense bracket coordinates."""
-    for i, j in pairs(h.dim):
-        lhs = mat_combination(h.basis_bracket(i, j), mats, q)
-        ab, ba = mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])
-        if lhs != tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba)):
-            return (i, j)
-    return None
-
-
-def seeded_representations(seed, count):
-    """(h, mats, q) for homomorphisms h -> gl(q): the adjoint representation of
-    seeded random algebras and of the small corpus, and sl2 on the plane."""
-    algebras = [a for a, _ in random_metric_algebras(seed, count)]
-    algebras += [make_sol3(), make_heis3(), make_sl2(), make_aff()]
-    reps = [(a, tuple(a.ad(a.basis_vector(i)) for i in range(a.dim)), a.dim) for a in algebras]
-    standard = (matrix([[1, 0], [0, -1]]), matrix([[0, 1], [0, 0]]), matrix([[0, 0], [1, 0]]))
-    return reps + [(make_sl2(), standard, 2)]
-
-
 class TestHomomorphismDefect:
     def test_matches_the_dense_oracle_on_homomorphisms_and_perturbations(self):
         rng = random.Random(13)
         perturbed_failures = 0
         for h, mats, q in seeded_representations(seed=13, count=16):
             assert homomorphism_defect(h, mats, q) is None
-            assert dense_homomorphism_defect(h, mats, q) is None
+            assert reference.homomorphism_defect(DenseBrackets(h).c, mats) is None
             for _ in range(3):
                 i, r, c = rng.randrange(h.dim), rng.randrange(q), rng.randrange(q)
                 bumped = [list(map(list, m)) for m in mats]
                 bumped[i][r][c] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
                 copy = tuple(tuple(map(tuple, m)) for m in bumped)
-                expected = dense_homomorphism_defect(h, copy, q)
+                expected = reference.homomorphism_defect(DenseBrackets(h).c, copy)
                 assert homomorphism_defect(h, copy, q) == expected
                 perturbed_failures += expected is not None
         assert perturbed_failures > 0

@@ -6,7 +6,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -14,15 +13,12 @@ from lcplie import connections, lattice, linalg
 from lcplie.connections import InnerProduct
 from lcplie.lattice import det_integer
 from lcplie.linalg import (
-    _RATIONAL,
     Subspace,
     _bareiss as bareiss,
     _definite_inverse as definite_inverse,
     _descending_chain,
     _echelon,
     _eliminate,
-    _exact,
-    _integer_row,
     as_fraction,
     det,
     dot,
@@ -38,31 +34,19 @@ from lcplie.linalg import (
     vector,
 )
 
-from conftest import fraction_det, mat_mul
+import reference
+from cases import (
+    bareiss_samples,
+    random_matrix,
+    random_rational_rows,
+    random_subspace,
+    random_symmetric,
+    seeded_subspace_pairs,
+    tall_rows,
+)
+from reference import mat_mul, rank
 
 F = Fraction
-
-
-def det_by_permutations(a):
-    """Leibniz expansion, usable as an oracle up to 5x5 or so."""
-    n = len(a)
-    total = F(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = F(1)
-        for i in range(n):
-            term *= a[i][perm[i]]
-        total += sign * term
-    return total
-
-
-def random_matrix(rng, rows, cols, span=9):
-    return matrix([[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_as_fraction_accepts_ints_strings_fractions():
@@ -107,21 +91,6 @@ def test_as_fraction_reads_the_grammar_and_names_the_digit_limit():
         as_fraction("7" * 5000)
 
 
-def previous_as_fraction(text):
-    """In-test copy of the previous string path of as_fraction: the grammar
-    check, then Fraction(text), which matches the string a second time."""
-    if not linalg._RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a decimal-free rational string: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise ValueError(
-            f"rational has more than {sys.get_int_max_str_digits()} digits in a part"
-        ) from None
-
-
 def outcome(read, text):
     """(value, its type) or (error type, message)."""
     try:
@@ -138,7 +107,7 @@ def test_as_fraction_matches_the_previous_string_parser_on_the_grammar_edges():
              "1" * (limit + 1), "1/" + "1" * (limit + 1), "-" + "2" * (limit + 1) + "/3",
              "", "-", "/2", "1/", "1/-2", "--1", "1.5", "0x1", "\u0663", "1\n", *OUTSIDE_THE_GRAMMAR]
     for text in cases:
-        assert outcome(as_fraction, text) == outcome(previous_as_fraction, text), text
+        assert outcome(as_fraction, text) == outcome(reference.previous_as_fraction, text), text
     assert outcome(as_fraction, "1/0") == (ValueError, "zero denominator in '1/0'")
     assert outcome(as_fraction, "3/06") == (F(1, 2), F)
     assert outcome(as_fraction, "1" * (limit + 1))[1].endswith("digits in a part")
@@ -147,7 +116,7 @@ def test_as_fraction_matches_the_previous_string_parser_on_the_grammar_edges():
         text = str(rng.randint(-10**6, 10**6))
         if rng.random() < 0.7:
             text += "/" + str(rng.randint(0, 10**4)).zfill(rng.randint(1, 6))
-        assert outcome(as_fraction, text) == outcome(previous_as_fraction, text), text
+        assert outcome(as_fraction, text) == outcome(reference.previous_as_fraction, text), text
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -163,7 +132,7 @@ def test_rref_is_canonical_for_the_row_span():
     rng = random.Random(20240)
     for _ in range(50):
         rows = rng.randint(1, 4)
-        a = random_matrix(rng, rows, 4, span=4)
+        a = matrix(random_matrix(rng, rows, 4, span=4))
         echelon, pivots = rref(a)
         # invariance: shuffling and rescaling rows must not change the output
         shuffled = list(a)
@@ -182,7 +151,7 @@ def test_kernel_vectors_annihilate_and_span_the_null_space():
     rng = random.Random(77)
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
-        a = random_matrix(rng, m, n, span=3)
+        a = matrix(random_matrix(rng, m, n, span=3))
         null = kernel(a)
         for v in null:
             assert all(x == 0 for x in mat_vec(a, v))
@@ -233,8 +202,8 @@ def test_products_match_the_schoolbook_formula_on_sparse_matrices():
     rng = random.Random(1976)
     for _ in range(40):
         m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, m, k, span=1)
-        b = random_matrix(rng, k, n, span=1)
+        a = matrix(random_matrix(rng, m, k, span=1))
+        b = matrix(random_matrix(rng, k, n, span=1))
         expected = tuple(
             tuple(sum((a[r][t] * b[t][c] for t in range(k)), F(0)) for c in range(n))
             for r in range(m)
@@ -257,16 +226,16 @@ def test_det_matches_permutation_expansion():
     rng = random.Random(4096)
     for _ in range(30):
         n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n, span=5)
-        assert det(a) == det_by_permutations(a)
+        a = matrix(random_matrix(rng, n, n, span=5))
+        assert det(a) == reference.permutation_det(a)
 
 
 def test_det_is_multiplicative():
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n, span=4)
-        b = random_matrix(rng, n, n, span=4)
+        a = matrix(random_matrix(rng, n, n, span=4))
+        b = matrix(random_matrix(rng, n, n, span=4))
         assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
@@ -293,53 +262,17 @@ def test_rank_rejects_bool_entries():
     assert len(rref([[1, 0], [2, 0]])[1]) == 1
 
 
-def bareiss_samples(seed):
-    """Seeded square integer matrices, by kind, for the elimination core."""
-    rng = random.Random(seed)
-
-    def entries(n, span=6, zeros=0.3):
-        return [[0 if rng.random() < zeros else rng.randint(-span, span) for _ in range(n)]
-                for _ in range(n)]
-
-    samples = [("0x0", []), ("1x1", [[0]]), ("1x1", [[-7]]), ("1x1", [[2**70 + 1]])]
-    # a zero pivot with a nonzero entry below it: the negated-row swap
-    samples += [("swap", [[0, 1], [1, 0]]), ("swap", [[0, 2, 1], [3, 0, 0], [0, 0, 5]]),
-                ("swap", [[1, 2, 3], [2, 4, 1], [0, 1, 1]])]
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        samples.append(("random", entries(n)))
-        a = entries(n)
-        a[0][0] = 0
-        samples.append(("zero leading entry", a))
-        a = entries(n)
-        for row in a:
-            row[0] = 0
-        samples.append(("zero first column", a))
-        if n > 1:
-            a = entries(n)
-            i, j = rng.sample(range(n), 2)
-            a[i] = list(a[j])
-            samples.append(("duplicated row", a))
-            a = entries(n)
-            j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
-            a[i] = [x - 2 * y for x, y in zip(a[j], a[k])]
-            samples.append(("singular", a))
-        a = entries(n, zeros=0.2)
-        samples.append(("above 2**64", [[x * 2**66 + rng.randint(-3, 3) for x in row] for row in a]))
-    return samples
-
-
 class TestBareissCore:
     def test_det_and_det_integer_match_the_fraction_reference(self):
         rng = random.Random(77)
         samples = bareiss_samples(seed=2718)
         kinds = {}
         for kind, a in samples:
-            expected = fraction_det(a)
+            expected = reference.det(a)
             assert det_integer(a) == expected, (kind, a)
             assert det(tuple(map(tuple, a))) == expected, (kind, a)
             rational = tuple(tuple(F(x, rng.randint(1, 12)) for x in row) for row in a)
-            assert det(rational) == fraction_det(rational), (kind, rational)
+            assert det(rational) == reference.det(rational), (kind, rational)
             kinds.setdefault(kind, set()).add(expected != 0)
         assert kinds["swap"] == {True}
         assert kinds["zero leading entry"] == {True, False}
@@ -380,7 +313,7 @@ def test_signature_is_congruence_invariant():
     rng = random.Random(600)
     base = matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
     for _ in range(20):
-        p = random_matrix(rng, 3, 3, span=3)
+        p = matrix(random_matrix(rng, 3, 3, span=3))
         if det(p) == 0:
             continue
         transported = mat_mul(mat_mul([list(r) for r in zip(*p)], base), p)
@@ -392,71 +325,13 @@ def test_signature_off_diagonal_hyperbolic_plane():
     assert symmetric_signature(matrix([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
-def dense_congruence_signature(a):
-    """Fraction congruence over every entry: diagonal pivots first, else
-    row/column addition of an off-diagonal partner."""
-    n = len(a)
-    work = [list(row) for row in a]
-    pos = neg = zero = 0
-    for s in range(n):
-        if work[s][s] == 0:
-            t = next((t for t in range(s + 1, n) if work[t][t] != 0), None)
-            if t is not None:
-                work[s], work[t] = work[t], work[s]
-                for row in work:
-                    row[s], row[t] = row[t], row[s]
-            else:
-                t = next((t for t in range(s + 1, n) if work[s][t] != 0), None)
-                if t is None:
-                    zero += 1
-                    continue
-                for c in range(n):
-                    work[s][c] += work[t][c]
-                for r in range(n):
-                    work[r][s] += work[r][t]
-        d = work[s][s]
-        for t in range(s + 1, n):
-            if work[t][s] != 0:
-                f = work[t][s] / d
-                for c in range(n):
-                    work[t][c] -= f * work[s][c]
-                for r in range(n):
-                    work[r][t] -= f * work[r][s]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, zero
-
-
-def random_symmetric(rng, n):
-    """P^T D P with random signs and zeros in D, then with zeroed indices and
-    a zeroed diagonal mixed in; indefinite and singular forms included."""
-    p = random_matrix(rng, n, n, span=2)
-    d = [F(rng.choice((-2, -1, 0, 1, 3))) for _ in range(n)]
-    a = [[sum((p[k][i] * d[k] * p[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
-    kind = rng.choice(("congruent", "zero rows", "zero diagonal", "sparse"))
-    if kind == "zero rows":
-        for i in rng.sample(range(n), rng.randint(1, n)):
-            for j in range(n):
-                a[i][j] = a[j][i] = F(0)
-    elif kind == "zero diagonal":
-        for i in range(n):
-            a[i][i] = F(0)
-    elif kind == "sparse":
-        for i, j in pairs(n):
-            if rng.random() < 0.6:
-                a[i][j] = a[j][i] = F(0)
-    return tuple(tuple(row) for row in a)
-
-
 def test_signature_matches_the_dense_congruence():
     rng = random.Random(6006)
     cases = [(), ((F(0),),), ((F(-5, 3),),), matrix([[0, 1, 0], [1, 0, 2], [0, 2, 0]])]
     cases += [random_symmetric(rng, rng.randint(1, 7)) for _ in range(160)]
     seen = set()
     for a in cases:
-        expected = dense_congruence_signature(a)
+        expected = reference.signature(a)
         assert symmetric_signature(a) == expected
         pos, neg, zero = expected
         seen.add((pos > 0 and neg > 0, zero > 0))
@@ -476,7 +351,7 @@ class TestSubspace:
         rng = random.Random(31337)
         for _ in range(40):
             n = rng.randint(1, 5)
-            gens = random_matrix(rng, rng.randint(1, 4), n, span=3)
+            gens = matrix(random_matrix(rng, rng.randint(1, 4), n, span=3))
             s = Subspace.from_vectors(gens, n)
             # closure under taking random combinations of the generators
             combos = []
@@ -516,8 +391,8 @@ class TestSubspace:
         rng = random.Random(555)
         for _ in range(40):
             n = rng.randint(2, 5)
-            a = Subspace.from_vectors(random_matrix(rng, rng.randint(1, 3), n, 2), n)
-            b = Subspace.from_vectors(random_matrix(rng, rng.randint(1, 3), n, 2), n)
+            a = Subspace.from_vectors(matrix(random_matrix(rng, rng.randint(1, 3), n, 2)), n)
+            b = Subspace.from_vectors(matrix(random_matrix(rng, rng.randint(1, 3), n, 2)), n)
             total = a.add(b)
             meet = a.intersect(b)
             assert total.dim + meet.dim == a.dim + b.dim
@@ -554,114 +429,6 @@ class TestSubspace:
             Subspace.from_vectors(matrix([[1, 0]]), 3)
 
 
-def reference_rref(rows):
-    """Gauss-Jordan elimination on Fractions, pivot row scaled by 1/pivot: the
-    oracle for the integer elimination in rref."""
-    work = [[F(x) for x in row] for row in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
-
-
-def rank(rows):
-    """The rank of a rational matrix, read off the `reference_rref` oracle."""
-    return len(reference_rref(rows)[1])
-
-
-def random_rational_rows(rng):
-    """A seeded matrix mixing small and huge (above 2**64) rationals, plain ints,
-    zeros, zero rows, repeated and dependent rows."""
-    nrows, ncols = rng.randint(0, 6), rng.randint(0, 7)
-
-    def entry():
-        kind = rng.random()
-        if kind < 0.35:
-            return F(0)
-        if kind < 0.5:
-            return rng.randint(-5, 5)  # a plain int
-        if kind < 0.85:
-            return F(rng.randint(-9, 9), rng.randint(1, 9))
-        return F(rng.randint(-(2**80), 2**80), rng.randint(1, 2**70))
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
-    for _ in range(rng.randint(0, 3)):
-        if not rows:
-            break
-        kind = rng.choice(("zero", "repeat", "combination"))
-        if kind == "zero":
-            rows.insert(rng.randrange(len(rows) + 1), [F(0)] * ncols)
-        elif kind == "repeat":
-            rows.append(list(rng.choice(rows)))
-        else:
-            a, b = rng.choice(rows), rng.choice(rows)
-            s, t = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-(2**66), 2**66))
-            rows.insert(rng.randrange(len(rows) + 1), [s * x + t * y for x, y in zip(a, b)])
-    return rows
-
-
-def rref_eliminating_every_pending_row(rows):
-    """rref as it was before it stopped at full column rank: every pending row
-    is eliminated at every pivot, and only an empty pending list stops early."""
-    pending = [row for row in map(_integer_row, map(_exact, rows)) if any(row)]
-    ncols = len(pending[0]) if pending else 0
-    reduced, pivots = [], []
-    for c in range(ncols):
-        k = next((k for k, row in enumerate(pending) if row[c]), None)
-        if k is None:
-            continue
-        pivot_row = pending.pop(k)
-        reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
-        pending = [
-            row
-            for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
-            if any(row)
-        ]
-        reduced.append(pivot_row)
-        pivots.append(c)
-        if not pending:
-            break
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        out.append(tuple(F(0) if not x else F(1) if x == p else F(x, p) for x in row))
-    return tuple(out), tuple(pivots)
-
-
-def tall_rows(rng, rank_deficient):
-    """A seeded matrix with more rows than columns: of full column rank, or a
-    product of thin factors whose rank is below the width."""
-    ncols = rng.randint(1, 6)
-    nrows = ncols + rng.randint(1, 6)
-    if not rank_deficient:
-        rows = [[F(int(r == c)) for c in range(ncols)] for r in range(ncols)]
-        for _ in range(nrows - ncols):
-            rows.append([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)])
-        rng.shuffle(rows)
-        return rows
-    inner = rng.randint(0, ncols - 1)
-    left = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(inner)] for _ in range(nrows)]
-    columns = [[F(rng.randint(-3, 3)) for _ in range(inner)] for _ in range(ncols)]
-    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in columns] for row in left]
-
-
 class TestEarlyStop:
     def test_rref_matches_the_copy_that_eliminates_every_pending_row(self):
         rng = random.Random(9091)
@@ -669,11 +436,11 @@ class TestEarlyStop:
         for deficient in (False, True) * 60:
             rows = tall_rows(rng, deficient)
             echelon, pivots = rref(rows)
-            assert (echelon, pivots) == rref_eliminating_every_pending_row(rows)
+            assert (echelon, pivots) == reference.rref(rows)
             ranks[deficient].add(len(pivots) == len(rows[0]))
         assert ranks == {False: {True}, True: {False}}
         for rows in (random_rational_rows(rng) for _ in range(100)):
-            assert rref(rows) == rref_eliminating_every_pending_row(rows)
+            assert rref(rows) == reference.rref(rows)
 
     def test_rows_pending_at_full_column_rank_are_not_eliminated(self, monkeypatch):
         calls = []
@@ -695,7 +462,7 @@ class TestIntegerElimination:
         cases += [random_rational_rows(rng) for _ in range(150)]
         deficient = 0
         for rows in cases:
-            expected = reference_rref(rows)
+            expected = reference.rref(rows)
             echelon, pivots = rref(rows)
             assert (echelon, pivots) == expected
             assert all(type(x) is Fraction for row in echelon for x in row)
@@ -705,7 +472,7 @@ class TestIntegerElimination:
     def test_rref_keeps_huge_entries_exact(self):
         big = F(2**100 + 1, 3**50)
         rows = [[big, F(1, 2**70)], [F(-(2**65)), F(7)]]
-        assert rref(rows) == reference_rref(rows)
+        assert rref(rows) == reference.rref(rows)
         assert rref([[big, -big]]) == (((F(1), F(-1)),), (0,))
 
     def test_kernel_annihilates_and_has_complementary_dimension(self):
@@ -720,7 +487,7 @@ class TestIntegerElimination:
             for v in null:
                 assert mat_vec(m, v) == (F(0),) * len(m)
             assert rank(m) + len(null) == ncols
-            assert len(reference_rref(null)[0]) == len(null)
+            assert len(reference.rref(null)[0]) == len(null)
 
     def test_inverse_is_a_two_sided_inverse_and_singular_raises(self):
         rng = random.Random(2721)
@@ -744,53 +511,6 @@ class TestIntegerElimination:
             inverse(matrix([[1, 2], [2, 4]]))
 
 
-def rref_with_fraction_rows(rows):
-    """rref as it was before `_echelon`: the same integer elimination, each final
-    pivot row divided by its (possibly negative) pivot into Fractions."""
-    pending = [row for row in (_integer_row(_exact(row, _RATIONAL)) for row in rows) if any(row)]
-    ncols = len(pending[0]) if pending else 0
-    reduced, pivots = [], []
-    for c in range(ncols):
-        k = next((k for k, row in enumerate(pending) if row[c]), None)
-        if k is None:
-            continue
-        pivot_row = pending.pop(k)
-        reduced = [_eliminate(row, pivot_row, c) if row[c] else row for row in reduced]
-        reduced.append(pivot_row)
-        pivots.append(c)
-        if len(pivots) == ncols:
-            break
-        pending = [
-            row
-            for row in (_eliminate(row, pivot_row, c) if row[c] else row for row in pending)
-            if any(row)
-        ]
-        if not pending:
-            break
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        out.append(tuple(F(0) if not x else F(1) if x == p else F(x, p) for x in row))
-    return tuple(out), tuple(pivots)
-
-
-def kernel_from_fraction_rows(m, ncols):
-    """kernel as it was before `_null_space`: one Fraction vector per free column
-    of the Fraction rref, then the rref of those vectors."""
-    if not m:
-        return identity_matrix(ncols)
-    ncols = len(m[0])
-    reduced, pivots = rref_with_fraction_rows(m)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [F(0)] * ncols
-        v[f] = F(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return rref_with_fraction_rows(basis)[0]
-
-
 class TestIntegerEchelon:
     def test_echelon_and_subspace_rows_match_the_fraction_rref(self):
         rng = random.Random(1931)
@@ -800,7 +520,7 @@ class TestIntegerEchelon:
                   for _ in range(40)]
         deficient = 0
         for rows in cases:
-            expected, expected_pivots = rref_with_fraction_rows(rows)
+            expected, expected_pivots = reference.rref(rows)
             reduced, pivots = _echelon(rows)
             assert pivots == expected_pivots
             for row, c, fraction_row in zip(reduced, pivots, expected, strict=True):
@@ -816,7 +536,7 @@ class TestIntegerEchelon:
             assert "basis" not in vars(s)
             assert s.basis == expected and rref(rows) == (expected, expected_pivots)
             null = Subspace.kernel_of(rows, n)
-            assert null.basis == kernel(rows) == kernel_from_fraction_rows(rows, n)
+            assert null.basis == kernel(rows) == reference.kernel(rows, n)
             assert null.rows == tuple(map(tuple, _echelon(null.basis)[0]))
         assert deficient > 80
 
@@ -824,7 +544,7 @@ class TestIntegerEchelon:
         for n in range(5):
             for rows in ([], [[0] * n], [[F(0)] * n] * 2):
                 assert Subspace.kernel_of(rows, n) == Subspace.full(n)
-                assert kernel(rows, n) == kernel_from_fraction_rows(rows, n) == identity_matrix(n)
+                assert kernel(rows, n) == reference.kernel(rows, n) == identity_matrix(n)
         assert Subspace.full(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_kernel_of_checks_the_row_length(self):
@@ -902,51 +622,6 @@ class TestSubspaceCanonicalForm:
             Subspace.from_vectors([(True, F(0))], 2)
 
 
-def constraint_matrix_intersect(a, b):
-    """The intersection `Subspace.intersect` replaced: one kernel of the stacked
-    constraint rows of both subspaces, each row set itself a kernel."""
-    n = a.ambient_dim
-    return Subspace.from_vectors(kernel(kernel(a.basis, n) + kernel(b.basis, n), n), n)
-
-
-def seeded_subspaces(rng, n):
-    """A random subspace of R^n with small rational entries, of any dimension."""
-    rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-            for _ in range(rng.randint(0, n + 1))]
-    return Subspace.from_vectors(rows, n)
-
-
-def seeded_subspace_pairs(seed):
-    """Pairs in R^n for n from 0 to 6: random, equal, zero, full and disjoint ones."""
-    rng = random.Random(seed)
-    out = []
-    for n in range(7):
-        zero, full = Subspace.zero(n), Subspace.full(n)
-        for _ in range(6):
-            a, b = seeded_subspaces(rng, n), seeded_subspaces(rng, n)
-            # a complement for a positive definite form meets a only in 0
-            disjoint = a.orthogonal_complement(identity_matrix(n))
-            out += [(a, b), (a, a), (a, zero), (zero, a), (a, full), (full, a), (a, disjoint)]
-    return out
-
-
-def fraction_residue(s, v):
-    """`Subspace.residue` before it read the integer rows: a Fraction loop
-    over the canonical basis."""
-    if len(v) != s.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    residue = tuple(v)
-    for p, row in zip(s.pivots, s.basis):
-        if coeff := v[p]:
-            residue = tuple(x - coeff * y if y else x for x, y in zip(residue, row))
-    return residue
-
-
-def fraction_coordinates(s, v):
-    """`Subspace.coordinates_of` on `fraction_residue`."""
-    return tuple(v[p] for p in s.pivots) if not any(fraction_residue(s, v)) else None
-
-
 class TestResidueRestriction:
     def test_residue_views_match_the_fraction_loop(self):
         """residue, coordinates_of and contains against the Fraction loop, on the
@@ -956,7 +631,7 @@ class TestResidueRestriction:
         members = set()
         for _ in range(150):
             n = rng.randint(0, 6)
-            s = seeded_subspaces(rng, n)
+            s = random_subspace(rng, n, rows=(0, n + 1), num=2)
             vectors = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(3)]
             vectors += [list(row) for row in s.basis]
             if s.dim:
@@ -964,11 +639,11 @@ class TestResidueRestriction:
                                 for k in range(n)])
             vectors.append([rng.randint(-2, 2) for _ in range(n)])
             for v in vectors:
-                expected = fraction_residue(s, v)
+                expected = reference.residue(s, v)
                 for given in (v, [str(x) for x in v]):
                     assert s.residue(given) == expected
                     assert all(type(x) is F for x in s.residue(given))
-                    assert s.coordinates_of(given) == fraction_coordinates(s, v)
+                    assert s.coordinates_of(given) == reference.coordinates(s, v)
                     assert s.contains(given) == (not any(expected))
                 members.add(not any(expected))
             for bad in ([0] * (n + 1), [0] * max(n - 1, 0) if n else [0]):
@@ -981,7 +656,7 @@ class TestResidueRestriction:
         dims = set()
         for a, b in seeded_subspace_pairs(9090):
             meet = a.intersect(b)
-            assert meet == constraint_matrix_intersect(a, b)
+            assert meet == reference.intersection(a, b)
             dims.add((meet.dim, a.dim, b.dim))
         assert len(dims) > 40
 
@@ -990,7 +665,7 @@ class TestResidueRestriction:
         inside = set()
         for _ in range(80):
             n = rng.randint(1, 6)
-            s = seeded_subspaces(rng, n)
+            s = random_subspace(rng, n, rows=(0, n + 1), num=2)
             u, v = ([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(2))
             c = F(rng.randint(-3, 3), rng.randint(1, 3))
             combined = [x + c * y for x, y in zip(u, v)]
@@ -1007,7 +682,7 @@ class TestResidueRestriction:
         drops = set()
         for _ in range(80):
             n = rng.randint(1, 6)
-            s = seeded_subspaces(rng, n)
+            s = random_subspace(rng, n, rows=(0, n + 1), num=2)
             m = rng.randint(0, 4)
             values = [[F(rng.choice((-1, 0, 0, 1, 2))) for _ in range(m)] for _ in s.basis]
             r = s.restrict(values)
