@@ -36,9 +36,8 @@ from .lcp import (
 )
 from .liealg import (
     Covector,
-    _jacobi_defects,
-    _lift_table,
     center,
+    check_jacobi,
     derived_algebra,
     is_abelian,
     is_nilpotent,
@@ -130,7 +129,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             algebra = None
             names = ", ".join(
                 "(" + ", ".join(doc.basis[t] for t in triple) + ")"
-                for triple in _jacobi_defects(_lift_table(doc.brackets)[1])
+                for triple in check_jacobi(doc.dim, {(i, j): dict(t) for i, j, t in doc.brackets})
             )
             print(f"jacobi: FAIL at basis triples {names}")
             problems += 1

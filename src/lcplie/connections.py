@@ -96,7 +96,7 @@ class InnerProduct(_Record):
         return len(self.gram)
 
     def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return dot(_exact(x, _RATIONAL), mat_vec(self.gram, _exact(y, _RATIONAL)))
+        return dot(x, mat_vec(self.gram, y))
 
     @cached_property
     def gram_inverse(self) -> Matrix:
@@ -175,7 +175,7 @@ class Connection(_Record):
         return _combination(self.denominator, zip(x, self.rows), self.dim)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return mat_vec(self.directional(x), _exact(y, _RATIONAL))
+        return mat_vec(self.directional(x), y)
 
 
 class CurvatureTensor(_Record):

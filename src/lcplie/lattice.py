@@ -11,12 +11,11 @@ from typing import Sequence
 
 from .linalg import (
     Subspace,
-    _RATIONAL,
     _Record,
     _bareiss,
     _dense_row,
-    _exact,
     _lift,
+    mat_vec,
 )
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -50,11 +49,8 @@ class IntegerEndomorphism(_Record):
         return len(self.matrix)
 
     def image(self, v: Sequence[int | Fraction]):
-        """A v; entries of v are read as in `vector`, so floats and bools raise TypeError."""
-        v = _exact(v, _RATIONAL)
-        return tuple(
-            sum(a * x for a, x in zip(row, v, strict=True)) for row in self.matrix
-        )
+        """A v by `mat_vec`, which reads v as in `vector`: a float or bool raises TypeError."""
+        return mat_vec(self.matrix, v)
 
 
 def det_integer(rows: Sequence[Sequence[int]]) -> int:

@@ -24,8 +24,8 @@ from .liealg import (
     _ad_rows,
     _centralizer,
     _is_index,
+    _lifted_action,
     derived_algebra,
-    homomorphism_defect,
     is_abelian_subspace,
     is_ideal,
     is_unimodular,
@@ -43,9 +43,9 @@ from .linalg import (
     _columns,
     _dense_row,
     _descending_chain,
+    _dot,
     _exact,
     _unlift,
-    dot,
     identity_matrix,
     transpose,
 )
@@ -298,20 +298,11 @@ class LCPTriple(_Record):
             raise ValueError(f"the abelian factor dimension must be an integer >= 1, got {q!r}")
         if len(self.beta) != h.dim:
             raise ValueError("need one action matrix per basis vector")
-        # Fraction entries; floats and bools raise TypeError, as in Connection
-        object.__setattr__(self, "beta", tuple(tuple(map(_exact, b)) for b in self.beta))
-        for idx, b in enumerate(self.beta):
-            if len(b) != q or any(len(row) != q for row in b):
-                raise ValueError(f"action matrix {idx} is not {q}x{q}")
-            # each pair r <= c once, as row r against column r; shared ZEROs are skipped
-            if any(
-                x != -y
-                for r, (row, col) in enumerate(zip(b, zip(*b)))
-                for x, y in zip(row[r:], col[r:])
-                if x is not ZERO or y is not ZERO
-            ):
+        d, rows, defect = _lifted_action(h, self.beta, q)
+        for idx, m in enumerate(rows):
+            if _columns(m, -1) != {r: list(terms) for r, terms in m}:  # column r is -row r
                 raise ValueError(f"action matrix {idx} is not skew-symmetric")
-        defect = homomorphism_defect(h, self.beta, q)
+        object.__setattr__(self, "beta", tuple(_unlift(d, m, q) for m in rows))
         if defect is not None:
             raise ValueError(f"action is not a Lie algebra homomorphism on basis pair {defect}")
         if trace_form(h).is_zero():
@@ -471,7 +462,7 @@ def is_conformal_action(gram_u: Matrix, action: Matrix, lee_value: Fraction) -> 
     if any(gram_u[r][c] != gram_u[c][r] for r in range(q) for c in range(r)):
         raise ValueError("gram_u must be symmetric")
     two_w = 2 * _exact((lee_value,), _RATIONAL)[0]
-    ga = [[dot(row, col) for col in transpose(action)] for row in gram_u]
+    ga = [[_dot(row, col) for col in transpose(action)] for row in gram_u]
     # (A^T G)[r][c] = (G A)[c][r], as G is symmetric
     return all(
         ga[c][r] + ga[r][c] == two_w * g for r, row in enumerate(gram_u) for c, g in enumerate(row)

@@ -24,7 +24,6 @@ from .linalg import (
     _dense_row,
     _descending_chain,
     _exact,
-    _gram_rows,
     _lift,
     _scaled,
     _sparse,
@@ -170,7 +169,7 @@ class Covector(_Record):
         return len(self.coefficients)
 
     def value(self, v: Sequence[Fraction]) -> Fraction:
-        return dot(self.coefficients, _exact(v, _RATIONAL))
+        return dot(self.coefficients, v)
 
     def is_zero(self) -> bool:
         return is_zero_vector(self.coefficients)
@@ -474,8 +473,7 @@ def radical(algebra: LieAlgebra) -> Subspace:
     commutator = derived_algebra(algebra)
     if commutator.is_zero():
         return algebra.full_space()
-    constraints = _gram_rows(killing_form(algebra), commutator.rows)
-    rad = Subspace.kernel_of(constraints, algebra.dim)
+    rad = commutator.orthogonal_complement(killing_form(algebra))
     if rad.is_full():
         solvable = derived_series(algebra)[-1].is_zero()
     else:
@@ -518,13 +516,14 @@ def _bracket_defects(
 def _lifted_action(
     h: LieAlgebra, mats: Sequence[Matrix], q: int
 ) -> tuple[int, tuple[SparseRows, ...], tuple[int, int] | None]:
-    """(d, rows, defect): the q x q action matrices over their common denominator
-    d (`_lift`), and the first basis pair on which they fail to be a homomorphism."""
+    """(d, rows, defect): the q x q action matrices, read as in `vector`, over their common
+    denominator d (`_lift`), and the first basis pair on which they fail to be a homomorphism."""
     if len(mats) != h.dim:
         raise ValueError("need one action matrix per basis vector of the acting algebra")
     mats = [tuple(_exact(row, _RATIONAL) for row in m) for m in mats]
-    if any(len(m) != q or any(len(r) != q for r in m) for m in mats):
-        raise ValueError(f"action matrices must be {q}x{q}")
+    for idx, m in enumerate(mats):
+        if len(m) != q or any(len(r) != q for r in m):
+            raise ValueError(f"action matrix {idx} is not {q}x{q}")
     d, rows = _lift(mats)
     return d, rows, next((p for p, m in zip(pairs(h.dim), _bracket_defects(h, d, rows)) if m), None)
 

@@ -100,9 +100,14 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Exact inner product of coordinate sequences; zero factors are skipped."""
+def _dot(u: Vector, v: Vector) -> Fraction:
+    """u . v of rows already read by `_exact`; zero factors are skipped."""
     return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
+
+
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact inner product of coordinate sequences, read as in `vector`."""
+    return _dot(_exact(u, _RATIONAL), _exact(v, _RATIONAL))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -110,7 +115,9 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, v) for row in m)
+    """Exact m v, v read once and each row of m once, as in `dot`."""
+    v = _exact(v, _RATIONAL)
+    return tuple(_dot(_exact(row, _RATIONAL), v) for row in m)
 
 
 def pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -490,12 +497,6 @@ def _gram_product(
     return d, r, _products(r, (g,))[0]
 
 
-def _gram_rows(gram: Matrix, rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
-    """A positive multiple of r G for each r of rows as dense int rows, zero rows
-    left out: for a symmetric G, the conditions g(r, x) = 0."""
-    return [_dense_row(terms, len(gram)) for _, terms in _gram_product(gram, rows)[2]]
-
-
 def _check_ambient_dim(n: object) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"ambient dimension must be a non-negative integer, got {n!r}")
@@ -718,9 +719,11 @@ class Subspace(_Record):
         return _fraction_rows(*_null_space(self.rows, self.ambient_dim))
 
     def orthogonal_complement(self, gram: Matrix) -> "Subspace":
-        """Complement with respect to the inner product given by gram, whose
-        entries are read as in `vector`: floats and bools raise TypeError."""
-        return Subspace.kernel_of(_gram_rows(tuple(map(_exact, gram)), self.rows), self.ambient_dim)
+        """{x : g(r, x) = 0 for every row r} for the symmetric bilinear form g of gram,
+        read as in `vector`: the kernel of the nonzero rows of r G, lifted to ints."""
+        n = self.ambient_dim
+        products = _gram_product(tuple(map(_exact, gram)), self.rows)[2]
+        return Subspace.kernel_of([_dense_row(terms, n) for _, terms in products], n)
 
     @cached_property
     def _lifted(self) -> tuple[int, SparseRows]:

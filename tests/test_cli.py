@@ -16,6 +16,8 @@ import pytest
 
 from lcplie import cli, connections, documents, lcp, linalg
 from lcplie.cli import main
+from lcplie.liealg import check_jacobi
+from lcplie.linalg import pairs
 
 import reference
 from cases import (
@@ -24,6 +26,7 @@ from cases import (
     invoke as invoke_pinned,
     mutated_lines,
     pinned_lines,
+    random_table,
     subspaces_by_dimension,
 )
 from conftest import CORPUS_DIR, corpus_text
@@ -216,6 +219,29 @@ class TestValidate:
         assert code == 2
         assert "jacobi: FAIL at basis triples (e1, e2, e3)" in out
         assert out.endswith("valid: no\n")
+
+    def test_jacobi_failures_are_named_as_check_jacobi_finds_them(self, run, tmp_path):
+        rng = random.Random(1066)
+        failures = 0
+        for _ in range(40):
+            dim = rng.randint(3, 6)
+            basis = rng.sample([f"{c}{t}" for c in "xyz" for t in range(6)], dim)
+            dense = dict(zip(pairs(dim), random_table(rng, dim)))
+            brackets = {p: {k: c for k, c in enumerate(row) if c} for p, row in dense.items() if any(row)}
+            triples = check_jacobi(dim, brackets)
+            if not triples:
+                continue
+            failures += 1
+            doc = tmp_path / "table.json"
+            doc.write_text(json.dumps({"dim": dim, "basis": basis, "brackets": [
+                {"i": i, "j": j, "c": {str(k): str(c) for k, c in coeffs.items()}}
+                for (i, j), coeffs in brackets.items()
+            ]}))
+            names = ", ".join("(" + ", ".join(basis[t] for t in triple) + ")" for triple in triples)
+            code, out, _ = run("validate", str(doc))
+            assert code == 2
+            assert out == f"jacobi: FAIL at basis triples {names}\nmetric: absent\ntheta: absent\nvalid: no\n"
+        assert failures >= 20
 
     def test_missing_file_is_an_io_error(self, run, tmp_path):
         code, _, err = run("validate", str(tmp_path / "absent.json"))

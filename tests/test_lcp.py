@@ -57,6 +57,7 @@ from lcplie.linalg import (
     Subspace,
     as_fraction,
     det,
+    dot,
     identity_matrix,
     inverse,
     kernel,
@@ -497,6 +498,92 @@ class TestTriples:
         with pytest.raises(ValueError, match=r"^action matrix 0 is not skew-symmetric$"):
             LCPTriple(aff, InnerProduct.identity(2), 2, (lopsided, diagonal))
 
+    def test_a_shape_error_comes_before_a_skew_error(self, aff):
+        lopsided = ((ZERO, F(1)), (ZERO, ZERO))
+        wide = matrix([[0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match=r"^action matrix 1 is not 2x2$"):
+            LCPTriple(aff, InnerProduct.identity(2), 2, (lopsided, wide))
+
+    def test_each_action_row_is_read_once(self, monkeypatch):
+        """Entries, shapes, skewness and the homomorphism check come from one
+        read: each row of beta reaches `_exact` once, in `lcp` and `liealg` together."""
+        exact = linalg._exact
+        reads = Counter()
+
+        def counting(row, *kinds):
+            reads[id(row)] += 1
+            return exact(row, *kinds)
+
+        for module in (lcp, liealg):
+            monkeypatch.setattr(module, "_exact", counting)
+        rng = random.Random(2025)
+        for _ in range(6):
+            t = random_rotation_triple(rng)
+            # fresh row objects of Fractions, which `_exact` passes on as they are
+            beta = tuple(tuple(tuple(list(row)) for row in m) for m in t.beta)
+            reads.clear()
+            LCPTriple(t.h_algebra, t.h_metric, t.q, beta)
+            assert [reads[id(row)] for m in beta for row in m] == [1] * t.q * len(beta)
+
+    def test_skew_check_matches_the_dense_transpose_on_seeded_actions(self):
+        """h = aff(R) + R^k acts by a random skew M_a, M_b = 0 and multiples of
+        M_a on the central generators, with int and Fraction entries; then one
+        matrix may get an off-diagonal bump, a diagonal entry or a skew bump.
+        The first M with M^T != -M on dense Fractions is the one named; a skew
+        action is accepted, as the exact input, iff it is a homomorphism."""
+        rng = random.Random(3141)
+
+        def entry():
+            num = rng.randint(-3, 3)
+            return num if rng.random() < 0.5 else F(num, rng.randint(1, 3))
+
+        seen = Counter()
+        for _ in range(120):
+            k, q = rng.randint(0, 2), rng.randint(1, 4)
+            h = LieAlgebra.from_brackets(2 + k, {(0, 1): {1: F(1)}})
+            skew = [[0] * q for _ in range(q)]
+            for r, c in combinations(range(q), 2):
+                skew[r][c] = entry()
+                skew[c][r] = -skew[r][c]
+            beta = [skew, [[0] * q for _ in range(q)]]
+            beta += [[[t * x for x in row] for row in skew] for t in (entry() for _ in range(k))]
+            i, r, c = rng.randrange(len(beta)), rng.randrange(q), rng.randrange(q)
+            bump = F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            kind = rng.choice(("none", "entry", "diagonal", "skew pair"))
+            if kind == "entry" and r != c:
+                beta[i][r][c] += bump
+            elif kind == "diagonal":
+                beta[i][r][r] += bump
+            elif kind == "skew pair" and r != c:
+                beta[i][r][c] += bump
+                beta[i][c][r] -= bump
+            beta = tuple(tuple(map(tuple, m)) for m in beta)
+            seen["int and Fraction"] += {type(x) for m in beta for row in m for x in row if x} == {int, F}
+            dense = [[[F(x) for x in row] for row in m] for m in beta]
+            non_skew = next(
+                (idx for idx, m in enumerate(dense)
+                 if reference.transpose(m) != tuple(tuple(-x for x in row) for row in m)),
+                None,
+            )
+            metric = InnerProduct.identity(h.dim)
+            if non_skew is not None:
+                with pytest.raises(ValueError, match=f"^action matrix {non_skew} is not skew-symmetric$"):
+                    LCPTriple(h, metric, q, beta)
+                seen["diagonal" if any(dense[non_skew][t][t] for t in range(q)) else "entry"] += 1
+                continue
+            defect = reference.homomorphism_defect(DenseBrackets(h).c, dense)
+            if defect is not None:
+                with pytest.raises(ValueError, match=re.escape(f"homomorphism on basis pair {defect}")):
+                    LCPTriple(h, metric, q, beta)
+                seen["not a homomorphism"] += 1
+                continue
+            triple = LCPTriple(h, metric, q, beta)
+            assert triple.beta == beta
+            assert all(type(x) is F for m in triple.beta for row in m for x in row)
+            seen["accepted"] += 1
+        assert min(seen[key] for key in ("entry", "diagonal", "not a homomorphism", "accepted")) >= 5
+        assert seen["int and Fraction"] >= 20
+
     def test_rejects_unimodular_base(self):
         with pytest.raises(ValueError, match="unimodular"):
             LCPTriple(make_abelian(2), InnerProduct.identity(2), 1, (matrix([[0]]),) * 2)
@@ -795,8 +882,16 @@ class TestConstraintSpace:
                 seen.add(("action", action_trivial))
         assert seen == {("theta", True), ("theta", False), ("action", True), ("action", False)}
 
-    def test_candidate_run_builds_each_derived_subspace_once(self, monkeypatch, capsys):
-        counts = {"radical": 0, "centralizer": 0, "complement": 0}
+    def test_candidate_run_builds_each_derived_subspace_once(
+        self, monkeypatch, capsys, sol3_structure
+    ):
+        counts = {"radical": 0, "centralizer": 0, "metric complement": 0, "killing complement": 0}
+        # the run parses sol3.json, the algebra and metric of sol3_structure
+        complements = {
+            sol3_structure.metric.gram: "metric complement",
+            liealg.killing_form(sol3_structure.algebra): "killing complement",
+        }
+        assert len(complements) == 2
 
         def counting(key, fn):
             def wrapper(*args):
@@ -807,15 +902,19 @@ class TestConstraintSpace:
 
         monkeypatch.setattr(lcp, "radical", counting("radical", radical))
         monkeypatch.setattr(lcp, "_centralizer", counting("centralizer", lcp._centralizer))
-        monkeypatch.setattr(
-            Subspace,
-            "orthogonal_complement",
-            counting("complement", Subspace.orthogonal_complement),
-        )
+        complement = Subspace.orthogonal_complement
+
+        def counting_complement(s, gram):
+            counts[complements[gram]] += 1
+            return complement(s, gram)
+
+        monkeypatch.setattr(Subspace, "orthogonal_complement", counting_complement)
         argv = ["lcp", "char-bound", str(CORPUS_DIR / "sol3.json"), "--candidate", '[["0", "1", "0"]]']
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("bound = span{b} (dim 1)\ncandidate: span{a}")
-        assert counts == {"radical": 1, "centralizer": 1, "complement": 1}
+        assert counts == {
+            "radical": 1, "centralizer": 1, "metric complement": 1, "killing complement": 1
+        }
 
 
 class TestConformalExponential:
@@ -958,6 +1057,8 @@ NUMERIC_ENTRIES = {
     "vector": lambda x: vector((x, 0)),
     "matrix": lambda x: matrix(((x, 0), (0, 1))),
     "det": lambda x: det(((x, 1), (1, 1))),
+    "dot": lambda x: dot((x, 0), (1, 1)),
+    "mat_vec": lambda x: mat_vec(((x, 0),), (1, 2)),
     "inverse": lambda x: inverse(((x, 1), (1, 1))),
     "kernel": lambda x: kernel(((x, 1),)),
     "rref": lambda x: rref(((x, 1),)),

@@ -764,7 +764,7 @@ class TestHomomorphismDefect:
         with pytest.raises(ValueError, match="need one action matrix per basis vector"):
             homomorphism_defect(aff, (ZERO2,), 2)
         wide = matrix([[0, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError, match="action matrices must be 2x2"):
+        with pytest.raises(ValueError, match=r"^action matrix 0 is not 2x2$"):
             homomorphism_defect(aff, (wide, wide), 2)
 
     def test_triple_and_semidirect_sum_multiply_no_dense_matrices(self, rot4_structure):

@@ -213,6 +213,22 @@ def test_products_match_the_schoolbook_formula_on_sparse_matrices():
         assert dot(a[0], tuple(row[0] for row in b)) == expected[0][0]
 
 
+def test_mat_vec_reads_v_once_and_each_row_once(monkeypatch):
+    reads = []
+
+    def counting(row, *kinds):
+        reads.append(row)
+        return exact(row, *kinds)
+
+    exact = linalg._exact
+    monkeypatch.setattr(linalg, "_exact", counting)
+    m, v = ((F(1), 0), (0, F(1, 2)), (2, 3)), (F(1), 4)
+    assert mat_vec(m, v) == (F(1), F(2), F(14))
+    assert all(type(x) is F for x in mat_vec(m, v))
+    assert [r for r in reads if r is v] == [v, v]  # once in each of the two calls
+    assert sum(r is row for r in reads for row in m) == 2 * len(m)
+
+
 def test_products_reject_length_mismatch_even_across_zeros():
     with pytest.raises(ValueError):
         dot(vector([0, 0]), vector([1]))
