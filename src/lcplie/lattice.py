@@ -6,6 +6,7 @@ All computations are over Python ints and Fractions; nothing here rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -64,41 +65,30 @@ def det_integer(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss(work)
 
 
-def _identity_int(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U a V = D diagonal, d_i | d_{i+1}, U and V unimodular.
 
     At step s the pivot is the first entry of least absolute value in the
     block of rows and columns s and beyond, in row-major order; the scan stops
-    at an entry of absolute value 1. Column operations act on the rows of V^T,
-    and on the rows of D from s on: the rows above are zero in those columns.
-    The factorization is re-verified before returning; a failure raises.
+    at an entry of absolute value 1. One work list carries the elimination:
+    its row r is row s + r of that block followed by row s + r of U, so a row
+    operation is one pass over both (the rows of D above s are zero in the
+    block's columns). A column operation acts on the row of V^T and on the
+    work rows whose entry in column s is nonzero, the only ones it changes.
+    A finished step pops its row (the divisor d_s, then U's row s) and drops
+    column s from the rest; D is built from the divisors. `_verify_snf`
+    checks the factorization before it is returned; a failure raises.
     """
     k = a.size
-    d = [list(row) for row in a.matrix]
-    u = _identity_int(k)
-    vt = _identity_int(k)  # V^T: column c of V is row c here
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        if q:
-            d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(s: int, i: int, j: int, q: int) -> None:
-        if q:
-            for row in d[s:]:
-                row[i] -= q * row[j]
-            vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
-
+    work = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(a.matrix)]
+    vt = [[int(i == j) for j in range(k)] for i in range(k)]  # V^T: column c of V is row c
+    done: list[list[int]] = []
     for s in range(k):
+        n = k - s  # work[r][:n] is row s + r of the block
         while True:
             best, least = None, 0
-            for r in range(s, k):
-                row = d[r]
-                for c in range(s, k):
+            for r, row in enumerate(work):
+                for c in range(n):
                     if (x := abs(row[c])) and (best is None or x < least):
                         best, least = (r, c), x
                         if x == 1:
@@ -108,52 +98,62 @@ def smith_normal_form(a: IntegerEndomorphism) -> tuple[IntMatrix, IntMatrix, Int
             if best is None:
                 break  # remaining block is zero
             r0, c0 = best
-            if r0 != s:
-                d[s], d[r0] = d[r0], d[s]
-                u[s], u[r0] = u[r0], u[s]
-            if c0 != s:
-                for row in d[s:]:
-                    row[s], row[c0] = row[c0], row[s]
-                vt[s], vt[c0] = vt[c0], vt[s]
-            if d[s][s] < 0:
-                d[s] = [-x for x in d[s]]
-                u[s] = [-x for x in u[s]]
-            p = d[s][s]
+            if r0:
+                work[0], work[r0] = work[r0], work[0]
+            if c0:
+                for row in work:
+                    row[0], row[c0] = row[c0], row[0]
+                vt[s], vt[s + c0] = vt[s + c0], vt[s]
+            top = work[0]
+            if top[0] < 0:
+                top = work[0] = [-x for x in top]
+            p = top[0]
             dirty = False
-            for r in range(s + 1, k):
-                if d[r][s] != 0:
-                    row_sub(r, s, d[r][s] // p)
-                    dirty = dirty or d[r][s] != 0
-            for c in range(s + 1, k):
-                if d[s][c] != 0:
-                    col_sub(s, c, s, d[s][c] // p)
-                    dirty = dirty or d[s][c] != 0
+            for r in range(1, n):
+                if work[r][0]:
+                    if q := work[r][0] // p:
+                        work[r] = [x - q * y for x, y in zip(work[r], top)]
+                    dirty = dirty or work[r][0] != 0
+            live = [row for row in work if row[0]]
+            for c in range(1, n):
+                if top[c]:
+                    if q := top[c] // p:
+                        for row in live:
+                            row[c] -= q * row[0]
+                        vt[s + c] = [x - q * y for x, y in zip(vt[s + c], vt[s])]
+                    dirty = dirty or top[c] != 0
             if dirty:
                 continue  # remainders shrank the pivot candidates; rescan
-            offender = next(
-                (
-                    r
-                    for r in range(s + 1, k)
-                    if any(d[r][c] % p != 0 for c in range(s + 1, k))
-                ),
-                None,
-            )
+            if p == 1:
+                break  # 1 divides every entry
+            offender = next((row for row in work[1:] if any(x % p for x in row[1:n])), None)
             if offender is None:
                 break
             # pull the non-divisible row up so the next pivot divides everything
-            d[s] = [x + y for x, y in zip(d[s], d[offender])]
-            u[s] = [x + y for x, y in zip(u[s], u[offender])]
+            work[0] = [x + y for x, y in zip(top, offender)]
         if best is None:
             break
+        done.append(work.pop(0))
+        for row in work:
+            del row[0]
 
-    uu = tuple(tuple(row) for row in u)
-    dd = tuple(tuple(row) for row in d)
+    uu = tuple(tuple(row[-k:]) for row in done + work)  # work: the rows of a zero block
+    divisors = [row[0] for row in done] + [0] * len(work)
+    dd = tuple(tuple(x if i == j else 0 for j in range(k)) for i, x in enumerate(divisors))
     vv = tuple(zip(*vt))
     _verify_snf(a.matrix, uu, dd, vv)
     return uu, dd, vv
 
 
 def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+    """Raise unless U a V = D entry by entry, D is diagonal and non-negative
+    with d_i | d_{i+1}, and U and V are unimodular.
+
+    For det a != 0 the last part needs no elimination on U and V, whose
+    entries grow far past those of a: U a V = D gives
+    det U * det a * det V = prod d_i, so prod d_i = |det a| != 0 forces the
+    integers det U and det V to be +-1. A singular a leaves U and V to Bareiss.
+    """
     k = len(a)
     av = [[sum(map(mul, row, col)) for col in zip(*v)] for row in a]
     uav = [[sum(map(mul, row, col)) for col in zip(*av)] for row in u]
@@ -169,7 +169,10 @@ def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
             ok = False
     ok = ok and all(x >= 0 for x in diag)
-    ok = ok and all(abs(_bareiss(list(map(list, m)))) == 1 for m in (u, v))
+    if ok and (det_a := _bareiss(list(map(list, a)))):
+        ok = prod(diag) == abs(det_a)
+    else:
+        ok = ok and all(abs(_bareiss(list(map(list, m)))) == 1 for m in (u, v))
     if not ok:
         raise RuntimeError("normal form self-check failed")
 
@@ -186,10 +189,7 @@ def lattice_index(a: IntegerEndomorphism) -> int | None:
     of the elementary divisors.
     """
     d = _bareiss(list(map(list, a.matrix)))
-    prod = 1
-    for x in elementary_divisors(a):
-        prod *= x
-    if abs(d) != prod:
+    if abs(d) != prod(elementary_divisors(a)):
         raise RuntimeError("index cross-check failed: determinant and divisors disagree")
     return None if d == 0 else abs(d)
 

@@ -296,8 +296,6 @@ class LCPTriple(_Record):
             raise ValueError("metric dimension does not match the acting algebra")
         if not (_is_index(q) and q >= 1):
             raise ValueError(f"the abelian factor dimension must be an integer >= 1, got {q!r}")
-        if len(self.beta) != h.dim:
-            raise ValueError("need one action matrix per basis vector")
         d, rows, defect = _lifted_action(h, self.beta, q)
         for idx, m in enumerate(rows):
             if _columns(m, -1) != {r: list(terms) for r, terms in m}:  # column r is -row r

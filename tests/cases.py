@@ -880,6 +880,18 @@ def radical_binding_algebras():
 # Lattice splittings
 
 
+def corpus_lattice_matrices():
+    """(name, A) for the 72 integer matrices the benchmark's corpus workload
+    draws: for k = 4..12 and variant v < 8, A is k x k, filled row by row with
+    randint(-3, 3) from random.Random(f"corpus/lattice-k{k}/v{v}")."""
+    out = []
+    for k in range(4, 13):
+        for v in range(8):
+            rng = random.Random(f"corpus/lattice-k{k}/v{v}")
+            out.append((f"k{k}/v{v}", [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]))
+    return out
+
+
 def unimodular(rng, k):
     """A random integer matrix of determinant 1: a product of elementary ones."""
     p = [[int(r == c) for c in range(k)] for r in range(k)]

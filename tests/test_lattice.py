@@ -16,11 +16,12 @@ from lcplie.lattice import (
     elementary_divisors,
     lattice_index,
     smith_normal_form,
+    _verify_snf,
 )
 from lcplie.linalg import Subspace, mat_vec, vector
 
 import reference
-from cases import random_matrix, seeded_splittings
+from cases import corpus_lattice_matrices, random_matrix, seeded_splittings
 from conftest import CORPUS_DIR
 from reference import mat_mul
 
@@ -113,6 +114,22 @@ class TestSmithNormalForm:
                 else:
                     assert second % first == 0
 
+    @pytest.mark.parametrize(
+        "a, u, d",
+        [
+            # U A V = D and 1 | 2, but det U = 2: the product of the divisors is not |det A| = 1
+            (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 2))),
+            # singular A, so Bareiss on U finds det U = 2
+            (((1, 0), (0, 0)), ((1, 0), (0, 2)), ((1, 0), (0, 0))),
+            # D is a Smith form of A and det A = 6 = 1 * 6, but U A V = A is not D
+            (((2, 1), (0, 3)), ((1, 0), (0, 1)), ((1, 0), (0, 6))),
+        ],
+        ids=["unimodular through det A", "unimodular through Bareiss", "U A V is not D"],
+    )
+    def test_self_check_rejects_a_wrong_factorization(self, a, u, d):
+        with pytest.raises(RuntimeError, match="^normal form self-check failed$"):
+            _verify_snf(a, u, d, ((1, 0), (0, 1)))
+
 
 class TestSmithNormalFormOracle:
     def test_matches_the_full_scan_elimination(self):
@@ -134,6 +151,11 @@ class TestSmithNormalFormOracle:
             endo = IntegerEndomorphism(tuple(tuple(row) for row in a))
             assert smith_normal_form(endo) == reference.smith_normal_form_full_scan(a)
         assert singular >= 80
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in corpus_lattice_matrices()])
+    def test_matches_the_full_scan_elimination_on_the_benchmark_matrices(self, a):
+        endo = IntegerEndomorphism(tuple(tuple(row) for row in a))
+        assert smith_normal_form(endo) == reference.smith_normal_form_full_scan(a)
 
 
 class TestLatticeIndex:

@@ -589,7 +589,8 @@ class TestTriples:
             LCPTriple(make_abelian(2), InnerProduct.identity(2), 1, (matrix([[0]]),) * 2)
 
     def test_rejects_wrong_matrix_count_or_size(self, aff):
-        with pytest.raises(ValueError):
+        message = "^need one action matrix per basis vector of the acting algebra$"
+        with pytest.raises(ValueError, match=message):
             LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2,))
         with pytest.raises(ValueError):
             LCPTriple(aff, InnerProduct.identity(2), 1, (ZERO2, ZERO2))
