@@ -155,8 +155,10 @@ def _verify_snf(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
     integers det U and det V to be +-1. A singular a leaves U and V to Bareiss.
     """
     k = len(a)
-    av = [[sum(map(mul, row, col)) for col in zip(*v)] for row in a]
-    uav = [[sum(map(mul, row, col)) for col in zip(*av)] for row in u]
+    vt = list(zip(*v))
+    av = [[sum(map(mul, row, col)) for col in vt] for row in a]
+    avt = list(zip(*av))
+    uav = [[sum(map(mul, row, col)) for col in avt] for row in u]
     ok = all(
         uav[r][c] == (d[r][c] if r == c else 0) and (r == c or d[r][c] == 0)
         for r in range(k)
@@ -182,16 +184,71 @@ def elementary_divisors(a: IntegerEndomorphism) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(a.size))
 
 
+def _triangular_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(H, V) with A V = H lower triangular, by integer column operations alone.
+
+    One work list carries the elimination: its row c is column c of A V
+    followed by column c of V, and V starts as I. For each row r of A in
+    turn, the work rows from s on that are nonzero in entry r are reduced by
+    the one of least absolute value until it alone is left; it moves to row s,
+    which is then finished. A row r with no such entry leaves s as it is, so
+    the finished columns of H stand in echelon form and the others are zero.
+    """
+    k = len(a)
+    work = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*a))]
+    s = 0
+    for r in range(k):
+        while len(live := [c for c in range(s, k) if work[c][r]]) > 1:
+            top = work[min(live, key=lambda c: abs(work[c][r]))]
+            p = top[r]
+            for c in live:
+                if work[c] is not top:
+                    q = work[c][r] // p
+                    work[c] = [x - q * y for x, y in zip(work[c], top)]
+        if live:
+            work[s], work[live[0]] = work[live[0]], work[s]
+            s += 1
+    return tuple(zip(*(row[:k] for row in work))), tuple(zip(*(row[k:] for row in work)))
+
+
+def _verify_index(a: IntMatrix, h: IntMatrix, v: IntMatrix, det: int) -> None:
+    """Raise unless A V = H entry by entry, H is lower triangular, and H
+    certifies det = det A: for det != 0, prod |h_ii| = |det|; for det = 0,
+    a nonzero column of V whose column of H is zero, an integer x != 0 with
+    A x = 0.
+
+    For det != 0, det A * det V = det H = prod h_ii then forces the integer
+    det V to be +-1, so A Z^k = H Z^k and the index is prod |h_ii| = |det A|.
+    """
+    k = len(a)
+    vt = list(zip(*v))
+    ok = all(
+        sum(map(mul, row, col)) == h[r][c] for r, row in enumerate(a) for c, col in enumerate(vt)
+    )
+    ok = ok and not any(h[r][c] for r in range(k) for c in range(r + 1, k))
+    if det:
+        ok = ok and prod(abs(h[i][i]) for i in range(k)) == abs(det)
+    else:
+        ok = ok and any(any(x) and not any(y) for x, y in zip(vt, zip(*h)))
+    if not ok:
+        raise RuntimeError(
+            "index cross-check failed: the triangular form does not certify the determinant"
+        )
+
+
 def lattice_index(a: IntegerEndomorphism) -> int | None:
     """Index of the image lattice a(Z^k) in Z^k; None when a is singular.
 
-    Computed as |det a| and independently cross-checked against the product
-    of the elementary divisors.
+    Computed as |det a|, by one Bareiss elimination, and certified by a
+    triangular form A V = H from integer column operations (`_triangular_form`)
+    that `_verify_index` checks against it: prod |h_ii| = |det a| makes V
+    unimodular, so the index is prod |h_ii|; for det a = 0 a column of V is an
+    integer kernel vector of a.
     """
     d = _bareiss(list(map(list, a.matrix)))
-    if abs(d) != prod(elementary_divisors(a)):
-        raise RuntimeError("index cross-check failed: determinant and divisors disagree")
-    return None if d == 0 else abs(d)
+    h, v = _triangular_form(a.matrix)
+    _verify_index(a.matrix, h, v, d)
+    return abs(d) or None
 
 
 class SplitDecomposition(_Record):

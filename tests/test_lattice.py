@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lcplie.documents import parse_lattice_document
+from lcplie import lattice
 from lcplie.lattice import (
     IntegerEndomorphism,
     SplitDecomposition,
@@ -16,6 +17,8 @@ from lcplie.lattice import (
     elementary_divisors,
     lattice_index,
     smith_normal_form,
+    _triangular_form,
+    _verify_index,
     _verify_snf,
 )
 from lcplie.linalg import Subspace, mat_vec, vector
@@ -196,6 +199,110 @@ class TestLatticeIndex:
                 if not any(in_image(x - rx, y - ry) for rx, ry in reps):
                     reps.append((x, y))
         assert len(reps) == lattice_index(IntegerEndomorphism(((2, 1), (0, 3)))) == 6
+
+
+def endomorphism(a):
+    return IntegerEndomorphism(tuple(tuple(row) for row in a))
+
+
+class TestLatticeIndexOracle:
+    def test_matches_the_fraction_determinant_on_seeded_matrices(self):
+        rng = random.Random(2718)
+        singular = 0
+        for trial in range(270):
+            k = trial % 9 + 1
+            span = rng.choice((1, 3, 9))
+            if trial % 2 == 0:
+                # rank below k: a product of k x r and r x k factors
+                r = rng.randint(0, k - 1)
+                left = random_matrix(rng, k, r, span=span)
+                right = random_matrix(rng, r, k, span=span)
+                a = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(k)]
+                     for i in range(k)]
+            else:
+                a = random_matrix(rng, k, span=span)
+            d = reference.det(a)
+            singular += d == 0
+            assert lattice_index(endomorphism(a)) == (abs(d) or None)
+        assert singular >= 100
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in corpus_lattice_matrices()])
+    def test_matches_the_fraction_determinant_on_the_benchmark_matrices(self, a):
+        assert lattice_index(endomorphism(a)) == (abs(reference.det(a)) or None)
+
+    def test_k40_agrees_with_det_integer(self):
+        rng = random.Random(4040)
+        a = random_matrix(rng, 40, span=3)
+        d = det_integer(a)
+        assert d != 0
+        assert lattice_index(endomorphism(a)) == abs(d)
+
+    def test_runs_one_determinant_and_no_smith_form(self, monkeypatch):
+        calls = []
+
+        def counted(work):
+            calls.append(len(work))
+            return bareiss(work)
+
+        def forbidden(*args):
+            raise AssertionError("lattice_index reached the Smith form")
+
+        bareiss = lattice._bareiss
+        monkeypatch.setattr(lattice, "_bareiss", counted)
+        monkeypatch.setattr(lattice, "smith_normal_form", forbidden)
+        monkeypatch.setattr(lattice, "_verify_snf", forbidden)
+        assert lattice_index(endomorphism(((2, 1), (0, 3)))) == 6
+        assert lattice_index(endomorphism(((2, 4), (1, 2)))) is None
+        assert calls == [2, 2]
+
+
+class TestVerifyIndex:
+    def test_accepts_the_triangular_form(self):
+        for a in (((2, 1), (0, 3)), ((2, 4), (1, 2)), ((0, 0), (0, 0)), ((0, 1), (1, 0))):
+            h, v = _triangular_form(a)
+            assert all(h[r][c] == 0 for r in range(2) for c in range(r + 1, 2))
+            _verify_index(a, h, v, det_integer(a))
+
+    @staticmethod
+    def nonsingular_form():
+        a = dict(corpus_lattice_matrices())["k6/v0"]
+        d = det_integer(a)
+        assert d != 0
+        h, v = _triangular_form(tuple(map(tuple, a)))
+        return a, h, v, d
+
+    def test_rejects_a_changed_entry_of_v(self):
+        a, h, v, d = self.nonsingular_form()
+        v = [list(row) for row in v]
+        v[2][3] += 1
+        with pytest.raises(RuntimeError, match="^index cross-check failed"):
+            _verify_index(a, h, v, d)
+
+    def test_rejects_an_entry_above_the_diagonal(self):
+        # A V = H and prod |h_ii| = |det A| = 6, but H = A is not lower triangular
+        a = ((2, 1), (0, 3))
+        with pytest.raises(RuntimeError, match="^index cross-check failed"):
+            _verify_index(a, a, ((1, 0), (0, 1)), 6)
+
+    def test_rejects_a_zero_kernel_witness(self):
+        # A V = H lower triangular, H's second column is zero, but so is V's
+        a = ((1, 0), (0, 0))
+        with pytest.raises(RuntimeError, match="^index cross-check failed"):
+            _verify_index(a, a, a, 0)
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda d: 2 * d, lambda d: -3 * d, lambda d: 0], ids=["2 det", "-3 det", "zero"]
+    )
+    def test_rejects_a_wrong_determinant(self, wrong):
+        a, h, v, d = self.nonsingular_form()
+        with pytest.raises(RuntimeError, match="^index cross-check failed"):
+            _verify_index(a, h, v, wrong(d))
+
+    def test_rejects_a_nonzero_determinant_for_a_singular_matrix(self):
+        a = ((2, 4), (1, 2))
+        h, v = _triangular_form(a)
+        with pytest.raises(RuntimeError, match="^index cross-check failed"):
+            _verify_index(a, h, v, 1)
 
 
 def axes_split():
