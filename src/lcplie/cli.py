@@ -123,7 +123,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problems = 0
     if doc.has_algebra:
         try:
-            algebra = documents.document_algebra(doc, parsed=True)
+            algebra = documents.document_algebra(doc)
         except ValueError:
             # Only a Jacobi failure gets here from a parsed document; name its triples.
             algebra = None
@@ -153,7 +153,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print("theta: present")
     if doc.triple is not None:
         try:
-            documents.document_triple(doc, parsed=True)
+            documents.document_triple(doc)
             print("triple: ok")
         except ValueError as exc:
             print(f"triple: FAIL ({exc})")
@@ -167,7 +167,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     doc = documents.parse_algebra_document(_load(args.file))
-    algebra = documents.document_algebra(doc, parsed=True)
+    algebra = documents.document_algebra(doc)
     labels = algebra.labels
     rad = radical(algebra)
     print(f"dim: {algebra.dim}")
@@ -188,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _detect_payload(doc: AlgebraDocument):
-    algebra = documents.document_algebra(doc, parsed=True)
+    algebra = documents.document_algebra(doc)
     metric, theta = _metric(doc), _theta(doc)
     if doc.flat_factor is None:
         raise ValueError("document has no flat_factor")
@@ -229,7 +229,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "max-flat":
-        algebra = documents.document_algebra(doc, parsed=True)
+        algebra = documents.document_algebra(doc)
         result = maximal_flat_factor(algebra, _metric(doc), _theta(doc))
         if args.json:
             payload = {
@@ -254,7 +254,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "from-triple":
-        structure = build_from_triple(documents.document_triple(doc, parsed=True))
+        structure = build_from_triple(documents.document_triple(doc))
         print(documents.emit_algebra_document(documents.structure_document(structure)), end="")
         return 0
 

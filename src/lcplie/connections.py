@@ -131,22 +131,47 @@ def _combination(d: int, terms: Iterable[tuple[Fraction, SparseRows]], n: int) -
 
 def _check_operators(record: _Record, count: Callable[[int], int], one_per: str) -> None:
     """ValueError unless dim and denominator are ints >= 1, not bools, and rows
-    is a tuple of count(dim) operators, one per basis `one_per`. The entries
-    of the operators are not read, so the check costs O(dim)."""
+    is a tuple of count(dim) operators, one per basis `one_per`, in the form
+    the engine builds: `_sparse` and `_lowest_terms` give them back unchanged,
+    and every index and entry is an int, the indices below dim."""
     name = type(record).__name__
     for field in ("dim", "denominator"):
         value = getattr(record, field)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} {field} must be an integer >= 1, got {value!r}")
-    n = count(record.dim)
-    if not isinstance(record.rows, tuple) or len(record.rows) != n:
+    dim, d, rows = record.dim, record.denominator, record.rows
+    n = count(dim)
+    if not isinstance(rows, tuple) or len(rows) != n:
         raise ValueError(f"{name} rows must be a tuple of {n} operators, one per basis {one_per}")
+    try:
+        rebuilt = _lowest_terms(d, [_sparse({r: dict(terms) for r, terms in m}) for m in rows])
+    except (TypeError, ValueError):
+        rebuilt = None
+    if rebuilt != (d, rows) or not all(
+        {type(r), type(c), type(x)} == {int} and 0 <= r < dim and 0 <= c < dim
+        for m in rows for r, terms in m for c, x in terms
+    ):
+        raise ValueError(f"{name} rows are not integer operators in lowest terms")
+
+
+def _canonical_operators(
+    cls: type, dim: int, lifted: tuple[int, tuple[SparseRows, ...]]
+) -> Connection | CurvatureTensor:
+    """The `Connection` or `CurvatureTensor` of operators that the engine built
+    in the form `_check_operators` reads, (denominator, rows) as `_lowest_terms`
+    returns them, built without that check."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "dim", dim)
+    object.__setattr__(out, "denominator", lifted[0])
+    object.__setattr__(out, "rows", lifted[1])
+    return out
 
 
 class Connection(_Record):
-    """Operators nabla[i] = D_{e_i}, stored as `CurvatureTensor` stores its own:
-    rows[i] holds the nonzero rows of `denominator` times nabla[i] as ints, in
-    lowest terms. The dense `nabla` is a view, built on first read."""
+    """Operators nabla[i] = D_{e_i}, stored and checked as `CurvatureTensor`
+    stores and checks its own: rows[i] holds the nonzero rows of `denominator`
+    times nabla[i] as ints, in lowest terms. The dense `nabla` is a view, built
+    on first read."""
 
     dim: int
     denominator: int
@@ -183,7 +208,9 @@ class CurvatureTensor(_Record):
 
     Stored sparse over one denominator: rows[p] holds the nonzero rows of
     `denominator` times the p-th operator as ints, in lowest terms. The dense
-    `operators` are a view, built on first read.
+    `operators` are a view, built on first read. The constructor checks that
+    form (`_check_operators`); the operators the engine builds come through
+    `_canonical_operators`, which does not check them again.
     """
 
     dim: int
@@ -291,7 +318,8 @@ def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Vector)
         raise ValueError("metric dimension does not match the algebra")
     d_inv, gram_inv = metric.lifted_inverse
     d_k, k_mats = _koszul_matrices(algebra, metric.gram, theta)
-    return Connection(algebra.dim, *_lowest_terms(d_inv * d_k, _products(gram_inv, k_mats)))
+    lifted = _lowest_terms(d_inv * d_k, _products(gram_inv, k_mats))
+    return _canonical_operators(Connection, algebra.dim, lifted)
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
@@ -391,4 +419,5 @@ def curvature(algebra: LieAlgebra, connection: Connection) -> CurvatureTensor:
         raise ValueError("connection dimension does not match the algebra")
     d, nabla = connection.denominator, connection.rows
     c = algebra._lifted_table[0]
-    return CurvatureTensor(n, *_lowest_terms(d * d * c, tuple(_bracket_defects(algebra, d, nabla))))
+    lifted = _lowest_terms(d * d * c, tuple(_bracket_defects(algebra, d, nabla)))
+    return _canonical_operators(CurvatureTensor, n, lifted)

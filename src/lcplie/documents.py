@@ -90,6 +90,12 @@ def _rational_matrix(value: object, nrows: int | None, ncols: int, where: str) -
 
 
 class AlgebraDocument(_Record):
+    """The fields of an algebra document. `parsed`, not a field, is True on a
+    document from `parse_algebra_document` or `structure_document`, whose
+    bracket table is canonical by construction; any other document, a copy
+    made with `AlgebraDocument(**fields)` included, reads False."""
+
+    parsed = False
     dim: int | None
     basis: tuple[str, ...] | None
     brackets: BracketTable | None
@@ -210,7 +216,9 @@ def _parse_algebra_fields(obj: dict, where: str, allow: set[str]) -> AlgebraDocu
         triple = _parse_triple(data["triple"], f"{where}.triple")
     if dim is None and triple is None:
         _fail(where, "document contains neither algebra fields nor a triple block")
-    return AlgebraDocument(dim, basis, brackets, metric, theta, flat_factor, triple)
+    doc = AlgebraDocument(dim, basis, brackets, metric, theta, flat_factor, triple)
+    object.__setattr__(doc, "parsed", True)
+    return doc
 
 
 def _parse_triple(obj: object, where: str) -> TripleBlock:
@@ -335,15 +343,14 @@ def emit_any_document(text: str) -> str:
     return emit_algebra_document(parse_algebra_document(text))
 
 
-def document_algebra(doc: AlgebraDocument, *, parsed: bool = False) -> LieAlgebra:
+def document_algebra(doc: AlgebraDocument) -> LieAlgebra:
     """Build the validated algebra; raises ValueError if the document has no
     algebra fields, on a Jacobi failure, or on a bracket table that is not in
-    the canonical sparse form. Set `parsed` only for a document from
-    `parse_algebra_document` or `structure_document`, whose tables are
-    canonical by construction: then only the Jacobi identity is checked."""
+    the canonical sparse form. The table of a `parsed` document is canonical
+    by construction: for it only the Jacobi identity is checked."""
     if not doc.has_algebra:
         raise ValueError("document has no algebra fields (dim, basis, brackets)")
-    build = LieAlgebra._canonical if parsed else LieAlgebra
+    build = LieAlgebra._canonical if doc.parsed else LieAlgebra
     return build(doc.dim, doc.basis, doc.brackets)
 
 
@@ -351,13 +358,13 @@ def document_metric(doc: AlgebraDocument) -> InnerProduct | None:
     return None if doc.metric is None else InnerProduct(doc.metric)
 
 
-def document_triple(doc: AlgebraDocument, *, parsed: bool = False) -> LCPTriple:
+def document_triple(doc: AlgebraDocument) -> LCPTriple:
     """The triple of the document's triple block; raises ValueError if there is
-    none. `parsed` as in `document_algebra`."""
+    none. Its acting algebra is built as in `document_algebra`."""
     if doc.triple is None:
         raise ValueError("document has no triple block")
     block = doc.triple
-    h = document_algebra(block.h, parsed=parsed)
+    h = document_algebra(block.h)
     h_metric = document_metric(block.h)
     if h_metric is None:
         h_metric = InnerProduct.identity(h.dim)
@@ -367,7 +374,7 @@ def document_triple(doc: AlgebraDocument, *, parsed: bool = False) -> LCPTriple:
 def structure_document(structure: LCPStructure) -> AlgebraDocument:
     """Canonical document of a validated structure (used by construction)."""
     algebra = structure.algebra
-    return AlgebraDocument(
+    doc = AlgebraDocument(
         dim=algebra.dim,
         basis=algebra.labels,
         brackets=algebra.table,
@@ -376,3 +383,5 @@ def structure_document(structure: LCPStructure) -> AlgebraDocument:
         flat_factor=structure.flat_factor.basis,
         triple=None,
     )
+    object.__setattr__(doc, "parsed", True)
+    return doc

@@ -25,12 +25,12 @@ from .liealg import (
     _centralizer,
     _is_index,
     _lifted_action,
+    _semidirect,
     derived_algebra,
     is_abelian_subspace,
     is_ideal,
     is_unimodular,
     radical,
-    semidirect_sum,
     trace_form,
 )
 from .linalg import (
@@ -45,6 +45,7 @@ from .linalg import (
     _descending_chain,
     _dot,
     _exact,
+    _lift,
     _unlift,
     identity_matrix,
     transpose,
@@ -322,7 +323,7 @@ def build_from_triple(triple: LCPTriple) -> LCPStructure:
         tuple(tuple(x + w if r == c else x for c, x in enumerate(row)) for r, row in enumerate(b))
         for w, b in zip(weight, triple.beta)
     ]
-    algebra = semidirect_sum(q, h, alpha)
+    algebra = _semidirect(q, h, *_lift(alpha))
     n = q + h.dim
     # block diagonal: the identity on the flat factor and h's metric on h
     metric = InnerProduct._orthogonal_sum(q, triple.h_metric)

@@ -82,25 +82,13 @@ def _normalize_brackets(dim: int, brackets: BracketMap) -> BracketTable:
 
 
 def _is_canonical(dim: int, table: object) -> bool:
-    """Whether table is a BracketTable for dimension dim."""
-    if not isinstance(table, tuple):
+    """Whether table is a BracketTable for dimension dim: `_normalize_brackets`
+    rebuilds it from its own entries, and every coefficient is a Fraction."""
+    try:
+        rebuilt = _normalize_brackets(dim, {(i, j): dict(terms) for i, j, terms in table})
+        return rebuilt == table and all(isinstance(c, Fraction) for *_, t in table for _, c in t)
+    except (TypeError, ValueError):
         return False
-    last = (0, 0)  # every key must exceed the last, so i >= 0
-    for entry in table:
-        match entry:
-            case tuple((i, j, tuple(terms))) if (
-                _is_index(i) and _is_index(j) and last < (i, j) and i < j < dim and terms
-            ):
-                last, prev = (i, j), -1
-            case _:
-                return False
-        for term in terms:
-            match term:
-                case tuple((k, Fraction() as c)) if _is_index(k) and prev < k < dim and c:
-                    prev = k
-                case _:
-                    return False
-    return True
 
 
 def _lift_table(table: BracketTable) -> tuple[int, LiftedBrackets]:
@@ -176,11 +164,11 @@ class Covector(_Record):
 
 
 class LieAlgebra(_Record):
-    """The constructor checks the dimension, the labels, that the table is in
-    the canonical sparse form and the Jacobi identity. Tables that are
-    canonical by construction (`from_brackets`, `semidirect_sum`, parsed
-    documents and the acting algebra of `lcp.triple_from_lcp`) come through
-    `_canonical`, which skips only the form check."""
+    """The constructor checks the dimension, that the table is in the canonical
+    sparse form (`_is_canonical`), the labels and the Jacobi identity. Tables
+    that are canonical by construction (`from_brackets`, `semidirect_sum`,
+    parsed documents and the acting algebra of `lcp.triple_from_lcp`) come
+    through `_canonical`, which skips only the form check."""
 
     dim: int
     labels: tuple[str, ...]
@@ -188,7 +176,9 @@ class LieAlgebra(_Record):
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        self._check(known_canonical=False)
+        if not _is_canonical(self.dim, self.table):
+            raise ValueError("bracket table is not in the canonical sparse form")
+        self._check()
 
     @classmethod
     def _canonical(cls, dim: int, labels: tuple[str, ...], table: BracketTable) -> "LieAlgebra":
@@ -198,13 +188,12 @@ class LieAlgebra(_Record):
         object.__setattr__(out, "dim", dim)
         object.__setattr__(out, "labels", labels)
         object.__setattr__(out, "table", table)
-        out._check(known_canonical=True)
+        out._check()
         return out
 
-    def _check(self, known_canonical: bool) -> None:
+    def _check(self) -> None:
         """Raise ValueError unless the labels are nonempty strings, one per basis
-        vector and distinct, the table is in the canonical sparse form (read
-        unless known_canonical) and the brackets satisfy the Jacobi identity."""
+        vector and distinct, and the brackets satisfy the Jacobi identity."""
         n = self.dim
         if len(self.labels) != n:
             raise ValueError("label count does not match dimension")
@@ -212,8 +201,6 @@ class LieAlgebra(_Record):
             raise ValueError("basis labels must be nonempty strings")
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
-        if not (known_canonical or _is_canonical(n, self.table)):
-            raise ValueError("bracket table is not in the canonical sparse form")
         if violations := tuple(_jacobi_defects(self._lifted_table[1])):
             raise ValueError(f"Jacobi identity fails at basis triples {violations}")
 
@@ -554,7 +541,17 @@ def semidirect_sum(
     d, rows, defect = _lifted_action(h, alpha, q)
     if defect is not None:
         raise ValueError(f"action is not a Lie algebra homomorphism: fails on basis pair {defect}")
+    return _semidirect(q, h, d, rows, u_labels)
 
+
+def _semidirect(
+    q: int, h: LieAlgebra, d: int, rows: Sequence[SparseRows], u_labels: Sequence[str] | None = None
+) -> LieAlgebra:
+    """`semidirect_sum` of an action given as d times its matrices by their
+    nonzero integer rows (`_lift`), which is not read again: the table is
+    assembled, and `LieAlgebra._canonical` checks the Jacobi identity, which
+    for abelian R^q extended by h holds exactly when the action is a
+    homomorphism."""
     if u_labels is None:
         u_labels = []
         for label in ("u",) if q == 1 else [f"u{t + 1}" for t in range(q)]:

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -578,9 +578,10 @@ class Subspace(_Record):
     Subspace values is equality of subspaces. `pivots`, set with the rows but
     not a field, holds the pivot column of each row.
 
-    The constructor checks the form of rows given from outside. The
-    subspaces this module computes are canonical by construction and come
-    through `_canonical`, which does not check them again.
+    The constructor checks the form of rows given from outside: `_echelon`
+    must give them back unchanged. The subspaces this module computes are
+    canonical by construction and come through `_canonical`, which does not
+    check them again.
     """
 
     ambient_dim: int
@@ -591,18 +592,14 @@ class Subspace(_Record):
         _check_ambient_dim(n)
         if any(len(row) != n for row in rows):
             raise ValueError("basis row length does not match ambient dimension")
-        pivots = [next(compress(range(n), row), n) for row in rows]
-        # rows lead further right each time, so below a pivot the column is zero already
         if not (
             type(rows) is tuple
             and set(map(type, rows)) <= {tuple}
             and set(map(type, chain.from_iterable(rows))) <= {int}
-            and all(p < n and row[p] > 0 and gcd(*row) == 1 for row, p in zip(rows, pivots))
-            and all(p < q for p, q in zip(pivots, pivots[1:]))
-            and not any(any(map(row.__getitem__, pivots[r + 1:])) for r, row in enumerate(rows))
+            and (echelon := _echelon(rows))[0] == list(map(list, rows))
         ):
             raise ValueError("basis rows are not in canonical reduced echelon form")
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", echelon[1])
 
     @classmethod
     def _canonical(cls, ambient_dim: int, echelon: Echelon) -> "Subspace":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from lcplie.cli import main
-from lcplie.connections import Connection, InnerProduct, is_closed
+from lcplie.connections import Connection, CurvatureTensor, InnerProduct, curvature, is_closed
 from lcplie.documents import (
     document_algebra,
     document_metric,
@@ -942,3 +942,209 @@ def seeded_splittings(seed, count=120):
         split = SplitDecomposition(Subspace.from_vectors(e1, k), Subspace.from_vectors(e2, k))
         out.append((IntegerEndomorphism(tuple(map(tuple, a))), split))
     return out
+
+
+# Stored forms and edits that may break them
+
+
+class Rational(Fraction):
+    """A Fraction subclass: a bracket table may hold its values as coefficients."""
+
+
+TABLE_EDITS = (
+    "bool index", "float index", "string index", "index out of range", "int coefficient",
+    "float coefficient", "string coefficient", "Fraction subclass", "i > j", "duplicate pair",
+    "zero term", "empty terms", "swapped entries", "swapped terms", "repeated index",
+    "list for a tuple", "short entry",
+)
+
+
+def fuzzed_table(rng):
+    """(edits, dim, table): the canonical table of a random dense table of dim
+    2 to 4 (`random_table`, `sparse_table`), changed by up to two of
+    TABLE_EDITS; edits names those that found something to change."""
+    dim = rng.randint(2, 4)
+    table = [
+        [i, j, [[k, c] for k, c in terms]]
+        for i, j, terms in sparse_table(dim, random_table(rng, dim))
+    ]
+    edits = []
+    for edit in rng.sample(TABLE_EDITS, rng.choice((0, 1, 1, 2))):
+        terms = [t for entry in table for t in entry[2]]
+        entry = rng.choice(table) if table else None
+        if edit in ("bool index", "float index", "string index", "index out of range") and table:
+            node, pos = rng.choice([(e, p) for e in table for p in (0, 1)] + [(t, 0) for t in terms])
+            if edit == "index out of range":
+                node[pos] = rng.choice((-1, dim))
+            else:
+                node[pos] = {"bool index": bool, "float index": float, "string index": str}[edit](node[pos])
+        elif edit in ("int coefficient", "float coefficient", "string coefficient", "Fraction subclass"):
+            terms = [t for t in terms if type(t[1]) is F]
+            if not terms:
+                continue
+            t = rng.choice(terms)
+            t[1] = {
+                "int coefficient": lambda c: c.numerator,
+                "float coefficient": float,
+                "string coefficient": str,
+                "Fraction subclass": Rational,
+            }[edit](t[1])
+        elif edit == "i > j" and table:
+            entry[0], entry[1] = entry[1], entry[0]
+        elif edit == "duplicate pair" and table:
+            table.insert(table.index(entry), copy.deepcopy(entry))
+        elif edit == "zero term" and table:
+            free = sorted(set(range(dim)) - {t[0] for t in entry[2]})
+            if not free:
+                continue
+            entry[2] = sorted(entry[2] + [[rng.choice(free), F(0)]], key=lambda t: str(t[0]))
+        elif edit == "empty terms":
+            free = sorted(set(pairs(dim)) - {(e[0], e[1]) for e in table})
+            if not free:
+                continue
+            i, j = rng.choice(free)
+            table.append([i, j, []])
+            table.sort(key=lambda e: (str(e[0]), str(e[1])))
+        elif edit == "swapped entries" and len(table) > 1:
+            a, b = sorted(rng.sample(range(len(table)), 2))
+            table[a], table[b] = table[b], table[a]
+        elif edit == "swapped terms" and table and len(entry[2]) > 1:
+            entry[2].reverse()
+        elif edit == "repeated index" and table and entry[2]:
+            t = rng.choice(entry[2])
+            entry[2].insert(entry[2].index(t), [t[0], small_rational(rng, choices=(1, 2, -1))])
+        elif edit not in ("list for a tuple", "short entry") or not table:
+            continue
+        edits.append(edit)
+    out = tuple((e[0], e[1], tuple(map(tuple, e[2]))) for e in table)
+    if "short entry" in edits:
+        p = rng.randrange(len(out))
+        out = out[:p] + (out[p][:2],) + out[p + 1:]
+    if "list for a tuple" in edits:
+        p = rng.randrange(len(out))
+        node = list(out[p])
+        level = rng.choice(("table", "entry", "terms", "term")) if len(node) == 3 and node[2] else "table"
+        if level == "terms":
+            node[2] = list(node[2])
+        elif level == "term":
+            node[2] = (list(node[2][0]),) + node[2][1:]
+        if level == "table":
+            out = list(out)
+        else:
+            out = out[:p] + (node if level == "entry" else tuple(node),) + out[p + 1:]
+    return edits, dim, out
+
+
+ROW_EDITS = (
+    "scaled row", "negated row", "row combination", "zero row", "swapped rows", "repeated row",
+    "Fraction entry", "bool entry", "float entry", "wrong length", "list for a tuple",
+)
+
+
+def fuzzed_rows(rng):
+    """(edits, n, rows): the canonical integer echelon rows of random rational
+    rows in Q^n, n from 0 to 5, changed by up to two of ROW_EDITS; edits names
+    those that found something to change."""
+    n = rng.randint(0, 5)
+    span = Subspace.from_vectors(rational_rows(rng, rng.randint(0, n + 1), n), n)
+    rows = [list(row) for row in span.rows]
+    edits = []
+    for edit in rng.sample(ROW_EDITS, rng.choice((0, 1, 1, 2))):
+        r = rng.randrange(len(rows)) if rows else None
+        if edit == "scaled row" and rows:
+            f = rng.randint(2, 3)
+            rows[r] = [f * x for x in rows[r]]
+        elif edit == "negated row" and rows:
+            rows[r] = [-x for x in rows[r]]
+        elif edit == "row combination" and len(rows) > 1:
+            s = rng.choice([t for t in range(len(rows)) if t != r])
+            f = rng.choice((-2, -1, 1, 2))
+            rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
+        elif edit == "zero row":
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        elif edit == "swapped rows" and len(rows) > 1:
+            a, b = rng.sample(range(len(rows)), 2)
+            rows[a], rows[b] = rows[b], rows[a]
+        elif edit == "repeated row" and rows:
+            rows.insert(r, list(rows[r]))
+        elif edit in ("Fraction entry", "bool entry", "float entry") and rows and rows[r]:
+            c = rng.randrange(len(rows[r]))
+            kind = {"Fraction entry": F, "bool entry": bool, "float entry": float}[edit]
+            rows[r][c] = kind(rows[r][c])
+        elif edit == "wrong length" and rows:
+            rows[r] = rows[r][:-1] if rows[r] and rng.random() < 0.5 else rows[r] + [0]
+        elif edit != "list for a tuple" or not rows:
+            continue
+        edits.append(edit)
+    out = tuple(map(tuple, rows))
+    if "list for a tuple" in edits:
+        r = rng.randrange(len(out))
+        out = list(out) if rng.random() < 0.5 else out[:r] + (list(out[r]),) + out[r + 1:]
+    return edits, n, out
+
+
+OPERATOR_EDITS = (
+    "common factor", "zero entry", "bool entry", "float entry", "Fraction entry", "bool index",
+    "index out of range", "swapped rows", "swapped terms", "repeated row", "empty row",
+    "list for a tuple",
+)
+
+
+def fuzzed_operators(rng):
+    """(edits, cls, dim, denominator, rows): the stored operators of a seeded
+    connection of dim 1 to 3 (`random_connection`) or of its curvature in
+    sol3, changed by up to two of OPERATOR_EDITS; edits names those that
+    found something to change."""
+    if rng.random() < 0.25:
+        cls, stored = CurvatureTensor, curvature(make_sol3(), random_connection(rng, 3))
+    else:
+        cls, stored = Connection, random_connection(rng, rng.randint(1, 3))
+    dim, d = stored.dim, stored.denominator
+    ops = [[[r, [list(t) for t in terms]] for r, terms in m] for m in stored.rows]
+    edits = []
+    for edit in rng.sample(OPERATOR_EDITS, rng.choice((0, 1, 1, 2))):
+        rows = [row for m in ops for row in m]
+        terms = [t for row in rows for t in row[1]]
+        m = rng.choice(ops)
+        if edit == "common factor":
+            f = rng.randint(2, 3)
+            d *= f
+            for t in terms:
+                t[1] *= f
+        elif edit in ("bool entry", "float entry", "Fraction entry") and terms:
+            t = rng.choice(terms)
+            if type(t[1]) is not int:
+                continue
+            t[1] = {"bool entry": bool, "float entry": float, "Fraction entry": F}[edit](t[1])
+        elif edit == "zero entry" and rows:
+            row = rng.choice(rows)
+            free = sorted(set(range(dim)) - {t[0] for t in row[1]})
+            if not free:
+                continue
+            row[1] = sorted(row[1] + [[rng.choice(free), 0]], key=lambda t: str(t[0]))
+        elif edit == "bool index" and terms:
+            t = rng.choice(terms)
+            t[0] = bool(t[0])
+        elif edit == "index out of range" and rows:
+            row = rng.choice(rows)
+            row[0] = rng.choice((-1, dim))
+        elif edit == "swapped rows" and len(m) > 1:
+            m.reverse()
+        elif edit == "swapped terms" and any(len(row[1]) > 1 for row in rows):
+            rng.choice([row for row in rows if len(row[1]) > 1])[1].reverse()
+        elif edit == "repeated row" and m:
+            m.insert(0, copy.deepcopy(m[0]))
+        elif edit == "empty row":
+            free = sorted(set(range(dim)) - {row[0] for row in m})
+            if not free:
+                continue
+            m.append([rng.choice(free), []])
+            m.sort(key=lambda row: str(row[0]))
+        elif edit != "list for a tuple" or not rows:
+            continue
+        edits.append(edit)
+    out = tuple(tuple((r, tuple(map(tuple, terms))) for r, terms in m) for m in ops)
+    if "list for a tuple" in edits:
+        p = rng.choice([p for p, m in enumerate(out) if m])
+        out = out[:p] + (list(out[p]),) + out[p + 1:]
+    return edits, cls, dim, d, out

@@ -14,6 +14,11 @@ engine through `Subspace` equality; that constructor and that equality, and
 the `dim` on which `flat_factor`'s fixed point stops, are the engine code
 that the routes rely on.
 
+The section on stored forms spells out, condition by condition, the forms
+that the public constructors check by rebuilding: a bracket table, the
+integer echelon rows of a subspace, and the integer operators of a
+connection or curvature tensor.
+
 The last section keeps copies of earlier engine code that pin what no
 textbook route gives: printed text, argparse's messages, and the U and V of
 a Smith normal form, which are not unique.
@@ -633,6 +638,88 @@ def check_splitting(a, split):
         hyperplane = intersection(span(kernel((x,)), k), split.e2)
         witness = NonDensityWitness(x, hyperplane)
     return SplittingVerdict(True, e1_invariant, e2_invariant, restriction_invertible, dmi, index, witness)
+
+
+# Stored forms, written out as grammars
+
+
+def _index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def canonical_table(dim, table):
+    """Whether table is a bracket table for dimension dim: a tuple of entries
+    (i, j, terms) with 0 <= i < j < dim, ascending by (i, j), each with a
+    nonempty tuple terms of pairs (k, c), k ascending below dim and c a nonzero
+    Fraction. Indices are ints, not bools. This is the grammar that
+    `LieAlgebra`'s constructor read before it rebuilt the table."""
+    if not isinstance(table, tuple):
+        return False
+    last = (0, 0)  # every key must exceed the last, so i >= 0
+    for entry in table:
+        match entry:
+            case tuple((i, j, tuple(terms))) if (
+                _index(i) and _index(j) and last < (i, j) and i < j < dim and terms
+            ):
+                last, prev = (i, j), -1
+            case _:
+                return False
+        for term in terms:
+            match term:
+                case tuple((k, Fraction() as c)) if _index(k) and prev < k < dim and c:
+                    prev = k
+                case _:
+                    return False
+    return True
+
+
+def canonical_rows(n, rows):
+    """The pivot columns of rows if they are the integer echelon rows of a
+    subspace of Q^n, else None: a tuple of int tuples of length n, each
+    primitive with a positive pivot entry, the pivots ascending and every
+    other row zero at each pivot column. These are the conditions that
+    `Subspace`'s constructor read before it rebuilt the rows."""
+    if type(rows) is not tuple or any(type(row) is not tuple or len(row) != n for row in rows):
+        return None
+    if any(type(x) is not int for row in rows for x in row):
+        return None
+    pivots = [next((c for c, x in enumerate(row) if x), n) for row in rows]
+    if not all(p < n and row[p] > 0 and gcd(*row) == 1 for row, p in zip(rows, pivots)):
+        return None
+    if not all(p < q for p, q in zip(pivots, pivots[1:])):
+        return None
+    if any(row[p] for r, row in enumerate(rows) for p in pivots[:r] + pivots[r + 1:]):
+        return None
+    return tuple(pivots)
+
+
+def canonical_operators(dim, denominator, rows):
+    """Whether rows are integer operators on Q^dim over denominator, as a
+    `Connection` or `CurvatureTensor` holds them: each a tuple of rows (r,
+    terms), r ascending below dim, terms a nonempty tuple of pairs (c, x) with
+    c ascending below dim and x a nonzero int; and the denominator and all the
+    entries have no common factor. Indices and entries are ints, not bools."""
+    entries = []
+    for m in rows:
+        if type(m) is not tuple:
+            return False
+        last = -1
+        for row in m:
+            if not (type(row) is tuple and len(row) == 2 and type(row[1]) is tuple and row[1]):
+                return False
+            r, terms = row
+            if not (type(r) is int and last < r < dim):
+                return False
+            last, prev = r, -1
+            for term in terms:
+                if not (type(term) is tuple and len(term) == 2):
+                    return False
+                c, x = term
+                if not (type(c) is int and prev < c < dim and type(x) is int and x):
+                    return False
+                prev = c
+                entries.append(x)
+    return gcd(denominator, *entries) == 1
 
 
 # Copies of earlier engine code that pin what no textbook route gives

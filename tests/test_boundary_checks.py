@@ -1,16 +1,20 @@
 """Each input is checked once, where it enters: by the document parser or a
 public constructor. What the engine computes itself is built through private
 constructors that do not check it again: `Subspace._canonical` for echelon
-rows from `_echelon`, `_null_space` and `restrict`, and `LieAlgebra._canonical`
+rows from `_echelon`, `_null_space` and `restrict`, `LieAlgebra._canonical`
 for bracket tables from `from_brackets`, `semidirect_sum`, parsed documents and
-`triple_from_lcp`.
+`triple_from_lcp`, and `connections._canonical_operators` for the operators of
+the Koszul build and of the curvature.
 
-The oracle tests wrap both private constructors so that each call also runs
+The oracle tests wrap the private constructors so that each call also runs
 the public check it skips, over the CLI corpus, the scaling family and
 seeded random inputs. The guard tests count the public checks on every
 command line of `cli_bytes.json`; a public constructor called inside the
-engine would run them again. They also count the checks of a lattice
-document's matrix in the parser: one, with no per-entry location work.
+engine would run them again. They also count the checks of a
+lattice document's matrix in the parser (one, with no per-entry location
+work) and the reads of a triple's action (one). Each public form check
+rebuilds its form with the routine that makes it; the form tests compare it
+on seeded edited forms with the form written out in `reference`.
 """
 from __future__ import annotations
 
@@ -23,16 +27,24 @@ from fractions import Fraction
 
 import pytest
 
-from lcplie import documents, lattice, liealg
+from lcplie import connections, documents, lattice, lcp, liealg
 from lcplie.cli import main
+from lcplie.connections import Connection
 from lcplie.lattice import IntegerEndomorphism
 from lcplie.lcp import build_from_triple, triple_from_lcp
 from lcplie.liealg import LieAlgebra
 from lcplie.linalg import Subspace, pairs
 
+import reference
 from cases import (
+    OPERATOR_EDITS,
     RECORD,
+    ROW_EDITS,
+    TABLE_EDITS,
     commands,
+    fuzzed_operators,
+    fuzzed_rows,
+    fuzzed_table,
     invoke,
     random_rotation_triple,
     random_semidirect_sum,
@@ -40,7 +52,7 @@ from cases import (
     rational_rows,
     scaling_triple,
 )
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, corpus_json, corpus_text
 
 F = Fraction
 
@@ -59,6 +71,7 @@ def oracle(monkeypatch):
     mismatches: list = []
     canonical_subspace = Subspace._canonical.__func__
     canonical_algebra = LieAlgebra._canonical.__func__
+    canonical_operators = connections._canonical_operators
 
     def checked_subspace(cls, ambient_dim, echelon):
         out = canonical_subspace(cls, ambient_dim, echelon)
@@ -78,8 +91,17 @@ def oracle(monkeypatch):
             mismatches.append(("LieAlgebra", dim, table))
         return canonical_algebra(cls, dim, labels, table)
 
+    def checked_operators(cls, dim, lifted):
+        calls[cls.__name__] += 1
+        try:
+            cls(dim, *lifted)
+        except ValueError as exc:
+            mismatches.append((cls.__name__, dim, lifted, str(exc)))
+        return canonical_operators(cls, dim, lifted)
+
     monkeypatch.setattr(Subspace, "_canonical", classmethod(checked_subspace))
     monkeypatch.setattr(LieAlgebra, "_canonical", classmethod(checked_algebra))
+    monkeypatch.setattr(connections, "_canonical_operators", checked_operators)
     return calls, mismatches
 
 
@@ -107,6 +129,16 @@ class TestOracle:
             assert invoke(argv) == pinned[" ".join(argv)]
         assert mismatches == []
         assert calls["Subspace"] > 200 and calls["LieAlgebra"] > 50
+
+    def test_every_engine_built_operator_passes_the_public_check(self, oracle, pinned):
+        calls, mismatches = oracle
+        for argv in commands():
+            assert invoke(argv) == pinned[" ".join(argv)]
+        rng = random.Random(2311)
+        for _ in range(20):
+            build_from_triple(random_rotation_triple(rng))
+        assert mismatches == []
+        assert calls["Connection"] > 20 and calls["CurvatureTensor"] > 20
 
     def test_scaling_family(self, oracle, tmp_path):
         calls, mismatches = oracle
@@ -187,6 +219,10 @@ class TestGuard:
         int_matrix = counting("int matrix", lattice._check_int_matrix)
         monkeypatch.setattr(lattice, "_check_int_matrix", int_matrix)
         monkeypatch.setattr(documents, "_strict_int", counting("int entry", documents._strict_int))
+        operators = counting("operators", connections._check_operators)
+        monkeypatch.setattr(connections, "_check_operators", operators)
+        for module in (lcp, liealg):  # the name `lcp` imports, and the one `semidirect_sum` reads
+            monkeypatch.setattr(module, "_lifted_action", counting("action", liealg._lifted_action))
         return counts
 
     def test_the_counters_see_the_public_checks(self, counts):
@@ -229,3 +265,120 @@ class TestGuard:
             documents.document_triple(documents.AlgebraDocument(**{**fields, "triple": triple}))
         with pytest.raises(ValueError, match="dimension must be positive"):
             documents.document_algebra(documents.AlgebraDocument(**{**fields, "dim": 2.0, "brackets": ()}))
+
+    def test_no_command_checks_the_operators_the_engine_built(self, counts, pinned):
+        Connection(1, 1, ((),))
+        assert counts["operators"] == 1
+        for argv in commands():
+            counts.clear()
+            assert invoke(argv) == pinned[" ".join(argv)]
+            assert counts["operators"] == 0, argv
+
+    def test_from_triple_reads_the_action_once(self, counts, pinned):
+        """`LCPTriple` reads the action; `build_from_triple` extends h by it
+        without reading it again."""
+        lines = [argv for argv in commands() if argv[:2] == ("lcp", "from-triple")]
+        read = 0
+        for argv in lines:
+            counts.clear()
+            assert invoke(argv) == pinned[" ".join(argv)]
+            assert counts["action"] == ("triple" in corpus_json(argv[2])), argv
+            read += counts["action"]
+        assert read >= 4
+
+    def test_only_a_parsed_document_skips_the_table_check(self, counts):
+        """A document from the parser or from `structure_document` is marked
+        `parsed`; a hand-built one, or a copy of a parsed one, is not, and its
+        table gets the public check once."""
+        doc = documents.parse_algebra_document(corpus_text("sol3.json"))
+        triple_doc = documents.parse_algebra_document(corpus_text("sol3_triple.json"))
+        structure_doc = documents.structure_document(build_from_triple(documents.document_triple(triple_doc)))
+        assert doc.parsed and triple_doc.triple.h.parsed and structure_doc.parsed
+        for parsed in (doc, structure_doc):
+            counts.clear()
+            documents.document_algebra(parsed)
+            assert counts["table"] == 0
+        counts.clear()
+        documents.document_triple(triple_doc)
+        assert counts["table"] == 0
+
+        def copied(d, **changes):
+            return documents.AlgebraDocument(**{key: getattr(d, key) for key in d._fields} | changes)
+
+        hand_built = documents.AlgebraDocument(
+            dim=3, basis=("x", "y", "z"), brackets=doc.brackets,
+            metric=None, theta=None, flat_factor=None, triple=None,
+        )
+        for built in (copied(doc), hand_built):
+            assert not built.parsed
+            counts.clear()
+            assert documents.document_algebra(built).table is doc.brackets
+            assert counts["table"] == 1
+        h_copy = copied(triple_doc.triple.h)
+        assert h_copy == triple_doc.triple.h and not h_copy.parsed
+        block = documents.TripleBlock(h_copy, triple_doc.triple.q, triple_doc.triple.beta)
+        counts.clear()
+        documents.document_triple(copied(doc, triple=block))
+        assert counts["table"] == 1
+
+    @pytest.mark.parametrize("build", [documents.document_algebra, documents.document_triple])
+    def test_the_builders_take_no_provenance_keyword(self, build):
+        doc = documents.parse_algebra_document(corpus_text("sol3_triple.json"))
+        with pytest.raises(TypeError):
+            build(doc, **{"parsed": True})
+
+
+class TestRebuiltForms:
+    """Each public form check rebuilds the form with the routine that makes it
+    and compares. On seeded candidates, canonical or changed by the edits of
+    `cases`, it agrees with the form written out as a grammar in `reference`."""
+
+    def test_bracket_tables(self):
+        rng = random.Random(3501)
+        seen, accepted = Counter(), Counter()
+        for _ in range(6000):
+            edits, dim, table = fuzzed_table(rng)
+            canonical = reference.canonical_table(dim, table)
+            assert liealg._is_canonical(dim, table) is canonical, (edits, dim, table)
+            assert canonical or edits
+            seen.update(edits)
+            accepted.update(edits if canonical else ["rejected"])
+        assert set(seen) == set(TABLE_EDITS)
+        assert accepted["Fraction subclass"] > 0 and 1000 < accepted["rejected"] < 5000
+
+    def test_subspace_rows(self):
+        rng = random.Random(3502)
+        seen, rejected = Counter(), 0
+        for _ in range(6000):
+            edits, n, rows = fuzzed_rows(rng)
+            pivots = reference.canonical_rows(n, rows)
+            try:
+                s = Subspace(n, rows)
+            except ValueError:
+                assert pivots is None, (edits, n, rows)
+                rejected += 1
+            else:
+                assert s.pivots == pivots, (edits, n, rows)
+            assert pivots is not None or edits
+            seen.update(edits)
+        assert set(seen) == set(ROW_EDITS)
+        assert 1000 < rejected < 5000
+
+    def test_operators(self):
+        rng = random.Random(3503)
+        seen, rejected = Counter(), 0
+        for _ in range(1500):
+            edits, cls, dim, denominator, rows = fuzzed_operators(rng)
+            canonical = reference.canonical_operators(dim, denominator, rows)
+            try:
+                cls(dim, denominator, rows)
+            except ValueError as exc:
+                assert not canonical, (edits, dim, denominator, rows)
+                assert str(exc) == f"{cls.__name__} rows are not integer operators in lowest terms"
+                rejected += 1
+            else:
+                assert canonical, (edits, dim, denominator, rows)
+            assert canonical or edits
+            seen.update(edits)
+        assert set(seen) == set(OPERATOR_EDITS)
+        assert 300 < rejected < 1300

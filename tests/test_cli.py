@@ -304,7 +304,7 @@ def test_a_missing_field_is_checked_once_in_documents(line, build):
     argv = tuple(line.split())
     name = next(a for a in argv if a.endswith(".json"))
     with pytest.raises(ValueError) as exc:
-        build(documents.parse_algebra_document(corpus_text(name)), parsed=True)
+        build(documents.parse_algebra_document(corpus_text(name)))
     expected = {"code": 2, "stdout": "", "stderr": f"error: {exc.value}\n"}
     assert json.loads(RECORD.read_text(encoding="utf-8"))[line] == expected
     assert invoke_pinned(argv) == expected

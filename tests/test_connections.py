@@ -362,6 +362,46 @@ class TestConnection:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(dim, denominator, rows)
 
+    @pytest.mark.parametrize(
+        "cls, dim, denominator, rows",
+        [
+            (Connection, 2, 2, (((0, ((0, 2),)),), ())),  # 2/2: not in lowest terms
+            (Connection, 2, 1, (((0, ((0, 0),)),), ())),  # a zero entry
+            (Connection, 2, 1, (((0, ((0, True),)),), ())),
+            (Connection, 2, 1, (((0, ((0, 0.5),)),), ())),
+            (Connection, 2, 1, (((0, ((0, F(1)),)),), ())),
+            (Connection, 2, 1, (((0, ((2, 1),)),), ())),  # column out of range
+            (Connection, 2, 1, (((-1, ((0, 1),)),), ())),  # row out of range
+            (Connection, 2, 1, (((True, ((0, 1),)),), ())),
+            (Connection, 2, 1, (((1, ((0, 1),)), (0, ((0, 1),))), ())),  # rows descending
+            (Connection, 2, 1, (((0, ((1, 1), (0, 1))),), ())),  # columns descending
+            (Connection, 2, 1, (((0, ((0, 1),)), (0, ((1, 1),))), ())),  # a row given twice
+            (Connection, 2, 1, (((0, ()),), ())),  # an empty row
+            (Connection, 2, 1, ([(0, ((0, 1),))], ())),  # a list for a tuple
+            (Connection, 2, 1, (((0, [(0, 1)]),), ())),
+            (Connection, 2, 1, ((0,), ())),
+            (CurvatureTensor, 2, 2, ((),)),  # zero operators over 2
+            (CurvatureTensor, 2, 1, (((0, ((0, 1), (1, 0))),),)),
+        ],
+    )
+    def test_constructor_rejects_operators_outside_the_stored_form(self, cls, dim, denominator, rows):
+        message = f"{cls.__name__} rows are not integer operators in lowest terms"
+        with pytest.raises(ValueError, match=message):
+            cls(dim, denominator, rows)
+
+    def test_equal_operators_have_one_stored_form(self, sol3):
+        """The operators of 2/2 e_1 (x) e_1* are those of `from_matrices`, whose
+        stored form alone the constructor accepts, so equal connections compare
+        equal; a float entry never reaches `is_parallel`."""
+        nabla = (((F(1), F(0)), (F(0), F(0))), ((F(0), F(0)), (F(0), F(0))))
+        conn = Connection.from_matrices(2, nabla)
+        assert (conn.denominator, conn.rows) == (1, (((0, ((0, 1),)),), ()))
+        assert Connection(2, 1, conn.rows) == conn
+        with pytest.raises(ValueError):
+            Connection(2, 2, (((0, ((0, 2),)),), ()))
+        with pytest.raises(ValueError):
+            is_parallel(sol3, Connection(3, 1, (((0, ((0, 0.5),)),), (), ())), Subspace.full(3))
+
     def test_constructor_accepts_what_the_engine_builds(self, sol3):
         conn = levi_civita(sol3, InnerProduct.identity(3))
         assert Connection(conn.dim, conn.denominator, conn.rows) == conn
