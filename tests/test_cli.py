@@ -363,30 +363,120 @@ class TestFormatterOracle:
         assert calls == []
 
 
+def sol3_with_factor(rows) -> dict:
+    data = json.loads(corpus_text("sol3.json"))
+    data["flat_factor"] = rows
+    return data
+
+
+# Documents that reach the output branches no corpus file reaches.
+BRANCH_DOCUMENTS = {
+    # one violation, and the two of test_lcp's test_a_line_breaks_two_rules
+    "sol3 with a non-parallel factor": sol3_with_factor([["0", "0", "1"]]),
+    "sol3 with a line breaking two rules": sol3_with_factor([["0", "1", "0"]]),
+    # test_lcp's test_non_maximal_line_inside_flat_plane: build_from_triple of aff
+    # with the zero action on R^2, with the flat factor cut to span{u1}
+    "line inside a flat plane": {
+        "dim": 4,
+        "basis": ["u1", "u2", "a", "b"],
+        "brackets": [
+            {"i": 0, "j": 2, "c": {"0": "1/2"}},
+            {"i": 1, "j": 2, "c": {"1": "1/2"}},
+            {"i": 2, "j": 3, "c": {"3": "1"}},
+        ],
+        "metric": "identity",
+        "theta": ["0", "0", "-1/2", "0"],
+        "flat_factor": [["1", "0", "0", "0"]],
+    },
+    # test_lcp's test_non_unimodular_structures_have_unknown_maximality: aff + R
+    "line in non-unimodular aff + R": {
+        "dim": 3,
+        "basis": ["a", "b", "c"],
+        "brackets": [{"i": 0, "j": 1, "c": {"1": "1"}}],
+        "metric": "identity",
+        "theta": ["1", "0", "0"],
+        "flat_factor": [["0", "1", "0"]],
+    },
+    "abelian plane": {"dim": 2, "basis": ["x", "y"], "brackets": [], "metric": "identity", "theta": ["1", "0"]},
+    "heis3 + R": {
+        "dim": 4,
+        "basis": ["x", "y", "z", "w"],
+        "brackets": [{"i": 0, "j": 1, "c": {"2": "1"}}],
+        "metric": "identity",
+        "theta": ["1", "0", "0", "0"],
+    },
+    "aff": {
+        "dim": 2,
+        "basis": ["a", "b"],
+        "brackets": [{"i": 0, "j": 1, "c": {"1": "1"}}],
+        "metric": "identity",
+        "theta": ["1", "0"],
+    },
+    "sol3 without metric": {k: v for k, v in json.loads(corpus_text("sol3.json")).items() if k != "metric"},
+    # E1 = span{e2} is not invariant under A = [[2, 1], [0, 3]], and det(A - I) = 2
+    "no lemma51 conclusion": {"matrix": [[2, 1], [0, 3]], "split": {"e1": [["0", "1"]], "e2": [["1", "0"]]}},
+    "1x1 identity": {"matrix": [[1]], "split": {"e1": [], "e2": [["1"]]}},
+    "singular": {"matrix": [[2, 4], [1, 2]]},
+}
+
+
+def branch_document(tmp_path, name: str) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(BRANCH_DOCUMENTS[name]))
+    return str(path)
+
+
+def exact_outputs(*cases):
+    """pytest params of (document, flags, code, stdout), with ids "document text|json"."""
+    return [
+        pytest.param(name, flags, code, out, id=f"{name} {'json' if flags else 'text'}")
+        for name, flags, code, out in cases
+    ]
+
+
 class TestLcpDetect:
     def test_sol3(self, run):
         code, out, _ = run("lcp", "detect", corpus("sol3.json"))
         assert code == 0
         assert out == "valid: yes\nadapted: yes\nmaximal: yes\nflat factor: span{u} (dim 1)\n"
 
-    def test_invalid_factor_lists_violations(self, run, tmp_path):
-        data = json.loads(corpus_text("sol3.json"))
-        data["flat_factor"] = [["0", "0", "1"]]
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps(data))
-        code, out, _ = run("lcp", "detect", str(doc))
-        assert code == 2
-        assert "valid: no" in out
-        assert "violation: flat factor is not parallel for the conformal connection" in out
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("sol3 with a non-parallel factor", (), 2,
+         "valid: no\nviolation: flat factor is not parallel for the conformal connection\n"),
+        ("sol3 with a non-parallel factor", ("--json",), 2,
+         '{\n  "valid": false,\n  "violations": [\n'
+         '    "flat factor is not parallel for the conformal connection"\n  ]\n}\n'),
+        ("sol3 with a line breaking two rules", (), 2,
+         "valid: no\nviolation: flat factor is not parallel for the conformal connection\n"
+         "violation: algebra is unimodular but the lee covector does not vanish on the flat factor\n"),
+        ("sol3 with a line breaking two rules", ("--json",), 2,
+         '{\n  "valid": false,\n  "violations": [\n'
+         '    "flat factor is not parallel for the conformal connection",\n'
+         '    "algebra is unimodular but the lee covector does not vanish on the flat factor"\n'
+         "  ]\n}\n"),
+    ))
+    def test_invalid_factor_lists_violations(self, run, tmp_path, name, flags, code, expected):
+        assert run("lcp", "detect", branch_document(tmp_path, name), *flags) == (code, expected, "")
+
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("line inside a flat plane", (), 0,
+         "valid: yes\nadapted: yes\nmaximal: no\nflat factor: span{u1} (dim 1)\n"),
+        ("line inside a flat plane", ("--json",), 0,
+         '{\n  "valid": true,\n  "violations": [],\n  "adapted": true,\n  "maximal": false,\n'
+         '  "flat_factor": [\n    [\n      "1",\n      "0",\n      "0",\n      "0"\n    ]\n  ]\n}\n'),
+        ("line in non-unimodular aff + R", (), 0,
+         "valid: yes\nadapted: yes\nmaximal: unknown\nflat factor: span{b} (dim 1)\n"),
+        ("line in non-unimodular aff + R", ("--json",), 0,
+         '{\n  "valid": true,\n  "violations": [],\n  "adapted": true,\n  "maximal": null,\n'
+         '  "flat_factor": [\n    [\n      "0",\n      "1",\n      "0"\n    ]\n  ]\n}\n'),
+    ))
+    def test_maximality_is_no_or_unknown(self, run, tmp_path, name, flags, code, expected):
+        assert run("lcp", "detect", branch_document(tmp_path, name), *flags) == (code, expected, "")
 
     def test_missing_metric_is_semantic(self, run, tmp_path):
-        data = json.loads(corpus_text("sol3.json"))
-        del data["metric"]
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps(data))
-        code, _, err = run("lcp", "detect", str(doc))
-        assert code == 2
-        assert "no metric" in err
+        assert run("lcp", "detect", branch_document(tmp_path, "sol3 without metric")) == (
+            2, "", "error: document has no metric\n"
+        )
 
 
 class TestLcpMaxFlat:
@@ -395,57 +485,30 @@ class TestLcpMaxFlat:
         assert code == 0
         assert out == "flat factor = span{u} (dim 1)\nclassification: lcp\nadapted: yes\n"
 
-    def test_conformally_flat_plane(self, run, tmp_path):
-        doc = tmp_path / "plane.json"
-        doc.write_text(
-            json.dumps(
-                {
-                    "dim": 2,
-                    "basis": ["x", "y"],
-                    "brackets": [],
-                    "metric": "identity",
-                    "theta": ["1", "0"],
-                }
-            )
-        )
-        code, out, _ = run("lcp", "max-flat", str(doc))
-        assert code == 0
-        assert "classification: conformally-flat" in out
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("abelian plane", (), 0,
+         "flat factor = span{x, y} (dim 2)\nclassification: conformally-flat (whole algebra; not LCP)\n"),
+        ("abelian plane", ("--json",), 0,
+         '{\n  "flat_factor": [\n    [\n      "1",\n      "0"\n    ],\n    [\n      "0",\n      "1"\n'
+         '    ]\n  ],\n  "dim": 2,\n  "classification": "conformally-flat",\n  "adapted": false\n}\n'),
+    ))
+    def test_conformally_flat_plane(self, run, tmp_path, name, flags, code, expected):
+        assert run("lcp", "max-flat", branch_document(tmp_path, name), *flags) == (code, expected, "")
 
-    def test_no_factor(self, run, tmp_path):
-        doc = tmp_path / "heis4.json"
-        doc.write_text(
-            json.dumps(
-                {
-                    "dim": 4,
-                    "basis": ["x", "y", "z", "w"],
-                    "brackets": [{"i": 0, "j": 1, "c": {"2": "1"}}],
-                    "metric": "identity",
-                    "theta": ["1", "0", "0", "0"],
-                }
-            )
-        )
-        code, out, _ = run("lcp", "max-flat", str(doc))
-        assert code == 0
-        assert "flat factor = 0 (dim 0)" in out
-        assert "classification: none" in out
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("heis3 + R", (), 0,
+         "flat factor = 0 (dim 0)\n"
+         "classification: none (no LCP structure with this metric and covector)\n"),
+        ("heis3 + R", ("--json",), 0,
+         '{\n  "flat_factor": [],\n  "dim": 0,\n  "classification": "none",\n  "adapted": true\n}\n'),
+    ))
+    def test_no_factor(self, run, tmp_path, name, flags, code, expected):
+        assert run("lcp", "max-flat", branch_document(tmp_path, name), *flags) == (code, expected, "")
 
     def test_non_unimodular_input_is_rejected(self, run, tmp_path):
-        doc = tmp_path / "aff.json"
-        doc.write_text(
-            json.dumps(
-                {
-                    "dim": 2,
-                    "basis": ["a", "b"],
-                    "brackets": [{"i": 0, "j": 1, "c": {"1": "1"}}],
-                    "metric": "identity",
-                    "theta": ["1", "0"],
-                }
-            )
+        assert run("lcp", "max-flat", branch_document(tmp_path, "aff")) == (
+            2, "", "error: the flat-factor construction requires a unimodular algebra\n"
         )
-        code, _, err = run("lcp", "max-flat", str(doc))
-        assert code == 2
-        assert "unimodular" in err
 
 
 class TestLcpFromTriple:
@@ -565,12 +628,12 @@ class TestLattice:
         assert code == 0
         assert out == "index: 6\n"
 
-    def test_infinite_index(self, run, tmp_path):
-        doc = tmp_path / "singular.json"
-        doc.write_text('{"matrix": [[2, 4], [1, 2]]}')
-        code, out, _ = run("lattice", "index", str(doc))
-        assert code == 0
-        assert out == "index: infinite\n"
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("singular", (), 0, "index: infinite\n"),
+        ("singular", ("--json",), 0, '{\n  "index": "infinite"\n}\n'),
+    ))
+    def test_infinite_index(self, run, tmp_path, name, flags, code, expected):
+        assert run("lattice", "index", branch_document(tmp_path, name), *flags) == (code, expected, "")
 
     def test_lemma51_witness_case(self, run):
         code, out, _ = run("lattice", "lemma51", corpus("lat_diag21_split.json"))
@@ -581,6 +644,27 @@ class TestLattice:
         code, out, _ = run("lattice", "lemma51", corpus("lat_fib_split.json"))
         assert code == 0
         assert "conclusion holds: finite index 1\n" in out
+
+    @pytest.mark.parametrize(("name", "flags", "code", "expected"), exact_outputs(
+        ("no lemma51 conclusion", (), 0,
+         "hypotheses: integral: yes; E1 invariant: no; E2 invariant: yes; (A - I)|E1 invertible: no\n"
+         "det(A - I) = 2\nno conclusion: hypotheses fail and det(A - I) is nonzero\n"),
+        ("no lemma51 conclusion", ("--json",), 0,
+         '{\n  "hypotheses": {\n    "integral": true,\n    "e1_invariant": false,\n'
+         '    "e2_invariant": true,\n    "restriction_invertible": false\n  },\n'
+         '  "det_a_minus_i": 2,\n  "index": null,\n  "witness": null\n}\n'),
+        ("1x1 identity", (), 0,
+         "hypotheses: integral: yes; E1 invariant: yes; E2 invariant: yes; (A - I)|E1 invertible: yes\n"
+         "det(A - I) = 0\nwitness x = (1)\nhyperplane W = 0 (dim 0)\n"
+         "density refuted: projections of lattice points onto E2 lie in W + Z * p2(x/|x|^2)\n"),
+        ("1x1 identity", ("--json",), 0,
+         '{\n  "hypotheses": {\n    "integral": true,\n    "e1_invariant": true,\n'
+         '    "e2_invariant": true,\n    "restriction_invertible": true\n  },\n'
+         '  "det_a_minus_i": 0,\n  "index": null,\n  "witness": {\n    "x": [\n      1\n    ],\n'
+         '    "hyperplane": []\n  }\n}\n'),
+    ))
+    def test_lemma51_branches_no_corpus_file_reaches(self, run, tmp_path, name, flags, code, expected):
+        assert run("lattice", "lemma51", branch_document(tmp_path, name), *flags) == (code, expected, "")
 
     def test_lemma51_without_split_block(self, run):
         code, _, err = run("lattice", "lemma51", corpus("lat_upper23.json"))
