@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 file/parse problems, 2 semantic invalidity. Commands
 only print: `main` alone writes stdout and maps failures to exit codes: a
 `DocumentError` to 1, and a `ValueError` to 2, including a field that the
-command needs and `documents` finds missing.
+command needs and `documents` finds missing. Each action of `analyze`, `lcp`
+and `lattice` builds one report, which `_render` prints as text or `--json`.
 """
 from __future__ import annotations
 
@@ -17,16 +18,12 @@ from math import gcd
 
 from . import documents
 from .connections import InnerProduct, is_closed
-from .documents import AlgebraDocument, DocumentError
-from .lattice import (
-    SplitDecomposition,
-    check_splitting,
-    lattice_index,
-    smith_normal_form,
-)
+from .documents import DocumentError
+from .lattice import check_splitting, lattice_index, smith_normal_form
 from .lcp import (
     CLASS_CONFORMALLY_FLAT,
     CLASS_LCP,
+    CLASS_NONE,
     LCPValidationError,
     build_from_triple,
     characteristic_constraint_space,
@@ -103,19 +100,39 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _metric(doc: AlgebraDocument) -> InnerProduct:
-    if doc.metric is None:
-        raise ValueError("document has no metric")
-    try:
-        return documents.document_metric(doc)
-    except ValueError as exc:
-        raise ValueError(f"invalid metric: {exc}") from exc
+def _parenthesized(values) -> str:
+    return f"({', '.join(map(str, values))})"
 
 
-def _theta(doc: AlgebraDocument) -> Covector:
-    if doc.theta is None:
-        raise ValueError("document has no theta covector")
-    return Covector(doc.theta)
+def _render(args: argparse.Namespace, entries, labels=()) -> None:
+    """Print a report: entries (key, label, value) in order. The one place that
+    reads `--json`. JSON prints the keyed entries, a dotted key nested and a
+    Subspace as its rows. Text prints "label value" for each labelled entry: a
+    bool as yes/no, None as unknown, a Subspace over labels with its dimension,
+    and a tuple as one line per item. An entry that one form leaves out has
+    key or label None."""
+    if getattr(args, "json", False):
+        payload: dict = {}
+        for key, _, value in entries:
+            if key is not None:
+                *path, last = key.split(".")
+                node = payload
+                for part in path:
+                    node = node.setdefault(part, {})
+                node[last] = _subspace_rows(value) if isinstance(value, Subspace) else value
+        print(json.dumps(payload, indent=2))
+        return
+    for _, label, value in entries:
+        if label is None:
+            continue
+        if isinstance(value, bool):
+            value = _yesno(value)
+        elif value is None:
+            value = "unknown"
+        elif isinstance(value, Subspace):
+            value = f"{_format_subspace(value, labels)} (dim {value.dim})"
+        for item in value if isinstance(value, tuple) else (value,):
+            print(f"{label} {item}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -128,7 +145,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             # Only a Jacobi failure gets here from a parsed document; name its triples.
             algebra = None
             names = ", ".join(
-                "(" + ", ".join(doc.basis[t] for t in triple) + ")"
+                _parenthesized(doc.basis[t] for t in triple)
                 for triple in check_jacobi(doc.dim, {(i, j): dict(t) for i, j, t in doc.brackets})
             )
             print(f"jacobi: FAIL at basis triples {names}")
@@ -166,136 +183,90 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    doc = documents.parse_algebra_document(_load(args.file))
-    algebra = documents.document_algebra(doc)
-    labels = algebra.labels
+    algebra = documents.document_algebra(documents.parse_algebra_document(_load(args.file)))
     rad = radical(algebra)
-    print(f"dim: {algebra.dim}")
-    print(f"abelian: {_yesno(is_abelian(algebra))}")
-    print(f"unimodular: {_yesno(is_unimodular(algebra))}")
-    print(f"solvable: {_yesno(is_solvable(algebra))}")
-    print(f"nilpotent: {_yesno(is_nilpotent(algebra))}")
-    print(f"semisimple: {_yesno(rad.is_zero())}")
-    derived = derived_algebra(algebra)
-    print(f"derived algebra: {_format_subspace(derived, labels)} (dim {derived.dim})")
-    print(f"radical: {_format_subspace(rad, labels)} (dim {rad.dim})")
-    zen = center(algebra)
-    print(f"center: {_format_subspace(zen, labels)} (dim {zen.dim})")
-    print(f"trace form: {_format_combination(trace_form(algebra).coefficients, labels, dual=True)}")
-    pos, neg, zero = symmetric_signature(killing_form(algebra))
-    print(f"killing signature: ({pos}, {neg}, {zero})")
+    trace = _format_combination(trace_form(algebra).coefficients, algebra.labels, dual=True)
+    signature = _parenthesized(symmetric_signature(killing_form(algebra)))
+    _render(args, [
+        ("dim", "dim:", algebra.dim),
+        ("abelian", "abelian:", is_abelian(algebra)),
+        ("unimodular", "unimodular:", is_unimodular(algebra)),
+        ("solvable", "solvable:", is_solvable(algebra)),
+        ("nilpotent", "nilpotent:", is_nilpotent(algebra)),
+        ("semisimple", "semisimple:", rad.is_zero()),
+        ("derived_algebra", "derived algebra:", derived_algebra(algebra)),
+        ("radical", "radical:", rad),
+        ("center", "center:", center(algebra)),
+        ("trace_form", "trace form:", trace),
+        ("killing_signature", "killing signature:", signature),
+    ], algebra.labels)
     return 0
 
 
-def _detect_payload(doc: AlgebraDocument):
-    algebra = documents.document_algebra(doc)
-    metric, theta = _metric(doc), _theta(doc)
-    if doc.flat_factor is None:
-        raise ValueError("document has no flat_factor")
-    return algebra, metric, theta, Subspace.from_vectors(doc.flat_factor, doc.dim)
+# The classification line of `lcp max-flat`'s text, by classification
+_CLASSIFICATION_TEXT = {
+    CLASS_LCP: "lcp",
+    CLASS_CONFORMALLY_FLAT: "conformally-flat (whole algebra; not LCP)",
+    CLASS_NONE: "none (no LCP structure with this metric and covector)",
+}
 
 
 def cmd_lcp(args: argparse.Namespace) -> int:
     if args.candidate is not None and args.action != "char-bound":
         raise ValueError("--candidate applies only to lcp char-bound")
     doc = documents.parse_algebra_document(_load(args.file))
-    if args.action == "detect":
-        try:
-            structure = validate_lcp(*_detect_payload(doc))
-        except LCPValidationError as exc:
-            if args.json:
-                print(json.dumps({"valid": False, "violations": list(exc.violations)}, indent=2))
-            else:
-                print("valid: no")
-                for v in exc.violations:
-                    print(f"violation: {v}")
-            return 2
-        if args.json:
-            payload = {
-                "valid": True,
-                "violations": [],
-                "adapted": structure.adapted,
-                "maximal": structure.maximal,
-                "flat_factor": _subspace_rows(structure.flat_factor),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print("valid: yes")
-            print(f"adapted: {_yesno(structure.adapted)}")
-            maximal = "unknown" if structure.maximal is None else _yesno(structure.maximal)
-            print(f"maximal: {maximal}")
-            u = structure.flat_factor
-            print(f"flat factor: {_format_subspace(u, structure.algebra.labels)} (dim {u.dim})")
-        return 0
-
-    if args.action == "max-flat":
-        algebra = documents.document_algebra(doc)
-        result = maximal_flat_factor(algebra, _metric(doc), _theta(doc))
-        if args.json:
-            payload = {
-                "flat_factor": _subspace_rows(result.subspace),
-                "dim": result.subspace.dim,
-                "classification": result.classification,
-                "adapted": result.adapted,
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"flat factor = {_format_subspace(result.subspace, algebra.labels)}"
-                f" (dim {result.subspace.dim})"
-            )
-            if result.classification == CLASS_LCP:
-                print("classification: lcp")
-                print(f"adapted: {_yesno(result.adapted)}")
-            elif result.classification == CLASS_CONFORMALLY_FLAT:
-                print("classification: conformally-flat (whole algebra; not LCP)")
-            else:
-                print("classification: none (no LCP structure with this metric and covector)")
-        return 0
-
     if args.action == "from-triple":
         structure = build_from_triple(documents.document_triple(doc))
         print(documents.emit_algebra_document(documents.structure_document(structure)), end="")
         return 0
 
-    if args.action == "char-bound":
-        try:
-            structure = validate_lcp(*_detect_payload(doc))
-        except LCPValidationError as exc:
+    if args.action == "max-flat":
+        algebra, metric, theta = documents.document_conformal(doc)
+        result = maximal_flat_factor(algebra, metric, theta)
+        is_lcp = result.classification == CLASS_LCP
+        _render(args, [
+            ("flat_factor", "flat factor =", result.subspace),
+            ("dim", None, result.subspace.dim),
+            ("classification", None, result.classification),
+            (None, "classification:", _CLASSIFICATION_TEXT[result.classification]),
+            ("adapted", "adapted:" if is_lcp else None, result.adapted),
+        ], algebra.labels)
+        return 0
+
+    try:
+        structure = validate_lcp(*documents.document_lcp_arguments(doc))
+    except LCPValidationError as exc:
+        if args.action == "char-bound":
             raise ValueError(f"document is not a valid LCP structure: {exc}") from exc
-        algebra = structure.algebra
+        _render(args, [("valid", "valid:", False), ("violations", "violation:", exc.violations)])
+        return 2
+    labels = structure.algebra.labels
+
+    if args.action == "detect":
+        _render(args, [
+            ("valid", "valid:", True),
+            ("violations", "violation:", ()),
+            ("adapted", "adapted:", structure.adapted),
+            ("maximal", "maximal:", structure.maximal),
+            ("flat_factor", "flat factor:", structure.flat_factor),
+        ], labels)
+        return 0
+
+    if args.action == "char-bound":
         bound = characteristic_constraint_space(structure)
-        report = None
+        entries = [("bound", "bound =", bound), ("dim", None, bound.dim)]
         if args.candidate is not None:
-            try:
-                raw = json.loads(args.candidate)
-                rows = documents._rational_matrix(raw, None, algebra.dim, "candidate")
-                candidate = Subspace.from_vectors(rows, algebra.dim)
-            except (ValueError, DocumentError, RecursionError) as exc:
-                raise ValueError(f"invalid candidate basis: {exc}") from exc
+            candidate = documents.parse_candidate(args.candidate, structure.algebra.dim)
             report = check_candidate(structure, candidate)
-        if args.json:
-            payload: dict = {"bound": _subspace_rows(bound), "dim": bound.dim}
-            if report is not None:
-                payload["candidate"] = {
-                    "basis": _subspace_rows(report.candidate),
-                    "theta_vanishes": report.theta_vanishes,
-                    "action_trivial": report.action_trivial,
-                    "abelian": report.is_abelian,
-                    "in_radical": report.in_radical,
-                    "in_commutator": report.in_commutator,
-                }
-            print(json.dumps(payload, indent=2))
-            return 0
-        print(f"bound = {_format_subspace(bound, algebra.labels)} (dim {bound.dim})")
-        if report is not None:
-            c = report.candidate
-            print(f"candidate: {_format_subspace(c, algebra.labels)} (dim {c.dim})")
-            print(f"theta vanishes: {_yesno(report.theta_vanishes)}")
-            print(f"action trivial: {_yesno(report.action_trivial)}")
-            print(f"abelian: {_yesno(report.is_abelian)}")
-            print(f"in radical: {_yesno(report.in_radical)}")
-            print(f"in commutator: {_yesno(report.in_commutator)}")
+            entries += [
+                ("candidate.basis", "candidate:", report.candidate),
+                ("candidate.theta_vanishes", "theta vanishes:", report.theta_vanishes),
+                ("candidate.action_trivial", "action trivial:", report.action_trivial),
+                ("candidate.abelian", "abelian:", report.is_abelian),
+                ("candidate.in_radical", "in radical:", report.in_radical),
+                ("candidate.in_commutator", "in commutator:", report.in_commutator),
+            ]
+        _render(args, entries, labels)
         return 0
 
     raise AssertionError(f"unhandled action {args.action}")
@@ -303,80 +274,49 @@ def cmd_lcp(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     doc = documents.parse_lattice_document(_load(args.file))
+    a = doc.endomorphism
 
     if args.action == "snf":
-        u, d, v = smith_normal_form(doc.endomorphism)
-        if args.json:
-            payload = {
-                "u": [list(r) for r in u],
-                "d": [list(r) for r in d],
-                "v": [list(r) for r in v],
-                "divisors": [d[i][i] for i in range(len(d))],
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"divisors: ({', '.join(str(d[i][i]) for i in range(len(d)))})")
-            for name, m in zip("UDV", (u, d, v)):
-                print(f"{name} = {[list(r) for r in m]}")
+        u, d, v = smith_normal_form(a)
+        divisors = [d[i][i] for i in range(a.size)]
+        _render(args, [
+            (None, "divisors:", _parenthesized(divisors)),
+            *((name.lower(), f"{name} =", list(map(list, m))) for name, m in zip("UDV", (u, d, v))),
+            ("divisors", None, divisors),
+        ])
 
     elif args.action == "index":
-        idx = lattice_index(doc.endomorphism)
-        idx = "infinite" if idx is None else idx
-        print(json.dumps({"index": idx}, indent=2) if args.json else f"index: {idx}")
+        idx = lattice_index(a)
+        _render(args, [("index", "index:", "infinite" if idx is None else idx)])
 
     elif args.action == "lemma51":
-        if doc.e1 is None or doc.e2 is None:
-            raise ValueError("document has no split block (e1/e2 bases)")
-        k = doc.endomorphism.size
-        try:
-            split = SplitDecomposition(
-                Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k)
-            )
-        except ValueError as exc:
-            raise ValueError(f"invalid decomposition: {exc}") from exc
-        verdict = check_splitting(doc.endomorphism, split)
-        if args.json:
-            payload = {
-                "hypotheses": {
-                    "integral": verdict.integral,
-                    "e1_invariant": verdict.e1_invariant,
-                    "e2_invariant": verdict.e2_invariant,
-                    "restriction_invertible": verdict.restriction_invertible,
-                },
-                "det_a_minus_i": verdict.det_minus_identity,
-                "index": verdict.index,
-                "witness": None
-                if verdict.witness is None
-                else {
-                    "x": list(verdict.witness.vector),
-                    "hyperplane": _subspace_rows(verdict.witness.hyperplane),
-                },
-            }
-            print(json.dumps(payload, indent=2))
+        verdict = check_splitting(a, documents.document_split(doc))
+        hypotheses = (
+            ("integral", "integral", verdict.integral),
+            ("e1_invariant", "E1 invariant", verdict.e1_invariant),
+            ("e2_invariant", "E2 invariant", verdict.e2_invariant),
+            ("restriction_invertible", "(A - I)|E1 invertible", verdict.restriction_invertible),
+        )
+        conclusion = None if verdict.index is None else "conclusion holds: finite index"
+        entries = [
+            *((f"hypotheses.{key}", None, flag) for key, _, flag in hypotheses),
+            (None, "hypotheses:", "; ".join(f"{name}: {_yesno(f)}" for _, name, f in hypotheses)),
+            ("det_a_minus_i", "det(A - I) =", verdict.det_minus_identity),
+            ("index", conclusion, verdict.index),
+        ]
+        if (witness := verdict.witness) is not None:
+            entries += [
+                ("witness.x", None, list(witness.vector)),
+                (None, "witness x =", _parenthesized(witness.vector)),
+                ("witness.hyperplane", "hyperplane W =", witness.hyperplane),
+                (None, "density refuted:",
+                 "projections of lattice points onto E2 lie in W + Z * p2(x/|x|^2)"),
+            ]
         else:
-            hypotheses = (verdict.integral, verdict.e1_invariant, verdict.e2_invariant,
-                          verdict.restriction_invertible)
-            print(
-                "hypotheses: integral: {}; E1 invariant: {}; E2 invariant: {}; "
-                "(A - I)|E1 invertible: {}".format(*map(_yesno, hypotheses))
-            )
-            print(f"det(A - I) = {verdict.det_minus_identity}")
-            if verdict.index is not None:
-                print(f"conclusion holds: finite index {verdict.index}")
-            elif verdict.witness is not None:
-                x = verdict.witness.vector
-                print(f"witness x = ({', '.join(str(c) for c in x)})")
-                coords = [f"x{i + 1}" for i in range(k)]
-                print(
-                    f"hyperplane W = {_format_subspace(verdict.witness.hyperplane, coords)}"
-                    f" (dim {verdict.witness.hyperplane.dim})"
-                )
-                print(
-                    "density refuted: projections of lattice points onto E2 lie in "
-                    "W + Z * p2(x/|x|^2)"
-                )
-            else:
-                print("no conclusion: hypotheses fail and det(A - I) is nonzero")
+            entries.append(("witness", None, None))
+            if conclusion is None:
+                entries.append((None, "no conclusion:", "hypotheses fail and det(A - I) is nonzero"))
+        _render(args, entries, [f"x{i + 1}" for i in range(a.size)])
 
     else:
         raise AssertionError(f"unhandled action {args.action}")

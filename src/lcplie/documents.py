@@ -15,9 +15,9 @@ from typing import Callable, NoReturn
 
 from .connections import InnerProduct
 from .lcp import LCPStructure, LCPTriple
-from .liealg import BracketTable, LieAlgebra
-from .linalg import ZERO, Matrix, Vector, _Record, as_fraction, identity_matrix
-from .lattice import IntegerEndomorphism
+from .liealg import BracketTable, Covector, LieAlgebra
+from .linalg import ZERO, Matrix, Subspace, Vector, _Record, as_fraction, identity_matrix
+from .lattice import IntegerEndomorphism, SplitDecomposition
 
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -356,6 +356,54 @@ def document_algebra(doc: AlgebraDocument) -> LieAlgebra:
 
 def document_metric(doc: AlgebraDocument) -> InnerProduct | None:
     return None if doc.metric is None else InnerProduct(doc.metric)
+
+
+def document_conformal(doc: AlgebraDocument) -> tuple[LieAlgebra, InnerProduct, Covector]:
+    """The algebra, metric and Lee covector of the document, checked in that
+    order; raises ValueError for the first that is missing or invalid."""
+    algebra = document_algebra(doc)
+    if doc.metric is None:
+        raise ValueError("document has no metric")
+    try:
+        metric = InnerProduct(doc.metric)
+    except ValueError as exc:
+        raise ValueError(f"invalid metric: {exc}") from exc
+    if doc.theta is None:
+        raise ValueError("document has no theta covector")
+    return algebra, metric, Covector(doc.theta)
+
+
+def document_lcp_arguments(
+    doc: AlgebraDocument,
+) -> tuple[LieAlgebra, InnerProduct, Covector, Subspace]:
+    """`document_conformal` and then the flat factor: the four arguments of
+    `validate_lcp`; raises ValueError if the document has no flat_factor."""
+    algebra, metric, theta = document_conformal(doc)
+    if doc.flat_factor is None:
+        raise ValueError("document has no flat_factor")
+    return algebra, metric, theta, Subspace.from_vectors(doc.flat_factor, doc.dim)
+
+
+def parse_candidate(text: str, dim: int) -> Subspace:
+    """The span of a candidate basis given as JSON text, a list of rows of
+    rational strings of length dim; raises ValueError."""
+    try:
+        rows = _rational_matrix(json.loads(text), None, dim, "candidate")
+        return Subspace.from_vectors(rows, dim)
+    except (ValueError, DocumentError, RecursionError) as exc:
+        raise ValueError(f"invalid candidate basis: {exc}") from exc
+
+
+def document_split(doc: LatticeDocument) -> SplitDecomposition:
+    """The decomposition of the document's split block; raises ValueError if
+    there is none or its bases do not split the lattice's space."""
+    if doc.e1 is None or doc.e2 is None:
+        raise ValueError("document has no split block (e1/e2 bases)")
+    k = doc.endomorphism.size
+    try:
+        return SplitDecomposition(Subspace.from_vectors(doc.e1, k), Subspace.from_vectors(doc.e2, k))
+    except ValueError as exc:
+        raise ValueError(f"invalid decomposition: {exc}") from exc
 
 
 def document_triple(doc: AlgebraDocument) -> LCPTriple:

@@ -20,6 +20,7 @@ from .linalg import (
     _RATIONAL,
     _Record,
     _add_product,
+    _bareiss,
     _columns,
     _dense_row,
     _descending_chain,
@@ -284,21 +285,27 @@ class LieAlgebra(_Record):
 
     @cached_property
     def _killing_form(self) -> Matrix:
-        n = self.dim
-        c, brackets = self._lifted_table
-        # c ad_i as {(k, l): int}: the traces below are over c^2
-        ads: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-        for (i, j), terms in brackets.items():
-            for k, x in terms:
-                ads[i][(k, j)] = x
-                ads[j][(k, i)] = -x
-        out = [[ZERO] * n for _ in range(n)]
-        active = [i for i in range(n) if ads[i]]  # ad_i = 0 leaves row and column i zero
-        for a, i in enumerate(active):
-            for j in active[a:]:
-                if tr := sum(x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items()):
-                    out[i][j] = out[j][i] = Fraction(tr, c * c)
-        return tuple(tuple(row) for row in out)
+        c, brackets = self._lifted_table  # the traces are over c^2
+        return tuple(
+            tuple(Fraction(tr, c * c) if tr else ZERO for tr in row)
+            for row in _integer_killing_form(self.dim, brackets)
+        )
+
+
+def _integer_killing_form(n: int, brackets: LiftedBrackets) -> list[list[int]]:
+    """trace(ad_i ad_j) for the integer structure constants of a lifted table,
+    as the sum over k, l of ad_i[k][l] ad_j[l][k]."""
+    ads: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]  # ad_i as {(k, l): int}
+    for (i, j), terms in brackets.items():
+        for k, x in terms:
+            ads[i][(k, j)] = x
+            ads[j][(k, i)] = -x
+    out = [[0] * n for _ in range(n)]
+    active = [i for i in range(n) if ads[i]]  # ad_i = 0 leaves row and column i zero
+    for a, i in enumerate(active):
+        for j in active[a:]:
+            out[i][j] = out[j][i] = sum(x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items())
+    return out
 
 
 def _basis_images(algebra: LieAlgebra, w: Sequence[int]) -> dict[int, dict[int, int]]:
@@ -454,7 +461,9 @@ def radical(algebra: LieAlgebra) -> Subspace:
     chain ends at zero. An ideal is a subalgebra, so that chain descends.
     The whole algebra is an ideal, and its derived chain is the derived
     series with g in front (or the series itself when [g, g] = g), so for a
-    radical equal to g the check reads the cached series.
+    radical equal to g the check reads the cached series. It is then
+    re-checked to be the largest one: g / rad must be semisimple, which a
+    radical equal to g makes free.
     Failure of the check signals an internal inconsistency.
     """
     commutator = derived_algebra(algebra)
@@ -467,7 +476,28 @@ def radical(algebra: LieAlgebra) -> Subspace:
         solvable = is_ideal(algebra, rad) and _derived_chain(algebra, rad)[-1].is_zero()
     if not solvable:
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
+    if not _quotient_is_semisimple(algebra, rad):
+        raise RuntimeError("radical self-check failed: g / radical is not semisimple")
     return rad
+
+
+def _quotient_is_semisimple(algebra: LieAlgebra, ideal: Subspace) -> bool:
+    """Cartan's criterion for g / ideal: its Killing form is nondegenerate. The
+    images of the basis vectors off the ideal's pivots are a basis of g / ideal,
+    and the residues (`_integer_residue`) of their brackets, all over one common
+    scale, are its structure constants. Then a solvable ideal is the radical,
+    since rad g / ideal is a solvable ideal of the semisimple g / ideal."""
+    pivots = set(ideal.pivots)
+    at = {j: a for a, j in enumerate(j for j in range(algebra.dim) if j not in pivots)}
+    if not at:
+        return True
+    quotient: LiftedBrackets = {}
+    for (i, j), terms in algebra._lifted_table[1].items():
+        if i in at and j in at:
+            residue = ideal._integer_residue(dict(terms))
+            if row := tuple((at[k], x) for k, x in sorted(residue.items()) if x):
+                quotient[(at[i], at[j])] = row
+    return _bareiss(_integer_killing_form(len(at), quotient)) != 0
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:

@@ -294,6 +294,10 @@ MISSING_FIELD_LINES = [
     ("lcp char-bound sol3_triple.json --json", documents.document_algebra),
     ("lcp from-triple sol3.json", documents.document_triple),
     ("lcp from-triple heis3.json --json", documents.document_triple),
+    ("lcp max-flat heis3.json --json", documents.document_conformal),
+    ("lcp detect sl2.json", documents.document_lcp_arguments),
+    ("lcp char-bound abelian_r3.json", documents.document_lcp_arguments),
+    ("lattice lemma51 lat_upper23.json", documents.document_split),
 ]
 
 
@@ -303,8 +307,9 @@ def test_a_missing_field_is_checked_once_in_documents(line, build):
     pinned line after "error: ", and `main` maps it to exit 2 with no stdout."""
     argv = tuple(line.split())
     name = next(a for a in argv if a.endswith(".json"))
+    parse = documents.parse_lattice_document if argv[0] == "lattice" else documents.parse_algebra_document
     with pytest.raises(ValueError) as exc:
-        build(documents.parse_algebra_document(corpus_text(name)))
+        build(parse(corpus_text(name)))
     expected = {"code": 2, "stdout": "", "stderr": f"error: {exc.value}\n"}
     assert json.loads(RECORD.read_text(encoding="utf-8"))[line] == expected
     assert invoke_pinned(argv) == expected

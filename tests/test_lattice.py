@@ -126,8 +126,13 @@ class TestSmithNormalForm:
             (((1, 0), (0, 0)), ((1, 0), (0, 2)), ((1, 0), (0, 0))),
             # D is a Smith form of A and det A = 6 = 1 * 6, but U A V = A is not D
             (((2, 1), (0, 3)), ((1, 0), (0, 1)), ((1, 0), (0, 6))),
+            # U A V = D, U and V unimodular and 2 * 3 = det A, but 2 does not divide 3
+            (((2, 0), (0, 3)), ((1, 0), (0, 1)), ((2, 0), (0, 3))),
+            # U A V = D, U and V unimodular, but a zero divisor comes before a nonzero one
+            (((0, 0), (0, 1)), ((1, 0), (0, 1)), ((0, 0), (0, 1))),
         ],
-        ids=["unimodular through det A", "unimodular through Bareiss", "U A V is not D"],
+        ids=["unimodular through det A", "unimodular through Bareiss", "U A V is not D",
+             "divisor chain broken", "zero divisor first"],
     )
     def test_self_check_rejects_a_wrong_factorization(self, a, u, d):
         with pytest.raises(RuntimeError, match="^normal form self-check failed$"):

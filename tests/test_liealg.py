@@ -542,6 +542,21 @@ class TestTableDrivenStructure:
         with pytest.raises(RuntimeError, match="radical self-check failed"):
             radical(sl2)
 
+    @pytest.mark.parametrize("index", range(3))
+    def test_radical_self_check_rejects_a_solvable_ideal_short_of_the_radical(self, monkeypatch, index):
+        """Drop one row of the radical of a RADICAL_BINDING algebra so that what is
+        left is still a solvable ideal: only g / r being semisimple tells them apart."""
+        algebra = radical_binding_algebras()[index]
+        rows = radical(algebra).rows
+        shorter = [Subspace.from_vectors(rows[:k] + rows[k + 1 :], algebra.dim) for k in range(len(rows))]
+        short = next(
+            s for s in shorter
+            if is_ideal(algebra, s) and liealg._derived_chain(algebra, s)[-1].is_zero()
+        )
+        monkeypatch.setattr(Subspace, "orthogonal_complement", lambda self, gram: short)
+        with pytest.raises(RuntimeError, match="^radical self-check failed: g / radical is not semisimple$"):
+            radical(algebra)
+
     @pytest.mark.parametrize("compute", [derived_series, lower_central_series, radical])
     def test_each_fixed_point_runs_one_descending_chain(self, monkeypatch, compute):
         calls = []
