@@ -379,6 +379,8 @@ BRANCH_DOCUMENTS = {
     # one violation, and the two of test_lcp's test_a_line_breaks_two_rules
     "sol3 with a non-parallel factor": sol3_with_factor([["0", "0", "1"]]),
     "sol3 with a line breaking two rules": sol3_with_factor([["0", "1", "0"]]),
+    # a parallel plane that the curvature does not annihilate, a violation no corpus file has
+    "sol3 with a curved parallel plane": sol3_with_factor([["0", "1", "0"], ["0", "0", "1"]]),
     # test_lcp's test_non_maximal_line_inside_flat_plane: build_from_triple of aff
     # with the zero action on R^2, with the flat factor cut to span{u1}
     "line inside a flat plane": {
@@ -457,6 +459,14 @@ class TestLcpDetect:
         ("sol3 with a line breaking two rules", ("--json",), 2,
          '{\n  "valid": false,\n  "violations": [\n'
          '    "flat factor is not parallel for the conformal connection",\n'
+         '    "algebra is unimodular but the lee covector does not vanish on the flat factor"\n'
+         "  ]\n}\n"),
+        ("sol3 with a curved parallel plane", (), 2,
+         "valid: no\nviolation: conformal curvature does not annihilate the flat factor\n"
+         "violation: algebra is unimodular but the lee covector does not vanish on the flat factor\n"),
+        ("sol3 with a curved parallel plane", ("--json",), 2,
+         '{\n  "valid": false,\n  "violations": [\n'
+         '    "conformal curvature does not annihilate the flat factor",\n'
          '    "algebra is unimodular but the lee covector does not vanish on the flat factor"\n'
          "  ]\n}\n"),
     ))
@@ -571,6 +581,15 @@ class TestLcpCharBound:
             "abelian: yes\n"
             "in radical: yes\n"
             "in commutator: no\n"
+        )
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_curved_parallel_plane_is_refused(self, run, tmp_path, flags):
+        doc = branch_document(tmp_path, "sol3 with a curved parallel plane")
+        assert run("lcp", "char-bound", doc, *flags) == (
+            2, "", "error: document is not a valid LCP structure: conformal curvature does not "
+            "annihilate the flat factor; algebra is unimodular but the lee covector does not "
+            "vanish on the flat factor\n"
         )
 
     def test_candidate_outside_complement(self, run):
