@@ -22,7 +22,9 @@ from .liealg import (
     Covector,
     LieAlgebra,
     _ad_rows,
+    _bracket_defects,
     _centralizer,
+    _centralizer_rows,
     _is_index,
     _lifted_action,
     _semidirect,
@@ -45,7 +47,9 @@ from .linalg import (
     _descending_chain,
     _dot,
     _exact,
+    _gram_product,
     _lift,
+    _null_space,
     _unlift,
     identity_matrix,
     transpose,
@@ -177,9 +181,13 @@ class ConformalAnalysis(_Record):
         if u.is_full():
             problems.append("flat factor is the whole algebra")
         if not problems:
-            if not is_parallel(algebra, self.connection, u):
+            # with A_i the nabla_i restricted to a parallel u (over the scale d B),
+            # R(e_i, e_j)|_u = [A_i, A_j] - sum_k C^k_ij A_k
+            residues, restricted = u._restriction(self.connection.rows)
+            scale = self.connection.denominator * u._lifted[0]
+            if residues:
                 problems.append("flat factor is not parallel for the conformal connection")
-            elif not self.curvature.kernel.contains_subspace(u):
+            elif any(_bracket_defects(algebra, scale, list(restricted))):
                 problems.append("conformal curvature does not annihilate the flat factor")
             if is_unimodular(algebra) and not _vanishes_on(theta, u):
                 problems.append(
@@ -190,9 +198,9 @@ class ConformalAnalysis(_Record):
 
 class LCPStructure(_Record):
     """A validated structure: construction raises on any violation or wrong
-    flag, and fills in `maximal` when it is None (None on a non-unimodular
-    algebra, where maximality is not decided). `analysis`, not a field, is the
-    `ConformalAnalysis` that validated it. The metric complement and the
+    flag, and a `maximal` given as None is decided on first read (None on a
+    non-unimodular algebra). `analysis`, not a field, is the validating
+    `ConformalAnalysis`. The metric complement, the radical and the
     characteristic bound with its conditions are computed once, on first use."""
 
     algebra: LieAlgebra
@@ -209,14 +217,17 @@ class LCPStructure(_Record):
             raise LCPValidationError(problems)
         if self.adapted != _vanishes_on(self.lee_form, self.flat_factor):
             raise ValueError("adapted flag does not match the structure")
-        maximal = None
-        if is_unimodular(self.algebra):
-            maximal = analysis.flat_factor.subspace == self.flat_factor
-        if self.maximal is None:
-            object.__setattr__(self, "maximal", maximal)
-        elif self.maximal != maximal:
-            raise ValueError("maximal flag does not match the structure")
         object.__setattr__(self, "analysis", analysis)
+        given = self.maximal
+        object.__delattr__(self, "maximal")  # from here on, read through the property below
+        if given is not None and given != self.maximal:
+            raise ValueError("maximal flag does not match the structure")
+
+    @cached_property
+    def maximal(self) -> bool | None:
+        if not is_unimodular(self.algebra):
+            return None
+        return self.analysis.flat_factor.subspace == self.flat_factor
 
     def connection(self) -> Connection:
         return self.analysis.connection
@@ -230,24 +241,33 @@ class LCPStructure(_Record):
         return self.flat_factor.orthogonal_complement(self.metric.gram)
 
     @cached_property
+    def _radical(self) -> Subspace:
+        return radical(self.algebra)
+
+    @cached_property
     def _linear_conditions(self) -> tuple[Subspace, Subspace, Subspace, Subspace]:
         """ker theta, the centralizer of the flat factor, the radical and [g, g]."""
         algebra, n = self.algebra, self.algebra.dim
         return (
             Subspace.kernel_of((self.lee_form.coefficients,), n),
             _centralizer(algebra, self.flat_factor.rows),
-            radical(algebra),
+            self._radical,
             derived_algebra(algebra),
         )
 
     @cached_property
     def _characteristic_bound(self) -> Subspace:
-        """The complement restricted by the residues of its rows in the conditions."""
-        complement = self._orthocomplement
-        residues = [c._residue_rows(complement) for c in self._linear_conditions]
-        return complement.restrict(
-            [[x for rows in residues for x in rows[r]] for r in range(complement.dim)]
-        )
+        """One kernel of the covectors that cut out the metric complement (the
+        rows of u G), ker theta, the centralizer of u, and the radical and
+        [g, g] (their annihilators, left out for the whole space)."""
+        algebra, n, u = self.algebra, self.algebra.dim, self.flat_factor
+        rows = [_dense_row(terms, n) for _, terms in _gram_product(self.metric.gram, u.rows)[2]]
+        rows.append(self.lee_form.coefficients)
+        rows += _centralizer_rows(algebra, u.rows)
+        for s in (self._radical, derived_algebra(algebra)):
+            if not s.is_full():
+                rows += _null_space(s.rows, n)[0]
+        return Subspace.kernel_of(rows, n)
 
 
 def maximal_flat_factor(

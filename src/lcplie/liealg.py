@@ -421,12 +421,16 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
     return algebra._trace_form.is_zero()
 
 
-def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subspace:
-    """{x : [x, v] = 0 for every given integer vector v}: the joint kernel of the
-    ad_v, whose rows are the negated images [e_i, v] read at each coordinate."""
+def _centralizer_rows(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The nonzero rows of the ad_v of the given integer vectors v, whose joint
+    kernel is the centralizer: the negated images [e_i, v] read at each coordinate."""
     n = algebra.dim
-    rows = [_dense_row(terms, n) for v in vectors for _, terms in _ad_rows(algebra, v)[1]]
-    return Subspace.kernel_of(rows, n)
+    return [_dense_row(terms, n) for v in vectors for _, terms in _ad_rows(algebra, v)[1]]
+
+
+def _centralizer(algebra: LieAlgebra, vectors: Iterable[Sequence[int]]) -> Subspace:
+    """{x : [x, v] = 0 for every given integer vector v}."""
+    return Subspace.kernel_of(_centralizer_rows(algebra, vectors), algebra.dim)
 
 
 def center(algebra: LieAlgebra) -> Subspace:

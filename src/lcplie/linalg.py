@@ -683,7 +683,9 @@ class Subspace(_Record):
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return self.restrict(other._residue_rows(self))
+        # the residues in other of the integer rows B b_r, at one positive scale
+        residues = (other._integer_residue(dict(terms)).items() for _, terms in self._lifted[1])
+        return self.restrict([_dense_row(r, self.ambient_dim) for r in residues])
 
     def restrict(self, values: Sequence[Sequence[int | Fraction]]) -> "Subspace":
         """{sum of c_r * b_r : sum of c_r * values[r] = 0} over the canonical rows
@@ -731,12 +733,6 @@ class Subspace(_Record):
             (r, tuple((c, x * (scale // row[p])) for c, x in enumerate(row) if x))
             for r, (row, p) in enumerate(zip(self.rows, self.pivots))
         )
-
-    def _residue_rows(self, other: "Subspace") -> list[list[int]]:
-        """`_integer_residue` of each integer row B' b'_r of other, as dense rows:
-        the residues of its canonical rows b'_r, all times one positive scale."""
-        n = self.ambient_dim
-        return [_dense_row(self._integer_residue(dict(t)).items(), n) for _, t in other._lifted[1]]
 
     def _restriction(self, operators: Iterable[SparseRows]) -> tuple[
             dict[tuple[int, int], dict[int, int]], Iterator[SparseRows] | None]:

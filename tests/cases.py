@@ -695,6 +695,12 @@ def rebased(algebra, rng):
         )
         if reference.det(p):
             break
+    return rebased_on(algebra, p)
+
+
+def rebased_on(algebra, p):
+    """The same algebra on the basis f_i = P e_i, for an invertible rational P."""
+    n = algebra.dim
     cols, p_inv = reference.transpose(p), reference.inverse(p)
     c = reference.structure_constants(n, algebra.table)
     brackets = {
@@ -868,13 +874,18 @@ RADICAL_BINDING = [
 ]
 
 
-def radical_binding_algebras():
-    """The algebras that `build_from_triple` makes of the RADICAL_BINDING
-    triples: not solvable, with a proper nonzero radical."""
+def radical_binding_structures():
+    """`build_from_triple` of the RADICAL_BINDING triples."""
     return [
-        build_from_triple(document_triple(parse_algebra_document(json.dumps(case[1])))).algebra
+        build_from_triple(document_triple(parse_algebra_document(json.dumps(case[1]))))
         for case in RADICAL_BINDING
     ]
+
+
+def radical_binding_algebras():
+    """The algebras of `radical_binding_structures`: not solvable, with a
+    proper nonzero radical."""
+    return [s.algebra for s in radical_binding_structures()]
 
 
 # Lattice splittings

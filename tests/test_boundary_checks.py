@@ -52,7 +52,14 @@ from cases import (
     rational_rows,
     scaling_triple,
 )
-from conftest import CORPUS_DIR, corpus_json, corpus_text
+from conftest import (
+    CORPUS_DIR,
+    corpus_json,
+    corpus_text,
+    make_rot4_structure,
+    make_rot5_structure,
+    make_sol3_structure,
+)
 
 F = Fraction
 
@@ -127,6 +134,11 @@ class TestOracle:
         calls, mismatches = oracle
         for argv in commands():
             assert invoke(argv) == pinned[" ".join(argv)]
+        # the joint kernel and the bound's four conditions, which only --candidate
+        # still builds, on each corpus structure
+        for structure in (make_sol3_structure(), make_rot4_structure(), make_rot5_structure()):
+            structure.analysis.curvature.kernel
+            structure._linear_conditions
         assert mismatches == []
         assert calls["Subspace"] > 200 and calls["LieAlgebra"] > 50
 
@@ -136,7 +148,8 @@ class TestOracle:
             assert invoke(argv) == pinned[" ".join(argv)]
         rng = random.Random(2311)
         for _ in range(20):
-            build_from_triple(random_rotation_triple(rng))
+            # from-triple validates without the curvature; read it to check it too
+            build_from_triple(random_rotation_triple(rng)).analysis.curvature
         assert mismatches == []
         assert calls["Connection"] > 20 and calls["CurvatureTensor"] > 20
 

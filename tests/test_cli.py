@@ -806,6 +806,52 @@ class TestOneAnalysisPerCommand:
         assert len(weyl_calls) == 1
 
 
+class TestCurvatureBuilds:
+    """Only a command that prints the maximal flat factor builds the curvature
+    tensor: `max-flat`, and `detect` on a valid structure for its `maximal:` line.
+    The other verdicts read the curvature restricted to the flat factor."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = connections.curvature
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(connections, "curvature", counting)
+        monkeypatch.setattr(lcp, "curvature", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "action, name, flags, expected",
+        [
+            ("char-bound", "sol3.json", (), 0),
+            ("char-bound", "rot5.json", ("--json",), 0),
+            ("char-bound", "rot4.json", ("--candidate", '[["0", "0", "0", "1"]]'), 0),
+            ("from-triple", "rot4_triple.json", (), 0),
+            ("from-triple", "sol3_triple.json", ("--json",), 0),
+            ("detect", "rot4.json", (), 1),
+            ("detect", "sol3.json", ("--json",), 1),
+            ("max-flat", "rot5.json", (), 1),
+            ("max-flat", "sol3.json", ("--json",), 1),
+        ],
+    )
+    def test_corpus_commands(self, run, builds, action, name, flags, expected):
+        code, _, _ = run("lcp", action, corpus(name), *flags)
+        assert code == 0
+        assert len(builds) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["sol3 with a non-parallel factor", "sol3 with a curved parallel plane"]
+    )
+    def test_rejected_detect(self, run, builds, tmp_path, name):
+        code, _, _ = run("lcp", "detect", branch_document(tmp_path, name))
+        assert code == 2
+        assert builds == []
+
+
 class TestInputContract:
     """Inputs outside the grammar exit 1 with an `error:` line, never a traceback."""
 

@@ -79,6 +79,8 @@ from cases import (
     extraction_cases,
     invoke,
     pipeline_cases,
+    radical_binding_structures,
+    rebased_on,
     random_connection,
     random_llt_metric,
     random_rotation_triple,
@@ -357,10 +359,59 @@ class TestJointKernel:
             return original(rows, ncols)
 
         monkeypatch.setattr(linalg, "_null_space", spy)
+        # the verdicts read the curvature restricted to the factor, not its joint kernel
         assert analysis.violations(s.flat_factor) == ()
-        assert len(eliminations) == 1
+        assert eliminations == []
         assert analysis.flat_factor.subspace == s.flat_factor
         assert len(eliminations) == 1
+        assert analysis.flat_factor.subspace == s.flat_factor  # cached: no second one
+        assert len(eliminations) == 1
+
+    def test_restricted_verdict_matches_the_dense_joint_kernel(self):
+        """On a parallel proper subspace, `violations` reads the curvature restricted
+        to it; the verdict must be containment in the dense joint kernel."""
+        message = "conformal curvature does not annihilate the flat factor"
+        sol3_plane = Subspace.from_vectors([vector([0, 1, 0]), vector([0, 0, 1])], 3)
+        rng = random.Random(3737)
+        verdicts, scaled = Counter(), 0
+        # so(3) turns the flat factor of the last RADICAL_BINDING structure: there the
+        # restrictions do not commute, and a wrong scale of the A_i shows
+        cases = pipeline_cases()
+        cases += [(s.algebra, s.metric, s.lee_form) for s in radical_binding_structures()]
+        for algebra, metric, theta in cases:
+            if theta.is_zero():
+                continue
+            n = algebra.dim
+            nabla = reference.weyl(algebra, metric, theta)
+            rows = [row for op in reference.curvature(algebra, nabla) for row in op]
+            joint = reference.span(reference.kernel(rows, n), n)
+            analysis = ConformalAnalysis(algebra, metric, theta)
+            spans = [reference.flat_factor(algebra, metric, theta), *coordinate_subspaces(n)]
+            if algebra == make_sol3():
+                spans.append(sol3_plane)
+            # the same structure on the basis f_i = P e_i, P unipotent with fractions, where
+            # the canonical rows of the subspaces need a common denominator B > 1
+            p = tuple(
+                tuple(F(int(r == c)) if r <= c else F(rng.randint(-2, 2), rng.randint(1, 3))
+                      for c in range(n))
+                for r in range(n)
+            )
+            p_inv, cols = reference.inverse(p), transpose(p)
+            rebased = ConformalAnalysis(
+                rebased_on(algebra, p),
+                InnerProduct(mat_mul(transpose(p), mat_mul(metric.gram, p))),
+                Covector(tuple(dot(theta.coefficients, col) for col in cols)),
+            )
+            for u in spans:
+                if 0 < u.dim < n and is_parallel(algebra, analysis.connection, u):
+                    annihilated = joint.contains_subspace(u)
+                    assert (message not in analysis.violations(u)) == annihilated, (algebra, u)
+                    moved = Subspace.from_vectors([mat_vec(p_inv, row) for row in u.basis], n)
+                    assert (message not in rebased.violations(moved)) == annihilated, (p, u)
+                    verdicts[annihilated] += 1
+                    scaled += moved._lifted[0] > 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+        assert scaled >= 10, scaled
 
 
 class TestIntegerRowSubspaces:
@@ -460,6 +511,22 @@ class TestValidation:
         assert LCPStructure(*args, maximal=None).maximal is False
         assert LCPStructure(*args, maximal=False).maximal is False
         assert built.maximal is True
+
+    def test_maximal_is_decided_on_first_read(self, aff):
+        triple = LCPTriple(aff, InnerProduct.identity(2), 2, (ZERO2, ZERO2))
+        built = build_from_triple(triple)
+        line = Subspace.from_vectors([vector([1, 0, 0, 0])], 4)
+        for u, maximal in ((built.flat_factor, True), (line, False)):
+            args = (built.algebra, built.metric, built.lee_form, u, True)
+            decided = LCPStructure(*args, None)
+            assert "flat_factor" not in vars(decided.analysis)
+            given = LCPStructure(*args, maximal)
+            assert "flat_factor" in vars(given.analysis)
+            # equality, hash and repr read the decided flag
+            assert decided == given and hash(decided) == hash(given)
+            assert repr(decided) == repr(given) and f"maximal={maximal}" in repr(decided)
+            assert decided.maximal is maximal
+            assert decided.analysis.flat_factor.subspace == built.flat_factor
 
     def test_structure_keeps_its_analysis(self, sol3_structure):
         s = sol3_structure
@@ -804,7 +871,9 @@ class TestConstraintSpace:
         rng = random.Random(2024)
         structures = [sol3_structure, rot4_structure]
         structures += [random_triple_structure(rng) for _ in range(6)]
-        nonzero = 0
+        structures += [scaling_family(n) for n in range(4, 13)]
+        structures += radical_binding_structures()
+        nonzero = cut = 0
         for s in structures:
             algebra = s.algebra
             n = algebra.dim
@@ -815,11 +884,15 @@ class TestConstraintSpace:
             rad, derived = dense.radical(), dense.derived
             assert s.orthocomplement() == complement
             assert s._linear_conditions == (theta_kernel, action, rad, derived)
-            expected = complement.intersect(theta_kernel).intersect(action)
-            expected = expected.intersect(rad).intersect(derived)
+            loose = complement.intersect(theta_kernel).intersect(action).intersect(derived)
+            expected = loose.intersect(rad)
             assert characteristic_constraint_space(s) == expected
             nonzero += not expected.is_zero()
+            cut += expected != loose
         assert nonzero >= 4
+        # only the radical condition cuts so(3) or sl(2) out of the two RADICAL_BINDING
+        # bounds on the zero action; on R^3 the centralizer already excludes so(3)
+        assert cut == 2
 
     def test_char_bound_makes_no_bracket_calls_in_the_linear_bound(self, monkeypatch, capsys):
         inside, entered, calls = [], [], []
