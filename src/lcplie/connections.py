@@ -31,7 +31,6 @@ from .linalg import (
     _dense_row,
     _exact,
     _gram_product,
-    _integer_row,
     _lift,
     _lowest_terms,
     _products,
@@ -49,8 +48,10 @@ from .linalg import (
 
 
 class InnerProduct(_Record):
-    """A positive definite symmetric bilinear form; `lifted_inverse`, not a
-    field, holds G^-1 on ints."""
+    """A positive definite symmetric bilinear form. `lifted` and
+    `lifted_inverse`, not fields, hold G and G^-1 on ints: (d, d G by its
+    nonzero rows), as `_lift` gives, and the same for G^-1. Every consumer of
+    the metric on ints reads them; none lifts the gram again."""
 
     gram: Matrix
 
@@ -63,6 +64,7 @@ class InnerProduct(_Record):
         d, (rows,) = _lift((self.gram,))
         if _columns(rows) != {r: list(terms) for r, terms in rows}:  # column m is row m
             raise ValueError("gram matrix must be symmetric")
+        object.__setattr__(self, "lifted", (d, rows))
         object.__setattr__(self, "lifted_inverse", _definite_inverse(d, rows, n))
 
     @classmethod
@@ -76,19 +78,21 @@ class InnerProduct(_Record):
     @classmethod
     def _orthogonal_sum(cls, q: int, metric: "InnerProduct") -> "InnerProduct":
         """The block diagonal form of the identity on R^q and metric, with no
-        second elimination: the inverse is the q x q identity block over
-        metric's inverse denominator e, next to metric's own inverse rows moved
-        down by q. Those rows are in lowest terms over e, so the sum is too."""
-        e, rows = metric.lifted_inverse
+        second lift or elimination: G and its inverse are each the q x q
+        identity block over metric's own denominator, next to metric's rows
+        moved down and right by q. Those rows are in lowest terms over that
+        denominator, so the sums are too."""
         out = object.__new__(cls)
         gram = tuple(row + (ZERO,) * metric.dim for row in identity_matrix(q)) + tuple(
             (ZERO,) * q + row for row in metric.gram
         )
-        inverse_rows = tuple((r, ((r, e),)) for r in range(q)) + tuple(
-            (q + r, tuple((q + c, x) for c, x in terms)) for r, terms in rows
-        )
         object.__setattr__(out, "gram", gram)
-        object.__setattr__(out, "lifted_inverse", (e, inverse_rows))
+        for name in ("lifted", "lifted_inverse"):
+            e, rows = getattr(metric, name)
+            block = tuple((r, ((r, e),)) for r in range(q)) + tuple(
+                (q + r, tuple((q + c, x) for c, x in terms)) for r, terms in rows
+            )
+            object.__setattr__(out, name, (e, block))
         return out
 
     @property
@@ -264,27 +268,32 @@ def is_closed(algebra: LieAlgebra, theta: Covector) -> bool:
     """A left-invariant covector is closed iff it kills all basis brackets (on ints)."""
     if theta.dim != algebra.dim:
         raise ValueError("covector dimension does not match the algebra")
-    th = _integer_row(theta.coefficients)
+    th = theta._lifted[1]
     return not any(sum(th[k] * x for k, x in terms) for terms in algebra._lifted_table[1].values())
 
 
 def _koszul_matrices(
-    algebra: LieAlgebra, gram: Matrix, theta: Vector
-) -> tuple[int, list[SparseRows]]:
-    """(2 c g^2, rows): the matrices G D_i, (G D_i)[k][j] = g(D_{e_i} e_j, e_k), of
-    the torsion-free connection D with Dg = -2 theta (x) g, times 2 c g^2, as
-    integer rows; c and g are the common denominators of the structure constants
-    and of the Gram matrix and theta.
+    algebra: LieAlgebra, metric: InnerProduct, theta: Covector
+) -> tuple[int, list[list[tuple[int, list[tuple[int, int]]]]]]:
+    """(e g, rows): the matrices G D_i, (G D_i)[k][j] = g(D_{e_i} e_j, e_k), of
+    the torsion-free connection D with Dg = -2 theta (x) g, times e g, as integer
+    rows (row, [(column, int), ...]) in the order they were built, unsorted. The
+    metric is read as `InnerProduct.lifted`, over g, and theta as
+    `Covector._lifted`, over L; c is the common denominator of the structure
+    constants and e = lcm(2 c, L).
 
     G D_i = K_i + theta_i G + g_i theta^T - theta g_i^T, with g_i row i of G and
     K_i Koszul's formula in Milnor's lowered structure constants C_abm =
-    g([e_a, e_b], e_m): K_i[k][j] = (C_ijk - C_ikj - C_jki) / 2. Over 2 c g^2 the
-    Koszul part carries the factor g and the theta part 2 c. Each nonzero
+    g([e_a, e_b], e_m): K_i[k][j] = (C_ijk - C_ikj - C_jki) / 2. Over e g the
+    Koszul part carries the factor e / 2c and the theta part e / L. Each nonzero
     C_abm and theta_s G_ab is scattered into the entries it feeds, so the work
     follows the nonzero constants.
     """
     c, brackets = algebra._lifted_table
-    g, (gram_rows, vectors) = _lift((gram, (theta,)))
+    g, gram_rows = metric.lifted
+    scale, th = theta._lifted
+    e = lcm(2 * c, scale)
+    f_k, f_t = e // (2 * c), e // scale
     k_mats: list[dict[int, dict[int, int]]] = [{} for _ in range(algebra.dim)]
 
     def add(i: int, k: int, j: int, x: int) -> None:
@@ -295,36 +304,38 @@ def _koszul_matrices(
         bracket = dict(terms)
         # the gram matrix is symmetric, so C_abm = sum over k of C^k_ab g_mk
         for m, g_m in gram_rows:
-            if h := g * sum(bracket[k] * y for k, y in g_m if k in bracket):  # C_bam = -C_abm
+            if h := f_k * sum(bracket[k] * y for k, y in g_m if k in bracket):  # C_bam = -C_abm
                 add(a, m, b, h)  # C_ijk with (i, j, k) = (a, b, m)
                 add(b, m, a, -h)  # ... and (b, a, m)
                 add(a, b, m, -h)  # -C_ikj with (i, k, j) = (a, b, m)
                 add(b, a, m, h)  # ... and (b, a, m)
                 add(m, b, a, -h)  # -C_jki with (j, k, i) = (a, b, m)
                 add(m, a, b, h)  # ... and (b, a, m)
-    for (a, g_a), (s, t) in product(gram_rows, dict(vectors).get(0, ())):
+    for (a, g_a), (s, t) in product(gram_rows, [(s, t) for s, t in enumerate(th) if t]):
         for b, y in g_a:
-            x = 2 * c * t * y  # theta_s G_ab
+            x = f_t * t * y  # theta_s G_ab
             add(s, a, b, x)  # theta_i G_kj with (i, k, j) = (s, a, b)
             add(b, a, s, x)  # G_ki theta_j with (i, k, j) = (b, a, s)
             add(a, s, b, -x)  # -theta_k G_ij with (i, k, j) = (a, s, b)
-    return 2 * c * g * g, [_sparse(k) for k in k_mats]
+    return e * g, [
+        [(r, [(j, x) for j, x in row.items() if x]) for r, row in k.items()] for k in k_mats
+    ]
 
 
-def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Vector) -> Connection:
+def _koszul_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
     """The torsion-free connection with Dg = -2 theta (x) g: G^-1 multiplied
     into the rows of `_koszul_matrices` on integer numerators."""
     if metric.dim != algebra.dim:
         raise ValueError("metric dimension does not match the algebra")
     d_inv, gram_inv = metric.lifted_inverse
-    d_k, k_mats = _koszul_matrices(algebra, metric.gram, theta)
+    d_k, k_mats = _koszul_matrices(algebra, metric, theta)
     lifted = _lowest_terms(d_inv * d_k, _products(gram_inv, k_mats))
     return _canonical_operators(Connection, algebra.dim, lifted)
 
 
 def levi_civita(algebra: LieAlgebra, metric: InnerProduct) -> Connection:
     """The torsion-free metric connection: the Koszul build with theta = 0."""
-    return _koszul_connection(algebra, metric, zero_vector(algebra.dim))
+    return _koszul_connection(algebra, metric, Covector(zero_vector(algebra.dim)))
 
 
 def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) -> Connection:
@@ -340,30 +351,32 @@ def weyl_connection(algebra: LieAlgebra, metric: InnerProduct, theta: Covector) 
         raise ValueError("covector dimension does not match the algebra")
     if not is_closed(algebra, theta):
         raise ValueError("covector is not closed; no conformal connection is defined")
-    conn = _koszul_connection(algebra, metric, theta.coefficients)
+    conn = _koszul_connection(algebra, metric, theta)
 
     # By Koszul, D is the only torsion-free connection with g(D_i e_j, e_k) +
     # g(e_j, D_i e_k) = 2 theta_i g_jk. Torsion fails at (i, j, k), j < i, if T(e_i, e_j)_k != 0.
     _, torsions = _torsion_numerators(algebra, conn)
     failures = [((j, i, k), "torsion") for (i, j), t in torsions.items() for k in t]
     d, nabla = conn.denominator, conn.rows
-    d_g, (gram, vectors) = _lift((metric.gram, (theta.coefficients,)))  # G and theta over d_g
-    theta_at = dict(dict(vectors).get(0, ()))
-    # G D_i has numerators over d_g d and 2 theta_i G over d_g^2: both go over d_g lcm(d, d_g)
-    f_d, f_g = lcm(d, d_g) // d, lcm(d, d_g) // d_g
-    for i, g_d in enumerate(_products(gram, nabla)):
-        # entry [k][j] of G D_i is g(D_i e_j, e_k); sum it with its transpose
-        sym: dict[tuple[int, int], int] = {}
-        for k, terms in g_d:
-            for j, x in terms:
-                sym[j, k] = sym.get((j, k), 0) + f_d * x
-                sym[k, j] = sym.get((k, j), 0) + f_d * x
-        if t := theta_at.get(i):
-            two_theta = 2 * f_g * t
+    d_g, gram = metric.lifted
+    scale, th = theta._lifted
+    # G D_i has numerators over d_g d and theta_i G over d_g L: both go over d_g lcm(d, L)
+    f_d, f_t = lcm(d, scale) // d, lcm(d, scale) // scale
+    gram_columns = _columns(gram, f_d)  # column m of the symmetric G is row m
+    for i, rows in enumerate(nabla):
+        # entry [k][j] of G D_i is g(D_i e_j, e_k); the conformal identity at
+        # (i, j, k) and (i, k, j) says that A = G D_i - theta_i G is antisymmetric at (j, k)
+        acc: dict[int, dict[int, int]] = {}
+        _add_product(acc, gram_columns, rows)
+        if t := f_t * th[i]:
             for j, terms in gram:
-                for k, g in terms:
-                    sym[j, k] = sym.get((j, k), 0) - two_theta * g
-        failures += [((i, j, k), "conformal") for (j, k), x in sym.items() if x]
+                row = acc.setdefault(j, {})
+                for k, y in terms:
+                    row[k] = row.get(k, 0) - t * y
+        failures += [
+            ((i, min(j, k), max(j, k)), "conformal")
+            for j, row in acc.items() for k, x in row.items() if x + acc.get(k, {}).get(j, 0)
+        ]
     if failures:
         (i, j, k), name = min(failures)
         raise RuntimeError(

@@ -47,9 +47,10 @@ from .linalg import (
     _descending_chain,
     _dot,
     _exact,
-    _gram_product,
-    _lift,
     _null_space,
+    _products,
+    _scaled,
+    _sparse,
     _unlift,
     identity_matrix,
     transpose,
@@ -86,7 +87,9 @@ class ConstraintReport(_Record):
 
 
 def _vanishes_on(theta: Covector, s: Subspace) -> bool:
-    return not any(theta.value(row) for row in s.rows)
+    """theta(row) = 0 for every canonical row of s, on theta's lift."""
+    th = theta._lifted[1]
+    return not any(sum(t * x for t, x in zip(th, row) if t) for row in s.rows)
 
 
 def _invariant_part(s: Subspace, operators: Sequence[SparseRows]) -> Subspace:
@@ -249,7 +252,7 @@ class LCPStructure(_Record):
         """ker theta, the centralizer of the flat factor, the radical and [g, g]."""
         algebra, n = self.algebra, self.algebra.dim
         return (
-            Subspace.kernel_of((self.lee_form.coefficients,), n),
+            Subspace.kernel_of((self.lee_form._lifted[1],), n),
             _centralizer(algebra, self.flat_factor.rows),
             self._radical,
             derived_algebra(algebra),
@@ -258,11 +261,13 @@ class LCPStructure(_Record):
     @cached_property
     def _characteristic_bound(self) -> Subspace:
         """One kernel of the covectors that cut out the metric complement (the
-        rows of u G), ker theta, the centralizer of u, and the radical and
-        [g, g] (their annihilators, left out for the whole space)."""
+        rows of u G, from u's and the metric's lifts), ker theta, the centralizer
+        of u, and the radical and [g, g] (their annihilators, left out for the
+        whole space)."""
         algebra, n, u = self.algebra, self.algebra.dim, self.flat_factor
-        rows = [_dense_row(terms, n) for _, terms in _gram_product(self.metric.gram, u.rows)[2]]
-        rows.append(self.lee_form.coefficients)
+        products = _products(u._lifted[1], (self.metric.lifted[1],))[0]
+        rows = [_dense_row(terms, n) for _, terms in products]
+        rows.append(self.lee_form._lifted[1])
         rows += _centralizer_rows(algebra, u.rows)
         for s in (self._radical, derived_algebra(algebra)):
             if not s.is_full():
@@ -304,6 +309,8 @@ class LCPTriple(_Record):
 
     The action matrices are one q x q matrix per basis vector of the acting
     algebra, skew-symmetric for the standard inner product on R^q.
+    `lifted`, not a field, holds them as `_lifted_action` read them: (d, d beta_j
+    by its nonzero integer rows, for each j).
     """
 
     h_algebra: LieAlgebra
@@ -322,6 +329,7 @@ class LCPTriple(_Record):
             if _columns(m, -1) != {r: list(terms) for r, terms in m}:  # column r is -row r
                 raise ValueError(f"action matrix {idx} is not skew-symmetric")
         object.__setattr__(self, "beta", tuple(_unlift(d, m, q) for m in rows))
+        object.__setattr__(self, "lifted", (d, rows))
         if defect is not None:
             raise ValueError(f"action is not a Lie algebra homomorphism on basis pair {defect}")
         if trace_form(h).is_zero():
@@ -339,11 +347,19 @@ def build_from_triple(triple: LCPTriple) -> LCPStructure:
     h, q = triple.h_algebra, triple.q
     character = trace_form(h)
     weight = [Fraction(-1, q) * c for c in character.coefficients]
-    alpha = [
-        tuple(tuple(x + w if r == c else x for c, x in enumerate(row)) for r, row in enumerate(b))
-        for w, b in zip(weight, triple.beta)
-    ]
-    algebra = _semidirect(q, h, *_lift(alpha))
+    # alpha_j = beta_j + w_j I on ints: beta's lifted rows over d and the weights
+    # over L, both over lcm(d, L); beta_j is skew, so its diagonal is empty
+    d, beta = triple.lifted
+    scale, w = _scaled(weight)
+    e = math.lcm(d, scale)
+    alpha = []
+    for w_j, rows in zip(w, beta):
+        acc = {r: {c: x * (e // d) for c, x in terms} for r, terms in rows}
+        if w_j:
+            for r in range(q):
+                acc.setdefault(r, {})[r] = w_j * (e // scale)
+        alpha.append(_sparse(acc))
+    algebra = _semidirect(q, h, e, alpha)
     n = q + h.dim
     # block diagonal: the identity on the flat factor and h's metric on h
     metric = InnerProduct._orthogonal_sum(q, triple.h_metric)

@@ -32,7 +32,6 @@ from .linalg import (
     _unlift_row,
     as_fraction,
     dot,
-    is_zero_vector,
     pairs,
     vector,
 )
@@ -142,12 +141,19 @@ def check_jacobi(dim: int, brackets: BracketMap) -> tuple[tuple[int, int, int], 
 
 
 class Covector(_Record):
-    """A linear functional held by its coefficients on the basis."""
+    """A linear functional held by its coefficients on the basis. `_lifted`,
+    built on first read, holds them on ints."""
 
     coefficients: Vector
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", _exact(self.coefficients))
+
+    @cached_property
+    def _lifted(self) -> tuple[int, list[int]]:
+        """(L, L theta) as ints (`_scaled`), L the lcm of the denominators: the
+        one lift that every integer reader of the covector shares."""
+        return _scaled(self.coefficients)
 
     @classmethod
     def from_values(cls, values: Iterable[int | str | Fraction]) -> "Covector":
@@ -161,7 +167,7 @@ class Covector(_Record):
         return dot(self.coefficients, v)
 
     def is_zero(self) -> bool:
-        return is_zero_vector(self.coefficients)
+        return not any(self._lifted[1])
 
 
 class LieAlgebra(_Record):
@@ -459,26 +465,21 @@ def is_abelian_subspace(algebra: LieAlgebra, s: Subspace) -> bool:
 
 
 def radical(algebra: LieAlgebra) -> Subspace:
-    """Maximal solvable ideal, via the Killing-orthogonal of the derived algebra.
+    """Maximal solvable ideal.
 
-    The result is re-checked to be a solvable ideal: an ideal whose derived
-    chain ends at zero. An ideal is a subalgebra, so that chain descends.
-    The whole algebra is an ideal, and its derived chain is the derived
-    series with g in front (or the series itself when [g, g] = g), so for a
-    radical equal to g the check reads the cached series. It is then
-    re-checked to be the largest one: g / rad must be semisimple, which a
-    radical equal to g makes free.
+    A solvable algebra is its own radical: when the cached derived series
+    ends at zero, that proves it, and g is returned. Otherwise the radical is
+    the Killing-orthogonal of the derived algebra, re-checked to be a solvable
+    ideal: an ideal whose derived chain ends at zero (an ideal is a
+    subalgebra, so that chain descends). A result equal to g fails this, as
+    g's derived chain is the derived series. It is then re-checked to be the
+    largest one: g / rad must be semisimple.
     Failure of the check signals an internal inconsistency.
     """
-    commutator = derived_algebra(algebra)
-    if commutator.is_zero():
+    if derived_series(algebra)[-1].is_zero():
         return algebra.full_space()
-    rad = commutator.orthogonal_complement(killing_form(algebra))
-    if rad.is_full():
-        solvable = derived_series(algebra)[-1].is_zero()
-    else:
-        solvable = is_ideal(algebra, rad) and _derived_chain(algebra, rad)[-1].is_zero()
-    if not solvable:
+    rad = derived_algebra(algebra).orthogonal_complement(killing_form(algebra))
+    if rad.is_full() or not (is_ideal(algebra, rad) and _derived_chain(algebra, rad)[-1].is_zero()):
         raise RuntimeError("radical self-check failed: computed subspace is not a solvable ideal")
     if not _quotient_is_semisimple(algebra, rad):
         raise RuntimeError("radical self-check failed: g / radical is not semisimple")

@@ -29,14 +29,15 @@ import pytest
 
 from lcplie import connections, documents, lattice, lcp, liealg
 from lcplie.cli import main
-from lcplie.connections import Connection
+from lcplie.connections import Connection, InnerProduct
 from lcplie.lattice import IntegerEndomorphism
-from lcplie.lcp import build_from_triple, triple_from_lcp
+from lcplie.lcp import LCPTriple, build_from_triple, triple_from_lcp
 from lcplie.liealg import LieAlgebra
-from lcplie.linalg import Subspace, pairs
+from lcplie.linalg import Subspace, _lift, pairs
 
 import reference
 from cases import (
+    ALGEBRA_ACTIONS,
     OPERATOR_EDITS,
     RECORD,
     ROW_EDITS,
@@ -72,8 +73,10 @@ def pinned() -> dict:
 @pytest.fixture
 def oracle(monkeypatch):
     """Wrap the private constructors: every call also runs the public check it
-    skips, and a disagreement is recorded in `mismatches`. `calls` counts the
-    calls, so that a test can show the wrappers ran."""
+    skips, and a disagreement is recorded in `mismatches`. Every metric and
+    triple, from its constructor or `InnerProduct._orthogonal_sum`, is checked
+    to keep the integer lift that `_lift` gives of its Fraction matrices. `calls`
+    counts the calls, so that a test can show the wrappers ran."""
     calls: Counter = Counter()
     mismatches: list = []
     canonical_subspace = Subspace._canonical.__func__
@@ -106,9 +109,39 @@ def oracle(monkeypatch):
             mismatches.append((cls.__name__, dim, lifted, str(exc)))
         return canonical_operators(cls, dim, lifted)
 
+    def checked_lift(metric):
+        # the lifted gram that every integer reader shares is the one `_lift` gives
+        d, (rows,) = _lift((metric.gram,))
+        if metric.lifted != (d, rows):
+            mismatches.append(("InnerProduct.lifted", metric.gram, metric.lifted))
+
+    def checked_metric(self):
+        post_init(self)
+        calls["InnerProduct"] += 1
+        checked_lift(self)
+
+    def checked_sum(cls, q, metric):
+        out = orthogonal_sum(cls, q, metric)
+        calls["InnerProduct._orthogonal_sum"] += 1
+        checked_lift(out)
+        if out.lifted_inverse != InnerProduct(out.gram).lifted_inverse:
+            mismatches.append(("InnerProduct.lifted_inverse", out.gram, out.lifted_inverse))
+        return out
+
+    def checked_triple(self):
+        triple_post_init(self)
+        calls["LCPTriple"] += 1
+        if self.lifted != _lift(self.beta):
+            mismatches.append(("LCPTriple.lifted", self.beta, self.lifted))
+
+    post_init, triple_post_init = InnerProduct.__post_init__, LCPTriple.__post_init__
+    orthogonal_sum = InnerProduct._orthogonal_sum.__func__
     monkeypatch.setattr(Subspace, "_canonical", classmethod(checked_subspace))
     monkeypatch.setattr(LieAlgebra, "_canonical", classmethod(checked_algebra))
     monkeypatch.setattr(connections, "_canonical_operators", checked_operators)
+    monkeypatch.setattr(InnerProduct, "__post_init__", checked_metric)
+    monkeypatch.setattr(InnerProduct, "_orthogonal_sum", classmethod(checked_sum))
+    monkeypatch.setattr(LCPTriple, "__post_init__", checked_triple)
     return calls, mismatches
 
 
@@ -132,15 +165,34 @@ class TestOracle:
 
     def test_every_corpus_command(self, oracle, pinned):
         calls, mismatches = oracle
+        reached: dict[tuple[str, ...], set[str]] = {}
         for argv in commands():
+            before = calls.copy()
             assert invoke(argv) == pinned[" ".join(argv)]
+            kind = argv[:2] if argv[0] in ("lcp", "lattice") else argv[:1]
+            kind += ("--candidate",) * ("--candidate" in argv)
+            reached.setdefault(kind, set()).update(k for k in calls if calls[k] > before[k])
         # the joint kernel and the bound's four conditions, which only --candidate
         # still builds, on each corpus structure
         for structure in (make_sol3_structure(), make_rot4_structure(), make_rot5_structure()):
             structure.analysis.curvature.kernel
             structure._linear_conditions
         assert mismatches == []
-        assert calls["Subspace"] > 200 and calls["LieAlgebra"] > 50
+        # what each kind of command must build through the wrapped constructors
+        engine = {"Subspace", "LieAlgebra", "InnerProduct", "Connection"}
+        assert {kind: engine & built for kind, built in reached.items()} == {
+            ("validate",): {"LieAlgebra", "InnerProduct"},
+            ("analyze",): {"LieAlgebra", "Subspace"},
+            **{("lcp", action): engine for action in ALGEBRA_ACTIONS},
+            ("lcp", "char-bound", "--candidate"): engine,
+            ("lattice", "snf"): set(),
+            ("lattice", "index"): set(),
+            ("lattice", "lemma51"): {"Subspace"},
+        }
+        assert {kind for kind, built in reached.items() if "CurvatureTensor" in built} == {
+            ("lcp", "detect"), ("lcp", "max-flat")
+        }
+        assert "InnerProduct._orthogonal_sum" in reached["lcp", "from-triple"]
 
     def test_every_engine_built_operator_passes_the_public_check(self, oracle, pinned):
         calls, mismatches = oracle
@@ -152,6 +204,7 @@ class TestOracle:
             build_from_triple(random_rotation_triple(rng)).analysis.curvature
         assert mismatches == []
         assert calls["Connection"] > 20 and calls["CurvatureTensor"] > 20
+        assert calls["InnerProduct._orthogonal_sum"] > 20 and calls["LCPTriple"] > 20
 
     def test_scaling_family(self, oracle, tmp_path):
         calls, mismatches = oracle

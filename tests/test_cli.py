@@ -27,6 +27,7 @@ from cases import (
     mutated_lines,
     pinned_lines,
     random_table,
+    scaling_triple,
     subspaces_by_dimension,
 )
 from conftest import CORPUS_DIR, corpus_text
@@ -850,6 +851,36 @@ class TestCurvatureBuilds:
         code, _, _ = run("lcp", "detect", branch_document(tmp_path, name))
         assert code == 2
         assert builds == []
+
+
+class TestGramLifts:
+    """A command lifts the metric's gram to integers once, in the `InnerProduct`
+    constructor: the Koszul build, the Weyl self-check and the characteristic
+    bound read `InnerProduct.lifted`."""
+
+    @pytest.mark.parametrize("action", ["detect", "char-bound"])
+    def test_one_lift_per_command(self, run, monkeypatch, tmp_path, action):
+        triple = tmp_path / "triple.json"
+        triple.write_text(json.dumps(scaling_triple(6, random.Random(6))), encoding="utf-8")
+        code, built, _ = run("lcp", "from-triple", str(triple))
+        assert code == 0
+        structure = tmp_path / "structure.json"
+        structure.write_text(built, encoding="utf-8")
+        gram = documents.parse_algebra_document(built).metric
+        assert gram != reference.identity(len(gram))  # h's block is L L^T / 2
+        lifts = []
+        for module in (connections, linalg):
+            def counting(mats, original=module._lift):
+                mats = list(mats)
+                if any(m == gram for m in mats):
+                    caller = sys._getframe(1).f_code
+                    lifts.append((Path(caller.co_filename).name, caller.co_name))
+                return original(mats)
+
+            monkeypatch.setattr(module, "_lift", counting)
+        code, _, _ = run("lcp", action, str(structure))
+        assert code == 0
+        assert lifts == [("connections.py", "__post_init__")]
 
 
 class TestInputContract:

@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -545,6 +545,34 @@ class TestWeyl:
             assert reference.weyl(algebra, metric, theta) == closed_form
             conn = weyl_connection(algebra, metric, theta)
             assert conn.nabla == closed_form
+
+    def test_coprime_metric_and_covector_denominators(self):
+        """G over 2 * 5 and theta over 3 * 7: the Koszul build and its self-check
+        read the two lifts over their own denominators and meet over the lcm."""
+        rng = random.Random(2110)
+        built = 0
+        for algebra, _, theta in pipeline_cases():
+            n, scale = algebra.dim, lcm(*(x.denominator for x in theta.coefficients))
+            numerators = [x.numerator * (scale // x.denominator) for x in theta.coefficients]
+            if not any(numerators):
+                continue
+            g = gcd(*numerators)  # a primitive row over 21 has denominator 21
+            theta = Covector(tuple(F(x // g, 21) for x in numerators))
+            while True:
+                lower = [
+                    [F(rng.randint(-3, 3)) if c < r else F(rng.randint(1, 3)) if c == r else F(0)
+                     for c in range(n)]
+                    for r in range(n)
+                ]
+                gram = reference.mat_mul(lower, reference.transpose(lower))
+                metric = InnerProduct(tuple(tuple(x / 10 for x in row) for row in gram))
+                if metric.lifted[0] == 10:
+                    break
+            assert theta._lifted[0] == 21 and is_closed(algebra, theta)
+            expected = reference.weyl(algebra, metric, theta)
+            assert weyl_connection(algebra, metric, theta).nabla == expected
+            built += 1
+        assert built > 20
 
     def test_makes_no_inner_product_value_calls(self, monkeypatch, sol3):
         calls = []

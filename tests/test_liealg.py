@@ -39,15 +39,18 @@ from lcplie.linalg import Subspace, matrix, pairs, symmetric_signature, vector
 
 import reference
 from cases import (
+    RADICAL_BINDING,
     closed_covectors,
     radical_binding_algebras,
     random_subspace,
     random_table,
     rebased,
+    scaling_family,
     seeded_algebras,
     seeded_representations,
     sparse_table,
     wide_families,
+    wide_family,
 )
 from conftest import (
     CORPUS_DIR,
@@ -528,12 +531,17 @@ class TestTableDrivenStructure:
         with pytest.raises(RuntimeError, match="radical self-check failed"):
             radical(sol3)
 
-    def test_radical_self_check_rejects_a_non_ideal(self, monkeypatch, sol3):
-        # span{a} is a subalgebra of sol3 but [u, a] = u leaves it
-        span_a = Subspace(3, ((0, 1, 0),))
-        monkeypatch.setattr(Subspace, "kernel_of", classmethod(lambda cls, m, n: span_a))
-        with pytest.raises(RuntimeError, match="radical self-check failed"):
-            radical(sol3)
+    def test_radical_self_check_rejects_a_non_ideal(self, monkeypatch):
+        # a solvable algebra is its own radical, so the Killing route, and this
+        # check, run on a non-solvable one: so(3) + aff(R) on R^2, where span{r1}
+        # is an abelian subalgebra but [r2, r1] = -r3 leaves it
+        algebra = radical_binding_algebras()[0]
+        r1 = algebra.basis_vector(algebra.labels.index("r1"))
+        span_r1 = Subspace.from_vectors([r1], algebra.dim)
+        assert not is_solvable(algebra) and not is_ideal(algebra, span_r1)
+        monkeypatch.setattr(Subspace, "kernel_of", classmethod(lambda cls, m, n: span_r1))
+        with pytest.raises(RuntimeError, match="computed subspace is not a solvable ideal$"):
+            radical(algebra)
 
     def test_radical_self_check_rejects_a_non_solvable_ideal(self, monkeypatch, sl2):
         # all of sl2 is an ideal, but [sl2, sl2] = sl2, so its derived chain never reaches 0
@@ -569,8 +577,13 @@ class TestTableDrivenStructure:
         monkeypatch.setattr(liealg, "_descending_chain", counted)
         for algebra in (make_sol3(), make_heis3(), make_sl2(), heis_plus_diag()):
             calls.clear()
-            compute(algebra)
-            assert len(calls) == 1, algebra.labels
+            result = compute(algebra)
+            # one chain per subspace certified: each computation runs the chain
+            # from [g, g], and a radical short of g (sl2's zero) runs its own too
+            certified = [derived_algebra(algebra)]
+            if compute is radical and not result.is_full():
+                certified.append(result)
+            assert calls == certified, algebra.labels
 
 
 def sl2_plus_line():
@@ -665,6 +678,44 @@ class TestIdealsAndRadical:
     def test_radical_of_sl2_is_zero(self, sl2):
         assert radical(sl2).is_zero()
         assert is_semisimple(sl2)
+
+    def test_solvable_radical_is_the_whole_space_without_the_killing_route(self, monkeypatch):
+        """A solvable g is its own radical, which its derived series proves; the
+        Killing route, called directly, gives the same. A non-solvable g still
+        takes that route and runs both halves of the self-check."""
+        rng = random.Random(3779)
+        solvable = [scaling_family(n).algebra for n in range(4, 13)] + wide_families()
+        solvable += [wide_family(rng, rng.randint(1, 3), rng.randint(0, 4)) for _ in range(8)]
+        solvable += [heis_plus_diag(), make_sol3(), make_heis3()]
+        others = [make_sl2(), sl2_on_plane()] + radical_binding_algebras()
+        killing_route = [
+            derived_algebra(a).orthogonal_complement(killing_form(a)) for a in solvable + others
+        ]
+        dense = [DenseBrackets(a).radical() for a in others]
+        labelled = [  # the radicals RADICAL_BINDING names by their basis labels
+            Subspace.from_vectors([a.basis_vector(a.labels.index(x)) for x in case[2]], a.dim)
+            for case, a in zip(RADICAL_BINDING, others[2:])
+        ]
+        assert dense[2:] == labelled
+        checks = []
+        for name in ("killing_form", "is_ideal", "_quotient_is_semisimple"):
+            def spy(*args, original=getattr(liealg, name), name=name):
+                checks.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(liealg, name, spy)
+        radicals, both_halves = [], ["killing_form", "is_ideal", "_quotient_is_semisimple"]
+        for algebra in solvable + others:
+            fresh = LieAlgebra(algebra.dim, algebra.labels, algebra.table)  # nothing cached
+            checks.clear()
+            radicals.append(radical(fresh))
+            if algebra in solvable:
+                assert is_solvable(fresh) and radicals[-1] == fresh.full_space()
+                assert checks == [], algebra.labels
+            else:
+                assert checks == both_halves, algebra.labels
+        assert radicals == killing_route
+        assert radicals[len(solvable):] == dense
 
     def test_radical_of_abelian_algebra_skips_the_killing_form(self, monkeypatch):
         def forbidden(algebra):
